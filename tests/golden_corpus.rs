@@ -18,6 +18,9 @@ use desktop_grid_scheduling::experiments::cli::CliOptions;
 use desktop_grid_scheduling::experiments::executor::{run_campaign_with, ExecutorOptions};
 use desktop_grid_scheduling::experiments::figures::Figure;
 use desktop_grid_scheduling::experiments::gap::{render_gap_table, run_gap_with};
+use desktop_grid_scheduling::experiments::sensitivity::{
+    render_sensitivity, run_sensitivity_with, SensitivityConfig,
+};
 use desktop_grid_scheduling::experiments::store::{shard_name, MANIFEST_NAME};
 use desktop_grid_scheduling::experiments::tables::{render_table, table_comparison};
 use desktop_grid_scheduling::heuristics::HeuristicSpec;
@@ -181,5 +184,28 @@ fn gap_rendering_and_shards_match_golden_corpus() {
         shards.push_str(&fs::read_to_string(dir.join(shard_name(point))).unwrap());
     }
     check_golden("gap_shards.jsonl", &shards);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The model-mismatch sensitivity golden sweep: the `small()` preset cut to
+/// 1 scenario × 1 trial, run on 4 threads with a store attached, pinning the
+/// rendered side-by-side table and the model-tagged shard bytes.
+#[test]
+fn sensitivity_rendering_and_shards_match_golden_corpus() {
+    let mut config = SensitivityConfig::small();
+    config.scenarios_per_point = 1;
+    config.trials_per_scenario = 1;
+    config.threads = 4;
+    let dir = temp_store("sensitivity");
+    let results = run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, false)).unwrap();
+
+    let names: Vec<String> = config.heuristics.iter().map(HeuristicSpec::name).collect();
+    check_golden("sensitivity_m5.txt", &render_sensitivity(&results, "IE", &names));
+
+    let mut shards = String::new();
+    for point in 0..config.points.len() {
+        shards.push_str(&fs::read_to_string(dir.join(shard_name(point))).unwrap());
+    }
+    check_golden("sensitivity_shards.jsonl", &shards);
     let _ = fs::remove_dir_all(&dir);
 }
