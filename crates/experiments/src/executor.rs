@@ -1,23 +1,28 @@
-//! The sharded campaign executor.
+//! The campaign executor: the paper's Section VII campaign as a client of
+//! the crate's sweep kernel, plus the options, counters and outcome types
+//! every sweep shares.
 //!
-//! [`run_campaign_with`] fans a campaign's `(point, scenario)` jobs out over
-//! worker threads and aggregates finished scenarios **in canonical order** on
-//! the calling thread, which yields three properties the old mutex-and-`Vec`
-//! fan-out lacked:
+//! The kernel (the private `sweep` module, shared with [`crate::gap`] and
+//! [`crate::sensitivity`]) fans a sweep's `(point, scenario)` jobs out over
+//! worker threads and hands finished jobs back **in canonical order** on the
+//! calling thread. [`run_campaign_with`] supplies only the campaign's record
+//! codec ([`crate::store::encode_instance`] / `decode_instance`), its per-job
+//! function and its reduction, which gives three properties:
 //!
-//! 1. **Trial-level availability reuse** — each worker realizes a trial's
-//!    availability once ([`RealizedTrial`]) and replays it for every
-//!    heuristic of the trial, instead of re-realizing the same seed once per
-//!    heuristic (~17× redundant sojourn sampling on full campaigns).
-//!    Symmetrically, each scenario job creates **one shared
-//!    [`EvalCache`]** next to its trials, so the Section V group quantities
-//!    are computed once per `(scenario, member set)` instead of once per
-//!    `(heuristic, trial, member set)` — the cache hit/miss counters land in
-//!    [`ExecutorStats`] alongside the realization counts.
+//! 1. **Trial-level availability reuse** — each job realizes a trial's
+//!    availability once ([`RealizedTrial`](dg_availability::RealizedTrial))
+//!    and replays it for every heuristic of the trial, instead of
+//!    re-realizing the same seed once per heuristic (~17× redundant sojourn
+//!    sampling on full campaigns). Symmetrically, each scenario job creates
+//!    **one shared [`EvalCache`](dg_analysis::EvalCache)** next to its
+//!    trials, so the Section V group quantities are computed once per
+//!    `(scenario, member set)` instead of once per `(heuristic, trial, member
+//!    set)` — the cache hit/miss counters land in [`ExecutorStats`]
+//!    alongside the realization counts.
 //! 2. **Deterministic results** — every finished instance lands in its
-//!    pre-computed canonical slot (point-major, then scenario, trial,
-//!    heuristic), so [`CampaignResults`] — and its serialized form — is
-//!    byte-identical regardless of the thread count.
+//!    canonical slot (point-major, then scenario, trial, heuristic), so
+//!    [`CampaignResults`] — and its serialized form — is byte-identical
+//!    regardless of the thread count.
 //! 3. **Streaming aggregation** — scenarios are reduced into
 //!    [`CampaignAccumulator`] cells and (with [`ExecutorOptions::store`])
 //!    written to JSONL shards as each point completes; retaining the raw
@@ -31,18 +36,11 @@
 
 use crate::campaign::{CampaignConfig, CampaignResults, InstanceResult};
 use crate::distrib::WorkerShard;
-use crate::runner::{run_instance_on, trial_seed, InstanceSpec};
-use crate::store::{encode_instance, CampaignStore, ShardWriter, StoredInstance};
+use crate::store::encode_instance;
 use crate::stream::CampaignAccumulator;
 use crate::suite::fingerprint_suffix;
-use dg_analysis::EvalCache;
-use dg_availability::rng::derive_seed;
-use dg_availability::RealizedTrial;
-use dg_platform::{Scenario, ScenarioParams};
-use std::collections::BTreeMap;
+use crate::sweep::{self, Job, Sweep};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// The reference heuristic the paper compares everything against.
 pub const DEFAULT_REFERENCE: &str = "IE";
@@ -61,9 +59,6 @@ pub struct ExecutorOptions {
     /// Resume from the store (`--resume`): skip instances already on disk.
     /// Requires [`ExecutorOptions::out`].
     pub resume: bool,
-    /// Reference heuristic for the streaming accumulator
-    /// ([`DEFAULT_REFERENCE`] when `None`).
-    pub reference: Option<String>,
     /// Execute only this worker shard's contiguous point range
     /// (`--worker-shard I/N`) and record completion as a part manifest
     /// instead of finalizing `manifest.json`. Requires
@@ -84,13 +79,11 @@ impl Default for ExecutorOptions {
             retain_raw: false,
             out: None,
             resume: false,
-            reference: None,
             part: None,
             decision_threads: 1,
         }
     }
 }
-
 impl ExecutorOptions {
     /// Streaming-only execution: no raw retention, no store.
     pub fn new() -> ExecutorOptions {
@@ -120,42 +113,6 @@ impl ExecutorOptions {
     pub fn decision_threads(mut self, threads: usize) -> ExecutorOptions {
         self.decision_threads = threads;
         self
-    }
-}
-
-/// Open the store dictated by `options`: a plain/coordinator open claims the
-/// directory (clearing stale artifacts on a fresh open), a worker-shard open
-/// only validates it. Shared by the campaign, gap and sensitivity executors.
-pub(crate) fn open_store(
-    options: &ExecutorOptions,
-    fingerprint: String,
-) -> Result<Option<CampaignStore>, String> {
-    match (&options.out, options.part) {
-        (Some(dir), Some(_)) => {
-            Ok(Some(CampaignStore::open_worker(dir, fingerprint, options.resume)?))
-        }
-        (Some(dir), None) => Ok(Some(CampaignStore::open(dir, fingerprint, options.resume)?)),
-        (None, Some(_)) => {
-            Err("a worker shard requires an output directory (--worker-shard needs --out)"
-                .to_string())
-        }
-        (None, None) if options.resume => Err("resume requires an output directory".to_string()),
-        (None, None) => Ok(None),
-    }
-}
-
-/// Seal the store at the end of a run: a worker shard records its part
-/// manifest (`manifest.part-I.json`), everything else finalizes
-/// `manifest.json`. No-op without a store.
-pub(crate) fn finalize_store(
-    store: Option<&CampaignStore>,
-    part: Option<WorkerShard>,
-    num_points: usize,
-) -> Result<(), String> {
-    let Some(store) = store else { return Ok(()) };
-    match part {
-        Some(shard) => store.write_part(shard.index, shard.total, shard.points(num_points)),
-        None => store.finalize(),
     }
 }
 
@@ -200,13 +157,6 @@ impl ExecutorStats {
     }
 }
 
-/// One fan-out job's output: the job's results in canonical order plus how
-/// many of them were actually simulated (vs resumed from the store).
-struct JobOutput {
-    block: Vec<InstanceResult>,
-    executed: usize,
-}
-
 /// Everything a campaign run produces.
 #[derive(Debug, Clone)]
 pub struct CampaignOutcome {
@@ -229,12 +179,6 @@ pub fn resolve_threads(requested: usize) -> usize {
     }
 }
 
-/// Seed used to generate scenario `scenario_index` of `point_index` (shared
-/// by the campaign and sensitivity executors).
-pub(crate) fn scenario_seed(base_seed: u64, point_index: usize, scenario_index: usize) -> u64 {
-    derive_seed(base_seed, (point_index as u64) << 20 | scenario_index as u64)
-}
-
 /// The canonical JSON fingerprint of everything in a [`CampaignConfig`] that
 /// determines results. `threads` is excluded (results are proven
 /// thread-count-independent) and so is `engine` (both engines produce
@@ -244,9 +188,15 @@ pub(crate) fn scenario_seed(base_seed: u64, point_index: usize, scenario_index: 
 /// other suite appends its name and canonical generator-model spec, so two
 /// suites can never share a store.
 pub fn config_fingerprint(config: &CampaignConfig) -> String {
+    fingerprint("campaign", config)
+}
+
+/// The fingerprint of a sweep of `kind` over `config`'s space: the `kind`
+/// keeps a gap store from ever resuming as a campaign store, or vice versa.
+pub(crate) fn fingerprint(kind: &str, config: &CampaignConfig) -> String {
     let suite = fingerprint_suffix(&config.suite, &config.model);
     format!(
-        "{{\"kind\":\"campaign\",\"m\":[{}],\"ncom\":[{}],\"wmin\":[{}],\"workers\":{},\
+        "{{\"kind\":\"{kind}\",\"m\":[{}],\"ncom\":[{}],\"wmin\":[{}],\"workers\":{},\
          \"iterations\":{},\"scenarios\":{},\"trials\":{},\"cap\":{},\"heuristics\":[{}],\
          \"seed\":{},\"epsilon\":{:?}{suite}}}",
         join(&config.m_values),
@@ -267,41 +217,15 @@ pub(crate) fn join<T: std::fmt::Display>(xs: &[T]) -> String {
     xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
 }
 
-/// Canonical slot of a stored instance within the campaign's flat result
-/// vector, or `None` if the record does not belong to this campaign (wrong
-/// suite tag, wrong parameters, out-of-range indices, unknown heuristic).
-fn slot_of(
-    record: &StoredInstance,
-    config: &CampaignConfig,
-    points: &[ScenarioParams],
-    heuristic_names: &[String],
-) -> Option<usize> {
-    let p = record.point_index;
-    let r = &record.result;
-    if record.suite.as_deref() != config.suite_tag()
-        || points.get(p) != Some(&r.params)
-        || r.scenario_index >= config.scenarios_per_point
-        || r.trial_index >= config.trials_per_scenario
-    {
-        return None;
-    }
-    let h = heuristic_names.iter().position(|n| *n == r.heuristic)?;
-    let slot = ((p * config.scenarios_per_point + r.scenario_index) * config.trials_per_scenario
-        + r.trial_index)
-        * heuristic_names.len()
-        + h;
-    Some(slot)
-}
-
 /// Run a campaign under `options`.
 ///
 /// Jobs (one per `(point, scenario)` pair) are distributed over
 /// `resolve_threads(config.threads)` worker threads; `on_progress` is called
 /// with `(completed_runs, total_runs)` — once up-front covering every resumed
-/// instance, then after executed instances — and the reported `done` counts
-/// are strictly increasing regardless of thread interleaving. Fails only on
-/// store I/O or configuration-mismatch errors; a store-less campaign is
-/// infallible.
+/// instance, then after every executed instance — and the reported `done`
+/// counts are strictly increasing regardless of thread interleaving. Fails
+/// only on store I/O or configuration-mismatch errors; a store-less campaign
+/// is infallible.
 pub fn run_campaign_with<F>(
     config: &CampaignConfig,
     options: &ExecutorOptions,
@@ -310,337 +234,47 @@ pub fn run_campaign_with<F>(
 where
     F: Fn(usize, usize) + Sync,
 {
-    let points = config.points();
-    let num_heuristics = config.heuristics.len();
-    let scenarios = config.scenarios_per_point;
-    let trials = config.trials_per_scenario;
-    let per_scenario = trials * num_heuristics;
-    let total = config.total_runs();
-    let heuristic_names: Vec<String> = config.heuristics.iter().map(|h| h.name()).collect();
-
-    // A worker shard executes only its contiguous point range; a plain run
-    // covers everything. Slots, seeds and shard names stay global either
-    // way, so a shard's bytes equal the same points' bytes of a full run.
-    let point_range = match options.part {
-        Some(shard) => shard.points(points.len()),
-        None => 0..points.len(),
-    };
-    let job_offset = point_range.start * scenarios;
-    let num_jobs = point_range.len() * scenarios;
-    let local_total = num_jobs * per_scenario;
-
-    // Store setup and resume prefill: `prefilled[slot]` holds instances the
-    // store already has; workers skip them.
-    let store = open_store(options, config_fingerprint(config))?;
-    let mut prefilled: Vec<Option<InstanceResult>> = vec![None; total];
-    if options.resume {
-        let store = store.as_ref().expect("resume requires a store");
-        for record in store.load()? {
-            if record.model.is_some() {
-                continue; // model-tagged records belong to sensitivity stores
-            }
-            if let Some(slot) = slot_of(&record, config, &points, &heuristic_names) {
-                prefilled[slot] = Some(record.result);
-            }
-        }
-    }
-
-    // Progress pre-seed (the --resume monotonicity fix): resumed instances
-    // are not simulated, so counting them as the worker threads *encounter*
-    // them interleaves with executed-instance counts in arbitrary thread
-    // order and produced non-monotonic (done, total) callbacks. Instead,
-    // every prefilled slot in the local range is counted up-front and
-    // reported once; workers then report executed instances only, through a
-    // last-reported guard that drops out-of-order publications.
-    let preseeded = (0..num_jobs)
-        .flat_map(|local| {
-            let base = (job_offset + local) * per_scenario;
-            base..base + per_scenario
-        })
-        .filter(|&slot| prefilled[slot].is_some())
-        .count();
-    let last_reported = std::sync::Mutex::new(0usize);
-    let report = |d: usize| {
-        let mut last = last_reported.lock().expect("progress lock poisoned");
-        if d > *last {
-            *last = d;
-            on_progress(d, local_total);
-        }
-    };
-    if preseeded > 0 {
-        report(preseeded);
-    }
-
-    let done = AtomicUsize::new(preseeded);
-    let executed = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let trials_realized = AtomicUsize::new(0);
-    let eval_caches = AtomicUsize::new(0);
-    let group_sets_computed = AtomicUsize::new(0);
-    let group_cache_hits = AtomicUsize::new(0);
-    let prefilled_ref = &prefilled;
-
-    // One job per (point, scenario): generate the scenario once (skipped
-    // entirely when every instance of the job was resumed), then run its
-    // trials; each trial realizes availability once and replays it for every
-    // heuristic that still needs to run, and the whole heuristic × trial
-    // fan-out of the job evaluates through one shared EvalCache.
-    let worker = |local: usize| -> JobOutput {
-        let job = job_offset + local;
-        let point_index = job / scenarios;
-        let scenario_index = job % scenarios;
-        let params = points[point_index];
-        let base_slot = job * per_scenario;
-        let job_missing =
-            (0..per_scenario).any(|offset| prefilled_ref[base_slot + offset].is_none());
-        let scenario = job_missing.then(|| {
-            let seed = scenario_seed(config.base_seed, point_index, scenario_index);
-            Scenario::generate_with(params, &config.model, seed)
-        });
-        let eval_cache = scenario.as_ref().map(|s| {
-            let mut cache = EvalCache::new(&s.platform, &s.master, config.epsilon);
-            cache.set_decision_threads(resolve_threads(options.decision_threads));
-            cache
-        });
-        let mut block = Vec::with_capacity(per_scenario);
-        let mut executed_in_job = 0usize;
-        for trial_index in 0..trials {
-            let trial_slots = base_slot + trial_index * num_heuristics;
-            let any_missing = (0..num_heuristics).any(|i| prefilled_ref[trial_slots + i].is_none());
-            let trial = any_missing.then(|| {
-                let scenario = scenario.as_ref().expect("scenario generated for missing instance");
-                trials_realized.fetch_add(1, Ordering::Relaxed);
-                let ts = trial_seed(config.base_seed, scenario.seed, trial_index);
-                // Realized per the scenario's trial model (Markov chains for
-                // the paper suite; matched semi-Markov traces otherwise),
-                // capped at the campaign's slot horizon.
-                RealizedTrial::new(scenario.realize_trial(ts, config.max_slots))
-            });
-            for (i, heuristic) in config.heuristics.iter().enumerate() {
-                match &prefilled_ref[trial_slots + i] {
-                    Some(stored) => {
-                        // Already counted by the progress pre-seed.
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        block.push(stored.clone());
-                    }
-                    None => {
-                        let scenario =
-                            scenario.as_ref().expect("scenario generated for missing instance");
-                        let trial = trial.as_ref().expect("trial realized for missing instance");
-                        let cache =
-                            eval_cache.as_ref().expect("eval cache built for missing instance");
-                        let spec =
-                            InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
-                        let (outcome, _) = run_instance_on(
-                            scenario,
-                            &spec,
-                            trial.replay(),
-                            cache,
-                            config.base_seed,
-                            config.max_slots,
-                            config.engine,
-                        );
-                        executed.fetch_add(1, Ordering::Relaxed);
-                        executed_in_job += 1;
-                        block.push(InstanceResult {
-                            params,
-                            scenario_index,
-                            trial_index,
-                            heuristic: heuristic.name(),
-                            outcome,
-                        });
-                        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        report(d);
-                    }
-                }
-            }
-        }
-        if let Some(cache) = &eval_cache {
-            let stats = cache.stats();
-            eval_caches.fetch_add(1, Ordering::Relaxed);
-            group_sets_computed.fetch_add(stats.group_misses as usize, Ordering::Relaxed);
-            group_cache_hits.fetch_add(stats.group_hits as usize, Ordering::Relaxed);
-        }
-        JobOutput { block, executed: executed_in_job }
-    };
-
-    // Aggregate on the calling thread, strictly in canonical job order: feed
-    // the streaming accumulator, stream shard lines to the store, and
-    // (opt-in) retain raw results — which, consumed in order, are already
-    // canonically sorted. A store error aborts the fan-out.
-    let reference = options.reference.as_deref().unwrap_or(DEFAULT_REFERENCE);
-    let mut streaming = CampaignAccumulator::new(config, reference);
+    let tag = config.suite_tag();
+    let sweep = Sweep::over(
+        config,
+        config_fingerprint(config),
+        // Model-tagged records belong to sensitivity stores.
+        sweep::instance_decoder(tag, |model| model.is_none().then_some(0)),
+        Box::new(move |point, _, r| encode_instance(point, tag, None, r)),
+    );
+    let mut streaming = CampaignAccumulator::new(config, DEFAULT_REFERENCE);
     let mut raw: Vec<InstanceResult> =
-        if options.retain_raw { Vec::with_capacity(total) } else { Vec::new() };
-    let mut shards = ShardWriter::new(store.as_ref(), scenarios);
-
-    fan_out(num_jobs, resolve_threads(config.threads), worker, |local, output: JobOutput| {
-        let job = job_offset + local;
-        let point_index = job / scenarios;
-        streaming.consume_scenario(point_index, &output.block);
-        let keep_going = shards.consume(
-            job,
-            output.executed,
-            output.block.iter().map(|r| encode_instance(point_index, config.suite_tag(), None, r)),
-        );
+        if options.retain_raw { Vec::with_capacity(config.total_runs()) } else { Vec::new() };
+    // Each trial is realized once per the scenario's trial model (Markov
+    // chains for the paper suite, matched semi-Markov traces otherwise),
+    // capped at the slot horizon, and replayed for every heuristic.
+    let job = |job: &Job<'_, InstanceResult>| {
+        job.instances(&config.heuristics, config.max_slots, config.engine, |s, _, seed| {
+            s.realize_trial(seed, config.max_slots)
+        })
+    };
+    let stats = sweep::run(&sweep, options, on_progress, job, |point, block| {
+        streaming.consume_scenario(point, &block);
         if options.retain_raw {
-            raw.extend(output.block);
+            raw.extend(block);
         }
-        keep_going
-    });
-
-    shards.finish()?;
-    finalize_store(store.as_ref(), options.part, points.len())?;
+    })?;
     Ok(CampaignOutcome {
         results: CampaignResults { config: config.clone(), results: raw },
         streaming,
-        stats: ExecutorStats {
-            total_instances: local_total,
-            executed_instances: executed.into_inner(),
-            resumed_instances: resumed.into_inner(),
-            trials_realized: trials_realized.into_inner(),
-            eval_caches: eval_caches.into_inner(),
-            group_sets_computed: group_sets_computed.into_inner(),
-            group_cache_hits: group_cache_hits.into_inner(),
-        },
+        stats,
     })
-}
-
-/// Distribute `num_jobs` jobs over `threads` workers and hand every result to
-/// `sink` **in job order** on the calling thread. The sink returns `true` to
-/// keep going; returning `false` aborts the fan-out — already-claimed jobs
-/// finish, no new jobs start.
-///
-/// Workers pull job indices from a shared atomic counter and send results
-/// through a channel; the calling thread re-sequences out-of-order arrivals
-/// through a reorder buffer. An admission gate keeps workers within a bounded
-/// window of the in-order consumption frontier, so the buffer holds O(threads)
-/// blocks even when one job straggles — this is what preserves the streaming
-/// memory bound. With `threads <= 1` the jobs simply run inline, in order,
-/// with no spawning — a sequential campaign is exactly a `for` loop. A worker
-/// panic aborts the gate (so no thread waits forever) and propagates when the
-/// thread scope closes.
-pub(crate) fn fan_out<R, W, S>(num_jobs: usize, threads: usize, worker: W, mut sink: S)
-where
-    R: Send,
-    W: Fn(usize) -> R + Sync,
-    S: FnMut(usize, R) -> bool,
-{
-    let threads = threads.clamp(1, num_jobs.max(1));
-    if threads == 1 {
-        for job in 0..num_jobs {
-            let result = worker(job);
-            if !sink(job, result) {
-                return;
-            }
-        }
-        return;
-    }
-    let next_job = AtomicUsize::new(0);
-    let gate = Gate::new(threads * 4);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    std::thread::scope(|scope| {
-        let worker = &worker;
-        let next_job = &next_job;
-        let gate = &gate;
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                // A panicking worker would leave its job forever missing from
-                // the reorder sequence, stalling the admission gate; abort the
-                // gate on unwind so the other workers exit and the panic can
-                // propagate through the scope instead of deadlocking.
-                let guard = PanicGuard(gate);
-                loop {
-                    let job = next_job.fetch_add(1, Ordering::Relaxed);
-                    if job >= num_jobs || !gate.admit(job) || tx.send((job, worker(job))).is_err() {
-                        break;
-                    }
-                }
-                drop(guard);
-            });
-        }
-        drop(tx);
-        // Re-sequence: the sink must observe jobs in canonical order.
-        let mut pending: BTreeMap<usize, R> = BTreeMap::new();
-        let mut expect = 0usize;
-        'drain: while let Ok((job, result)) = rx.recv() {
-            pending.insert(job, result);
-            while let Some(result) = pending.remove(&expect) {
-                let keep_going = sink(expect, result);
-                expect += 1;
-                gate.advance(expect);
-                if !keep_going {
-                    gate.abort();
-                    break 'drain;
-                }
-            }
-        }
-    });
-}
-
-/// Admission gate of [`fan_out`]: workers may run at most `window` jobs ahead
-/// of the sink's in-order consumption frontier.
-struct Gate {
-    window: usize,
-    state: std::sync::Mutex<GateState>,
-    wake: std::sync::Condvar,
-}
-
-struct GateState {
-    consumed: usize,
-    aborted: bool,
-}
-
-impl Gate {
-    fn new(window: usize) -> Gate {
-        Gate {
-            window: window.max(1),
-            state: std::sync::Mutex::new(GateState { consumed: 0, aborted: false }),
-            wake: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until `job` is within the window (or the fan-out aborted).
-    /// Returns `false` on abort. Never blocks the lowest outstanding job
-    /// (`job == consumed` always satisfies `job < consumed + window`), so the
-    /// sink's next-expected job can always be produced — no deadlock.
-    fn admit(&self, job: usize) -> bool {
-        let mut state = self.state.lock().expect("gate lock poisoned");
-        while !state.aborted && job >= state.consumed + self.window {
-            state = self.wake.wait(state).expect("gate lock poisoned");
-        }
-        !state.aborted
-    }
-
-    fn advance(&self, consumed: usize) {
-        self.state.lock().expect("gate lock poisoned").consumed = consumed;
-        self.wake.notify_all();
-    }
-
-    fn abort(&self) {
-        self.state.lock().expect("gate lock poisoned").aborted = true;
-        self.wake.notify_all();
-    }
-}
-
-/// Aborts the gate if the holding thread unwinds (see [`fan_out`]).
-struct PanicGuard<'a>(&'a Gate);
-
-impl Drop for PanicGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.abort();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::campaign::run_campaign;
-    use crate::store::{decode_instance, shard_name, MANIFEST_NAME};
+    use crate::runner::InstanceSpec;
+    use crate::store::{decode_instance, shard_name, CampaignStore, MANIFEST_NAME};
+    use crate::sweep::scenario_seed;
     use crate::tables::{render_table, table_comparison};
+    use dg_platform::Scenario;
     use std::fs;
     use std::path::{Path, PathBuf};
     use std::sync::Mutex;
@@ -671,130 +305,6 @@ mod tests {
         config.scenarios_per_point = 2;
         config.trials_per_scenario = 2;
         config
-    }
-
-    #[test]
-    fn fan_out_sink_sees_jobs_in_order() {
-        for threads in [1, 4, 16] {
-            let mut seen = Vec::new();
-            fan_out(
-                37,
-                threads,
-                |j| j * j,
-                |j, r| {
-                    seen.push((j, r));
-                    true
-                },
-            );
-            assert_eq!(seen.len(), 37, "threads = {threads}");
-            for (i, &(j, r)) in seen.iter().enumerate() {
-                assert_eq!(i, j);
-                assert_eq!(r, j * j);
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_handles_empty_and_single_job() {
-        let mut calls = 0;
-        fan_out(
-            0,
-            8,
-            |_| (),
-            |_, ()| {
-                calls += 1;
-                true
-            },
-        );
-        assert_eq!(calls, 0);
-        fan_out(
-            1,
-            8,
-            |j| j,
-            |_, r| {
-                calls += r + 1;
-                true
-            },
-        );
-        assert_eq!(calls, 1);
-    }
-
-    #[test]
-    fn fan_out_sink_abort_stops_claiming_jobs() {
-        for threads in [1, 4] {
-            let started = AtomicUsize::new(0);
-            let mut consumed = 0usize;
-            fan_out(
-                500,
-                threads,
-                |j| {
-                    started.fetch_add(1, Ordering::Relaxed);
-                    j
-                },
-                |_, _| {
-                    consumed += 1;
-                    consumed < 5
-                },
-            );
-            assert_eq!(consumed, 5, "threads = {threads}");
-            // No new jobs start after the abort; only jobs already claimed or
-            // admitted through the gate window can have run.
-            assert!(
-                started.load(Ordering::Relaxed) < 5 + threads * 5 + 1,
-                "threads = {threads}: {} jobs started after an abort at 5",
-                started.load(Ordering::Relaxed)
-            );
-        }
-    }
-
-    #[test]
-    fn fan_out_worker_panic_propagates_without_deadlock() {
-        // A panicking worker leaves a hole in the job sequence; the gate must
-        // be aborted (not waited on forever) and the panic must surface.
-        let result = std::panic::catch_unwind(|| {
-            fan_out(
-                200,
-                4,
-                |j| {
-                    if j == 3 {
-                        panic!("worker 3 exploded");
-                    }
-                    j
-                },
-                |_, _| true,
-            );
-        });
-        assert!(result.is_err(), "worker panic must propagate through fan_out");
-    }
-
-    #[test]
-    fn fan_out_reorder_buffer_is_bounded_by_the_gate() {
-        // Job 0 straggles while the other workers churn. Until job 0 lands,
-        // the consumption frontier is stuck at 0, so the admission gate lets
-        // at most `window = threads * 4` jobs start — the reorder buffer can
-        // never grow toward "the whole campaign" behind one slow job.
-        let threads = 4;
-        let started = AtomicUsize::new(0);
-        let observed_while_straggling = AtomicUsize::new(0);
-        fan_out(
-            300,
-            threads,
-            |j| {
-                started.fetch_add(1, Ordering::Relaxed);
-                if j == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(150));
-                    // Nothing was consumed yet (job 0 has not been sent), so
-                    // everything started so far was admitted against
-                    // consumed = 0.
-                    observed_while_straggling
-                        .store(started.load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-            },
-            |_, ()| true,
-        );
-        let observed = observed_while_straggling.load(Ordering::Relaxed);
-        assert!(observed >= 1);
-        assert!(observed <= threads * 4, "{observed} jobs ran ahead of a straggling job 0");
     }
 
     #[test]
@@ -1153,6 +663,41 @@ mod tests {
         })
         .unwrap();
         assert_monotonic(&seen.into_inner().unwrap());
+        let _ = fs::remove_dir_all(&dir);
+
+        // The gap sweep keeps the same contract on 4 threads.
+        use crate::gap::{gap_fingerprint, run_gap_with};
+        let dir = temp_dir("gap-progress");
+        run_gap_with(&config, &ExecutorOptions::new().store(&dir, false), |_, _| {}).unwrap();
+        let seen = Mutex::new(Vec::new());
+        let outcome =
+            run_gap_with(&config, &ExecutorOptions::new().store(&dir, true), |done, total| {
+                seen.lock().unwrap().push((done, total))
+            })
+            .unwrap();
+        assert_eq!(seen.into_inner().unwrap(), vec![(total, total)]);
+        assert_eq!(outcome.stats.resumed_instances, total);
+        truncate_shard(&dir, 1, 3, 0);
+        fs::remove_file(dir.join(shard_name(2))).unwrap();
+        fs::write(
+            dir.join(MANIFEST_NAME),
+            format!(
+                "{{\"version\":{},\"complete\":false,\"config\":{}}}\n",
+                crate::store::STORE_VERSION,
+                gap_fingerprint(&config)
+            ),
+        )
+        .unwrap();
+        let seen = Mutex::new(Vec::new());
+        let outcome =
+            run_gap_with(&config, &ExecutorOptions::new().store(&dir, true), |done, total| {
+                seen.lock().unwrap().push((done, total))
+            })
+            .unwrap();
+        let seen = seen.into_inner().unwrap();
+        assert_monotonic(&seen);
+        assert_eq!(seen[0].0, outcome.stats.resumed_instances);
+        assert!(outcome.stats.executed_instances > 0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -22,19 +22,19 @@
 //! iterations. Runs with no completed iteration have no numerator and are
 //! counted separately.
 //!
-//! [`run_gap_with`] drives the sweep through the same streaming executor
-//! machinery as the campaigns (canonical `(point, scenario)` jobs, shared
-//! trial realizations and eval caches, resumable suite-tagged JSONL shards);
+//! [`run_gap_with`] is a client of the same sweep kernel as the campaigns
+//! (canonical `(point, scenario)` jobs, shared trial realizations and eval
+//! caches, resumable suite-tagged JSONL shards): it supplies only the gap
+//! record codec, the per-job oracle bridge and the per-heuristic reduction;
 //! [`render_gap_table`] prints the per-heuristic summary the `gap` binary
 //! emits.
 
 use crate::campaign::CampaignConfig;
-use crate::executor::{fan_out, join, resolve_threads, scenario_seed};
-use crate::runner::{run_instance_logged, trial_seed, InstanceSpec};
-use crate::store::{FieldParser, ShardWriter};
-use crate::suite::fingerprint_suffix;
-use dg_analysis::EvalCache;
-use dg_availability::{AvailabilityModel, RealizedTrial};
+use crate::executor::ExecutorOptions;
+use crate::runner::{run_instance_logged, InstanceSpec};
+use crate::store::FieldParser;
+use crate::sweep::{self, Job, Key, Sweep};
+use dg_availability::AvailabilityModel;
 use dg_offline::{earliest_finish_exact, earliest_finish_greedy, OfflineInstance, OracleVariant};
 use dg_platform::{Scenario, ScenarioParams};
 use dg_sim::SimOutcome;
@@ -106,18 +106,8 @@ pub fn encode_gap_record(r: &GapRecord) -> String {
     let _ = write!(s, ",\"scenario\":{},\"trial\":{}", r.scenario_index, r.trial_index);
     let _ = write!(s, ",\"heuristic\":\"{}\"", r.heuristic);
     let _ = write!(s, ",\"completed\":{},\"target\":{}", r.completed, r.target);
-    match r.online {
-        Some(v) => {
-            let _ = write!(s, ",\"online\":{v}");
-        }
-        None => s.push_str(",\"online\":null"),
-    }
-    match r.bound {
-        Some(v) => {
-            let _ = write!(s, ",\"bound\":{v}");
-        }
-        None => s.push_str(",\"bound\":null"),
-    }
+    let nullable = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
+    let _ = write!(s, ",\"online\":{},\"bound\":{}", nullable(r.online), nullable(r.bound));
     let _ = write!(s, ",\"method\":\"{}\"", r.method);
     s.push('}');
     s
@@ -165,23 +155,7 @@ pub fn decode_gap_record(line: &str) -> Result<GapRecord, String> {
 /// `"kind":"gap"` so a gap store can never be resumed as a campaign store or
 /// vice versa.
 pub fn gap_fingerprint(config: &CampaignConfig) -> String {
-    let suite = fingerprint_suffix(&config.suite, &config.model);
-    format!(
-        "{{\"kind\":\"gap\",\"m\":[{}],\"ncom\":[{}],\"wmin\":[{}],\"workers\":{},\
-         \"iterations\":{},\"scenarios\":{},\"trials\":{},\"cap\":{},\"heuristics\":[{}],\
-         \"seed\":{},\"epsilon\":{:?}{suite}}}",
-        join(&config.m_values),
-        join(&config.ncom_values),
-        join(&config.wmin_values),
-        config.num_workers,
-        config.iterations,
-        config.scenarios_per_point,
-        config.trials_per_scenario,
-        config.max_slots,
-        config.heuristics.iter().map(|h| format!("\"{}\"", h.name())).collect::<Vec<_>>().join(","),
-        config.base_seed,
-        config.epsilon,
-    )
+    crate::executor::fingerprint("gap", config)
 }
 
 /// Project a realized trial onto the paper's offline assumptions: known
@@ -344,36 +318,11 @@ pub struct GapOutcome {
     pub stats: GapStats,
 }
 
-/// Canonical slot of a stored gap record within the sweep's flat comparison
-/// vector, or `None` if the record does not belong to this sweep.
-fn gap_slot_of(
-    record: &GapRecord,
-    config: &CampaignConfig,
-    points: &[ScenarioParams],
-    heuristic_names: &[String],
-) -> Option<usize> {
-    let p = record.point_index;
-    if record.suite != config.suite
-        || points.get(p) != Some(&record.params)
-        || record.scenario_index >= config.scenarios_per_point
-        || record.trial_index >= config.trials_per_scenario
-    {
-        return None;
-    }
-    let h = heuristic_names.iter().position(|n| *n == record.heuristic)?;
-    let slot = ((p * config.scenarios_per_point + record.scenario_index)
-        * config.trials_per_scenario
-        + record.trial_index)
-        * heuristic_names.len()
-        + h;
-    Some(slot)
-}
-
 /// Run an optimality-gap sweep over `config`'s experiment space under
 /// `options` (same contract as [`crate::executor::run_campaign_with`]:
 /// `(point, scenario)` jobs fan out over `config.threads` workers, results
 /// aggregate in canonical order, a store makes the sweep resumable, and
-/// `on_progress` is called after every comparison).
+/// `on_progress` reports resumed comparisons once, then every executed one).
 ///
 /// Per trial, every heuristic's online run executes on a shared availability
 /// realization; the realized trial is then projected once onto an
@@ -383,206 +332,117 @@ fn gap_slot_of(
 /// nothing are not projected at all.
 pub fn run_gap_with<F>(
     config: &CampaignConfig,
-    options: &crate::executor::ExecutorOptions,
+    options: &ExecutorOptions,
     on_progress: F,
 ) -> Result<GapOutcome, String>
 where
     F: Fn(usize, usize) + Sync,
 {
-    let points = config.points();
-    let num_heuristics = config.heuristics.len();
-    let scenarios = config.scenarios_per_point;
-    let trials = config.trials_per_scenario;
-    let per_scenario = trials * num_heuristics;
-    let total = config.total_runs();
-    let heuristic_names: Vec<String> = config.heuristics.iter().map(|h| h.name()).collect();
-
-    // A worker shard executes only its contiguous point range (see
-    // `crate::distrib`); slots and shard names stay global.
-    let point_range = match options.part {
-        Some(shard) => shard.points(points.len()),
-        None => 0..points.len(),
-    };
-    let job_offset = point_range.start * scenarios;
-    let num_jobs = point_range.len() * scenarios;
-    let local_total = num_jobs * per_scenario;
-
-    let store = crate::executor::open_store(options, gap_fingerprint(config))?;
-    let mut prefilled: Vec<Option<GapRecord>> = vec![None; total];
-    if options.resume {
-        let store = store.as_ref().expect("resume requires a store");
-        for record in store.load_with(decode_gap_record)? {
-            if let Some(slot) = gap_slot_of(&record, config, &points, &heuristic_names) {
-                prefilled[slot] = Some(record);
-            }
-        }
-    }
-
-    let done = AtomicUsize::new(0);
-    let executed = AtomicUsize::new(0);
-    let resumed = AtomicUsize::new(0);
-    let trials_realized = AtomicUsize::new(0);
-    let trials_projected = AtomicUsize::new(0);
-    let exact_trials = AtomicUsize::new(0);
-    let greedy_trials = AtomicUsize::new(0);
-    let prefilled_ref = &prefilled;
-
-    // One job per (point, scenario), as in the campaign executor: scenario
-    // generation and the EvalCache are skipped when every comparison of the
-    // job was resumed; each trial realizes availability once, runs its
-    // missing heuristics on replays, and projects the realization once.
-    let worker = |local: usize| -> Vec<GapRecord> {
-        let job = job_offset + local;
-        let point_index = job / scenarios;
-        let scenario_index = job % scenarios;
-        let params = points[point_index];
-        let base_slot = job * per_scenario;
-        let job_missing =
-            (0..per_scenario).any(|offset| prefilled_ref[base_slot + offset].is_none());
-        let scenario = job_missing.then(|| {
-            let seed = scenario_seed(config.base_seed, point_index, scenario_index);
-            Scenario::generate_with(params, &config.model, seed)
-        });
-        let eval_cache =
-            scenario.as_ref().map(|s| EvalCache::new(&s.platform, &s.master, config.epsilon));
-        let exact = params.tasks_per_iteration <= EXACT_M_MAX;
-        let method = if exact { "exact" } else { "greedy" };
-        let mut block = Vec::with_capacity(per_scenario);
-        for trial_index in 0..trials {
-            let trial_slots = base_slot + trial_index * num_heuristics;
-            let any_missing = (0..num_heuristics).any(|i| prefilled_ref[trial_slots + i].is_none());
-            let trial = any_missing.then(|| {
-                let scenario = scenario.as_ref().expect("scenario generated for missing instance");
-                trials_realized.fetch_add(1, Ordering::Relaxed);
-                let ts = trial_seed(config.base_seed, scenario.seed, trial_index);
-                RealizedTrial::new(scenario.realize_trial(ts, config.max_slots))
-            });
+    let sweep = Sweep::over(
+        config,
+        gap_fingerprint(config),
+        Box::new(|line: &str| {
+            let r = decode_gap_record(line)?;
+            let (point, params, scenario, trial) =
+                (r.point_index, r.params, r.scenario_index, r.trial_index);
+            let key =
+                Key { point, params, scenario, trial, heuristic: r.heuristic.clone(), arm: 0 };
+            Ok((r.suite == config.suite).then_some((key, r)))
+        }),
+        Box::new(|_, _, r| encode_gap_record(r)),
+    );
+    let (exact_trials, greedy_trials) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let job = |job: &Job<'_, GapRecord>| {
+        let exact = job.params.tasks_per_iteration <= EXACT_M_MAX;
+        let mut block = Vec::with_capacity(config.trials_per_scenario * config.heuristics.len());
+        for trial_index in 0..config.trials_per_scenario {
+            let trial =
+                job.realize(trial_index, 0, |s, seed| s.realize_trial(seed, config.max_slots));
             // First pass: run every missing heuristic on the shared
             // realization and collect each comparison's online numerator.
             // Resumed records contribute their stored numerator, so the
             // projection horizon below is identical whether a record was
             // simulated now or read back from the store.
-            let mut fresh: Vec<Option<SimOutcome>> = Vec::with_capacity(num_heuristics);
-            let mut online: Vec<Option<u64>> = Vec::with_capacity(num_heuristics);
-            for (i, heuristic) in config.heuristics.iter().enumerate() {
-                match &prefilled_ref[trial_slots + i] {
-                    Some(record) => {
-                        online.push(record.online);
-                        fresh.push(None);
+            let runs: Vec<(Option<u64>, Option<SimOutcome>)> = (config.heuristics.iter())
+                .enumerate()
+                .map(|(i, heuristic)| {
+                    if let Some(record) = job.stored(trial_index, i, 0) {
+                        return (record.online, None);
                     }
-                    None => {
-                        let scenario =
-                            scenario.as_ref().expect("scenario generated for missing instance");
-                        let trial = trial.as_ref().expect("trial realized for missing instance");
-                        let cache =
-                            eval_cache.as_ref().expect("eval cache built for missing instance");
-                        let spec =
-                            InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
-                        let (outcome, log) = run_instance_logged(
-                            scenario,
-                            &spec,
-                            trial.replay(),
-                            cache,
-                            config.base_seed,
-                            config.max_slots,
-                            config.engine,
-                        );
-                        online.push(online_slots(&outcome, &log.iteration_completions()));
-                        fresh.push(Some(outcome));
-                        executed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
+                    let trial = trial.as_ref().expect("trial realized for a missing instance");
+                    let scenario_index = job.scenario_index;
+                    let spec = InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
+                    let (outcome, log) = run_instance_logged(
+                        job.scenario(),
+                        &spec,
+                        trial.replay(),
+                        job.cache(),
+                        config.base_seed,
+                        config.max_slots,
+                        config.engine,
+                    );
+                    job.executed();
+                    (online_slots(&outcome, &log.iteration_completions()), Some(outcome))
+                })
+                .collect();
             // Project once per trial, over the horizon of the trial's
             // largest numerator, and chain the oracle up to the largest
             // fresh completed count (resumed records keep their bounds).
-            let horizon = online.iter().flatten().copied().max().unwrap_or(0);
-            let max_count = fresh
-                .iter()
-                .flatten()
-                .map(|outcome| outcome.completed_iterations)
-                .max()
-                .unwrap_or(0);
+            let horizon = runs.iter().filter_map(|run| run.0).max().unwrap_or(0);
+            let fresh = runs.iter().filter_map(|run| run.1.as_ref());
+            let max_count = fresh.map(|outcome| outcome.completed_iterations).max().unwrap_or(0);
             let bounds = if horizon > 0 && max_count > 0 {
-                let scenario = scenario.as_ref().expect("scenario generated for fresh runs");
                 let trial = trial.as_ref().expect("trial realized for fresh runs");
-                trials_projected.fetch_add(1, Ordering::Relaxed);
                 if exact { &exact_trials } else { &greedy_trials }.fetch_add(1, Ordering::Relaxed);
-                let instance = project_trial(scenario, &mut trial.replay(), horizon);
+                let instance = project_trial(job.scenario(), &mut trial.replay(), horizon);
                 oracle_bounds(&instance, max_count, exact)
             } else {
                 Vec::new()
             };
-            for (i, _) in config.heuristics.iter().enumerate() {
-                let record = match &prefilled_ref[trial_slots + i] {
-                    Some(record) => {
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        record.clone()
-                    }
-                    None => {
-                        let outcome = fresh[i].as_ref().expect("fresh outcome for missing record");
-                        let completed = outcome.completed_iterations;
-                        let bound = (completed >= 1)
-                            .then(|| bounds.get(completed as usize - 1).copied())
-                            .flatten();
-                        GapRecord {
-                            point_index,
-                            suite: config.suite.clone(),
-                            params,
-                            scenario_index,
-                            trial_index,
-                            heuristic: heuristic_names[i].clone(),
-                            completed,
-                            target: outcome.target_iterations,
-                            online: online[i],
-                            bound,
-                            method: method.to_string(),
-                        }
-                    }
-                };
-                block.push(record);
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                on_progress(d, local_total);
-            }
+            block.extend(runs.into_iter().enumerate().map(|(i, (online, fresh))| {
+                match fresh {
+                    None => job.stored(trial_index, i, 0).expect("resumed record").clone(),
+                    Some(outcome) => GapRecord {
+                        point_index: job.point,
+                        suite: config.suite.clone(),
+                        params: job.params,
+                        scenario_index: job.scenario_index,
+                        trial_index,
+                        heuristic: sweep.heuristics[i].clone(),
+                        completed: outcome.completed_iterations,
+                        target: outcome.target_iterations,
+                        online,
+                        bound: (outcome.completed_iterations.checked_sub(1))
+                            .and_then(|c| bounds.get(c as usize).copied()),
+                        method: if exact { "exact" } else { "greedy" }.to_string(),
+                    },
+                }
+            }));
         }
         block
     };
 
-    // Aggregate in canonical job order: per-heuristic cells, shard lines,
-    // opt-in raw retention.
     let mut aggregates: Vec<GapAggregate> =
-        heuristic_names.iter().map(|name| GapAggregate::new(name.clone())).collect();
-    let mut raw: Vec<GapRecord> =
-        if options.retain_raw { Vec::with_capacity(total) } else { Vec::new() };
-    let mut shards = ShardWriter::new(store.as_ref(), scenarios);
-
-    fan_out(num_jobs, resolve_threads(config.threads), worker, |local, block: Vec<GapRecord>| {
-        let job = job_offset + local;
-        let mut executed_in_job = 0usize;
+        sweep.heuristics.iter().map(|name| GapAggregate::new(name.clone())).collect();
+    let mut raw: Vec<GapRecord> = Vec::new();
+    let stats = sweep::run(&sweep, options, on_progress, job, |_, block| {
         for (offset, record) in block.iter().enumerate() {
-            if prefilled_ref[job * per_scenario + offset].is_none() {
-                executed_in_job += 1;
-            }
-            aggregates[offset % num_heuristics].consume(record);
+            aggregates[offset % config.heuristics.len()].consume(record);
         }
-        let keep_going = shards.consume(job, executed_in_job, block.iter().map(encode_gap_record));
         if options.retain_raw {
             raw.extend(block);
         }
-        keep_going
-    });
-
-    shards.finish()?;
-    crate::executor::finalize_store(store.as_ref(), options.part, points.len())?;
+    })?;
     Ok(GapOutcome {
         records: raw,
         aggregates,
         stats: GapStats {
-            total_instances: local_total,
-            executed_instances: executed.into_inner(),
-            resumed_instances: resumed.into_inner(),
-            trials_realized: trials_realized.into_inner(),
-            trials_projected: trials_projected.into_inner(),
+            total_instances: stats.total_instances,
+            executed_instances: stats.executed_instances,
+            resumed_instances: stats.resumed_instances,
+            trials_realized: stats.trials_realized,
+            trials_projected: exact_trials.load(Ordering::Relaxed)
+                + greedy_trials.load(Ordering::Relaxed),
             exact_trials: exact_trials.into_inner(),
             greedy_trials: greedy_trials.into_inner(),
         },

@@ -73,6 +73,7 @@ pub mod service;
 pub mod store;
 pub mod stream;
 pub mod suite;
+mod sweep;
 pub mod tables;
 
 pub use campaign::{CampaignConfig, CampaignResults, InstanceResult};

@@ -9,16 +9,14 @@
 //! degrades — quantifying the robustness question raised in Section VII-B.
 
 use crate::campaign::InstanceResult;
-use crate::executor::{fan_out, resolve_threads, scenario_seed, ExecutorOptions};
+use crate::executor::ExecutorOptions;
 use crate::metrics::ReferenceComparison;
-use crate::runner::{run_instance_on, trial_seed, InstanceSpec};
-use crate::store::{encode_instance, ShardWriter, StoredInstance};
+use crate::store::encode_instance;
 use crate::suite::fingerprint_suffix;
-use dg_analysis::EvalCache;
+use crate::sweep::{self, Job, Sweep};
 use dg_availability::semi_markov::SemiMarkovModel;
-use dg_availability::RealizedTrial;
 use dg_heuristics::HeuristicSpec;
-use dg_platform::{Scenario, ScenarioModel, ScenarioParams};
+use dg_platform::{ScenarioModel, ScenarioParams, TrialAvailability};
 use dg_sim::SimMode;
 use serde::{Deserialize, Serialize};
 
@@ -101,10 +99,9 @@ pub struct SensitivityResults {
     pub semi_markov: Vec<InstanceResult>,
 }
 
-/// Tag of the Markov arm in the artifact store.
-const MODEL_MARKOV: &str = "markov";
-/// Tag of the semi-Markov arm in the artifact store.
-const MODEL_SEMI: &str = "semi";
+/// Store tags of the two availability arms, in slot order: each
+/// `(trial, heuristic)` runs under the Markov model, then the semi-Markov one.
+const MODELS: [&str; 2] = ["markov", "semi"];
 
 /// The canonical JSON fingerprint of everything in a [`SensitivityConfig`]
 /// that determines results (`threads` and `engine` excluded — see
@@ -135,29 +132,26 @@ pub fn sensitivity_fingerprint(config: &SensitivityConfig) -> String {
     )
 }
 
-/// Slot of a stored record in the flat `(markov, semi)` pair layout, or
-/// `None` if it does not belong to this configuration.
-fn sensitivity_slot(record: &StoredInstance, config: &SensitivityConfig) -> Option<usize> {
-    let p = record.point_index;
-    let r = &record.result;
-    if record.suite.as_deref() != config.suite_tag()
-        || config.points.get(p) != Some(&r.params)
-        || r.scenario_index >= config.scenarios_per_point
-        || r.trial_index >= config.trials_per_scenario
-    {
-        return None;
+/// The sensitivity sweep: two arms per `(trial, heuristic)`, stored as
+/// model-tagged campaign records.
+fn sweep_of(config: &SensitivityConfig) -> Sweep<'_, InstanceResult> {
+    let tag = config.suite_tag();
+    Sweep {
+        points: config.points.clone(),
+        scenarios: config.scenarios_per_point,
+        trials: config.trials_per_scenario,
+        heuristics: config.heuristics.iter().map(|h| h.name()).collect(),
+        arms: MODELS.len(),
+        model: &config.model,
+        base_seed: config.base_seed,
+        epsilon: config.epsilon,
+        threads: config.threads,
+        fingerprint: sensitivity_fingerprint(config),
+        decode: sweep::instance_decoder(tag, |model| MODELS.iter().position(|m| model == Some(*m))),
+        encode: Box::new(move |point: usize, arm: usize, r: &InstanceResult| {
+            encode_instance(point, tag, Some(MODELS[arm]), r)
+        }),
     }
-    let h = config.heuristics.iter().position(|spec| spec.name() == r.heuristic)?;
-    let model = match record.model.as_deref() {
-        Some(MODEL_MARKOV) => 0,
-        Some(MODEL_SEMI) => 1,
-        _ => return None,
-    };
-    let job = p * config.scenarios_per_point + r.scenario_index;
-    Some(
-        ((job * config.trials_per_scenario + r.trial_index) * config.heuristics.len() + h) * 2
-            + model,
-    )
 }
 
 /// Run the sensitivity experiment.
@@ -173,7 +167,8 @@ pub fn run_sensitivity(config: &SensitivityConfig) -> SensitivityResults {
 /// `config.threads` worker threads (`0` = auto-detect) with deterministic,
 /// thread-count-independent result ordering. Each trial realizes its Markov
 /// availability and generates its semi-Markov trace **once**, shared by every
-/// heuristic of the trial through [`RealizedTrial`] replays.
+/// heuristic of the trial through
+/// [`RealizedTrial`](dg_availability::RealizedTrial) replays.
 ///
 /// With [`ExecutorOptions::out`] set, results are checkpointed to
 /// model-tagged JSONL shards (one per experiment point, written as the point
@@ -184,153 +179,30 @@ pub fn run_sensitivity_with(
     config: &SensitivityConfig,
     options: &ExecutorOptions,
 ) -> Result<SensitivityResults, String> {
-    let scenarios = config.scenarios_per_point;
-    let trials = config.trials_per_scenario;
-    let num_heuristics = config.heuristics.len();
-    let pairs_per_job = trials * num_heuristics;
-    let total_pairs = config.points.len() * scenarios * pairs_per_job;
-
-    // A worker shard executes only its contiguous point range; slots and
-    // shard names stay global.
-    let point_range = match options.part {
-        Some(shard) => shard.points(config.points.len()),
-        None => 0..config.points.len(),
-    };
-    let job_offset = point_range.start * scenarios;
-    let num_jobs = point_range.len() * scenarios;
-
-    let store = crate::executor::open_store(options, sensitivity_fingerprint(config))?;
-    let mut prefilled: Vec<Option<InstanceResult>> = vec![None; total_pairs * 2];
-    if options.resume {
-        let store = store.as_ref().expect("resume requires a store");
-        for record in store.load()? {
-            if let Some(slot) = sensitivity_slot(&record, config) {
-                prefilled[slot] = Some(record.result);
+    // Both arms share the job's evaluation cache: the Section V estimates
+    // depend only on the platform, never on the realized availability. The
+    // suite's platform axes apply, but the arms themselves are fixed by the
+    // experiment: the scenario's Markov chains vs matched semi-Markov traces.
+    let job = |job: &Job<'_, InstanceResult>| {
+        job.instances(&config.heuristics, config.max_slots, config.engine, |s, arm, seed| {
+            if arm == 0 {
+                return TrialAvailability::Markov(s.availability_for_trial(seed, false));
             }
-        }
-    }
-    let prefilled_ref = &prefilled;
-
-    // One job per (point, scenario); a job's block holds its (markov, semi)
-    // result pairs in canonical (trial-major, heuristic-minor) order. Fully
-    // resumed jobs skip scenario generation and model matching entirely. Both
-    // availability arms share one evaluation cache: the Section V estimates
-    // depend only on the platform, never on the realized availability.
-    let worker = |local: usize| -> (Vec<(InstanceResult, InstanceResult)>, usize) {
-        let job = job_offset + local;
-        let point_index = job / scenarios;
-        let scenario_index = job % scenarios;
-        let params = config.points[point_index];
-        let job_base = job * pairs_per_job * 2;
-        let job_missing =
-            (0..pairs_per_job * 2).any(|offset| prefilled_ref[job_base + offset].is_none());
-        let scenario = job_missing.then(|| {
-            let seed = scenario_seed(config.base_seed, point_index, scenario_index);
-            // The suite's platform axes apply; the two trial arms below are
-            // fixed by the experiment (Markov vs matched semi-Markov).
-            let scenario = Scenario::generate_with(params, &config.model, seed);
-            let models = matched_semi_markov_models(&scenario, config.weibull_shape);
-            let cache = EvalCache::new(&scenario.platform, &scenario.master, config.epsilon);
-            (scenario, models, cache)
-        });
-        let mut block = Vec::with_capacity(pairs_per_job);
-        let mut executed_in_job = 0usize;
-        for trial_index in 0..trials {
-            let base = (job * trials + trial_index) * num_heuristics * 2;
-            // Realize each arm of the trial once, only if some heuristic
-            // still needs it, and share it across the trial's heuristics.
-            let markov_trial =
-                (0..num_heuristics).any(|i| prefilled_ref[base + 2 * i].is_none()).then(|| {
-                    let (scenario, _, _) = scenario.as_ref().expect("scenario generated");
-                    let seed = trial_seed(config.base_seed, scenario.seed, trial_index);
-                    RealizedTrial::new(scenario.availability_for_trial(seed, false))
-                });
-            let semi_trial =
-                (0..num_heuristics).any(|i| prefilled_ref[base + 2 * i + 1].is_none()).then(|| {
-                    let (scenario, models, _) = scenario.as_ref().expect("scenario generated");
-                    let seed = trial_seed(config.base_seed, scenario.seed, trial_index);
-                    RealizedTrial::new(SemiMarkovModel::generate_set(
-                        models,
-                        config.max_slots,
-                        seed,
-                    ))
-                });
-            for (i, heuristic) in config.heuristics.iter().enumerate() {
-                let spec = InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
-                let record = |outcome| InstanceResult {
-                    params,
-                    scenario_index,
-                    trial_index,
-                    heuristic: heuristic.name(),
-                    outcome,
-                };
-                let markov_result = match &prefilled_ref[base + 2 * i] {
-                    Some(stored) => stored.clone(),
-                    None => {
-                        let (scenario, _, cache) = scenario.as_ref().expect("scenario generated");
-                        let trial = markov_trial.as_ref().expect("markov trial realized");
-                        let (outcome, _) = run_instance_on(
-                            scenario,
-                            &spec,
-                            trial.replay(),
-                            cache,
-                            config.base_seed,
-                            config.max_slots,
-                            config.engine,
-                        );
-                        executed_in_job += 1;
-                        record(outcome)
-                    }
-                };
-                let semi_result = match &prefilled_ref[base + 2 * i + 1] {
-                    Some(stored) => stored.clone(),
-                    None => {
-                        let (scenario, _, cache) = scenario.as_ref().expect("scenario generated");
-                        let trial = semi_trial.as_ref().expect("semi trial realized");
-                        let (outcome, _) = run_instance_on(
-                            scenario,
-                            &spec,
-                            trial.replay(),
-                            cache,
-                            config.base_seed,
-                            config.max_slots,
-                            config.engine,
-                        );
-                        executed_in_job += 1;
-                        record(outcome)
-                    }
-                };
-                block.push((markov_result, semi_result));
-            }
-        }
-        (block, executed_in_job)
+            let models = matched_semi_markov_models(s, config.weibull_shape);
+            let traces = SemiMarkovModel::generate_set(&models, config.max_slots, seed);
+            TrialAvailability::Traces(traces)
+        })
     };
-
-    let mut markov = Vec::with_capacity(total_pairs);
-    let mut semi = Vec::with_capacity(total_pairs);
-    let mut shards = ShardWriter::new(store.as_ref(), scenarios);
-    fan_out(num_jobs, resolve_threads(config.threads), worker, |local, (block, executed)| {
-        let job = job_offset + local;
-        let point_index = job / scenarios;
-        let keep_going = shards.consume(
-            job,
-            executed,
-            block.iter().flat_map(|(m, s)| {
-                [
-                    encode_instance(point_index, config.suite_tag(), Some(MODEL_MARKOV), m),
-                    encode_instance(point_index, config.suite_tag(), Some(MODEL_SEMI), s),
-                ]
-            }),
-        );
-        for (m, s) in block {
-            markov.push(m);
-            semi.push(s);
+    let mut results = SensitivityResults { markov: Vec::new(), semi_markov: Vec::new() };
+    let pair_up = |_, block: Vec<InstanceResult>| {
+        let mut block = block.into_iter();
+        while let (Some(markov), Some(semi)) = (block.next(), block.next()) {
+            results.markov.push(markov);
+            results.semi_markov.push(semi);
         }
-        keep_going
-    });
-    shards.finish()?;
-    crate::executor::finalize_store(store.as_ref(), options.part, config.points.len())?;
-    Ok(SensitivityResults { markov, semi_markov: semi })
+    };
+    sweep::run(&sweep_of(config), options, |_, _| {}, job, pair_up)?;
+    Ok(results)
 }
 
 /// Render the sensitivity comparison: `%diff` vs the reference under both
@@ -428,10 +300,14 @@ mod tests {
 
     #[test]
     fn stored_records_slot_back_into_the_canonical_layout() {
-        // Pins the encode → decode → slot roundtrip against the worker's flat
+        // Pins the encode → decode → slot roundtrip against the job's flat
         // (markov, semi) pair layout, so store-format and slot-math drift
         // cannot silently drop resumed records.
         let config = multi_point_config();
+        let slot = |config: &SensitivityConfig, line: &str| {
+            let sweep = sweep_of(config);
+            (sweep.decode)(line).unwrap().and_then(|(key, _)| sweep.slot(&key))
+        };
         let result = InstanceResult {
             params: config.points[1],
             scenario_index: 1,
@@ -445,32 +321,24 @@ mod tests {
                 stats: dg_sim::SimStats::default(),
             },
         };
-        for (model, model_index) in [(MODEL_MARKOV, 0), (MODEL_SEMI, 1)] {
+        for (model_index, model) in MODELS.into_iter().enumerate() {
             let line = encode_instance(1, None, Some(model), &result);
-            let record = crate::store::decode_instance(&line).unwrap();
             // point 1, scenario 1 -> job 3; trial 1; heuristic RANDOM -> 1.
             let expected = ((3 * 2 + 1) * 2 + 1) * 2 + model_index;
-            assert_eq!(sensitivity_slot(&record, &config), Some(expected));
+            assert_eq!(slot(&config, &line), Some(expected));
+            // The kernel encodes each arm with its own model tag.
+            assert_eq!((sweep_of(&config).encode)(1, model_index, &result), line);
         }
         // Records that do not belong to the configuration slot to None.
-        let line = encode_instance(5, None, Some(MODEL_MARKOV), &result);
-        let record = crate::store::decode_instance(&line).unwrap();
-        assert_eq!(sensitivity_slot(&record, &config), None);
-        let untagged =
-            crate::store::decode_instance(&encode_instance(1, None, None, &result)).unwrap();
-        assert_eq!(sensitivity_slot(&untagged, &config), None);
+        let line = encode_instance(5, None, Some(MODELS[0]), &result);
+        assert_eq!(slot(&config, &line), None);
+        assert_eq!(slot(&config, &encode_instance(1, None, None, &result)), None);
         // Suite-tagged records only slot into the matching suite's config.
-        let foreign = crate::store::decode_instance(&encode_instance(
-            1,
-            Some("volatile"),
-            Some(MODEL_MARKOV),
-            &result,
-        ))
-        .unwrap();
-        assert_eq!(sensitivity_slot(&foreign, &config), None);
+        let foreign = encode_instance(1, Some("volatile"), Some(MODELS[0]), &result);
+        assert_eq!(slot(&config, &foreign), None);
         let mut volatile_config = config.clone();
         volatile_config.suite = "volatile".to_string();
-        assert_eq!(sensitivity_slot(&foreign, &volatile_config), Some(((3 * 2 + 1) * 2 + 1) * 2));
+        assert_eq!(slot(&volatile_config, &foreign), Some(((3 * 2 + 1) * 2 + 1) * 2));
     }
 
     #[test]

@@ -55,8 +55,9 @@
 //! killing the process).
 
 use crate::cli::CliOptions;
-use crate::executor::{resolve_threads, scenario_seed};
+use crate::executor::resolve_threads;
 use crate::runner::scheduler_seed;
+use crate::sweep::scenario_seed;
 use dg_analysis::{EvalCache, EvalCacheStats};
 use dg_availability::{ProcState, StateTrace};
 use dg_heuristics::parse_heuristic_named;
