@@ -86,14 +86,20 @@ enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// Deepest array/object nesting a request may use. The deepest legal line
+/// is a batch member's `holdings` tuple, 5 levels down; the bound keeps a
+/// line of brackets from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 8;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0 }
+        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
     }
 
     fn skip_ws(&mut self) {
@@ -118,8 +124,15 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
+            }
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b'n') => {
                 if self.bytes[self.pos..].starts_with(b"null") {
@@ -180,31 +193,32 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Bytes, not chars: a multi-byte UTF-8 character passes through
+        // whole, and the line was valid UTF-8, so the result is too.
+        let mut out = Vec::new();
         loop {
             match self.bytes.get(self.pos) {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return String::from_utf8(out)
+                        .map_err(|_| "invalid UTF-8 in string".to_string());
                 }
                 Some(b'\\') => {
                     let escaped = self.bytes.get(self.pos + 1).copied();
                     self.pos += 2;
                     match escaped {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
+                        Some(b'"') => out.push(b'"'),
+                        Some(b'\\') => out.push(b'\\'),
+                        Some(b'n') => out.push(b'\n'),
+                        Some(b't') => out.push(b'\t'),
                         other => {
                             return Err(format!("unsupported string escape {other:?}"));
                         }
                     }
                 }
                 Some(&b) => {
-                    // The protocol's strings are ASCII (codes, names); pass
-                    // other UTF-8 bytes through untouched.
-                    out.push(b as char);
+                    out.push(b);
                     self.pos += 1;
                 }
             }
@@ -1061,19 +1075,29 @@ impl ScheduleService {
     }
 
     /// Serve JSONL requests from `reader`, writing replies to `writer`, until
-    /// EOF or a closed peer. Never exits on malformed input; flushes after
-    /// every request so pipes and sockets see replies promptly.
+    /// EOF or a closed peer. Never exits on malformed input — a line that is
+    /// not UTF-8 is answered with an error line like any other — and flushes
+    /// after every request so pipes and sockets see replies promptly.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
-        reader: R,
+        mut reader: R,
         writer: &mut W,
     ) -> std::io::Result<ServeSummary> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
+        let mut bytes = Vec::new();
+        loop {
+            bytes.clear();
+            if reader.read_until(b'\n', &mut bytes)? == 0 {
+                break;
             }
-            for reply in self.handle_line(&line) {
+            let replies = match std::str::from_utf8(&bytes) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => self.handle_line(line.trim_end_matches('\n').trim_end_matches('\r')),
+                Err(err) => {
+                    self.summary.errors += 1;
+                    vec![error_line(None, &format!("request is not valid UTF-8: {err}"))]
+                }
+            };
+            for reply in replies {
                 if let Err(err) = writeln!(writer, "{reply}") {
                     if err.kind() == std::io::ErrorKind::BrokenPipe {
                         return Ok(self.summary);
@@ -1229,6 +1253,37 @@ mod tests {
         assert!(ok[0].contains("\"ok\":true"), "{}", ok[0]);
         let stats = service.handle_line(r#"{"op":"stats"}"#);
         assert!(stats[0].contains("\"errors\":2"), "{}", stats[0]);
+
+        let valid = r#"{"heuristic":"IE","workers":"UUUUUUUU"}"#;
+        let still_serving = |service: &mut ScheduleService| {
+            let ok = service.handle_line(valid);
+            assert!(ok[0].contains("\"ok\":true"), "{}", ok[0]);
+        };
+        // A 200 KB line of brackets hits the nesting bound, not the stack.
+        let deep = service.handle_line(&"[".repeat(200_000));
+        assert!(deep[0].contains("\"ok\":false") && deep[0].contains("nesting"), "{}", deep[0]);
+        still_serving(&mut service);
+        // The deepest legal line, a batch member's holdings tuple, parses.
+        let mut member = DecideRequest::new("IE", "UUUUUUUU");
+        member.holdings = Some(vec![(true, 1, 0, false); 8]);
+        let batch = service.handle_line(&format!("{{\"batch\":[{}]}}", member.render()));
+        assert!(batch[0].contains("\"ok\":true"), "{}", batch[0]);
+        // Non-ASCII text survives the parser whole.
+        let accent = service.handle_line(r#"{"heuristic":"É","workers":"UUUUUUUU"}"#);
+        assert!(accent[0].contains("unknown heuristic 'É'"), "{}", accent[0]);
+        still_serving(&mut service);
+        // A line that is not UTF-8 is answered, and the loop goes on.
+        let mut input = b"{\"heuristic\":\"\xff\"}\n".to_vec();
+        input.extend_from_slice(format!("{valid}\n").as_bytes());
+        let mut out = Vec::new();
+        service.serve(std::io::Cursor::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(lines[0].contains("\"ok\":false") && lines[0].contains("UTF-8"), "{text}");
+        assert!(lines[1].contains("\"ok\":true"), "{text}");
+        let stats = service.handle_line(r#"{"op":"stats"}"#);
+        assert!(stats[0].contains("\"errors\":5"), "{}", stats[0]);
     }
 
     #[test]

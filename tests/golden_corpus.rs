@@ -197,7 +197,8 @@ fn sensitivity_rendering_and_shards_match_golden_corpus() {
     config.trials_per_scenario = 1;
     config.threads = 4;
     let dir = temp_store("sensitivity");
-    let results = run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, false)).unwrap();
+    let results =
+        run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, false)).unwrap();
 
     let names: Vec<String> = config.heuristics.iter().map(HeuristicSpec::name).collect();
     check_golden("sensitivity_m5.txt", &render_sensitivity(&results, "IE", &names));
