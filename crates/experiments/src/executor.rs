@@ -127,7 +127,8 @@ pub struct ExecutorStats {
     pub resumed_instances: usize,
     /// Availability realizations performed (one per trial with at least one
     /// missing instance — **not** one per instance; the difference is the
-    /// work the shared [`RealizedTrial`] handle saves).
+    /// work the shared [`RealizedTrial`](dg_availability::RealizedTrial)
+    /// handle saves).
     pub trials_realized: usize,
     /// Shared evaluation caches created (one per scenario job with at least
     /// one missing instance — **not** one per instance; all heuristics and

@@ -7,10 +7,11 @@
 //! * [`campaign`] — describes the full factorial campaign over the experiment
 //!   space `(m, ncom, wmin)`, with a configurable number of scenarios and
 //!   trials per point, across all 17 heuristics;
-//! * [`executor`] — the sharded campaign executor: deterministic slot-indexed
-//!   fan-out over worker threads, one shared availability realization per
-//!   trial ([`dg_availability::RealizedTrial`]), streaming aggregation and an
-//!   optional resumable artifact store;
+//! * [`executor`] — the campaign executor, a client of the crate's sweep
+//!   kernel (shared with [`gap`] and [`sensitivity`]): deterministic
+//!   slot-indexed fan-out over worker threads, one shared availability
+//!   realization per trial ([`dg_availability::RealizedTrial`]), streaming
+//!   aggregation and an optional resumable artifact store;
 //! * [`store`] — the on-disk store behind `--out`/`--resume`: a manifest plus
 //!   one JSONL shard per experiment point, written as points complete;
 //! * [`distrib`] — multi-process sharded execution on top of the store: the
