@@ -363,8 +363,8 @@ where
             // Resumed records contribute their stored numerator, so the
             // projection horizon below is identical whether a record was
             // simulated now or read back from the store.
-            let runs: Vec<(Option<u64>, Option<SimOutcome>)> = (config.heuristics.iter())
-                .enumerate()
+            let heuristics = config.heuristics.iter().enumerate();
+            let runs: Vec<(Option<u64>, Option<SimOutcome>)> = heuristics
                 .map(|(i, heuristic)| {
                     if let Some(record) = job.stored(trial_index, i, 0) {
                         return (record.online, None);
