@@ -33,7 +33,7 @@ pub(crate) fn scenario_seed(base_seed: u64, point_index: usize, scenario_index: 
 }
 
 /// The slot a stored record claims.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub(crate) struct Key {
     pub(crate) point: usize,
     pub(crate) params: ScenarioParams,
@@ -287,7 +287,7 @@ where
 
     // Resumed slots are reported once, up front: counting them as jobs reach
     // them would interleave with executed counts in thread order.
-    let local = job_slots(jobs.start).start..job_slots(jobs.end).start;
+    let local = jobs.start * per_job..jobs.end * per_job;
     let resumed = stored[local.clone()].iter().filter(|s| s.is_some()).count();
     let stats = Mutex::new(ExecutorStats {
         total_instances: local.len(),
