@@ -480,7 +480,6 @@ impl Drop for PanicGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_campaign_with;
 
     /// A one-arm sweep over `config` whose records are `(job, slot offset)`
     /// pairs; enough to drive the kernel without simulating anything.
@@ -556,32 +555,6 @@ mod tests {
         for key in foreign {
             assert_eq!(sweep.slot(&key), None, "{key:?}");
         }
-    }
-
-    #[test]
-    fn resumed_slots_are_handed_back_and_reported_once() {
-        let dir = std::env::temp_dir().join(format!("dg-sweep-resume-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut config = CampaignConfig::smoke();
-        config.scenarios_per_point = 2;
-        config.trials_per_scenario = 2;
-        let fresh =
-            run_campaign_with(&config, &ExecutorOptions::new().store(&dir, false), |_, _| {})
-                .unwrap();
-        let seen = Mutex::new(Vec::new());
-        let resumed =
-            run_campaign_with(&config, &ExecutorOptions::new().store(&dir, true), |d, t| {
-                seen.lock().unwrap().push((d, t))
-            })
-            .unwrap();
-        let total = config.total_runs();
-        assert_eq!(seen.into_inner().unwrap(), vec![(total, total)]);
-        assert_eq!(resumed.stats.resumed_instances, total);
-        assert_eq!(resumed.stats.executed_instances, 0);
-        // A fully resumed job generates no scenario and builds no cache.
-        assert_eq!((resumed.stats.trials_realized, resumed.stats.eval_caches), (0, 0));
-        assert_eq!(fresh.stats.executed_instances, total);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
