@@ -36,6 +36,7 @@
 
 use crate::campaign::{CampaignConfig, CampaignResults, InstanceResult};
 use crate::distrib::WorkerShard;
+use crate::json::{List, Obj, Str};
 use crate::store::encode_instance;
 use crate::stream::CampaignAccumulator;
 use crate::suite::fingerprint_suffix;
@@ -195,23 +196,21 @@ pub fn config_fingerprint(config: &CampaignConfig) -> String {
 /// The fingerprint of a sweep of `kind` over `config`'s space: the `kind`
 /// keeps a gap store from ever resuming as a campaign store, or vice versa.
 pub(crate) fn fingerprint(kind: &str, config: &CampaignConfig) -> String {
-    let suite = fingerprint_suffix(&config.suite, &config.model);
-    format!(
-        "{{\"kind\":\"{kind}\",\"m\":[{}],\"ncom\":[{}],\"wmin\":[{}],\"workers\":{},\
-         \"iterations\":{},\"scenarios\":{},\"trials\":{},\"cap\":{},\"heuristics\":[{}],\
-         \"seed\":{},\"epsilon\":{:?}{suite}}}",
-        join(&config.m_values),
-        join(&config.ncom_values),
-        join(&config.wmin_values),
-        config.num_workers,
-        config.iterations,
-        config.scenarios_per_point,
-        config.trials_per_scenario,
-        config.max_slots,
-        config.heuristics.iter().map(|h| format!("\"{}\"", h.name())).collect::<Vec<_>>().join(","),
-        config.base_seed,
-        config.epsilon,
-    )
+    let names: Vec<String> = config.heuristics.iter().map(|h| h.name()).collect();
+    let fields = Obj::new()
+        .field("kind", Str(kind))
+        .field("m", List(&config.m_values))
+        .field("ncom", List(&config.ncom_values))
+        .field("wmin", List(&config.wmin_values))
+        .field("workers", config.num_workers)
+        .field("iterations", config.iterations)
+        .field("scenarios", config.scenarios_per_point)
+        .field("trials", config.trials_per_scenario)
+        .field("cap", config.max_slots)
+        .field("heuristics", List(names.iter().map(|name| Str(name))))
+        .field("seed", config.base_seed)
+        .field("epsilon", format_args!("{:?}", config.epsilon));
+    fingerprint_suffix(fields, &config.suite, &config.model).end()
 }
 
 pub(crate) fn join<T: std::fmt::Display>(xs: &[T]) -> String {

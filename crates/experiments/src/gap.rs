@@ -31,8 +31,8 @@
 
 use crate::campaign::CampaignConfig;
 use crate::executor::ExecutorOptions;
+use crate::json::{Obj, Opt, Record, Str, Value};
 use crate::runner::{run_instance_logged, InstanceSpec};
-use crate::store::FieldParser;
 use crate::sweep::{self, Job, Key, Sweep};
 use dg_availability::AvailabilityModel;
 use dg_offline::{earliest_finish_exact, earliest_finish_greedy, OfflineInstance, OracleVariant};
@@ -92,62 +92,54 @@ impl GapRecord {
 }
 
 /// Encode a gap record as a single JSONL line (no trailing newline), in the
-/// store conventions: fixed key order, integers, plain strings, `null`.
+/// store conventions: fixed key order, integers, escaped strings, `null`.
 pub fn encode_gap_record(r: &GapRecord) -> String {
-    let mut s = String::with_capacity(220);
-    s.push('{');
-    let _ = write!(s, "\"point\":{},\"suite\":\"{}\"", r.point_index, r.suite);
     let p = &r.params;
-    let _ = write!(
-        s,
-        ",\"workers\":{},\"m\":{},\"ncom\":{},\"wmin\":{},\"iterations\":{}",
-        p.num_workers, p.tasks_per_iteration, p.ncom, p.wmin, p.iterations
-    );
-    let _ = write!(s, ",\"scenario\":{},\"trial\":{}", r.scenario_index, r.trial_index);
-    let _ = write!(s, ",\"heuristic\":\"{}\"", r.heuristic);
-    let _ = write!(s, ",\"completed\":{},\"target\":{}", r.completed, r.target);
-    let nullable = |v: Option<u64>| v.map_or_else(|| "null".to_string(), |v| v.to_string());
-    let _ = write!(s, ",\"online\":{},\"bound\":{}", nullable(r.online), nullable(r.bound));
-    let _ = write!(s, ",\"method\":\"{}\"", r.method);
-    s.push('}');
-    s
+    Obj::new()
+        .field("point", r.point_index)
+        .field("suite", Str(&r.suite))
+        .field("workers", p.num_workers)
+        .field("m", p.tasks_per_iteration)
+        .field("ncom", p.ncom)
+        .field("wmin", p.wmin)
+        .field("iterations", p.iterations)
+        .field("scenario", r.scenario_index)
+        .field("trial", r.trial_index)
+        .field("heuristic", Str(&r.heuristic))
+        .field("completed", r.completed)
+        .field("target", r.target)
+        .field("online", Opt(r.online))
+        .field("bound", Opt(r.bound))
+        .field("method", Str(&r.method))
+        .end()
 }
 
 /// Decode a line produced by [`encode_gap_record`]; malformed input
 /// (including a truncated trailing line) is an `Err`.
 pub fn decode_gap_record(line: &str) -> Result<GapRecord, String> {
-    let mut fields = FieldParser::new(line)?;
-    let point_index = fields.take_usize("point")?;
-    let suite = fields.take_string("suite")?;
-    let params = ScenarioParams {
-        num_workers: fields.take_usize("workers")?,
-        tasks_per_iteration: fields.take_usize("m")?,
-        ncom: fields.take_usize("ncom")?,
-        wmin: fields.take_u64("wmin")?,
-        iterations: fields.take_u64("iterations")?,
+    let mut fields = Record::new(line)?;
+    // Struct fields are evaluated in the order written: the record's order.
+    let record = GapRecord {
+        point_index: fields.take("point", Value::num)?,
+        suite: fields.take("suite", Value::string)?,
+        params: ScenarioParams {
+            num_workers: fields.take("workers", Value::num)?,
+            tasks_per_iteration: fields.take("m", Value::num)?,
+            ncom: fields.take("ncom", Value::num)?,
+            wmin: fields.take("wmin", Value::num)?,
+            iterations: fields.take("iterations", Value::num)?,
+        },
+        scenario_index: fields.take("scenario", Value::num)?,
+        trial_index: fields.take("trial", Value::num)?,
+        heuristic: fields.take("heuristic", Value::string)?,
+        completed: fields.take("completed", Value::num)?,
+        target: fields.take("target", Value::num)?,
+        online: fields.take("online", Value::nullable)?,
+        bound: fields.take("bound", Value::nullable)?,
+        method: fields.take("method", Value::string)?,
     };
-    let scenario_index = fields.take_usize("scenario")?;
-    let trial_index = fields.take_usize("trial")?;
-    let heuristic = fields.take_string("heuristic")?;
-    let completed = fields.take_u64("completed")?;
-    let target = fields.take_u64("target")?;
-    let online = fields.take_nullable_u64("online")?;
-    let bound = fields.take_nullable_u64("bound")?;
-    let method = fields.take_string("method")?;
     fields.finish()?;
-    Ok(GapRecord {
-        point_index,
-        suite,
-        params,
-        scenario_index,
-        trial_index,
-        heuristic,
-        completed,
-        target,
-        online,
-        bound,
-        method,
-    })
+    Ok(record)
 }
 
 /// The canonical fingerprint of a gap sweep. Same identity rules as the

@@ -67,6 +67,7 @@ pub mod distrib;
 pub mod executor;
 pub mod figures;
 pub mod gap;
+mod json;
 pub mod metrics;
 pub mod runner;
 pub mod sensitivity;

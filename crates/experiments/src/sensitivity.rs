@@ -10,6 +10,7 @@
 
 use crate::campaign::InstanceResult;
 use crate::executor::ExecutorOptions;
+use crate::json::{List, Obj, Str};
 use crate::metrics::ReferenceComparison;
 use crate::store::encode_instance;
 use crate::suite::fingerprint_suffix;
@@ -107,29 +108,27 @@ const MODELS: [&str; 2] = ["markov", "semi"];
 /// that determines results (`threads` and `engine` excluded — see
 /// [`crate::executor::config_fingerprint`] for the rationale).
 pub fn sensitivity_fingerprint(config: &SensitivityConfig) -> String {
-    let points = config
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                "[{},{},{},{},{}]",
-                p.num_workers, p.tasks_per_iteration, p.ncom, p.wmin, p.iterations
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let suite = fingerprint_suffix(&config.suite, &config.model);
-    format!(
-        "{{\"kind\":\"sensitivity\",\"points\":[{points}],\"scenarios\":{},\"trials\":{},\
-         \"cap\":{},\"heuristics\":[{}],\"seed\":{},\"epsilon\":{:?},\"weibull_shape\":{:?}{suite}}}",
-        config.scenarios_per_point,
-        config.trials_per_scenario,
-        config.max_slots,
-        config.heuristics.iter().map(|h| format!("\"{}\"", h.name())).collect::<Vec<_>>().join(","),
-        config.base_seed,
-        config.epsilon,
-        config.weibull_shape,
-    )
+    let points = config.points.iter().map(|p| {
+        List([
+            p.num_workers as u64,
+            p.tasks_per_iteration as u64,
+            p.ncom as u64,
+            p.wmin,
+            p.iterations,
+        ])
+    });
+    let names: Vec<String> = config.heuristics.iter().map(|h| h.name()).collect();
+    let fields = Obj::new()
+        .field("kind", Str("sensitivity"))
+        .field("points", List(points))
+        .field("scenarios", config.scenarios_per_point)
+        .field("trials", config.trials_per_scenario)
+        .field("cap", config.max_slots)
+        .field("heuristics", List(names.iter().map(|name| Str(name))))
+        .field("seed", config.base_seed)
+        .field("epsilon", format_args!("{:?}", config.epsilon))
+        .field("weibull_shape", format_args!("{:?}", config.weibull_shape));
+    fingerprint_suffix(fields, &config.suite, &config.model).end()
 }
 
 /// The sensitivity sweep: two arms per `(trial, heuristic)`, stored as

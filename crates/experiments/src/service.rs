@@ -4,8 +4,8 @@
 //! process and exits; the service turns the library inside-out into a
 //! **warm-cache daemon**: one [`ServiceCore`] loads a platform/suite once,
 //! keeps one shared [`EvalCache`] warm, and answers scheduling-decision
-//! requests over a hand-rolled JSONL line protocol — on stdin/stdout or a TCP
-//! listener, one [`ScheduleService`] session per connection.
+//! requests over a JSONL line protocol — on stdin/stdout or a TCP listener,
+//! one [`ScheduleService`] session per connection.
 //!
 //! ## Protocol
 //!
@@ -52,10 +52,12 @@
 //! Malformed input is answered with `{"ok":false,"error":...}` on the same
 //! stream — the daemon never exits on bad input; it shuts down cleanly on
 //! EOF (or a closed peer: broken-pipe writes end the session instead of
-//! killing the process).
+//! killing the process). So is a line over the length bound of
+//! [`ScheduleService::serve`], which is skipped unread.
 
 use crate::cli::CliOptions;
 use crate::executor::resolve_threads;
+use crate::json::{self, List, Obj, Opt, Str, Value};
 use crate::runner::scheduler_seed;
 use crate::sweep::scenario_seed;
 use dg_analysis::{EvalCache, EvalCacheStats};
@@ -64,203 +66,10 @@ use dg_heuristics::parse_heuristic_named;
 use dg_platform::Scenario;
 use dg_sim::view::{Decision, Reevaluation, Scheduler};
 use dg_sim::{Assignment, DecisionContext};
-use std::fmt::Write as _;
-use std::io::{BufRead, Write};
+use std::fmt::Display;
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
-
-// ---------------------------------------------------------------------------
-// Minimal JSON: the vendored serde is a no-op shim, so the protocol codec is
-// hand-rolled like the store's, but key-order-tolerant (requests are typed by
-// humans and clients, not round-tripped from our own encoder).
-// ---------------------------------------------------------------------------
-
-/// A parsed JSON value of the protocol's subset: null, unsigned integers,
-/// strings, arrays and objects.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Null,
-    Num(u64),
-    Str(String),
-    Arr(Vec<Value>),
-    Obj(Vec<(String, Value)>),
-}
-
-/// Deepest array/object nesting a request may use. The deepest legal line
-/// is a batch member's `holdings` tuple, 5 levels down; the bound keeps a
-/// line of brackets from overflowing the recursive parser's stack.
-const MAX_DEPTH: usize = 8;
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser { bytes: text.as_bytes(), pos: 0, depth: 0 }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.peek() {
-            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
-                Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos))
-            }
-            Some(open @ (b'{' | b'[')) => {
-                self.depth += 1;
-                let value = if open == b'{' { self.object() } else { self.array() };
-                self.depth -= 1;
-                value
-            }
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'n') => {
-                if self.bytes[self.pos..].starts_with(b"null") {
-                    self.pos += 4;
-                    Ok(Value::Null)
-                } else {
-                    Err(format!("invalid literal at byte {}", self.pos))
-                }
-            }
-            Some(c) if c.is_ascii_digit() => self.number(),
-            Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
-            None => Err("unexpected end of input".to_string()),
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        // Bytes, not chars: a multi-byte UTF-8 character passes through
-        // whole, and the line was valid UTF-8, so the result is too.
-        let mut out = Vec::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(out)
-                        .map_err(|_| "invalid UTF-8 in string".to_string());
-                }
-                Some(b'\\') => {
-                    let escaped = self.bytes.get(self.pos + 1).copied();
-                    self.pos += 2;
-                    match escaped {
-                        Some(b'"') => out.push(b'"'),
-                        Some(b'\\') => out.push(b'\\'),
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b't') => out.push(b'\t'),
-                        other => {
-                            return Err(format!("unsupported string escape {other:?}"));
-                        }
-                    }
-                }
-                Some(&b) => {
-                    out.push(b);
-                    self.pos += 1;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-}
-
-/// Parse one request line into its top-level object fields.
-fn parse_line(line: &str) -> Result<Vec<(String, Value)>, String> {
-    let mut parser = Parser::new(line);
-    let value = parser.value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing bytes after the request at byte {}", parser.pos));
-    }
-    match value {
-        Value::Obj(fields) => Ok(fields),
-        _ => Err("a request must be a JSON object".to_string()),
-    }
-}
-
-/// Escape a string for embedding in a JSON reply.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\t', "\\t")
-}
-
-fn render_entries(entries: &[(usize, usize)]) -> String {
-    let inner: Vec<String> = entries.iter().map(|&(q, x)| format!("[{q},{x}]")).collect();
-    format!("[{}]", inner.join(","))
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -328,171 +137,92 @@ impl DecideRequest {
         }
     }
 
-    fn from_fields(fields: &[(String, Value)]) -> Result<Self, String> {
-        let mut req: Option<DecideRequest> = None;
-        let mut selected_at: Option<u64> = None;
-        let mut done: Option<u64> = None;
-        let mut entries: Option<Vec<(usize, usize)>> = None;
+    fn from_value(value: &Value) -> Result<Self, String> {
+        let Value::Obj(fields) = value else {
+            return Err("a request must be a JSON object".to_string());
+        };
         // Two-pass: heuristic/workers are required, everything else overlays.
-        let heuristic = get_str(fields, "heuristic")?.ok_or("missing field 'heuristic'")?;
-        let workers = get_str(fields, "workers")?.ok_or("missing field 'workers'")?;
-        let base = req.get_or_insert(DecideRequest::new(&heuristic, &workers));
+        let required =
+            |name| value.get(name).ok_or_else(|| format!("missing field '{name}'"))?.string(name);
+        let mut req = DecideRequest::new(&required("heuristic")?, &required("workers")?);
+        let (mut selected_at, mut done, mut entries) = (None, None, None);
         for (key, value) in fields {
-            match key.as_str() {
+            match key.as_ref() {
                 "op" | "heuristic" | "workers" => {}
-                "id" => base.id = num_or_null(value, key)?,
-                "time" => base.time = num(value, key)?,
-                "iteration" => base.iteration = num(value, key)?,
-                "completed" => base.completed = num(value, key)?,
-                "started_at" => base.started_at = num(value, key)?,
-                "trial" => base.trial = num(value, key)? as usize,
-                "seed" => base.seed = num_or_null(value, key)?,
-                "selected_at" => selected_at = Some(num(value, key)?),
-                "done" => done = Some(num(value, key)?),
-                "current" => entries = pairs_or_null(value, key)?,
-                "holdings" => base.holdings = holdings(value)?,
+                "id" => req.id = value.nullable(key)?,
+                "time" => req.time = value.num(key)?,
+                "iteration" => req.iteration = value.num(key)?,
+                "completed" => req.completed = value.num(key)?,
+                "started_at" => req.started_at = value.num(key)?,
+                "trial" => req.trial = value.num(key)?,
+                "seed" => req.seed = value.nullable(key)?,
+                "selected_at" => selected_at = Some(value.num(key)?),
+                "done" => done = Some(value.num(key)?),
+                "current" => entries = tuples(value, key, |[q, x]| Ok((q as usize, x as usize)))?,
+                "holdings" => req.holdings = tuples(value, key, holding)?,
                 other => return Err(format!("unknown field '{other}'")),
             }
         }
-        let mut req = req.expect("base request initialized");
-        if let Some(entries) = entries {
-            req.current = Some(CurrentConfig {
-                entries,
-                selected_at: selected_at.unwrap_or(req.time),
-                done: done.unwrap_or(0),
-            });
-        }
+        req.current = entries.map(|entries| CurrentConfig {
+            entries,
+            selected_at: selected_at.unwrap_or(req.time),
+            done: done.unwrap_or(0),
+        });
         Ok(req)
     }
 
     /// Parse a request from one JSONL line (any field order).
     pub fn parse(line: &str) -> Result<Self, String> {
-        DecideRequest::from_fields(&parse_line(line)?)
+        DecideRequest::from_value(&json::parse(line)?)
     }
 
     /// Render the request in the canonical field order. `parse` of the result
     /// reproduces the request exactly — the protocol round-trip the property
     /// test pins.
     pub fn render(&self) -> String {
-        let mut out = String::from("{\"op\":\"decide\"");
-        match self.id {
-            Some(id) => write!(out, ",\"id\":{id}").unwrap(),
-            None => out.push_str(",\"id\":null"),
-        }
-        write!(
-            out,
-            ",\"heuristic\":\"{}\",\"workers\":\"{}\",\"time\":{},\"iteration\":{},\
-             \"completed\":{},\"started_at\":{},\"trial\":{}",
-            escape(&self.heuristic),
-            escape(&self.workers),
-            self.time,
-            self.iteration,
-            self.completed,
-            self.started_at,
-            self.trial
-        )
-        .unwrap();
-        match self.seed {
-            Some(seed) => write!(out, ",\"seed\":{seed}").unwrap(),
-            None => out.push_str(",\"seed\":null"),
-        }
-        if let Some(current) = &self.current {
-            write!(
-                out,
-                ",\"current\":{},\"selected_at\":{},\"done\":{}",
-                render_entries(&current.entries),
-                current.selected_at,
-                current.done
-            )
-            .unwrap();
-        }
-        if let Some(holdings) = &self.holdings {
-            let quads: Vec<String> = holdings
-                .iter()
-                .map(|&(hp, dm, pt, pp)| format!("[{},{dm},{pt},{}]", hp as u8, pp as u8))
-                .collect();
-            write!(out, ",\"holdings\":[{}]", quads.join(",")).unwrap();
-        }
-        out.push('}');
-        out
+        let current = self.current.as_ref();
+        let holdings = self.holdings.as_ref().map(|quads| {
+            List(quads.iter().map(|&(hp, dm, pt, pp)| List([hp as u64, dm as u64, pt, pp as u64])))
+        });
+        Obj::new()
+            .field("op", Str("decide"))
+            .field("id", Opt(self.id))
+            .field("heuristic", Str(&self.heuristic))
+            .field("workers", Str(&self.workers))
+            .field("time", self.time)
+            .field("iteration", self.iteration)
+            .field("completed", self.completed)
+            .field("started_at", self.started_at)
+            .field("trial", self.trial)
+            .field("seed", Opt(self.seed))
+            .some("current", current.map(|c| entries(&c.entries)))
+            .some("selected_at", current.map(|c| c.selected_at))
+            .some("done", current.map(|c| c.done))
+            .some("holdings", holdings)
+            .end()
     }
 }
 
-fn get_str(fields: &[(String, Value)], name: &str) -> Result<Option<String>, String> {
-    match fields.iter().find(|(k, _)| k == name) {
-        None => Ok(None),
-        Some((_, Value::Str(s))) => Ok(Some(s.clone())),
-        Some(_) => Err(format!("field '{name}' must be a string")),
-    }
-}
-
-fn num(value: &Value, key: &str) -> Result<u64, String> {
-    match value {
-        Value::Num(n) => Ok(*n),
-        _ => Err(format!("field '{key}' must be an unsigned integer")),
-    }
-}
-
-fn num_or_null(value: &Value, key: &str) -> Result<Option<u64>, String> {
+/// `null`, or an array of `N`-integer arrays, each converted by `each`.
+fn tuples<T, const N: usize>(
+    value: &Value,
+    key: &str,
+    each: impl Fn([u64; N]) -> Result<T, String>,
+) -> Result<Option<Vec<T>>, String> {
     match value {
         Value::Null => Ok(None),
-        Value::Num(n) => Ok(Some(*n)),
-        _ => Err(format!("field '{key}' must be an unsigned integer or null")),
+        Value::Arr(items) => {
+            items.iter().map(|item| each(item.nums(key)?)).collect::<Result<_, _>>().map(Some)
+        }
+        _ => Err(format!("field '{key}' must be null or an array of {N}-integer arrays")),
     }
 }
 
-fn pairs_or_null(value: &Value, key: &str) -> Result<Option<Vec<(usize, usize)>>, String> {
-    let items = match value {
-        Value::Null => return Ok(None),
-        Value::Arr(items) => items,
-        _ => return Err(format!("field '{key}' must be an array of [worker,tasks] pairs")),
-    };
-    let mut pairs = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Value::Arr(pair) if pair.len() == 2 => {
-                pairs.push((num(&pair[0], key)? as usize, num(&pair[1], key)? as usize));
-            }
-            _ => return Err(format!("field '{key}' must contain [worker,tasks] pairs")),
-        }
-    }
-    Ok(Some(pairs))
-}
-
-#[allow(clippy::type_complexity)]
-fn holdings(value: &Value) -> Result<Option<Vec<(bool, usize, u64, bool)>>, String> {
-    let items = match value {
-        Value::Null => return Ok(None),
-        Value::Arr(items) => items,
-        _ => return Err("field 'holdings' must be an array of quadruples".to_string()),
-    };
-    let mut quads = Vec::with_capacity(items.len());
-    for item in items {
-        match item {
-            Value::Arr(quad) if quad.len() == 4 => {
-                let flag = |v: &Value| -> Result<bool, String> {
-                    match num(v, "holdings")? {
-                        0 => Ok(false),
-                        1 => Ok(true),
-                        n => Err(format!("holdings flags must be 0 or 1, got {n}")),
-                    }
-                };
-                quads.push((
-                    flag(&quad[0])?,
-                    num(&quad[1], "holdings")? as usize,
-                    num(&quad[2], "holdings")?,
-                    flag(&quad[3])?,
-                ));
-            }
-            _ => {
-                return Err("field 'holdings' must contain \
-                            [has_program,data_messages,partial_transfer,partial_is_program] \
-                            quadruples"
-                    .to_string())
-            }
-        }
-    }
-    Ok(Some(quads))
+/// A `[has_program,data_messages,partial_transfer,partial_is_program]` quad.
+fn holding([hp, dm, pt, pp]: [u64; 4]) -> Result<(bool, usize, u64, bool), String> {
+    let flag =
+        |f| if f < 2 { Ok(f == 1) } else { Err(format!("holdings flags must be 0 or 1, got {f}")) };
+    Ok((flag(hp)?, dm as usize, pt, flag(pp)?))
 }
 
 /// A parsed request line.
@@ -520,43 +250,32 @@ pub enum Request {
 impl Request {
     /// Parse one JSONL request line.
     pub fn parse(line: &str) -> Result<Request, String> {
-        let fields = parse_line(line)?;
-        if let Some((_, value)) = fields.iter().find(|(k, _)| k == "batch") {
-            let items = match value {
-                Value::Arr(items) => items,
-                _ => return Err("field 'batch' must be an array of requests".to_string()),
+        let value = json::parse(line)?;
+        if let Some(batch) = value.get("batch") {
+            return match batch {
+                Value::Arr(items) if !items.is_empty() => items
+                    .iter()
+                    .map(DecideRequest::from_value)
+                    .collect::<Result<_, _>>()
+                    .map(Request::Batch),
+                _ => Err("field 'batch' must be a non-empty array of requests".to_string()),
             };
-            let mut requests = Vec::with_capacity(items.len());
-            for item in items {
-                match item {
-                    Value::Obj(fields) => requests.push(DecideRequest::from_fields(fields)?),
-                    _ => return Err("field 'batch' must contain request objects".to_string()),
-                }
-            }
-            if requests.is_empty() {
-                return Err("a batch needs at least one request".to_string());
-            }
-            return Ok(Request::Batch(requests));
         }
-        match get_str(&fields, "op")?.as_deref().unwrap_or("decide") {
-            "decide" => Ok(Request::Decide(DecideRequest::from_fields(&fields)?)),
-            "session" => Ok(Request::Session(DecideRequest::from_fields(&fields)?)),
+        let field = |name| value.get(name).ok_or_else(|| format!("missing field '{name}'"));
+        let op = value.get("op").map(|op| op.string("op")).transpose()?;
+        match op.as_deref().unwrap_or("decide") {
+            "decide" => Ok(Request::Decide(DecideRequest::from_value(&value)?)),
+            "session" => Ok(Request::Session(DecideRequest::from_value(&value)?)),
             "event" => {
-                let find = |name: &str| -> Result<u64, String> {
-                    fields
-                        .iter()
-                        .find(|(k, _)| k == name)
-                        .ok_or(format!("missing field '{name}'"))
-                        .and_then(|(k, v)| num(v, k))
-                };
-                let state = get_str(&fields, "state")?.ok_or("missing field 'state'")?;
+                let state = field("state")?.string("state")?;
                 let state = state
                     .chars()
                     .next()
                     .filter(|_| state.len() == 1)
                     .and_then(ProcState::from_code)
                     .ok_or(format!("invalid state '{state}' (expected U, R or D)"))?;
-                Ok(Request::Event { worker: find("worker")? as usize, state, time: find("time")? })
+                let (worker, time) = (field("worker")?.num("worker")?, field("time")?.num("time")?);
+                Ok(Request::Event { worker, state, time })
             }
             "stats" => Ok(Request::Stats),
             other => Err(format!("unknown op '{other}' (expected decide, session, event, stats)")),
@@ -739,33 +458,28 @@ pub struct DecideReply {
 impl DecideReply {
     /// Render the reply as one JSONL line.
     pub fn render(&self) -> String {
-        let id = match self.id {
-            Some(id) => id.to_string(),
-            None => "null".to_string(),
-        };
-        let (decision, assignment) = match &self.assignment {
-            None => ("keep", "null".to_string()),
-            Some(a) => ("new", render_entries(a.entries())),
-        };
-        format!(
-            "{{\"id\":{id},\"ok\":true,\"op\":\"decide\",\"heuristic\":\"{}\",\
-             \"decision\":\"{decision}\",\"assignment\":{assignment},\"latency_us\":{},\
-             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":{}}}",
-            escape(&self.heuristic),
-            self.latency_us,
-            self.cache.group_hits,
-            self.cache.group_misses,
-            self.decision_threads
-        )
+        Obj::new()
+            .field("id", Opt(self.id))
+            .field("ok", true)
+            .field("op", Str("decide"))
+            .field("heuristic", Str(&self.heuristic))
+            .field("decision", Str(if self.assignment.is_some() { "new" } else { "keep" }))
+            .field("assignment", Opt(self.assignment.as_ref().map(|a| entries(a.entries()))))
+            .field("latency_us", self.latency_us)
+            .field("cache_hits", self.cache.group_hits)
+            .field("cache_misses", self.cache.group_misses)
+            .field("decision_threads", self.decision_threads)
+            .end()
     }
 }
 
 fn error_line(id: Option<u64>, message: &str) -> String {
-    let id = match id {
-        Some(id) => id.to_string(),
-        None => "null".to_string(),
-    };
-    format!("{{\"id\":{id},\"ok\":false,\"error\":\"{}\"}}", escape(message))
+    Obj::new().field("id", Opt(id)).field("ok", false).field("error", Str(message)).end()
+}
+
+/// `(worker, tasks)` assignment entries, as `[[worker,tasks],...]`.
+fn entries(entries: &[(usize, usize)]) -> impl Display + '_ {
+    List(entries.iter().map(|&(q, x)| List([q, x])))
 }
 
 /// One connection's online session: a registry-built scheduler, a live
@@ -836,21 +550,17 @@ impl ScheduleService {
             Request::Stats => {
                 self.summary.requests += 1;
                 let stats = self.core.cache.stats();
-                vec![format!(
-                    "{{\"ok\":true,\"op\":\"stats\",\"requests\":{},\"errors\":{},\
-                     \"reschedules\":{},\"session\":{},\"cache_hits\":{},\"cache_misses\":{},\
-                     \"hit_rate\":{:.4}}}",
-                    self.summary.requests,
-                    self.summary.errors,
-                    self.summary.reschedules,
-                    match &self.session {
-                        Some(s) => format!("\"{}\"", escape(&s.heuristic)),
-                        None => "null".to_string(),
-                    },
-                    stats.group_hits,
-                    stats.group_misses,
-                    stats.hit_rate()
-                )]
+                vec![Obj::new()
+                    .field("ok", true)
+                    .field("op", Str("stats"))
+                    .field("requests", self.summary.requests)
+                    .field("errors", self.summary.errors)
+                    .field("reschedules", self.summary.reschedules)
+                    .field("session", Opt(self.session.as_ref().map(|s| Str(&s.heuristic))))
+                    .field("cache_hits", stats.group_hits)
+                    .field("cache_misses", stats.group_misses)
+                    .field("hit_rate", format_args!("{:.4}", stats.hit_rate()))
+                    .end()]
             }
         }
     }
@@ -911,14 +621,15 @@ impl ScheduleService {
             })
             .collect();
         let delta = self.core.cache.stats().since(&before);
-        format!(
-            "{{\"ok\":true,\"op\":\"batch\",\"replies\":[{}],\"latency_us\":{latency_us},\
-             \"cache_hits\":{},\"cache_misses\":{},\"decision_threads\":{}}}",
-            parts.join(","),
-            delta.group_hits,
-            delta.group_misses,
-            self.core.cache.decision_threads()
-        )
+        Obj::new()
+            .field("ok", true)
+            .field("op", Str("batch"))
+            .field("replies", List(&parts))
+            .field("latency_us", latency_us)
+            .field("cache_hits", delta.group_hits)
+            .field("cache_misses", delta.group_misses)
+            .field("decision_threads", self.core.cache.decision_threads())
+            .end()
     }
 
     /// Start (or replace) this connection's online session and make the
@@ -951,15 +662,13 @@ impl ScheduleService {
             traces: states.iter().map(|&s| StateTrace::constant(s, 1)).collect(),
             ctx: DecisionContext::fresh(&states),
         };
-        let mut lines = vec![format!(
-            "{{\"id\":{},\"ok\":true,\"op\":\"session\",\"heuristic\":\"{}\",\"workers\":{}}}",
-            match req.id {
-                Some(id) => id.to_string(),
-                None => "null".to_string(),
-            },
-            escape(&session.heuristic),
-            states.len()
-        )];
+        let mut lines = vec![Obj::new()
+            .field("id", Opt(req.id))
+            .field("ok", true)
+            .field("op", Str("session"))
+            .field("heuristic", Str(&session.heuristic))
+            .field("workers", states.len())
+            .end()];
         if let Some(record) = self.consult(&mut session) {
             self.summary.reschedules += 1;
             lines.push(record);
@@ -1028,11 +737,15 @@ impl ScheduleService {
                     Some(_) => session.reevaluation.on_outside_transitions,
                 });
 
-        let mut lines = vec![format!(
-            "{{\"ok\":true,\"op\":\"event\",\"time\":{time},\"worker\":{worker},\
-             \"state\":\"{}\",\"changed\":{changed},\"reevaluated\":{reconsult}}}",
-            state.code()
-        )];
+        let mut lines = vec![Obj::new()
+            .field("ok", true)
+            .field("op", Str("event"))
+            .field("time", time)
+            .field("worker", worker)
+            .field("state", Str(&state.code().to_string()))
+            .field("changed", changed)
+            .field("reevaluated", reconsult)
+            .end()];
         if reconsult {
             if let Some(record) = self.consult(&mut session) {
                 self.summary.reschedules += 1;
@@ -1061,13 +774,13 @@ impl ScheduleService {
                 if same || a.is_empty() {
                     return None;
                 }
-                let record = format!(
-                    "{{\"op\":\"reschedule\",\"time\":{},\"heuristic\":\"{}\",\
-                     \"assignment\":{},\"latency_us\":{latency_us}}}",
-                    session.ctx.time,
-                    escape(&session.heuristic),
-                    render_entries(a.entries())
-                );
+                let record = Obj::new()
+                    .field("op", Str("reschedule"))
+                    .field("time", session.ctx.time)
+                    .field("heuristic", Str(&session.heuristic))
+                    .field("assignment", entries(a.entries()))
+                    .field("latency_us", latency_us)
+                    .end();
                 session.ctx.install(a, &core.scenario.platform);
                 Some(record)
             }
@@ -1077,24 +790,33 @@ impl ScheduleService {
     /// Serve JSONL requests from `reader`, writing replies to `writer`, until
     /// EOF or a closed peer. Never exits on malformed input — a line that is
     /// not UTF-8 is answered with an error line like any other — and flushes
-    /// after every request so pipes and sockets see replies promptly.
+    /// after every request so pipes and sockets see replies promptly. A line
+    /// may hold 128 bytes per served worker (at least 256 KiB) before its
+    /// newline; a longer one is skipped unbuffered and answered with an error.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
         mut reader: R,
         writer: &mut W,
     ) -> std::io::Result<ServeSummary> {
+        let limit = max_line_bytes(self.core.scenario.platform.num_workers());
         let mut bytes = Vec::new();
         loop {
             bytes.clear();
-            if reader.read_until(b'\n', &mut bytes)? == 0 {
+            if reader.by_ref().take(limit as u64 + 1).read_until(b'\n', &mut bytes)? == 0 {
                 break;
             }
-            let replies = match std::str::from_utf8(&bytes) {
+            let line = if bytes.len() > limit && bytes.last() != Some(&b'\n') {
+                reader.skip_until(b'\n')?;
+                Err(format!("request line longer than {limit} bytes"))
+            } else {
+                std::str::from_utf8(&bytes).map_err(|e| format!("request is not valid UTF-8: {e}"))
+            };
+            let replies = match line {
                 Ok(line) if line.trim().is_empty() => continue,
                 Ok(line) => self.handle_line(line.trim_end_matches('\n').trim_end_matches('\r')),
                 Err(err) => {
                     self.summary.errors += 1;
-                    vec![error_line(None, &format!("request is not valid UTF-8: {err}"))]
+                    vec![error_line(None, &err)]
                 }
             };
             for reply in replies {
@@ -1109,6 +831,13 @@ impl ScheduleService {
         }
         Ok(self.summary)
     }
+}
+
+/// Longest request line `serve` reads on a platform of `workers` workers. A
+/// rendered decide request with holdings and a current entry for every
+/// worker needs at most about 80 bytes per worker, so it always fits.
+fn max_line_bytes(workers: usize) -> usize {
+    workers.saturating_mul(128).max(256 * 1024)
 }
 
 // ---------------------------------------------------------------------------
@@ -1284,6 +1013,61 @@ mod tests {
         assert!(lines[1].contains("\"ok\":true"), "{text}");
         let stats = service.handle_line(r#"{"op":"stats"}"#);
         assert!(stats[0].contains("\"errors\":5"), "{}", stats[0]);
+        // A line one byte over the bound is answered with one error line and
+        // skipped through its newline, a far longer one is streamed past
+        // without being buffered, a line exactly at the bound is read whole,
+        // and the loop goes on.
+        let limit = max_line_bytes(8);
+        let padded = |len: usize| format!("{valid}{}\n", " ".repeat(len - valid.len()));
+        let tail = format!("\n{}{}{valid}\n", padded(limit + 1), padded(limit));
+        let endless = std::io::repeat(b'[').take(64 * limit as u64);
+        let input = std::io::BufReader::new(endless.chain(tail.as_bytes()));
+        let mut out = Vec::new();
+        service.serve(input, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "{text}");
+        for line in &lines[..2] {
+            assert!(line.contains("\"ok\":false") && line.contains("longer than"), "{text}");
+        }
+        assert!(lines[2].contains("\"ok\":true") && lines[3].contains("\"ok\":true"), "{text}");
+    }
+
+    #[test]
+    fn every_reply_is_json_with_control_characters_escaped() {
+        let mut service = ScheduleService::new(core());
+        // The heuristic name a<0x01>b<CR>c as raw bytes, then as escapes,
+        // then an escaped plain letter.
+        let mut input = b"{\"heuristic\":\"a\x01b\rc\",\"workers\":\"UUUUUUUU\"}\n".to_vec();
+        input.extend_from_slice(br#"{"heuristic":"a\u0001b\u000dc","workers":"UUUUUUUU"}"#);
+        input.extend_from_slice(b"\n{\"heuristic\":\"\\u0041\",\"workers\":\"UUUUUUUU\"}\n");
+        let mut out = Vec::new();
+        service.serve(std::io::Cursor::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.split_terminator('\n').collect();
+        assert_eq!(lines.len(), 3, "{text:?}");
+        for line in &lines {
+            assert!(line.bytes().all(|b| b >= 0x20), "raw control byte in {line:?}");
+            assert!(json::parse(line).is_ok(), "{line}");
+        }
+        assert!(lines[0].contains("control character"), "{}", lines[0]);
+        assert!(lines[1].contains(r"unknown heuristic 'a\u0001b\u000dc'"), "{}", lines[1]);
+        assert!(lines[2].contains("unknown heuristic 'A'"), "{}", lines[2]);
+    }
+
+    #[test]
+    fn a_full_decide_request_always_fits_the_line_bound() {
+        for workers in [1, 8, 600, 2_000, 100_000] {
+            let mut req = DecideRequest::new("Y-IAY", &"R".repeat(workers));
+            (req.id, req.seed) = (Some(u64::MAX), Some(u64::MAX));
+            (req.time, req.iteration, req.completed, req.started_at) = (u64::MAX, 9, 9, 9);
+            req.trial = usize::MAX;
+            req.holdings = Some(vec![(true, usize::MAX, u64::MAX, true); workers]);
+            let entries = (0..workers).map(|q| (q, usize::MAX)).collect();
+            req.current = Some(CurrentConfig { entries, selected_at: u64::MAX, done: u64::MAX });
+            let line = req.render();
+            assert!(line.len() <= max_line_bytes(workers), "{workers}: {} bytes", line.len());
+        }
     }
 
     #[test]

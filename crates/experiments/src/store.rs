@@ -23,18 +23,13 @@
 //! re-runs only the missing ones. A truncated trailing line (the signature of
 //! a killed campaign) is detected by the line decoder and simply dropped:
 //! those instances re-run. Because [`InstanceResult`] is all integers and
-//! heuristic names, the JSON encoding round-trips **exactly**, so a resumed
+//! strings, the JSON encoding round-trips **exactly**, so a resumed
 //! campaign finishes with byte-identical results to an uninterrupted one.
-//!
-//! The vendored `serde` is a no-op shim (nothing derives real serialization),
-//! so the line format is hand-rolled here: a flat JSON object with a fixed
-//! key order, integers, `null` for failed makespans and plain (escape-free)
-//! heuristic names.
 
 use crate::campaign::InstanceResult;
+use crate::json::{List, Obj, Opt, Record, Str, Value};
 use dg_platform::ScenarioParams;
 use dg_sim::{SimOutcome, SimStats};
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -78,196 +73,81 @@ pub struct StoredInstance {
 
 /// Encode one instance as a single JSONL line (no trailing newline).
 ///
-/// The key order is fixed, every quantity is an integer or a plain string,
-/// and failed makespans encode as `null` — so encoding is deterministic and
-/// decoding reproduces the instance exactly.
+/// The key order is fixed, every quantity is an integer or an escaped
+/// string, and failed makespans encode as `null` — so encoding is
+/// deterministic and decoding reproduces the instance exactly.
 pub fn encode_instance(
     point_index: usize,
     suite: Option<&str>,
     model: Option<&str>,
     r: &InstanceResult,
 ) -> String {
-    let mut s = String::with_capacity(256);
-    s.push('{');
-    let _ = write!(s, "\"point\":{point_index}");
-    if let Some(suite) = suite {
-        let _ = write!(s, ",\"suite\":\"{suite}\"");
-    }
-    if let Some(model) = model {
-        let _ = write!(s, ",\"model\":\"{model}\"");
-    }
-    let p = &r.params;
-    let _ = write!(
-        s,
-        ",\"workers\":{},\"m\":{},\"ncom\":{},\"wmin\":{},\"iterations\":{}",
-        p.num_workers, p.tasks_per_iteration, p.ncom, p.wmin, p.iterations
-    );
-    let _ = write!(s, ",\"scenario\":{},\"trial\":{}", r.scenario_index, r.trial_index);
-    let _ = write!(s, ",\"heuristic\":\"{}\"", r.heuristic);
-    let o = &r.outcome;
-    let _ =
-        write!(s, ",\"completed\":{},\"target\":{}", o.completed_iterations, o.target_iterations);
-    match o.makespan {
-        Some(ms) => {
-            let _ = write!(s, ",\"makespan\":{ms}");
-        }
-        None => s.push_str(",\"makespan\":null"),
-    }
-    let _ = write!(s, ",\"simulated\":{}", o.simulated_slots);
-    let st = &o.stats;
-    let _ = write!(
-        s,
-        ",\"configs\":{},\"proactive\":{},\"aborted\":{},\"transfer\":{},\"compute\":{},\"stalled\":{},\"idle\":{}",
-        st.configurations_selected,
-        st.proactive_changes,
-        st.iterations_aborted,
-        st.transfer_slots,
-        st.computation_slots,
-        st.stalled_slots,
-        st.idle_slots
-    );
-    s.push('}');
-    s
+    let (p, o, st) = (&r.params, &r.outcome, &r.outcome.stats);
+    Obj::new()
+        .field("point", point_index)
+        .some("suite", suite.map(Str))
+        .some("model", model.map(Str))
+        .field("workers", p.num_workers)
+        .field("m", p.tasks_per_iteration)
+        .field("ncom", p.ncom)
+        .field("wmin", p.wmin)
+        .field("iterations", p.iterations)
+        .field("scenario", r.scenario_index)
+        .field("trial", r.trial_index)
+        .field("heuristic", Str(&r.heuristic))
+        .field("completed", o.completed_iterations)
+        .field("target", o.target_iterations)
+        .field("makespan", Opt(o.makespan))
+        .field("simulated", o.simulated_slots)
+        .field("configs", st.configurations_selected)
+        .field("proactive", st.proactive_changes)
+        .field("aborted", st.iterations_aborted)
+        .field("transfer", st.transfer_slots)
+        .field("compute", st.computation_slots)
+        .field("stalled", st.stalled_slots)
+        .field("idle", st.idle_slots)
+        .end()
 }
 
 /// Decode a line produced by [`encode_instance`]. Any malformed input —
 /// including the truncated trailing line of a killed campaign — is an `Err`.
 pub fn decode_instance(line: &str) -> Result<StoredInstance, String> {
-    let mut fields = FieldParser::new(line)?;
-    let point_index = fields.take_usize("point")?;
-    let suite = fields.take_optional_string("suite")?;
-    let model = fields.take_optional_string("model")?;
-    let params = ScenarioParams {
-        num_workers: fields.take_usize("workers")?,
-        tasks_per_iteration: fields.take_usize("m")?,
-        ncom: fields.take_usize("ncom")?,
-        wmin: fields.take_u64("wmin")?,
-        iterations: fields.take_u64("iterations")?,
-    };
-    let scenario_index = fields.take_usize("scenario")?;
-    let trial_index = fields.take_usize("trial")?;
-    let heuristic = fields.take_string("heuristic")?;
-    let outcome = SimOutcome {
-        completed_iterations: fields.take_u64("completed")?,
-        target_iterations: fields.take_u64("target")?,
-        makespan: fields.take_nullable_u64("makespan")?,
-        simulated_slots: fields.take_u64("simulated")?,
-        stats: SimStats {
-            configurations_selected: fields.take_u64("configs")?,
-            proactive_changes: fields.take_u64("proactive")?,
-            iterations_aborted: fields.take_u64("aborted")?,
-            transfer_slots: fields.take_u64("transfer")?,
-            computation_slots: fields.take_u64("compute")?,
-            stalled_slots: fields.take_u64("stalled")?,
-            idle_slots: fields.take_u64("idle")?,
+    let mut fields = Record::new(line)?;
+    // Struct fields are evaluated in the order written: the record's order.
+    let stored = StoredInstance {
+        point_index: fields.take("point", Value::num)?,
+        suite: fields.optional_string("suite")?,
+        model: fields.optional_string("model")?,
+        result: InstanceResult {
+            params: ScenarioParams {
+                num_workers: fields.take("workers", Value::num)?,
+                tasks_per_iteration: fields.take("m", Value::num)?,
+                ncom: fields.take("ncom", Value::num)?,
+                wmin: fields.take("wmin", Value::num)?,
+                iterations: fields.take("iterations", Value::num)?,
+            },
+            scenario_index: fields.take("scenario", Value::num)?,
+            trial_index: fields.take("trial", Value::num)?,
+            heuristic: fields.take("heuristic", Value::string)?,
+            outcome: SimOutcome {
+                completed_iterations: fields.take("completed", Value::num)?,
+                target_iterations: fields.take("target", Value::num)?,
+                makespan: fields.take("makespan", Value::nullable)?,
+                simulated_slots: fields.take("simulated", Value::num)?,
+                stats: SimStats {
+                    configurations_selected: fields.take("configs", Value::num)?,
+                    proactive_changes: fields.take("proactive", Value::num)?,
+                    iterations_aborted: fields.take("aborted", Value::num)?,
+                    transfer_slots: fields.take("transfer", Value::num)?,
+                    computation_slots: fields.take("compute", Value::num)?,
+                    stalled_slots: fields.take("stalled", Value::num)?,
+                    idle_slots: fields.take("idle", Value::num)?,
+                },
+            },
         },
     };
     fields.finish()?;
-    Ok(StoredInstance {
-        point_index,
-        suite,
-        model,
-        result: InstanceResult { params, scenario_index, trial_index, heuristic, outcome },
-    })
-}
-
-/// Strict in-order parser over the `"key":value` pairs of one record line.
-/// Shared with the gap layer's record codec, which follows the same
-/// conventions (fixed key order, integers, plain strings, `null`).
-pub(crate) struct FieldParser<'a> {
-    rest: &'a str,
-    first: bool,
-}
-
-impl<'a> FieldParser<'a> {
-    pub(crate) fn new(line: &'a str) -> Result<Self, String> {
-        let line = line.trim_end_matches(['\r', ' ']);
-        let rest = line
-            .strip_prefix('{')
-            .and_then(|l| l.strip_suffix('}'))
-            .ok_or_else(|| "record is not a JSON object".to_string())?;
-        Ok(FieldParser { rest, first: true })
-    }
-
-    /// Consume `"key":` and return the raw value text.
-    pub(crate) fn take_raw(&mut self, key: &str) -> Result<&'a str, String> {
-        let mut prefix = String::with_capacity(key.len() + 4);
-        if !self.first {
-            prefix.push(',');
-        }
-        self.first = false;
-        let _ = write!(prefix, "\"{key}\":");
-        self.rest = self
-            .rest
-            .strip_prefix(prefix.as_str())
-            .ok_or_else(|| format!("expected field '{key}'"))?;
-        // The value runs to the next comma outside a string, or to the end.
-        let mut end = self.rest.len();
-        let mut in_string = false;
-        for (i, c) in self.rest.char_indices() {
-            match c {
-                '"' => in_string = !in_string,
-                ',' if !in_string => {
-                    end = i;
-                    break;
-                }
-                _ => {}
-            }
-        }
-        let value = &self.rest[..end];
-        self.rest = &self.rest[end..];
-        if value.is_empty() {
-            return Err(format!("empty value for field '{key}'"));
-        }
-        Ok(value)
-    }
-
-    pub(crate) fn take_u64(&mut self, key: &str) -> Result<u64, String> {
-        let raw = self.take_raw(key)?;
-        raw.parse().map_err(|_| format!("field '{key}': invalid integer '{raw}'"))
-    }
-
-    pub(crate) fn take_usize(&mut self, key: &str) -> Result<usize, String> {
-        let raw = self.take_raw(key)?;
-        raw.parse().map_err(|_| format!("field '{key}': invalid integer '{raw}'"))
-    }
-
-    pub(crate) fn take_nullable_u64(&mut self, key: &str) -> Result<Option<u64>, String> {
-        let raw = self.take_raw(key)?;
-        if raw == "null" {
-            return Ok(None);
-        }
-        raw.parse().map(Some).map_err(|_| format!("field '{key}': invalid integer '{raw}'"))
-    }
-
-    pub(crate) fn take_string(&mut self, key: &str) -> Result<String, String> {
-        let raw = self.take_raw(key)?;
-        let inner = raw
-            .strip_prefix('"')
-            .and_then(|r| r.strip_suffix('"'))
-            .ok_or_else(|| format!("field '{key}': expected a string, got '{raw}'"))?;
-        if inner.contains(['"', '\\']) {
-            return Err(format!("field '{key}': escapes are not supported"));
-        }
-        Ok(inner.to_string())
-    }
-
-    /// Peek-based optional string field: consumed only if present next.
-    pub(crate) fn take_optional_string(&mut self, key: &str) -> Result<Option<String>, String> {
-        let probe = format!(",\"{key}\":");
-        if self.rest.starts_with(probe.as_str()) {
-            return self.take_string(key).map(Some);
-        }
-        Ok(None)
-    }
-
-    pub(crate) fn finish(self) -> Result<(), String> {
-        if self.rest.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("trailing content in record: '{}'", self.rest))
-        }
-    }
+    Ok(stored)
 }
 
 /// A campaign store rooted at a directory, identified by a configuration
@@ -607,67 +487,67 @@ pub struct PartManifest {
 
 /// Render a part manifest: a single deterministic JSON line.
 fn render_part_manifest(m: &PartManifest) -> String {
-    format!(
-        "{{\"version\":{STORE_VERSION},\"part\":{},\"of\":{},\"points\":[{},{}],\"config\":{}}}\n",
-        m.part, m.of, m.start, m.end, m.fingerprint
-    )
+    Obj::new()
+        .field("version", STORE_VERSION)
+        .field("part", m.part)
+        .field("of", m.of)
+        .field("points", List([m.start, m.end]))
+        .field("config", &m.fingerprint)
+        .end()
+        + "\n"
 }
 
 /// Parse a part manifest back. Malformed or version-mismatched input is an
 /// `Err` (a torn part manifest cannot happen — they are written atomically —
 /// so any parse failure means a foreign or corrupt file).
 pub(crate) fn parse_part_manifest(text: &str) -> Result<PartManifest, String> {
-    let err = || "unrecognized part manifest (version mismatch or corrupt)".to_string();
-    let text = text.trim_end();
-    let rest =
-        text.strip_prefix(&format!("{{\"version\":{STORE_VERSION},\"part\":")).ok_or_else(err)?;
-    let (part, rest) = split_integer(rest).ok_or_else(err)?;
-    let rest = rest.strip_prefix(",\"of\":").ok_or_else(err)?;
-    let (of, rest) = split_integer(rest).ok_or_else(err)?;
-    let rest = rest.strip_prefix(",\"points\":[").ok_or_else(err)?;
-    let (start, rest) = split_integer(rest).ok_or_else(err)?;
-    let rest = rest.strip_prefix(',').ok_or_else(err)?;
-    let (end, rest) = split_integer(rest).ok_or_else(err)?;
-    let fingerprint =
-        rest.strip_prefix("],\"config\":").and_then(|r| r.strip_suffix('}')).ok_or_else(err)?;
-    Ok(PartManifest { part, of, start, end, fingerprint: fingerprint.to_string() })
-}
-
-/// Split a leading decimal integer off `text`.
-fn split_integer(text: &str) -> Option<(usize, &str)> {
-    let digits = text.len() - text.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    let value = text[..digits].parse().ok()?;
-    Some((value, &text[digits..]))
+    let ((part, of, [start, end]), fingerprint) = read_manifest(text, "part manifest", |f| {
+        Ok((f.take("part", Value::num)?, f.take("of", Value::num)?, f.take("points", Value::nums)?))
+    })?;
+    let (start, end) = (start as usize, end as usize);
+    Ok(PartManifest { part, of, start, end, fingerprint })
 }
 
 /// Render the manifest: a single deterministic JSON line.
 fn render_manifest(complete: bool, fingerprint: &str) -> String {
-    format!("{{\"version\":{STORE_VERSION},\"complete\":{complete},\"config\":{fingerprint}}}\n")
+    let manifest = Obj::new().field("version", STORE_VERSION).field("complete", complete);
+    manifest.field("config", fingerprint).end() + "\n"
 }
 
 /// Parse a manifest back into `(complete, fingerprint)`.
 fn parse_manifest(text: &str) -> Result<(bool, String), String> {
-    let text = text.trim_end();
-    let rest = text
-        .strip_prefix(&format!("{{\"version\":{STORE_VERSION},\"complete\":"))
-        .ok_or_else(|| "unrecognized manifest (version mismatch or corrupt)".to_string())?;
-    let (complete, rest) = if let Some(r) = rest.strip_prefix("true") {
-        (true, r)
-    } else if let Some(r) = rest.strip_prefix("false") {
-        (false, r)
-    } else {
-        return Err("unrecognized manifest completion flag".to_string());
-    };
-    let fingerprint = rest
-        .strip_prefix(",\"config\":")
-        .and_then(|r| r.strip_suffix('}'))
-        .ok_or_else(|| "unrecognized manifest config section".to_string())?;
-    Ok((complete, fingerprint.to_string()))
+    read_manifest(text, "manifest", |fields| match fields.value("complete")? {
+        Value::True => Ok(true),
+        Value::False => Ok(false),
+        _ => Err("field 'complete' must be true or false".to_string()),
+    })
+}
+
+/// Read a manifest-format file: its `version`, which must be the store's,
+/// the fields `read` takes, then the `config` fingerprint. The fingerprint
+/// is written back compactly, which reproduces the store's own text.
+fn read_manifest<'a, T>(
+    text: &'a str,
+    what: &str,
+    read: impl FnOnce(&mut Record<'a>) -> Result<T, String>,
+) -> Result<(T, String), String> {
+    let parsed = Record::new(text).and_then(|mut fields| {
+        let version: u32 = fields.take("version", Value::num)?;
+        if version != STORE_VERSION {
+            return Err(format!("store version {version}, expected {STORE_VERSION}"));
+        }
+        let value = read(&mut fields)?;
+        let fingerprint = fields.value("config")?.to_string();
+        fields.finish()?;
+        Ok((value, fingerprint))
+    });
+    parsed.map_err(|e| format!("unrecognized {what}: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_availability::rng::mix64;
     use dg_sim::{SimOutcome, SimStats};
 
     fn sample(makespan: Option<u64>) -> InstanceResult {
@@ -836,6 +716,63 @@ mod tests {
         assert!(parse_part_manifest(&text[..text.len() / 2]).is_err());
         assert!(parse_part_manifest(&render_manifest(true, "{}")).is_err());
         assert!(parse_part_manifest("").is_err());
+    }
+
+    /// `len` characters drawn by `seed` from text a JSON writer must escape.
+    fn hostile_text(seed: u64, len: u64) -> String {
+        const TEXT: [char; 12] =
+            ['a', 'Z', '"', '\\', '/', '\n', '\r', '\u{1}', '\u{1f}', 'é', '∞', '😀'];
+        (0..len).map(|i| TEXT[(mix64(seed * 31 + i) % TEXT.len() as u64) as usize]).collect()
+    }
+
+    #[test]
+    fn manifests_round_trip_hostile_fingerprints_and_reject_truncations() {
+        for seed in 0..64u64 {
+            let fingerprint = Obj::new()
+                .field("kind", Str(&hostile_text(seed, seed % 9)))
+                .field("epsilon", format_args!("{:?}", 1e-7 * seed as f64))
+                .field("m", List([5, seed]))
+                .end();
+            let (start, end) = (seed as usize, 2 * seed as usize);
+            let part =
+                PartManifest { part: 1, of: 2, start, end, fingerprint: fingerprint.clone() };
+            let texts = [render_part_manifest(&part), render_manifest(seed % 2 == 0, &fingerprint)];
+            assert_eq!(parse_part_manifest(&texts[0]).unwrap(), part);
+            assert_eq!(parse_manifest(&texts[1]).unwrap(), (seed % 2 == 0, fingerprint));
+            for json in texts.iter().map(|text| text.trim_end()) {
+                for cut in (0..json.len()).filter(|&cut| json.is_char_boundary(cut)) {
+                    let prefix = &json[..cut];
+                    assert!(parse_part_manifest(prefix).is_err(), "{prefix}");
+                    assert!(parse_manifest(prefix).is_err(), "{prefix}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn manifest_parsers_survive_arbitrary_bytes() {
+        let fingerprint = "{\"k\":[1,\"a\"],\"e\":0.01}".to_string();
+        let part = PartManifest { part: 1, of: 2, start: 0, end: 3, fingerprint };
+        let valid = [render_part_manifest(&part), render_manifest(true, &part.fingerprint)];
+        for seed in 0..4_000u64 {
+            // Valid manifests with a few bytes overwritten, by JSON
+            // punctuation or by anything, and bytes drawn at random.
+            let mut bytes = valid[seed as usize % 2].clone().into_bytes();
+            for i in 0..1 + seed % 4 {
+                let r = mix64(seed * 8 + i);
+                let at = (r % bytes.len() as u64) as usize;
+                bytes[at] = if r & 1 == 0 {
+                    b"{}[]\":,\\u0-e"[(r >> 8) as usize % 12]
+                } else {
+                    (r >> 16) as u8
+                };
+            }
+            let random: Vec<u8> = (0..seed % 64).map(|i| mix64(seed << 8 | i) as u8).collect();
+            for bytes in [bytes, random] {
+                let text = String::from_utf8_lossy(&bytes);
+                let _ = (parse_manifest(&text), parse_part_manifest(&text));
+            }
+        }
     }
 
     #[test]

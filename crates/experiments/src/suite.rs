@@ -31,6 +31,7 @@
 //! mix shards generated under different workloads.
 
 use crate::campaign::CampaignConfig;
+use crate::json::{Obj, Str};
 use dg_platform::generator::{
     AppShape, AvailabilityRegime, ScenarioModel, SpeedProfile, TrialModel,
 };
@@ -488,14 +489,14 @@ pub fn store_tag(suite: &str) -> Option<&str> {
     (suite != "paper").then_some(suite)
 }
 
-/// The suffix a suite contributes to a store's configuration fingerprint:
-/// empty for the untagged paper suite under the paper model (old stores keep
-/// resuming), the suite name plus canonical model spec otherwise.
-pub fn fingerprint_suffix(suite: &str, model: &ScenarioModel) -> String {
+/// Append the fields a suite contributes to a store's configuration
+/// fingerprint: none for the untagged paper suite under the paper model (old
+/// stores keep resuming), the suite name plus canonical model spec otherwise.
+pub(crate) fn fingerprint_suffix(fields: Obj, suite: &str, model: &ScenarioModel) -> Obj {
     if store_tag(suite).is_none() && model.is_paper() {
-        String::new()
+        fields
     } else {
-        format!(",\"suite\":\"{suite}\",\"model\":\"{}\"", model_spec(model))
+        fields.field("suite", Str(suite)).field("model", Str(&model_spec(model)))
     }
 }
 

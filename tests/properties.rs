@@ -872,3 +872,221 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+// ---------------------------------------------------------------------------
+// The JSON codec at the crate's boundaries: `serve` requests and the store's
+// record lines.
+// ---------------------------------------------------------------------------
+
+use desktop_grid_scheduling::experiments::campaign::InstanceResult;
+use desktop_grid_scheduling::experiments::gap::{decode_gap_record, encode_gap_record, GapRecord};
+use desktop_grid_scheduling::experiments::service::{
+    CurrentConfig, DecideRequest, Request, ScheduleService, ServiceCore,
+};
+use desktop_grid_scheduling::experiments::store::{
+    decode_instance, encode_instance, StoredInstance,
+};
+use desktop_grid_scheduling::sim::SimStats;
+use std::sync::{Arc, OnceLock};
+
+/// Characters a JSON writer must escape, plus multi-byte text.
+const HOSTILE: [char; 14] =
+    ['a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '😀'];
+
+fn hostile_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..HOSTILE.len(), 0..10)
+        .prop_map(|picks| picks.into_iter().map(|i| HOSTILE[i]).collect())
+}
+
+/// Pieces of JSON, and of the records' own keys, to build noise from; an
+/// index past the end stands for an arbitrary byte.
+const PIECES: [&[u8]; 20] = [
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b":",
+    b",",
+    b" ",
+    b"\\",
+    b"\\u",
+    b"0",
+    b"-1.5e3",
+    b"null",
+    b"true",
+    b"\"heuristic\"",
+    b"\"workers\"",
+    b"\"batch\"",
+    b"\"point\"",
+    b"\n",
+    b"\xff",
+];
+
+fn noise() -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec((0..PIECES.len() + 1, any::<u8>()), 0..40).prop_map(|picks| {
+        picks.into_iter().flat_map(|(i, b)| PIECES.get(i).map_or(vec![b], |p| p.to_vec())).collect()
+    })
+}
+
+/// One service session over a small shared platform.
+fn codec_service() -> ScheduleService {
+    static CORE: OnceLock<Arc<ServiceCore>> = OnceLock::new();
+    let core = CORE.get_or_init(|| {
+        let params = ScenarioParams {
+            num_workers: 8,
+            tasks_per_iteration: 4,
+            ncom: 4,
+            wmin: 2,
+            iterations: 3,
+        };
+        Arc::new(ServiceCore::new(Scenario::generate(params, 17), 1e-6, 42))
+    });
+    ScheduleService::new(Arc::clone(core))
+}
+
+/// Feed `bytes` to every decoder and to a serve loop: nothing may panic, and
+/// every reply is one line free of raw control bytes.
+fn decode_everywhere(bytes: &[u8]) {
+    let text = String::from_utf8_lossy(bytes);
+    let _ = (Request::parse(&text), DecideRequest::parse(&text));
+    let _ = (decode_instance(&text), decode_gap_record(&text));
+    let mut out = Vec::new();
+    codec_service().serve(bytes, &mut out).unwrap();
+    for line in String::from_utf8(out).unwrap().split_terminator('\n') {
+        assert!(line.starts_with('{') && line.ends_with('}'), "{line:?}");
+        assert!(line.bytes().all(|b| b >= 0x20), "raw control byte in {line:?}");
+    }
+}
+
+/// A campaign record, a gap record and a decide request built from the
+/// drawn strings and numbers.
+fn records(
+    strings: &[String; 3],
+    flags: (bool, bool, bool),
+    numbers: &[u64],
+) -> (StoredInstance, GapRecord, DecideRequest) {
+    let [a, b, c] = strings;
+    let n = |i: usize| numbers[i % numbers.len()];
+    let params = ScenarioParams {
+        num_workers: n(0) as usize,
+        tasks_per_iteration: n(1) as usize,
+        ncom: n(2) as usize,
+        wmin: n(3),
+        iterations: n(4),
+    };
+    let stats = SimStats {
+        configurations_selected: n(5),
+        proactive_changes: n(6),
+        iterations_aborted: n(7),
+        transfer_slots: n(8),
+        computation_slots: n(9),
+        stalled_slots: n(10),
+        idle_slots: n(11),
+    };
+    let outcome = SimOutcome {
+        completed_iterations: n(12),
+        target_iterations: n(13),
+        makespan: flags.0.then_some(n(14)),
+        simulated_slots: n(15),
+        stats,
+    };
+    let (scenario_index, trial_index) = (n(16) as usize, n(17) as usize);
+    let result =
+        InstanceResult { params, scenario_index, trial_index, heuristic: c.clone(), outcome };
+    let stored = StoredInstance {
+        point_index: n(18) as usize,
+        suite: flags.1.then(|| a.clone()),
+        model: flags.2.then(|| b.clone()),
+        result,
+    };
+    let gap = GapRecord {
+        point_index: n(19) as usize,
+        suite: a.clone(),
+        params,
+        scenario_index,
+        trial_index,
+        heuristic: b.clone(),
+        completed: n(20),
+        target: n(21),
+        online: flags.1.then_some(n(22)),
+        bound: flags.2.then_some(n(23)),
+        method: c.clone(),
+    };
+    let mut request = DecideRequest::new(a, b);
+    request.id = flags.0.then_some(n(24));
+    (request.time, request.iteration, request.completed) = (n(25), n(26), n(27));
+    (request.started_at, request.trial, request.seed) =
+        (n(28), n(29) as usize, flags.1.then_some(n(30)));
+    let entries = numbers.iter().map(|&x| (x as usize % 64, x as usize)).take(3).collect();
+    request.current = flags.2.then_some(CurrentConfig { entries, selected_at: n(31), done: n(32) });
+    request.holdings = flags.1.then(|| {
+        numbers.iter().map(|&x| (x % 2 == 0, x as usize, x, x % 3 == 0)).take(4).collect()
+    });
+    (stored, gap, request)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, alone or spliced into a valid record or request,
+    /// never panic a decoder or the serve loop.
+    #[test]
+    fn codec_decoders_never_panic_on_arbitrary_bytes(
+        noise in noise(),
+        at in 0usize..400,
+        strings in (hostile_text(), hostile_text(), hostile_text()),
+        numbers in proptest::collection::vec(any::<u64>(), 1..8),
+    ) {
+        decode_everywhere(&noise);
+        let (stored, gap, request) =
+            records(&[strings.0, strings.1, strings.2], (true, true, true), &numbers);
+        let r = &stored.result;
+        let valid = [
+            encode_instance(stored.point_index, stored.suite.as_deref(), stored.model.as_deref(), r),
+            encode_gap_record(&gap),
+            request.render(),
+            format!("{{\"batch\":[{}]}}", request.render()),
+        ];
+        for line in valid {
+            let mut bytes = line.into_bytes();
+            let at = at.min(bytes.len());
+            bytes.splice(at..at, noise.iter().copied());
+            decode_everywhere(&bytes);
+        }
+    }
+
+    /// Encoding then decoding returns the original record, whatever its
+    /// strings hold, and every proper prefix of an encoded line is rejected.
+    #[test]
+    fn records_round_trip_and_truncations_are_rejected(
+        strings in (hostile_text(), hostile_text(), hostile_text()),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        numbers in proptest::collection::vec(any::<u64>(), 1..40),
+    ) {
+        let (stored, gap, request) =
+            records(&[strings.0, strings.1, strings.2], flags, &numbers);
+        let r = &stored.result;
+        let line =
+            encode_instance(stored.point_index, stored.suite.as_deref(), stored.model.as_deref(), r);
+        prop_assert_eq!(&decode_instance(&line).unwrap(), &stored);
+        let gap_line = encode_gap_record(&gap);
+        prop_assert_eq!(&decode_gap_record(&gap_line).unwrap(), &gap);
+        let request_line = request.render();
+        prop_assert_eq!(&DecideRequest::parse(&request_line).unwrap(), &request);
+        prop_assert_eq!(Request::parse(&request_line).unwrap(), Request::Decide(request));
+
+        let cuts = |text: &str| (0..text.len()).filter(|&cut| text.is_char_boundary(cut)).collect::<Vec<_>>();
+        for cut in cuts(&line) {
+            prop_assert!(decode_instance(&line[..cut]).is_err(), "{}", &line[..cut]);
+        }
+        for cut in cuts(&gap_line) {
+            prop_assert!(decode_gap_record(&gap_line[..cut]).is_err(), "{}", &gap_line[..cut]);
+        }
+        for cut in cuts(&request_line) {
+            let prefix = &request_line[..cut];
+            prop_assert!(DecideRequest::parse(prefix).is_err(), "{prefix}");
+            prop_assert!(Request::parse(prefix).is_err(), "{prefix}");
+        }
+    }
+}
