@@ -212,7 +212,11 @@ fn tuples<T, const N: usize>(
     match value {
         Value::Null => Ok(None),
         Value::Arr(items) => {
-            items.iter().map(|item| each(item.nums(key)?)).collect::<Result<_, _>>().map(Some)
+            let mut out = Vec::with_capacity(items.len());
+            for item in items {
+                out.push(each(item.nums(key)?)?);
+            }
+            Ok(Some(out))
         }
         _ => Err(format!("field '{key}' must be null or an array of {N}-integer arrays")),
     }

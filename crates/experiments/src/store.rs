@@ -504,8 +504,7 @@ pub(crate) fn parse_part_manifest(text: &str) -> Result<PartManifest, String> {
     let ((part, of, [start, end]), fingerprint) = read_manifest(text, "part manifest", |f| {
         Ok((f.take("part", Value::num)?, f.take("of", Value::num)?, f.take("points", Value::nums)?))
     })?;
-    let (start, end) = (start as usize, end as usize);
-    Ok(PartManifest { part, of, start, end, fingerprint })
+    Ok(PartManifest { part, of, start: start as usize, end: end as usize, fingerprint })
 }
 
 /// Render the manifest: a single deterministic JSON line.
