@@ -29,9 +29,7 @@ use crate::criteria::IterationEstimate;
 use crate::group::{GroupAccumulator, GroupComputation, GroupQuantities};
 use crate::series::WorkerSeries;
 use dg_platform::{MasterSpec, Platform};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -40,19 +38,6 @@ use std::sync::{Arc, RwLock};
 /// of the platform tables, so dropping them never changes a value — only how
 /// much work the next cache miss does.
 const ACCUMULATOR_TERM_BUDGET: u64 = 4_000_000;
-
-/// Number of independent lock shards in each memo table. Concurrent probes
-/// from a parallel candidate scan land on different shards with high
-/// probability, so they stop serializing on a single `RwLock`.
-const NUM_SHARDS: usize = 16;
-
-/// The shard a key lives in, from the std hasher. Values never move between
-/// shards (the hash of a key is stable), so lookups and inserts agree.
-fn shard_of<K: Hash + ?Sized>(key: &K) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % NUM_SHARDS
-}
 
 /// Immutable, scenario-scoped inputs of the Section V estimates: worker
 /// availability series, speeds, the master's `ncom` bound and the
@@ -163,22 +148,14 @@ impl EvalCacheStats {
     }
 }
 
-/// The shared memo tables behind the Section V estimates.
-///
-/// Each table is split into [`NUM_SHARDS`] independently locked shards keyed
-/// by the std hash of the member set, so concurrent probes from a parallel
-/// candidate scan contend only when they touch the same shard. The counters
-/// stay global atomics: totals must be exact regardless of sharding.
-#[derive(Debug)]
+/// The shared memo tables behind the Section V estimates, one `RwLock` per
+/// table. The counters are atomics, so totals stay exact under concurrent
+/// lookups.
+#[derive(Debug, Default)]
 struct CacheState {
-    group: Vec<RwLock<HashMap<Vec<usize>, GroupQuantities>>>,
-    no_down: Vec<RwLock<HashMap<(usize, u64), f64>>>,
-    /// Prefix accumulators keyed by sorted member set: `accums[S]` holds the
-    /// per-`t` joint products of `S`, so a miss on `S ∪ {q}` (with `q` above
-    /// every member of `S`) extends in O(terms) instead of recomputing the
-    /// whole series. Bounded by [`ACCUMULATOR_TERM_BUDGET`].
-    accums: Vec<RwLock<HashMap<Vec<usize>, Arc<GroupAccumulator>>>>,
-    accum_terms: AtomicU64,
+    group: RwLock<HashMap<Vec<usize>, GroupQuantities>>,
+    no_down: RwLock<HashMap<(usize, u64), f64>>,
+    accums: RwLock<Accumulators>,
     /// Prefix-accumulator extensions performed (including ones later evicted
     /// or lost to racing duplicate builds) — the chain-sharing diagnostic the
     /// scaling bench records: a decision whose probe sequence shares prefixes
@@ -193,19 +170,15 @@ struct CacheState {
     group_misses: AtomicU64,
 }
 
-impl Default for CacheState {
-    fn default() -> Self {
-        CacheState {
-            group: (0..NUM_SHARDS).map(|_| RwLock::default()).collect(),
-            no_down: (0..NUM_SHARDS).map(|_| RwLock::default()).collect(),
-            accums: (0..NUM_SHARDS).map(|_| RwLock::default()).collect(),
-            accum_terms: AtomicU64::new(0),
-            accum_built: AtomicU64::new(0),
-            series_terms: AtomicU64::new(0),
-            group_hits: AtomicU64::new(0),
-            group_misses: AtomicU64::new(0),
-        }
-    }
+/// Prefix accumulators keyed by sorted member set: `by_set[S]` holds the
+/// per-`t` joint products of `S`, so a miss on `S ∪ {q}` (with `q` above
+/// every member of `S`) extends in O(terms) instead of recomputing the whole
+/// series. `terms` counts the stored products against
+/// [`ACCUMULATOR_TERM_BUDGET`].
+#[derive(Debug, Default)]
+struct Accumulators {
+    by_set: HashMap<Vec<usize>, Arc<GroupAccumulator>>,
+    terms: u64,
 }
 
 /// A shareable evaluation cache over one scenario's [`PlatformTables`].
@@ -213,18 +186,14 @@ impl Default for CacheState {
 /// Cloning is cheap (two `Arc` bumps) and every clone reads and writes the
 /// *same* memo tables, so one cache created next to a scenario serves every
 /// heuristic and every trial evaluated on that scenario. All methods take
-/// `&self`; concurrent lookups are safe (reads share sharded `RwLock`s, a
-/// miss computes outside the lock and inserts). Racing misses of the same set
-/// insert identical values, so results never depend on sharing or timing.
+/// `&self`; concurrent lookups are safe (reads share one `RwLock` per table,
+/// a miss computes outside the lock and inserts). Racing misses of the same
+/// set insert identical values, so results never depend on sharing or timing.
 ///
-/// `decision_threads` lives on the **handle**, not the shared state: it only
-/// chooses how many scoped threads a miss may use to fill the term axis of a
-/// series ([`GroupAccumulator::extend_with_threads`] — bit-identical on every
-/// thread count), never what any value is. Clones inherit it;
-/// [`EvalCache::with_decision_threads`] derives a handle with a different
-/// count over the *same* memo tables, which is how a parallel `op:batch`
-/// gives each concurrent request a serial scan without mutating the shared
-/// cache.
+/// `decision_threads` lives on the **handle**, not the shared state: it is
+/// how many scoped threads the chunked candidate scan of a decision driven
+/// through this handle may use (read back by the heuristics'
+/// `SchedulingContext`), never what any value is. Clones inherit it.
 #[derive(Debug, Clone)]
 pub struct EvalCache {
     tables: Arc<PlatformTables>,
@@ -254,9 +223,9 @@ impl EvalCache {
         &self.tables
     }
 
-    /// Set how many scoped threads a cache miss may use to fill the term axis
-    /// of its series (clamped to at least 1). Purely a performance knob:
-    /// every value is bit-identical on every thread count.
+    /// Set how many scoped threads the candidate scan of a decision made
+    /// through this handle may use (clamped to at least 1). Purely a
+    /// performance knob: every decision is byte-identical on every count.
     pub fn set_decision_threads(&mut self, threads: usize) {
         self.decision_threads = threads.max(1);
     }
@@ -264,15 +233,6 @@ impl EvalCache {
     /// The intra-decision thread count of this handle.
     pub fn decision_threads(&self) -> usize {
         self.decision_threads
-    }
-
-    /// A handle over the **same** memo tables with a different intra-decision
-    /// thread count. Lets one consumer (e.g. a parallel `op:batch` fan-out)
-    /// run serial scans against a shared cache without mutating it.
-    pub fn with_decision_threads(&self, threads: usize) -> EvalCache {
-        let mut handle = self.clone();
-        handle.set_decision_threads(threads);
-        handle
     }
 
     /// `true` if `self` and `other` are handles to the same memo tables.
@@ -298,8 +258,7 @@ impl EvalCache {
 
     /// Lookup/compute for a key known to be sorted and duplicate-free.
     fn group_sorted(&self, key: &[usize]) -> GroupQuantities {
-        let shard = &self.state.group[shard_of(key)];
-        if let Some(&g) = shard.read().expect("eval cache poisoned").get(key) {
+        if let Some(&g) = self.state.group.read().expect("eval cache poisoned").get(key) {
             self.state.group_hits.fetch_add(1, Ordering::Relaxed);
             return g;
         }
@@ -315,7 +274,7 @@ impl EvalCache {
             self.tables.compute_group(key)
         };
         self.state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
-        shard.write().expect("eval cache poisoned").insert(key.to_vec(), g);
+        self.state.group.write().expect("eval cache poisoned").insert(key.to_vec(), g);
         g
     }
 
@@ -328,8 +287,7 @@ impl EvalCache {
     /// [`PlatformTables`]' direct computation. Racing builds of the same key
     /// therefore insert identical values; the first insert wins.
     fn accumulator_for(&self, key: &[usize]) -> Arc<GroupAccumulator> {
-        let shard = &self.state.accums[shard_of(key)];
-        if let Some(acc) = shard.read().expect("eval cache poisoned").get(key) {
+        if let Some(acc) = self.state.accums.read().expect("eval cache poisoned").by_set.get(key) {
             return Arc::clone(acc);
         }
         let base = if key.len() == 1 {
@@ -339,50 +297,44 @@ impl EvalCache {
         };
         let last = key[key.len() - 1];
         let extended = Arc::new(
-            base.extend_with_threads(&[self.tables.worker_series(last)], self.decision_threads)
+            base.extend(self.tables.worker_series(last))
                 .expect("every prefix of a chain rooted at a can-fail worker can fail"),
         );
-        // Budget bookkeeping happens before taking any write lock: an
-        // over-budget eviction sweeps every shard sequentially, which must
-        // not deadlock against our own shard's lock.
         self.state.accum_built.fetch_add(1, Ordering::Relaxed);
-        let added = extended.stored_terms() as u64;
-        let total = self.state.accum_terms.fetch_add(added, Ordering::Relaxed) + added;
-        if total > ACCUMULATOR_TERM_BUDGET {
-            for s in &self.state.accums {
-                s.write().expect("eval cache poisoned").clear();
-            }
-            self.state.accum_terms.store(added, Ordering::Relaxed);
-        }
-        let mut map = shard.write().expect("eval cache poisoned");
-        if let Some(existing) = map.get(key) {
+        let mut accums = self.state.accums.write().expect("eval cache poisoned");
+        if let Some(existing) = accums.by_set.get(key) {
             return Arc::clone(existing);
         }
-        map.insert(key.to_vec(), Arc::clone(&extended));
+        let added = extended.stored_terms() as u64;
+        accums.terms += added;
+        if accums.terms > ACCUMULATOR_TERM_BUDGET {
+            accums.by_set.clear();
+            accums.terms = added;
+        }
+        accums.by_set.insert(key.to_vec(), Arc::clone(&extended));
         extended
     }
 
     /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
     /// `DOWN` within `t` slots, starting `UP`.
     pub fn no_down_within(&self, q: usize, t: u64) -> f64 {
-        let shard = &self.state.no_down[shard_of(&(q, t))];
-        if let Some(&p) = shard.read().expect("eval cache poisoned").get(&(q, t)) {
+        if let Some(&p) = self.state.no_down.read().expect("eval cache poisoned").get(&(q, t)) {
             return p;
         }
         let p = self.tables.series[q].no_down_within(t);
-        shard.write().expect("eval cache poisoned").insert((q, t), p);
+        self.state.no_down.write().expect("eval cache poisoned").insert((q, t), p);
         p
     }
 
     /// Number of distinct worker sets currently memoized.
     pub fn cached_sets(&self) -> usize {
-        self.state.group.iter().map(|s| s.read().expect("eval cache poisoned").len()).sum()
+        self.state.group.read().expect("eval cache poisoned").len()
     }
 
     /// Number of prefix accumulators currently retained (exposed for the
     /// scaling bench and tests; see [`GroupAccumulator`]).
     pub fn cached_accumulators(&self) -> usize {
-        self.state.accums.iter().map(|s| s.read().expect("eval cache poisoned").len()).sum()
+        self.state.accums.read().expect("eval cache poisoned").by_set.len()
     }
 
     /// Group-lookup hit/miss counters since creation (or the last
@@ -412,16 +364,9 @@ impl EvalCache {
 
     /// Drop all memoized quantities and reset the counters.
     pub fn clear(&self) {
-        for shard in &self.state.group {
-            shard.write().expect("eval cache poisoned").clear();
-        }
-        for shard in &self.state.no_down {
-            shard.write().expect("eval cache poisoned").clear();
-        }
-        for shard in &self.state.accums {
-            shard.write().expect("eval cache poisoned").clear();
-        }
-        self.state.accum_terms.store(0, Ordering::Relaxed);
+        self.state.group.write().expect("eval cache poisoned").clear();
+        self.state.no_down.write().expect("eval cache poisoned").clear();
+        *self.state.accums.write().expect("eval cache poisoned") = Accumulators::default();
         self.state.accum_built.store(0, Ordering::Relaxed);
         self.state.series_terms.store(0, Ordering::Relaxed);
         self.state.group_hits.store(0, Ordering::Relaxed);
@@ -849,10 +794,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_cache_stress_counts_every_concurrent_lookup() {
-        // Many threads hammering many distinct sets across all lock shards:
-        // every observed value must equal the sequential reference, and the
-        // global counters must account for every single lookup issued —
+    fn concurrent_lookups_are_all_counted_under_one_lock_per_table() {
+        // Many threads hammering many distinct sets through the one lock per
+        // table: every observed value must equal the sequential reference,
+        // and the counters must account for every single lookup issued —
         // hits + misses == threads × reps × sets, with at least one miss per
         // distinct set and every set memoized exactly once.
         let s = paper_scenario();
@@ -894,29 +839,14 @@ mod tests {
     }
 
     #[test]
-    fn decision_thread_handles_share_state_and_values() {
+    fn decision_threads_knob_is_clamped_and_inherited_by_clones() {
         let s = paper_scenario();
         let mut cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         assert_eq!(cache.decision_threads(), 1);
         cache.set_decision_threads(4);
         assert_eq!(cache.decision_threads(), 4);
+        assert_eq!(cache.clone().decision_threads(), 4);
         cache.set_decision_threads(0); // clamped
         assert_eq!(cache.decision_threads(), 1);
-
-        // An override handle shares the memo tables but not the knob.
-        cache.set_decision_threads(8);
-        let serial = cache.with_decision_threads(1);
-        assert!(serial.shares_state_with(&cache));
-        assert_eq!(serial.decision_threads(), 1);
-        assert_eq!(cache.decision_threads(), 8);
-
-        // Values computed under any thread count are identical and land in
-        // the shared tables.
-        let reference = Estimator::with_default_epsilon(&s.platform, &s.master);
-        let set = [0usize, 1, 2, 3];
-        assert_eq!(cache.group(&set), reference.group(&set));
-        let before = serial.stats();
-        assert_eq!(serial.group(&set), reference.group(&set));
-        assert_eq!(serial.stats().since(&before).group_misses, 0, "second handle must hit");
     }
 }

@@ -20,8 +20,8 @@
 //! with probability `(P₊^(S))^(W−1)` and, conditioned on success, takes
 //! `1 + (W−1)·E_c^(S)/P₊^(S)` slots in expectation. The literal formula printed
 //! in the paper, `(1 + (W−1)·E_c^(S)) / (P₊^(S))^(W−1)`, is also provided for
-//! comparison (see `EXPERIMENTS.md`); both are monotone in the same direction
-//! and lead to the same heuristic rankings in our experiments.
+//! comparison; both are monotone in the same direction and lead to the same
+//! heuristic rankings in our experiments.
 //!
 //! All series are truncated once their geometric tail bound drops below the
 //! requested precision `ε`, which yields the fully-polynomial approximation of
@@ -37,11 +37,6 @@ pub const MAX_SERIES_TERMS: u64 = 200_000;
 /// Hard cap on the first-return recurrence length used for sets that cannot
 /// fail (where the geometric tail bound does not apply).
 pub const MAX_RECURRENCE_TERMS: u64 = 20_000;
-
-/// Minimum series length before [`GroupAccumulator::extend_with_threads`]
-/// bothers spawning scoped threads; shorter series are cheaper than the
-/// spawn/join overhead.
-const PARALLEL_EXTEND_MIN_TERMS: usize = 2_048;
 
 /// The group-level quantities of Section V-A for a fixed set `S`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -156,62 +151,8 @@ impl GroupComputation {
     /// worker can fail so that `Λ = Π λ₁ < 1`.
     fn compute_series(&self, workers: &[&WorkerSeries]) -> GroupQuantities {
         let lambda: f64 = workers.iter().map(|w| w.lambda1()).product();
-        run_series(self.epsilon, lambda, |t| self.joint_up_to_up(workers, t), |_| ())
-    }
-
-    /// Build a [`GroupAccumulator`] for `workers` by chained extension in
-    /// slice order, or `None` if the set cannot fail (no truncated series
-    /// exists for it). The resulting quantities are bit-identical to
-    /// [`GroupComputation::compute`] on the same slice.
-    pub fn accumulate(&self, workers: &[&WorkerSeries]) -> Option<GroupAccumulator> {
-        let mut acc = GroupAccumulator::empty(self.epsilon);
-        for w in workers {
-            acc = acc.extend(w)?;
-        }
-        Some(acc)
-    }
-
-    /// Build the accumulator by range-splitting `workers` into `parts`
-    /// contiguous chunks of the slice, accumulating each chunk (in slice
-    /// order) on its own scoped thread, and merging the chunk accumulators
-    /// left to right.
-    ///
-    /// Because [`GroupAccumulator::merge`] folds the two joint products in a
-    /// different association order than a batch evaluation, the result agrees
-    /// with [`GroupComputation::accumulate`] only to floating rounding
-    /// (~`1e-12` relative), **not** bit for bit — which is why the
-    /// `EvalCache` decision path never uses this constructor. It exists for
-    /// bulk offline evaluation of very large member sets; chunks that cannot
-    /// fail on their own have no series to merge, so mixed slices fall back
-    /// to the serial chain.
-    pub fn accumulate_split(
-        &self,
-        workers: &[&WorkerSeries],
-        parts: usize,
-    ) -> Option<GroupAccumulator> {
-        let parts = parts.clamp(1, workers.len().max(1));
-        if parts <= 1 || workers.len() < 2 {
-            return self.accumulate(workers);
-        }
-        let chunk = workers.len().div_ceil(parts);
-        let chunks: Vec<&[&WorkerSeries]> = workers.chunks(chunk).collect();
-        // A chunk with no failing worker has no truncated series of its own;
-        // folding it into a neighbour would reorder the products, so use the
-        // serial chain instead.
-        if chunks.iter().any(|c| !c.iter().any(|w| w.can_fail())) {
-            return self.accumulate(workers);
-        }
-        let accs: Vec<Option<GroupAccumulator>> = std::thread::scope(|scope| {
-            let handles: Vec<_> =
-                chunks.iter().map(|&c| scope.spawn(move || self.accumulate(c))).collect();
-            handles.into_iter().map(|h| h.join().expect("chunk accumulation panicked")).collect()
-        });
-        let mut iter = accs.into_iter();
-        let mut acc = iter.next()??;
-        for next in iter {
-            acc = acc.merge(&next?)?;
-        }
-        Some(acc)
+        let t_final = series_len(self.epsilon, lambda);
+        fold_series((1..=t_final).map(|t| self.joint_up_to_up(workers, t)), t_final)
     }
 
     /// First-return recurrence, used when no worker of the set can fail
@@ -291,10 +232,8 @@ impl Default for GroupComputation {
 ///
 /// The break condition of the truncation loop depends **only** on `Λ` and
 /// `t` — never on the evaluated joint probabilities — so the term count is a
-/// pure scalar function of `(ε, Λ)`. This is what lets the term axis be
-/// filled in parallel ([`GroupAccumulator::extend_with_threads`]) while
-/// staying bit-identical to the sequential loop: the truncation point is
-/// decided up front, identically, on every path.
+/// pure scalar function of `(ε, Λ)`: the batch and the incremental paths
+/// decide the same truncation point up front.
 pub fn series_len(epsilon: f64, raw_lambda: f64) -> u64 {
     let lambda = raw_lambda.min(1.0 - 1e-12);
     let one_minus = 1.0 - lambda;
@@ -316,9 +255,9 @@ pub fn series_len(epsilon: f64, raw_lambda: f64) -> u64 {
 }
 
 /// Fold the evaluated joint products into the Section V quantities, strictly
-/// in `t` order. Shared by every series path (batch, extension, merge,
-/// threaded extension) so the floating-point accumulation order — and hence
-/// the result, bit for bit — is identical on all of them.
+/// in `t` order. Shared by the batch and the extension paths so the
+/// floating-point accumulation order — and hence the result, bit for bit — is
+/// identical on both.
 fn fold_series(terms: impl IntoIterator<Item = f64>, t_final: u64) -> GroupQuantities {
     let mut eu = 0.0;
     let mut a = 0.0;
@@ -331,33 +270,9 @@ fn fold_series(terms: impl IntoIterator<Item = f64>, t_final: u64) -> GroupQuant
     GroupQuantities { eu, a, p_plus, e_c, can_fail: true, terms_evaluated: t_final }
 }
 
-/// The truncation loop of Theorem 5.1, shared by the batch
-/// [`GroupComputation::compute`] path and [`GroupAccumulator`]. Keeping one
-/// accumulation order (and one tail-bound break condition) is what makes the
-/// incremental path agree with the batch path bit for bit.
-///
-/// `joint_at(t)` yields `P^(S)_{u →t→ u}` and `record` observes each evaluated
-/// term (the accumulator stores them; the batch path discards them).
-fn run_series(
-    epsilon: f64,
-    raw_lambda: f64,
-    mut joint_at: impl FnMut(u64) -> f64,
-    mut record: impl FnMut(f64),
-) -> GroupQuantities {
-    let t_final = series_len(epsilon, raw_lambda);
-    fold_series(
-        (1..=t_final).map(|t| {
-            let p = joint_at(t);
-            record(p);
-            p
-        }),
-        t_final,
-    )
-}
-
-/// Incremental, mergeable state of one truncated-series evaluation: the
-/// per-`t` joint products `P^(S)_{u →t→ u}` and the running `Λ = Π λ₁`,
-/// alongside the set's [`GroupQuantities`].
+/// Incremental state of one truncated-series evaluation: the per-`t` joint
+/// products `P^(S)_{u →t→ u}` and the running `Λ = Π λ₁`, alongside the set's
+/// [`GroupQuantities`].
 ///
 /// Extending a set by one worker re-runs the truncation loop over the stored
 /// products, so it costs O(terms) instead of the O(terms × |S|) of a batch
@@ -367,9 +282,9 @@ fn run_series(
 /// of that slice — the `EvalCache` keys prefix accumulators on this guarantee
 /// without perturbing any cached value.
 ///
-/// Because `Λ` only shrinks under extension and merging (every `λ₁ ≤ 1`) and
-/// the tail bounds grow with `Λ`, a derived series never needs more terms than
-/// its inputs stored: the base's `joint` array always suffices.
+/// Because `Λ` only shrinks under extension (every `λ₁ ≤ 1`) and the tail
+/// bounds grow with `Λ`, an extended series never needs more terms than its
+/// base stored: the base's `joint` array always suffices.
 ///
 /// Only sets that can fail have a truncated series: [`GroupAccumulator::extend`]
 /// returns `None` when the extended set cannot fail (callers fall back to the
@@ -432,127 +347,35 @@ impl GroupAccumulator {
     /// if the extended set cannot fail (its quantities come from the
     /// first-return recurrence, which this accumulator does not model).
     pub fn extend(&self, worker: &WorkerSeries) -> Option<GroupAccumulator> {
-        self.extend_with_threads(&[worker], 1)
-    }
-
-    /// Extend the accumulated set by several workers at once, folding them in
-    /// slice order. Bit-identical to chaining [`GroupAccumulator::extend`]
-    /// over the same slice: each term is the same left fold
-    /// `(..((prefix·u₁)·u₂)..)·u_k`, and the truncation point — a pure
-    /// function of `(ε, Λ)`, see [`series_len`] — is the same.
-    pub fn extend_with(&self, workers: &[&WorkerSeries]) -> Option<GroupAccumulator> {
-        self.extend_with_threads(workers, 1)
-    }
-
-    /// [`GroupAccumulator::extend_with`], with the term axis chunked across
-    /// `threads` scoped threads for long series.
-    ///
-    /// Stays bit-identical to the sequential extension on every thread count:
-    /// the truncation length is decided up front by [`series_len`] (it never
-    /// depends on the term values), every stored term `joint[t]` is the same
-    /// left-fold product no matter which thread computes it, and the
-    /// reduction to [`GroupQuantities`] folds the finished term array
-    /// serially in `t` order.
-    pub fn extend_with_threads(
-        &self,
-        workers: &[&WorkerSeries],
-        threads: usize,
-    ) -> Option<GroupAccumulator> {
-        if workers.is_empty() {
-            return Some(self.clone());
-        }
-        if !(self.quantities.can_fail || workers.iter().any(|w| w.can_fail())) {
+        if !(self.quantities.can_fail || worker.can_fail()) {
             return None;
         }
-        // Sequential fold, not `product()`: matches the chained-extend
-        // association `((raw·λ₁)·λ₂)·…` so `series_len` sees the same Λ bits.
-        let raw_lambda = workers.iter().fold(self.raw_lambda, |l, w| l * w.lambda1());
-        let base = &self.joint;
-        let base_is_empty = self.members == 0;
+        let raw_lambda = self.raw_lambda * worker.lambda1();
         let mut t_final = series_len(self.epsilon, raw_lambda);
-        if !base_is_empty {
+        if !self.is_empty() {
             // Λ only shrinks under extension, so the base always stores
             // enough terms; the clamp is belt-and-braces for release builds.
             debug_assert!(
-                base.len() as u64 >= t_final,
+                self.joint.len() as u64 >= t_final,
                 "extension needs {t_final} terms but the base stored {}",
-                base.len()
+                self.joint.len()
             );
-            t_final = t_final.min(base.len() as u64);
+            t_final = t_final.min(self.joint.len() as u64);
         }
-        let joint_at = |t: u64| -> f64 {
-            // The stored prefix product is the exact left fold of the base
-            // slice; multiplying the new workers last, in slice order,
-            // reproduces the batch fold `(..((1·u₁)·u₂)..)·u_k` bitwise.
-            let prefix = if base_is_empty { 1.0 } else { base[(t - 1) as usize] };
-            workers.iter().fold(prefix, |p, w| p * w.up_to_up(t))
-        };
-        let mut joint = vec![0.0f64; t_final as usize];
-        let threads = threads.clamp(1, joint.len().max(1));
-        if threads > 1 && joint.len() >= PARALLEL_EXTEND_MIN_TERMS {
-            let chunk = joint.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                for (ci, slice) in joint.chunks_mut(chunk).enumerate() {
-                    let joint_at = &joint_at;
-                    scope.spawn(move || {
-                        for (i, slot) in slice.iter_mut().enumerate() {
-                            *slot = joint_at((ci * chunk + i + 1) as u64);
-                        }
-                    });
-                }
-            });
-        } else {
-            for (i, slot) in joint.iter_mut().enumerate() {
-                *slot = joint_at((i + 1) as u64);
-            }
-        }
+        // The stored prefix product is the exact left fold of the base slice;
+        // multiplying the new worker last reproduces the batch fold
+        // `(..((1·u₁)·u₂)..)·u_k` bitwise.
+        let joint: Vec<f64> = (1..=t_final)
+            .map(|t| {
+                let prefix = if self.is_empty() { 1.0 } else { self.joint[(t - 1) as usize] };
+                prefix * worker.up_to_up(t)
+            })
+            .collect();
         let quantities = fold_series(joint.iter().copied(), t_final);
         Some(GroupAccumulator {
             joint,
             raw_lambda,
-            members: self.members + workers.len(),
-            quantities,
-            epsilon: self.epsilon,
-        })
-    }
-
-    /// Merge two accumulators over **disjoint** member sets (a caller
-    /// contract — the accumulator stores no member identities) in
-    /// O(min of the stored terms).
-    ///
-    /// Unlike [`GroupAccumulator::extend`], a merge folds the two joint
-    /// products in a different association order than a batch evaluation of
-    /// the union, so the result agrees with the batch value only to floating
-    /// rounding (well within `1e-12` in practice), not bit for bit.
-    ///
-    /// # Panics
-    /// Panics if the two accumulators were built with different precisions.
-    pub fn merge(&self, other: &GroupAccumulator) -> Option<GroupAccumulator> {
-        assert!(
-            self.epsilon == other.epsilon,
-            "merged accumulators must share a truncation precision"
-        );
-        if self.members == 0 {
-            return Some(other.clone());
-        }
-        if other.members == 0 {
-            return Some(self.clone());
-        }
-        // Both sides are non-empty series accumulators, so both can fail and
-        // so can the union.
-        let raw_lambda = self.raw_lambda * other.raw_lambda;
-        let (a, b) = (&self.joint, &other.joint);
-        let mut joint = Vec::with_capacity(a.len().min(b.len()));
-        let quantities = run_series(
-            self.epsilon,
-            raw_lambda,
-            |t| a[(t - 1) as usize] * b[(t - 1) as usize],
-            |p| joint.push(p),
-        );
-        Some(GroupAccumulator {
-            joint,
-            raw_lambda,
-            members: self.members + other.members,
+            members: self.members + 1,
             quantities,
             epsilon: self.epsilon,
         })
@@ -720,117 +543,6 @@ mod tests {
             assert_eq!(acc.num_members(), k);
             assert_eq!(acc.stored_terms() as u64, batch.terms_evaluated);
         }
-        let chained = comp.accumulate(&workers.iter().collect::<Vec<_>>()).unwrap();
-        assert_eq!(chained.quantities(), acc.quantities());
-    }
-
-    #[test]
-    fn multi_worker_extension_matches_the_chained_path_bit_for_bit() {
-        let comp = GroupComputation::default();
-        let workers = [
-            series(0.95, 0.92, 0.9),
-            series(0.93, 0.96, 0.94),
-            series(0.9, 0.9, 0.9),
-            series(0.97, 0.91, 0.95),
-        ];
-        let refs: Vec<&WorkerSeries> = workers.iter().collect();
-        let chained = comp.accumulate(&refs).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let bulk = GroupAccumulator::empty(comp.epsilon())
-                .extend_with_threads(&refs, threads)
-                .expect("all workers can fail");
-            assert_eq!(bulk.quantities(), chained.quantities(), "threads = {threads}");
-            assert_eq!(bulk.num_members(), chained.num_members());
-            assert_eq!(bulk.stored_terms(), chained.stored_terms());
-        }
-        // Splitting the slice across an extend boundary must not matter.
-        let front = GroupAccumulator::empty(comp.epsilon()).extend_with(&refs[..2]).unwrap();
-        let whole = front.extend_with(&refs[2..]).unwrap();
-        assert_eq!(whole.quantities(), chained.quantities());
-    }
-
-    #[test]
-    fn threaded_extension_is_bit_identical_on_long_series() {
-        // λ close to 1 forces a truncation length past the spawn threshold so
-        // the scoped-thread path genuinely runs.
-        let comp = GroupComputation::new(1e-12);
-        let workers = [series(0.9995, 0.999, 0.9991), series(0.9993, 0.9992, 0.999)];
-        let refs: Vec<&WorkerSeries> = workers.iter().collect();
-        let serial = comp.accumulate(&refs).unwrap();
-        assert!(
-            serial.stored_terms() >= PARALLEL_EXTEND_MIN_TERMS,
-            "test platform too short-lived: {} terms",
-            serial.stored_terms()
-        );
-        for threads in [2usize, 4, 8] {
-            let parallel = GroupAccumulator::empty(comp.epsilon())
-                .extend_with_threads(&refs, threads)
-                .unwrap();
-            assert_eq!(parallel.quantities(), serial.quantities(), "threads = {threads}");
-            assert_eq!(parallel.stored_terms(), serial.stored_terms());
-        }
-    }
-
-    #[test]
-    fn range_split_accumulation_agrees_with_the_serial_chain() {
-        let comp = GroupComputation::default();
-        let workers = [
-            series(0.95, 0.92, 0.9),
-            series(0.93, 0.96, 0.94),
-            series(0.9, 0.9, 0.9),
-            series(0.97, 0.91, 0.95),
-            series(0.94, 0.95, 0.92),
-        ];
-        let refs: Vec<&WorkerSeries> = workers.iter().collect();
-        let serial = comp.accumulate(&refs).unwrap().quantities();
-        for parts in [1usize, 2, 3, 5, 9] {
-            let split = comp.accumulate_split(&refs, parts).unwrap().quantities();
-            assert!((split.eu - serial.eu).abs() <= 1e-12 * (1.0 + serial.eu.abs()));
-            assert!((split.a - serial.a).abs() <= 1e-12 * (1.0 + serial.a.abs()));
-            assert!((split.p_plus - serial.p_plus).abs() <= 1e-12);
-            assert!((split.e_c - serial.e_c).abs() <= 1e-12 * (1.0 + serial.e_c.abs()));
-        }
-        // A no-fail-only chunk falls back to the serial chain bit for bit.
-        let chain = MarkovChain3::new(dg_availability::Matrix3::new([
-            [0.9, 0.1, 0.0],
-            [0.3, 0.7, 0.0],
-            [0.0, 0.0, 1.0],
-        ]))
-        .unwrap();
-        let reclaim_only = WorkerSeries::new(&chain);
-        let mixed: Vec<&WorkerSeries> = vec![&workers[0], &workers[1], &reclaim_only];
-        // parts = 3 would isolate the reclaim-only worker in its own chunk.
-        let split = comp.accumulate_split(&mixed, 3).unwrap();
-        let chained = comp.accumulate(&mixed).unwrap();
-        assert_eq!(split.quantities(), chained.quantities());
-    }
-
-    #[test]
-    fn accumulator_merge_agrees_with_batch_within_tolerance() {
-        let comp = GroupComputation::default();
-        let left = [series(0.95, 0.92, 0.9), series(0.96, 0.93, 0.91)];
-        let right = [series(0.93, 0.96, 0.94), series(0.9, 0.9, 0.9)];
-        let l = comp.accumulate(&left.iter().collect::<Vec<_>>()).unwrap();
-        let r = comp.accumulate(&right.iter().collect::<Vec<_>>()).unwrap();
-        let merged = l.merge(&r).expect("both sides can fail");
-        assert_eq!(merged.num_members(), 4);
-        let all: Vec<&WorkerSeries> = left.iter().chain(right.iter()).collect();
-        let batch = comp.compute(&all);
-        assert!((merged.quantities().eu - batch.eu).abs() <= 1e-12 * (1.0 + batch.eu.abs()));
-        assert!((merged.quantities().a - batch.a).abs() <= 1e-12 * (1.0 + batch.a.abs()));
-        assert!((merged.quantities().p_plus - batch.p_plus).abs() <= 1e-12);
-        assert!((merged.quantities().e_c - batch.e_c).abs() <= 1e-12 * (1.0 + batch.e_c.abs()));
-    }
-
-    #[test]
-    fn accumulator_merge_with_empty_is_identity() {
-        let comp = GroupComputation::default();
-        let acc = comp.accumulate(&[&series(0.95, 0.92, 0.9)]).unwrap();
-        let empty = GroupAccumulator::empty(comp.epsilon());
-        let a = acc.merge(&empty).unwrap();
-        let b = empty.merge(&acc).unwrap();
-        assert_eq!(a.quantities(), acc.quantities());
-        assert_eq!(b.quantities(), acc.quantities());
     }
 
     #[test]
@@ -848,7 +560,6 @@ mod tests {
         .unwrap();
         let reclaim_only = WorkerSeries::new(&chain);
         assert!(empty.extend(&reclaim_only).is_none());
-        assert!(GroupComputation::default().accumulate(&[&reclaim_only]).is_none());
 
         // But a can-fail base absorbs no-fail extensions fine.
         let failing = series(0.95, 0.92, 0.9);

@@ -11,6 +11,11 @@
 //! `BENCH_service.json` at the workspace root — a machine-readable baseline
 //! meant to be committed, so future optimisation PRs diff against it.
 //!
+//! It also times one warm 12-request `op:batch` on cores configured for 1
+//! and 4 decision threads. A batch answers its members in request order, so
+//! the 4-thread point measures members decided one after another, each with
+//! a 4-thread candidate scan.
+//!
 //! Environment:
 //! * `DG_SERVICE_WARM_ITERS` overrides the warm-sample count (default 50;
 //!   CI smoke runs use a smaller value).
@@ -74,7 +79,8 @@ fn measure(heuristic: &'static str, warm_iters: usize) -> Row {
     }
 }
 
-/// One warm `op:batch` measurement at a fixed intra-decision thread count.
+/// One warm `op:batch` measurement at a fixed intra-decision thread count
+/// (the width of each member's candidate scan).
 struct BatchPoint {
     decision_threads: usize,
     latency_us: u64,
@@ -183,10 +189,9 @@ fn main() {
         rows.push(row);
     }
 
-    // The parallel-batch point: the same warm 12-request batch answered
-    // serially and through a 4-thread fan-out. The members' assignments must
-    // be byte-identical — the fan-out only re-orders who computes, never
-    // what is computed.
+    // The same warm 12-request batch with 1-thread and 4-thread candidate
+    // scans. The members' assignments must be byte-identical: the scan's
+    // thread count only changes who computes, never what is computed.
     let group = 12;
     let batch: Vec<BatchPoint> = [1usize, 4].iter().map(|&t| measure_batch(t, group)).collect();
     for pair in batch.windows(2) {

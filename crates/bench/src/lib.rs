@@ -1,26 +1,23 @@
 //! # dg-bench
 //!
-//! Criterion benchmark targets for the reproduction, one per paper artifact
-//! plus ablations (see `DESIGN.md` §4–5 for the experiment index):
+//! Criterion benchmark targets for the reproduction's ablations and layers.
+//! End-to-end performance is measured by the repository benchmark
+//! (`perfbench/`, declared in `BENCHMARK.json`), whose `table1-golden`
+//! workload times the paper's Table I campaign; these targets time parts.
 //!
 //! | Bench | Paper artifact | What is measured |
 //! |---|---|---|
-//! | `table1` | Table I (m = 5) | representative single-scenario slice of the Table I campaign |
-//! | `table2` | Table II (m = 10) | representative single-scenario slice of the Table II campaign |
-//! | `figure2` | Figure 2 | one `%diff`-vs-`wmin` point of the Figure 2 sweep |
 //! | `analysis` | Theorem 5.1 (ablation) | cost of the `Eu/A/P₊/E_c` series vs precision `ε` and set size |
 //! | `heuristic_cost` | Section VI (ablation) | per-decision cost of passive and proactive heuristics |
 //! | `simulator` | Section III substrate | simulator slot throughput |
 //! | `offline` | Theorem 4.1 | exact vs greedy OFF-LINE-COUPLED solvers, ENCD reduction |
-//! | `sensitivity` | Section VII-B extension | Markov vs semi-Markov availability runs |
 //! | `engine_event_vs_slot` | Section III substrate | event-driven vs slot-stepped engine on identical workloads |
 //! | `campaign_throughput` | Section VII harness | shared-trial realization accounting + multi-process (1/2/4 workers × threads) byte-identical scaling matrix; writes `BENCH_campaign.json` |
-//! | `scaling` | scaling layer (ablation) | indexed-scan decision cost vs platform size, `p` up to 20 000; writes `BENCH_scaling.json` |
+//! | `scaling` | scaling layer (ablation) | indexed-scan decision cost vs platform size, `p` up to 10⁶; writes `BENCH_scaling.json` |
+//! | `service_latency` | service layer | cold vs warm `serve` decision latency and a warm `op:batch`; writes `BENCH_service.json` |
 //!
-//! The criterion benches intentionally run *scaled-down slices* so that
-//! `cargo bench --workspace` completes on a single core; the full tables and
-//! figures are produced by the `dg-experiments` binaries (`table1`, `table2`,
-//! `figure2`, `report`, `sensitivity`), as recorded in `EXPERIMENTS.md`.
+//! The paper's tables and figures are produced by the `dg-experiments`
+//! binaries (`table1`, `table2`, `figure2`, `report`, `sensitivity`).
 //!
 //! This library crate only hosts shared helpers for those benches.
 
@@ -36,15 +33,10 @@ pub fn bench_scenario(m: usize, ncom: usize, wmin: u64, iterations: u64, seed: u
     Scenario::generate(params, seed)
 }
 
-/// Run one heuristic on one trial of a scenario with the given slot cap,
-/// under the default (event-driven) engine.
-pub fn run_one(scenario: &Scenario, heuristic: &str, trial_seed: u64, cap: u64) -> SimOutcome {
-    run_one_mode(scenario, heuristic, trial_seed, cap, SimMode::default()).0
-}
-
-/// Run one heuristic on one trial under an explicit engine mode, returning
-/// the outcome together with the engine's work report. Used by the
-/// `engine_event_vs_slot` bench to contrast executed-slot counts.
+/// Run one heuristic on one trial of a scenario with the given slot cap
+/// under an explicit engine mode, returning the outcome together with the
+/// engine's work report. Used by the `engine_event_vs_slot` bench to contrast
+/// executed-slot counts.
 pub fn run_one_mode(
     scenario: &Scenario,
     heuristic: &str,
@@ -69,7 +61,7 @@ mod tests {
     #[test]
     fn bench_helpers_produce_runnable_instances() {
         let scenario = bench_scenario(5, 10, 1, 2, 3);
-        let outcome = run_one(&scenario, "IE", 1, 50_000);
+        let (outcome, _) = run_one_mode(&scenario, "IE", 1, 50_000, SimMode::default());
         assert!(outcome.completed_iterations <= 2);
     }
 }

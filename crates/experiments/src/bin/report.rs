@@ -1,6 +1,6 @@
 //! Runs the whole evaluation campaign once (both `m = 5` and `m = 10`) and
 //! prints every paper artifact produced from it: Table I, Table II and the
-//! Figure 2 series. This is the binary used to populate `EXPERIMENTS.md`.
+//! Figure 2 series.
 //!
 //! ```text
 //! cargo run --release -p dg-experiments --bin report -- [--scenarios N] [--trials N] [--full] \

@@ -12,11 +12,12 @@
 //! The campaign flags (`--suite`, `--workers`, `--ncom`, `--wmin`, `--seed`,
 //! `--epsilon`) select the warm scenario exactly like the experiment binaries
 //! select their first job; `--listen ADDR` serves TCP connections (one
-//! session each, all sharing the warm cache) instead of stdin. See
-//! `docs/ARCHITECTURE.md` ("Service layer") for the protocol.
+//! session each, at most `MAX_SESSIONS` at once, all sharing the warm cache)
+//! instead of stdin. See `docs/ARCHITECTURE.md` ("Service layer") for the
+//! protocol.
 
-use dg_experiments::service::{ScheduleService, ServeOptions, ServiceCore};
-use std::io::{BufReader, BufWriter, Write};
+use dg_experiments::service::{serve_listener, ScheduleService, ServeOptions, ServiceCore};
+use std::io::{BufWriter, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
@@ -79,8 +80,7 @@ fn serve_stdio(core: Arc<ServiceCore>, quiet: bool) {
     }
 }
 
-/// Accept TCP connections forever, one session thread per connection, all
-/// sharing the warm core.
+/// Bind `addr` and accept TCP connections forever through [`serve_listener`].
 fn serve_tcp(core: Arc<ServiceCore>, addr: &str, quiet: bool) {
     let listener = match TcpListener::bind(addr) {
         Ok(listener) => listener,
@@ -93,36 +93,5 @@ fn serve_tcp(core: Arc<ServiceCore>, addr: &str, quiet: bool) {
         let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| addr.into());
         eprintln!("serve: listening on {local}");
     }
-    for stream in listener.incoming() {
-        let stream = match stream {
-            Ok(stream) => stream,
-            Err(err) => {
-                eprintln!("serve: accept failed: {err}");
-                continue;
-            }
-        };
-        let core = Arc::clone(&core);
-        std::thread::spawn(move || {
-            let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
-            let reader = BufReader::new(match stream.try_clone() {
-                Ok(clone) => clone,
-                Err(err) => {
-                    eprintln!("serve: cannot clone stream for {peer}: {err}");
-                    return;
-                }
-            });
-            let mut writer = BufWriter::new(stream);
-            let mut service = ScheduleService::new(core);
-            match service.serve(reader, &mut writer) {
-                Ok(summary) if !quiet => {
-                    eprintln!(
-                        "serve: {peer} disconnected after {} requests ({} errors, {} reschedules)",
-                        summary.requests, summary.errors, summary.reschedules,
-                    );
-                }
-                Ok(_) => {}
-                Err(err) => eprintln!("serve: {peer}: i/o error: {err}"),
-            }
-        });
-    }
+    serve_listener(core, listener, quiet);
 }

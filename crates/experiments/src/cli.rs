@@ -18,7 +18,7 @@
 //!                  (paper names, e.g. IE,IAY,Y-IE)           [default: the binary's list]
 //! --threads N      worker threads, 0 = auto-detect           [default 1]
 //! --decision-threads N  scoped threads inside each scheduling
-//!                  decision (candidate scan + series fill),
+//!                  decision (the chunked candidate scan),
 //!                  byte-identical on every value;
 //!                  0 = auto-detect                            [default 1]
 //! --seed N         master seed                               [default 20130520]
@@ -71,8 +71,7 @@ pub struct CliOptions {
     /// Scoped threads inside each scheduling decision
     /// (`--decision-threads 0` = auto-detect). Orthogonal to `threads`
     /// (which parallelizes *across* jobs): this parallelizes the candidate
-    /// scan and series evaluation *within* one decision, with byte-identical
-    /// results.
+    /// scan *within* one decision, with byte-identical results.
     pub decision_threads: usize,
     /// Master seed.
     pub seed: u64,

@@ -4,8 +4,8 @@
 //! process and exits; the service turns the library inside-out into a
 //! **warm-cache daemon**: one [`ServiceCore`] loads a platform/suite once,
 //! keeps one shared [`EvalCache`] warm, and answers scheduling-decision
-//! requests over a JSONL line protocol — on stdin/stdout or a TCP listener,
-//! one [`ScheduleService`] session per connection.
+//! requests over a JSONL line protocol — on stdin/stdout or a TCP listener
+//! ([`serve_listener`]), one [`ScheduleService`] session per connection.
 //!
 //! ## Protocol
 //!
@@ -67,7 +67,9 @@ use dg_platform::Scenario;
 use dg_sim::view::{Decision, Reevaluation, Scheduler};
 use dg_sim::{Assignment, DecisionContext};
 use std::fmt::Display;
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::net::TcpListener;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -335,22 +337,14 @@ impl ServiceCore {
     /// decision is returned with the request's decision latency and the
     /// cache hit/miss delta it incurred.
     pub fn decide(&self, req: &DecideRequest) -> Result<DecideReply, String> {
-        self.decide_with(req, &self.cache)
-    }
-
-    /// [`ServiceCore::decide`] through an explicit cache handle. Batch
-    /// fan-out passes serial ([`EvalCache::with_decision_threads`]) handles
-    /// over the same shared state here, so concurrent batch members don't
-    /// nest scoped pools inside scoped pools.
-    fn decide_with(&self, req: &DecideRequest, cache: &EvalCache) -> Result<DecideReply, String> {
         let spec = parse_heuristic_named(&req.heuristic)?;
         let seed = req
             .seed
             .unwrap_or_else(|| scheduler_seed(self.base_seed, self.scenario.seed, req.trial));
-        let mut scheduler = spec.build_with_cache(seed, cache);
+        let mut scheduler = spec.build_with_cache(seed, &self.cache);
         let mut ctx = self.context_of(req)?;
         ctx.normalize();
-        let before = cache.stats();
+        let before = self.cache.stats();
         let start = Instant::now();
         let decision = scheduler.decide(&ctx.view(
             &self.scenario.platform,
@@ -358,7 +352,7 @@ impl ServiceCore {
             &self.scenario.master,
         ));
         let latency_us = start.elapsed().as_micros() as u64;
-        let delta = cache.stats().since(&before);
+        let delta = self.cache.stats().since(&before);
         Ok(DecideReply {
             id: req.id,
             heuristic: spec.name(),
@@ -368,7 +362,7 @@ impl ServiceCore {
             },
             latency_us,
             cache: delta,
-            decision_threads: cache.decision_threads(),
+            decision_threads: self.cache.decision_threads(),
         })
     }
 
@@ -538,16 +532,7 @@ impl ScheduleService {
             }
         };
         match request {
-            Request::Decide(req) => {
-                self.summary.requests += 1;
-                match self.core.decide(&req) {
-                    Ok(reply) => vec![reply.render()],
-                    Err(err) => {
-                        self.summary.errors += 1;
-                        vec![error_line(req.id, &err)]
-                    }
-                }
-            }
+            Request::Decide(req) => vec![self.answer(&req)],
             Request::Batch(reqs) => vec![self.handle_batch(&reqs)],
             Request::Session(req) => self.start_session(&req),
             Request::Event { worker, state, time } => self.handle_event(worker, state, time),
@@ -569,61 +554,24 @@ impl ScheduleService {
         }
     }
 
-    /// Answer a request group as one line: every member is answered against
-    /// the same warm cache (the group's members hit what the others compute),
-    /// with the group's total latency and cache delta alongside the
-    /// per-request replies. With `--decision-threads N > 1` the group fans
-    /// out across a scoped pool — each thread answers its requests through a
-    /// serial [`EvalCache::with_decision_threads`] handle over the shared
-    /// sharded state, and the replies are reassembled in request order.
+    /// Answer one decide request with its reply line, or an error line.
+    fn answer(&mut self, req: &DecideRequest) -> String {
+        self.summary.requests += 1;
+        self.core.decide(req).map(|reply| reply.render()).unwrap_or_else(|err| {
+            self.summary.errors += 1;
+            error_line(req.id, &err)
+        })
+    }
+
+    /// Answer a request group as one line: the members are answered in
+    /// request order against the same warm cache (each hits what the earlier
+    /// ones computed), with the group's total latency and cache delta
+    /// alongside the per-request replies.
     fn handle_batch(&mut self, reqs: &[DecideRequest]) -> String {
         let before = self.core.cache.stats();
-        let threads = self.core.cache.decision_threads().min(reqs.len());
         let start = Instant::now();
-        let outcomes: Vec<Result<String, (Option<u64>, String)>> = if threads > 1 {
-            let core = &self.core;
-            let serial = core.cache.with_decision_threads(1);
-            let chunk = reqs.len().div_ceil(threads);
-            let chunked: Vec<Vec<_>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = reqs
-                    .chunks(chunk)
-                    .map(|part| {
-                        let serial = &serial;
-                        scope.spawn(move || {
-                            part.iter()
-                                .map(|req| match core.decide_with(req, serial) {
-                                    Ok(reply) => Ok(reply.render()),
-                                    Err(err) => Err((req.id, err)),
-                                })
-                                .collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("batch decision panicked")).collect()
-            });
-            chunked.into_iter().flatten().collect()
-        } else {
-            reqs.iter()
-                .map(|req| match self.core.decide(req) {
-                    Ok(reply) => Ok(reply.render()),
-                    Err(err) => Err((req.id, err)),
-                })
-                .collect()
-        };
+        let parts: Vec<String> = reqs.iter().map(|req| self.answer(req)).collect();
         let latency_us = start.elapsed().as_micros() as u64;
-        let parts: Vec<String> = outcomes
-            .into_iter()
-            .map(|outcome| {
-                self.summary.requests += 1;
-                match outcome {
-                    Ok(line) => line,
-                    Err((id, err)) => {
-                        self.summary.errors += 1;
-                        error_line(id, &err)
-                    }
-                }
-            })
-            .collect();
         let delta = self.core.cache.stats().since(&before);
         Obj::new()
             .field("ok", true)
@@ -842,6 +790,64 @@ impl ScheduleService {
 /// worker needs at most about 80 bytes per worker, so it always fits.
 fn max_line_bytes(workers: usize) -> usize {
     workers.saturating_mul(128).max(256 * 1024)
+}
+
+/// Most sessions [`serve_listener`] keeps open at once.
+pub const MAX_SESSIONS: usize = 64;
+
+/// Accept TCP peers on `listener` forever, one session thread each, all
+/// sharing the warm `core`. At most [`MAX_SESSIONS`] sessions are open at
+/// once: a peer over the cap is answered with one error line and closed, and
+/// a session's slot frees when it ends. Unless `quiet`, every disconnect and
+/// refusal is reported on stderr.
+pub fn serve_listener(core: Arc<ServiceCore>, listener: TcpListener, quiet: bool) {
+    let open = Arc::new(AtomicUsize::new(0));
+    for stream in listener.incoming() {
+        let mut stream = match stream {
+            Ok(stream) => stream,
+            Err(err) => {
+                eprintln!("serve: accept failed: {err}");
+                continue;
+            }
+        };
+        let peer = stream.peer_addr().map(|a| a.to_string()).unwrap_or_default();
+        // Only this loop takes slots, so the check cannot race past the cap.
+        if open.load(Ordering::SeqCst) >= MAX_SESSIONS {
+            let busy = format!("{MAX_SESSIONS} sessions already open, try again later");
+            let _ = writeln!(stream, "{}", error_line(None, &busy));
+            if !quiet {
+                eprintln!("serve: refused {peer}: {busy}");
+            }
+            continue;
+        }
+        open.fetch_add(1, Ordering::SeqCst);
+        let slot = SessionSlot(Arc::clone(&open));
+        let core = Arc::clone(&core);
+        std::thread::spawn(move || {
+            let _slot = slot;
+            let reader = match stream.try_clone() {
+                Ok(clone) => BufReader::new(clone),
+                Err(err) => return eprintln!("serve: cannot clone stream for {peer}: {err}"),
+            };
+            match ScheduleService::new(core).serve(reader, &mut BufWriter::new(stream)) {
+                Ok(summary) if !quiet => eprintln!(
+                    "serve: {peer} disconnected after {} requests ({} errors, {} reschedules)",
+                    summary.requests, summary.errors, summary.reschedules,
+                ),
+                Ok(_) => {}
+                Err(err) => eprintln!("serve: {peer}: i/o error: {err}"),
+            }
+        });
+    }
+}
+
+/// One open session's claim on the listener's cap, released when dropped.
+struct SessionSlot(Arc<AtomicUsize>);
+
+impl Drop for SessionSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 // ---------------------------------------------------------------------------

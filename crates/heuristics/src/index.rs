@@ -33,9 +33,9 @@
 //! gracefully degrades to the exhaustive scan cost.
 //!
 //! Whether the index is used at all is decided by [`ScanStrategy`] (per
-//! context, defaulting to a platform-size threshold) and can be vetoed
-//! globally with the `exhaustive-scan` cargo feature, which pins every
-//! decision to the reference scan for equivalence runs.
+//! context, defaulting to a platform-size threshold); forcing
+//! [`ScanStrategy::Exhaustive`] pins a decision to the reference scan for
+//! equivalence runs.
 
 use std::collections::HashMap;
 
@@ -63,12 +63,8 @@ pub enum ScanStrategy {
     Indexed,
 }
 
-/// Resolve a strategy against the platform size, honouring the
-/// `exhaustive-scan` feature veto.
+/// Resolve a strategy against the platform size.
 pub fn use_indexed_scan(strategy: ScanStrategy, num_workers: usize) -> bool {
-    if cfg!(feature = "exhaustive-scan") {
-        return false;
-    }
     match strategy {
         ScanStrategy::Exhaustive => false,
         ScanStrategy::Indexed => true,
@@ -302,11 +298,10 @@ mod tests {
 
     #[test]
     fn strategy_resolution() {
-        let forced_off = cfg!(feature = "exhaustive-scan");
-        assert_eq!(use_indexed_scan(ScanStrategy::Indexed, 2), !forced_off);
+        assert!(use_indexed_scan(ScanStrategy::Indexed, 2));
         assert!(!use_indexed_scan(ScanStrategy::Exhaustive, 1_000_000));
         assert!(!use_indexed_scan(ScanStrategy::Auto, INDEX_THRESHOLD - 1));
-        assert_eq!(use_indexed_scan(ScanStrategy::Auto, INDEX_THRESHOLD), !forced_off);
+        assert!(use_indexed_scan(ScanStrategy::Auto, INDEX_THRESHOLD));
         assert_eq!(ScanStrategy::default(), ScanStrategy::Auto);
     }
 }

@@ -6,7 +6,7 @@
 //! locks in the executor's determinism guarantees (canonical ordering across
 //! thread counts, exact integer round-trips through the store, stable table
 //! rendering): any change that perturbs a single byte of campaign output
-//! fails here, not in a reviewer's diff of `EXPERIMENTS.md`.
+//! fails here.
 //!
 //! To regenerate the corpus after an *intentional* output change:
 //!

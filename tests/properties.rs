@@ -438,15 +438,13 @@ proptest! {
     }
 
     /// The prefix-accumulator of the scaling layer: folding workers in one at
-    /// a time, or merging two independently folded halves, agrees with the
-    /// batch left-fold of `GroupComputation` to within `1e-12` relative
-    /// error, on chains drawn from every availability regime.
+    /// a time agrees with the batch left-fold of `GroupComputation` to within
+    /// `1e-12` relative error, on chains drawn from every availability regime.
     #[test]
-    fn accumulator_extend_and_merge_match_batch(
+    fn accumulator_extend_chain_matches_batch(
         regime in availability_regime(),
         seed in 0u64..10_000,
         count in 2usize..7,
-        split in 1usize..6,
         w in 1u64..40,
     ) {
         use desktop_grid_scheduling::analysis::GroupAccumulator;
@@ -480,18 +478,6 @@ proptest! {
             acc = acc.extend(s).expect("regime-sampled chains can fail");
         }
         check("extend chain", acc.quantities());
-
-        // Merge of two independently folded halves.
-        let split = split.min(count - 1);
-        let fold = |part: &[WorkerSeries]| {
-            part.iter().fold(GroupAccumulator::empty(1e-7), |a, s| {
-                a.extend(s).expect("regime-sampled chains can fail")
-            })
-        };
-        let merged = fold(&series[..split])
-            .merge(&fold(&series[split..]))
-            .expect("regime-sampled chains can fail");
-        check("merged halves", merged.quantities());
     }
 
     /// The indexed candidate scan builds the exact assignment of the

@@ -3,13 +3,18 @@
 //! path, and the daemon's resilience to malformed input.
 
 use desktop_grid_scheduling::experiments::runner::{scheduler_seed, trial_seed};
-use desktop_grid_scheduling::experiments::service::{DecideRequest, ScheduleService, ServiceCore};
+use desktop_grid_scheduling::experiments::service::{
+    serve_listener, DecideRequest, ScheduleService, ServiceCore, MAX_SESSIONS,
+};
 use desktop_grid_scheduling::heuristics::HeuristicSpec;
 use desktop_grid_scheduling::prelude::*;
 use desktop_grid_scheduling::sim::view::{Reevaluation, SimView};
 use desktop_grid_scheduling::sim::{Decision, SimMode, SimulationLimits, Simulator};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{TcpListener, TcpStream};
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 const BASE_SEED: u64 = 42;
 const CAP: u64 = 30_000;
@@ -97,7 +102,9 @@ impl Scheduler for Recorder {
 /// heuristics answer purely from the view (their memos are complete), so
 /// every decision point is checked; RANDOM draws from its seeded stream, so
 /// only its first decision is reproducible by a fresh instance and only that
-/// one is compared.
+/// one is compared. The same requests are then replayed by four sessions on
+/// four threads over one fresh shared core — the `serve --listen` model —
+/// and every reply must carry the simulation's assignment too.
 #[test]
 fn served_decisions_match_the_simulation_for_every_heuristic() {
     let core = core();
@@ -107,6 +114,7 @@ fn served_decisions_match_the_simulation_for_every_heuristic() {
     let seed = scheduler_seed(BASE_SEED, scenario.seed, trial);
     let sim_cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-6);
 
+    let mut replayed: Vec<(String, Option<Assignment>)> = Vec::new();
     let mut compared = 0usize;
     for heuristic in HeuristicSpec::all() {
         // Drive the simulation exactly like run_instance_on, recording every
@@ -148,8 +156,35 @@ fn served_decisions_match_the_simulation_for_every_heuristic() {
             );
             compared += 1;
         }
+        replayed.extend_from_slice(checked);
     }
     assert!(compared > 17 * 2, "too few decision points compared ({compared})");
+
+    // The four sessions start together, each at its own offset, so the
+    // threads miss on different sets at the same time.
+    let shared = Arc::new(ServiceCore::new(scenario.clone(), 1e-6, BASE_SEED));
+    let start = Barrier::new(4);
+    std::thread::scope(|scope| {
+        for session in 0..4 {
+            let (shared, replayed, start) = (&shared, &replayed, &start);
+            scope.spawn(move || {
+                let mut service = ScheduleService::new(Arc::clone(shared));
+                start.wait();
+                let offset = session * replayed.len() / 4;
+                for (line, expected) in replayed.iter().cycle().skip(offset).take(replayed.len()) {
+                    let reply = service.handle_line(line).pop().expect("one reply per request");
+                    let at = reply.find("\"assignment\":").expect(&reply) + "\"assignment\":".len();
+                    let got = &reply[at..at + reply[at..].find(",\"latency_us\"").unwrap()];
+                    let want = expected.as_ref().map_or("null".to_string(), |a| {
+                        let pairs: Vec<String> =
+                            a.entries().iter().map(|(q, x)| format!("[{q},{x}]")).collect();
+                        format!("[{}]", pairs.join(","))
+                    });
+                    assert_eq!(got, want, "session {session} diverged from the simulation\n{line}");
+                }
+            });
+        }
+    });
 }
 
 /// The service's trial-seed derivation matches the runner's: a request
@@ -227,11 +262,10 @@ fn batch_entries_share_the_warm_cache() {
     assert_eq!(reply.matches("\"cache_misses\":0").count(), 2, "{reply}");
 }
 
-/// A parallel batch (`--decision-threads 4`) fans its members across a
-/// scoped pool of serial cache handles, yet every member's assignment is
-/// byte-identical to the serial batch's, the members land in request order,
-/// and both the member replies and the batch line report the thread counts
-/// they actually used.
+/// A batch under `--decision-threads 4` answers its members in request order,
+/// each with a 4-thread candidate scan, yet every member's assignment is
+/// byte-identical to the serial batch's, and both the member replies and the
+/// batch line report the thread count they were decided with.
 #[test]
 fn parallel_batch_matches_the_serial_batch_and_reports_its_threads() {
     let mut serial = ScheduleService::new(core());
@@ -261,23 +295,65 @@ fn parallel_batch_matches_the_serial_batch_and_reports_its_threads() {
             "batch member {id} diverged between serial and parallel fan-out",
         );
     }
-    // Members arrive in request order regardless of which pool thread
-    // answered them.
+    // Members arrive in request order.
     let mut last = 0;
     for id in 0..heuristics.len() {
         let at = parallel_reply.find(&format!("\"id\":{id},")).unwrap();
         assert!(at >= last, "member {id} out of order:\n{parallel_reply}");
         last = at;
     }
-    // Each member went through a serial handle; the batch line reports the
-    // pool width.
+    // Each member went through the core's own 4-thread handle, and so does
+    // the batch line.
     assert_eq!(
-        parallel_reply.matches("\"decision_threads\":1").count(),
-        heuristics.len(),
+        parallel_reply.matches("\"decision_threads\":4").count(),
+        heuristics.len() + 1,
         "{parallel_reply}"
     );
     assert!(parallel_reply.ends_with("\"decision_threads\":4}"), "{parallel_reply}");
     assert!(serial_reply.ends_with("\"decision_threads\":1}"), "{serial_reply}");
+}
+
+/// Ask a peer's session for its counters; `None` if the listener refused the
+/// peer (an error line, or a reset because the request went unread).
+fn stats_of(stream: &mut TcpStream) -> Option<String> {
+    stream.set_read_timeout(Some(Duration::from_secs(30))).ok()?;
+    stream.write_all(b"{\"op\":\"stats\"}\n").ok()?;
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).ok()?;
+    line.contains("\"op\":\"stats\"").then_some(line)
+}
+
+/// `serve --listen` keeps at most `MAX_SESSIONS` sessions open: with the cap
+/// held, the next peer is answered with one error line and closed, and once
+/// a session ends a new peer is served again.
+#[test]
+fn listener_refuses_peers_over_the_session_cap_until_a_slot_frees() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let core = core();
+    std::thread::spawn(move || serve_listener(core, listener, true));
+
+    let mut held: Vec<TcpStream> =
+        (0..MAX_SESSIONS).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    for stream in &mut held {
+        assert!(stats_of(stream).is_some(), "a peer under the cap must be served");
+    }
+
+    let refused = TcpStream::connect(addr).unwrap();
+    refused.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let mut refused = BufReader::new(refused).lines();
+    let line = refused.next().expect("a refused peer gets one line").unwrap();
+    assert!(line.starts_with("{\"id\":null,\"ok\":false,\"error\":"), "{line}");
+    assert!(line.contains("sessions already open"), "{line}");
+    assert!(refused.next().is_none(), "a refused peer must be closed after its line");
+
+    // The slot frees once the server sees the session end, so poll for it.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while stats_of(&mut TcpStream::connect(addr).unwrap()).is_none() {
+        assert!(Instant::now() < deadline, "no slot freed after a session ended");
+        std::thread::sleep(Duration::from_millis(20));
+    }
 }
 
 proptest! {
