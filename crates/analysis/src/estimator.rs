@@ -10,15 +10,16 @@
 //!   estimate: per-worker availability series, speeds, the master's `ncom`
 //!   bound and the series-truncation precision `ε`. Built once per scenario.
 //! * [`EvalCache`] — the memo tables (`group` quantities per member set,
-//!   `P_ND` per `(worker, horizon)`) behind cheap interior mutability. The
-//!   handle is `Arc`-clonable: one cache can serve all 17 heuristics and all
-//!   trials of a scenario concurrently, so each group set is computed once
-//!   per *scenario* instead of once per `(heuristic, trial)`. Hit/miss
-//!   counters quantify the reuse ([`EvalCache::stats`]).
+//!   `P_ND` per `(worker, horizon)`) behind one `RwLock`. The handle is
+//!   `Arc`-clonable: one cache can serve all 17 heuristics and all trials of
+//!   a scenario concurrently, so each group set is computed once per
+//!   *scenario* instead of once per `(heuristic, trial)`. Hit/miss counters
+//!   quantify the reuse ([`EvalCache::stats`]).
 //! * [`Estimator`] — the thin front-end combining a cache handle with the
 //!   per-consumer `use_paper_formula` toggle. [`Estimator::new`] builds a
 //!   private cache (the historical behavior); [`Estimator::from_cache`]
-//!   attaches to a shared one.
+//!   attaches to a shared one. One [`Estimator::estimate`] takes the memo
+//!   read lock once and looks its member set up once.
 //!
 //! Every cached quantity is a pure function of `(platform, master, ε)`, so
 //! sharing a cache across heuristics, trials or threads cannot change any
@@ -30,8 +31,9 @@ use crate::group::{GroupAccumulator, GroupComputation, GroupQuantities};
 use crate::series::WorkerSeries;
 use dg_platform::{MasterSpec, Platform};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 /// Upper bound on the total number of per-`t` joint products retained by the
 /// prefix accumulators (~32 MB of `f64`s). Accumulators are pure derivations
@@ -89,12 +91,13 @@ impl PlatformTables {
     }
 
     /// Lock-step computation workload, in slots of simultaneous `UP` time, of
-    /// an assignment: `max_q x_q · w_q` (Section III-C).
+    /// an assignment: `max_q x_q · w_q` (Section III-C), saturating at
+    /// `u64::MAX` instead of wrapping.
     pub fn computation_workload(&self, members: &[usize], tasks: &[usize]) -> u64 {
         members
             .iter()
             .zip(tasks.iter())
-            .map(|(&q, &x)| self.speeds[q] * x as u64)
+            .map(|(&q, &x)| self.speeds[q].saturating_mul(x as u64))
             .max()
             .unwrap_or(0)
     }
@@ -148,13 +151,76 @@ impl EvalCacheStats {
     }
 }
 
-/// The shared memo tables behind the Section V estimates, one `RwLock` per
-/// table. The counters are atomics, so totals stay exact under concurrent
+/// FxHash-style multiply-rotate hasher for the memo keys.
+///
+/// The keys are sorted worker-index sets and `(worker, horizon)` pairs the
+/// heuristics derive from the platform, never bytes a client picks, so an
+/// unkeyed hash cannot be steered into collisions; and no output depends on
+/// a map's iteration order.
+#[derive(Default)]
+struct FxHasher {
+    hash: u64,
+}
+
+impl FxHasher {
+    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(Self::SEED);
+    }
+}
+
+impl Hasher for FxHasher {
+    /// Folds 8-byte chunks: a `[usize]` key arrives here as one byte slice.
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// The memoized Section V quantities: group quantities per sorted member set
+/// and `P_ND` per `(worker, horizon)`. Both tables sit behind the one
+/// [`CacheState::memo`] lock, so one read guard serves a whole estimate.
+#[derive(Debug, Default)]
+struct Memo {
+    group: FxHashMap<Vec<usize>, GroupQuantities>,
+    no_down: FxHashMap<(usize, u64), f64>,
+}
+
+/// The shared state behind an [`EvalCache`]: the memo tables under one
+/// `RwLock`, the prefix accumulators under their own (only misses touch
+/// them), and atomic counters, so totals stay exact under concurrent
 /// lookups.
 #[derive(Debug, Default)]
 struct CacheState {
-    group: RwLock<HashMap<Vec<usize>, GroupQuantities>>,
-    no_down: RwLock<HashMap<(usize, u64), f64>>,
+    memo: RwLock<Memo>,
     accums: RwLock<Accumulators>,
     /// Prefix-accumulator extensions performed (including ones later evicted
     /// or lost to racing duplicate builds) — the chain-sharing diagnostic the
@@ -177,7 +243,7 @@ struct CacheState {
 /// [`ACCUMULATOR_TERM_BUDGET`].
 #[derive(Debug, Default)]
 struct Accumulators {
-    by_set: HashMap<Vec<usize>, Arc<GroupAccumulator>>,
+    by_set: FxHashMap<Vec<usize>, Arc<GroupAccumulator>>,
     terms: u64,
 }
 
@@ -186,9 +252,11 @@ struct Accumulators {
 /// Cloning is cheap (two `Arc` bumps) and every clone reads and writes the
 /// *same* memo tables, so one cache created next to a scenario serves every
 /// heuristic and every trial evaluated on that scenario. All methods take
-/// `&self`; concurrent lookups are safe (reads share one `RwLock` per table,
-/// a miss computes outside the lock and inserts). Racing misses of the same
-/// set insert identical values, so results never depend on sharing or timing.
+/// `&self`; concurrent lookups are safe: the group and `P_ND` tables share
+/// one `RwLock`, an estimate holds one read guard across all its lookups,
+/// and a miss releases it, computes outside every memo lock and inserts.
+/// Racing misses of the same set insert identical values, so results never
+/// depend on sharing or timing.
 ///
 /// `decision_threads` lives on the **handle**, not the shared state: it is
 /// how many scoped threads the chunked candidate scan of a decision driven
@@ -247,35 +315,12 @@ impl EvalCache {
     /// candidate construction produces — are looked up without allocating;
     /// arbitrary slices are normalized first.
     pub fn group(&self, members: &[usize]) -> GroupQuantities {
-        if is_sorted_unique(members) {
-            return self.group_sorted(members);
-        }
-        let mut key: Vec<usize> = members.to_vec();
-        key.sort_unstable();
-        key.dedup();
-        self.group_sorted(&key)
+        self.reader().group(members)
     }
 
-    /// Lookup/compute for a key known to be sorted and duplicate-free.
-    fn group_sorted(&self, key: &[usize]) -> GroupQuantities {
-        if let Some(&g) = self.state.group.read().expect("eval cache poisoned").get(key) {
-            self.state.group_hits.fetch_add(1, Ordering::Relaxed);
-            return g;
-        }
-        self.state.group_misses.fetch_add(1, Ordering::Relaxed);
-        // Multi-worker sets whose smallest member can fail (hence every sorted
-        // prefix can fail) are built by extending the memoized accumulator of
-        // the longest proper prefix — bit-identical to the batch series, at
-        // O(terms) per probe instead of O(terms × |S|). Everything else takes
-        // the batch path (singletons, and sets needing the recurrence).
-        let g = if key.len() >= 2 && self.tables.series[key[0]].can_fail() {
-            self.accumulator_for(key).quantities()
-        } else {
-            self.tables.compute_group(key)
-        };
-        self.state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
-        self.state.group.write().expect("eval cache poisoned").insert(key.to_vec(), g);
-        g
+    /// A reader over the memo tables for the lookups of one estimate.
+    fn reader(&self) -> MemoReader<'_> {
+        MemoReader { cache: self, guard: None, hits: 0 }
     }
 
     /// The memoized prefix accumulator of a sorted, duplicate-free key whose
@@ -318,17 +363,12 @@ impl EvalCache {
     /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
     /// `DOWN` within `t` slots, starting `UP`.
     pub fn no_down_within(&self, q: usize, t: u64) -> f64 {
-        if let Some(&p) = self.state.no_down.read().expect("eval cache poisoned").get(&(q, t)) {
-            return p;
-        }
-        let p = self.tables.series[q].no_down_within(t);
-        self.state.no_down.write().expect("eval cache poisoned").insert((q, t), p);
-        p
+        self.reader().no_down_within(q, t)
     }
 
     /// Number of distinct worker sets currently memoized.
     pub fn cached_sets(&self) -> usize {
-        self.state.group.read().expect("eval cache poisoned").len()
+        self.state.memo.read().expect("eval cache poisoned").group.len()
     }
 
     /// Number of prefix accumulators currently retained (exposed for the
@@ -364,8 +404,7 @@ impl EvalCache {
 
     /// Drop all memoized quantities and reset the counters.
     pub fn clear(&self) {
-        self.state.group.write().expect("eval cache poisoned").clear();
-        self.state.no_down.write().expect("eval cache poisoned").clear();
+        *self.state.memo.write().expect("eval cache poisoned") = Memo::default();
         *self.state.accums.write().expect("eval cache poisoned") = Accumulators::default();
         self.state.accum_built.store(0, Ordering::Relaxed);
         self.state.series_terms.store(0, Ordering::Relaxed);
@@ -374,9 +413,79 @@ impl EvalCache {
     }
 }
 
-/// `true` if the slice is strictly increasing (sorted, no duplicates).
-fn is_sorted_unique(members: &[usize]) -> bool {
-    members.windows(2).all(|w| w[0] < w[1])
+/// The lookups of one estimate against an [`EvalCache`]'s memo tables.
+///
+/// It takes the memo read guard at its first lookup and keeps it for the
+/// rest of the estimate. A miss drops the guard before it computes and
+/// writes; the next lookup takes it again. While the guard is held the
+/// reader only probes the two maps and never calls anything that locks, so
+/// it can neither invert a lock order nor re-enter the read lock behind a
+/// waiting writer: no deadlock is possible. Group hits are tallied locally
+/// and added to the shared counter once, when the reader drops.
+struct MemoReader<'a> {
+    cache: &'a EvalCache,
+    guard: Option<RwLockReadGuard<'a, Memo>>,
+    hits: u64,
+}
+
+impl MemoReader<'_> {
+    fn memo(&mut self) -> &Memo {
+        let state = &self.cache.state;
+        self.guard.get_or_insert_with(|| state.memo.read().expect("eval cache poisoned"))
+    }
+
+    /// Memoized group quantities of `members` (normalized to a sorted,
+    /// duplicate-free key unless already one).
+    fn group(&mut self, members: &[usize]) -> GroupQuantities {
+        let mut normalized = Vec::new();
+        let key = if members.windows(2).all(|w| w[0] < w[1]) {
+            members
+        } else {
+            normalized.extend_from_slice(members);
+            normalized.sort_unstable();
+            normalized.dedup();
+            &normalized
+        };
+        if let Some(&g) = self.memo().group.get(key) {
+            self.hits += 1;
+            return g;
+        }
+        self.guard = None;
+        let (tables, state) = (&self.cache.tables, &self.cache.state);
+        state.group_misses.fetch_add(1, Ordering::Relaxed);
+        // Multi-worker sets whose smallest member can fail (hence every sorted
+        // prefix can fail) are built by extending the memoized accumulator of
+        // the longest proper prefix — bit-identical to the batch series, at
+        // O(terms) per probe instead of O(terms × |S|). Everything else takes
+        // the batch path (singletons, and sets needing the recurrence).
+        let g = if key.len() >= 2 && tables.series[key[0]].can_fail() {
+            self.cache.accumulator_for(key).quantities()
+        } else {
+            tables.compute_group(key)
+        };
+        state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
+        state.memo.write().expect("eval cache poisoned").group.insert(key.to_vec(), g);
+        g
+    }
+
+    /// Memoized `P^(q)_{ND}(t)`.
+    fn no_down_within(&mut self, q: usize, t: u64) -> f64 {
+        if let Some(&p) = self.memo().no_down.get(&(q, t)) {
+            return p;
+        }
+        self.guard = None;
+        let p = self.cache.tables.series[q].no_down_within(t);
+        self.cache.state.memo.write().expect("eval cache poisoned").no_down.insert((q, t), p);
+        p
+    }
+}
+
+impl Drop for MemoReader<'_> {
+    fn drop(&mut self) {
+        if self.hits > 0 {
+            self.cache.state.group_hits.fetch_add(self.hits, Ordering::Relaxed);
+        }
+    }
 }
 
 /// Memoized computation of the Section V estimates for one platform.
@@ -451,10 +560,9 @@ impl Estimator {
         self.cache.tables().computation_workload(members, tasks)
     }
 
-    /// Expected duration (conditioned on success) of a computation of `w`
-    /// slots by the set `members`.
-    pub fn expected_computation_time(&self, members: &[usize], w: u64) -> f64 {
-        let g = self.group(members);
+    /// `E^(S)(w)` of the group quantities `g` under this estimator's
+    /// duration model (renewal form, or the paper's printed formula).
+    fn completion_time(&self, g: &GroupQuantities, w: u64) -> f64 {
         if self.use_paper_formula {
             g.expected_completion_time_paper(w)
         } else {
@@ -462,22 +570,19 @@ impl Estimator {
         }
     }
 
-    /// Probability that the set `members` completes `w` slots of simultaneous
-    /// computation without any failure.
-    pub fn computation_success_probability(&self, members: &[usize], w: u64) -> f64 {
-        self.group(members).prob_success(w)
-    }
-
-    /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
-    /// `DOWN` within `t` slots, starting `UP`.
-    pub fn no_down_within(&self, q: usize, t: u64) -> f64 {
-        self.cache.no_down_within(q, t)
-    }
-
     /// Communication-phase estimate for enrolled workers `members`, where
     /// `comm_slots[i]` is the number of communication slots worker
     /// `members[i]` still needs (program + missing data messages).
     pub fn comm_estimate(&self, members: &[usize], comm_slots: &[u64]) -> CommEstimate {
+        self.comm_with(&mut self.cache.reader(), members, comm_slots)
+    }
+
+    fn comm_with(
+        &self,
+        reader: &mut MemoReader<'_>,
+        members: &[usize],
+        comm_slots: &[u64],
+    ) -> CommEstimate {
         assert_eq!(members.len(), comm_slots.len(), "one comm volume per member");
         if members.is_empty() || comm_slots.iter().all(|&n| n == 0) {
             return CommEstimate::nothing_to_send();
@@ -490,13 +595,7 @@ impl Estimator {
             if n == 0 {
                 continue;
             }
-            let g = self.group(&[q]);
-            let e = if self.use_paper_formula {
-                g.expected_completion_time_paper(n)
-            } else {
-                g.expected_completion_time(n)
-            };
-            max_single = max_single.max(e);
+            max_single = max_single.max(self.completion_time(&reader.group(&[q]), n));
         }
 
         let total: u64 = comm_slots.iter().sum();
@@ -510,10 +609,28 @@ impl Estimator {
         let horizon = expected_duration.ceil() as u64;
         let mut success_probability = 1.0;
         for &q in members {
-            success_probability *= self.no_down_within(q, horizon);
+            success_probability *= reader.no_down_within(q, horizon);
         }
 
         CommEstimate { expected_duration, success_probability: success_probability.clamp(0.0, 1.0) }
+    }
+
+    /// Iteration estimate (communication followed by `w` slots of lock-step
+    /// computation) for the enrolled workers `members`, where
+    /// `comm_slots[i]` is the communication `members[i]` still needs.
+    ///
+    /// Takes the memo read lock once and looks the member set up once: both
+    /// `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
+    pub fn estimate(&self, members: &[usize], comm_slots: &[u64], w: u64) -> IterationEstimate {
+        let mut reader = self.cache.reader();
+        let comm = self.comm_with(&mut reader, members, comm_slots);
+        let g = reader.group(members);
+        IterationEstimate::combine(
+            comm.expected_duration,
+            comm.success_probability,
+            self.completion_time(&g, w),
+            g.prob_success(w),
+        )
     }
 
     /// Full iteration estimate (communication followed by lock-step
@@ -529,11 +646,7 @@ impl Estimator {
         comm_slots: &[u64],
     ) -> IterationEstimate {
         assert_eq!(members.len(), tasks.len(), "one task count per member");
-        let w = self.computation_workload(members, tasks);
-        let comm = self.comm_estimate(members, comm_slots);
-        let comp_e = self.expected_computation_time(members, w);
-        let comp_p = self.computation_success_probability(members, w);
-        IterationEstimate::combine(comm.expected_duration, comm.success_probability, comp_e, comp_p)
+        self.estimate(members, comm_slots, self.computation_workload(members, tasks))
     }
 
     /// Number of distinct worker sets currently memoized (exposed for the
@@ -704,20 +817,75 @@ mod tests {
         let s = paper_scenario();
         let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
         let members = [0usize, 1, 2];
+        let no_comm = [0u64; 3];
         let w = 20;
-        let renewal = est.expected_computation_time(&members, w);
+        let renewal = est.estimate(&members, &no_comm, w);
         est.set_use_paper_formula(true);
-        let paper = est.expected_computation_time(&members, w);
+        let paper = est.estimate(&members, &no_comm, w);
         // Both are >= W; the paper's literal formula divides by P₊^{W-1} and is
         // therefore never smaller than the renewal form.
-        assert!(renewal >= w as f64 - 1e-9);
-        assert!(paper >= renewal - 1e-9);
+        assert!(renewal.expected_duration >= w as f64 - 1e-9);
+        assert!(paper.expected_duration >= renewal.expected_duration - 1e-9);
         // Success probabilities are identical under both readings.
-        est.set_use_paper_formula(false);
-        let p1 = est.computation_success_probability(&members, w);
-        est.set_use_paper_formula(true);
-        let p2 = est.computation_success_probability(&members, w);
-        assert_eq!(p1, p2);
+        assert_eq!(renewal.success_probability, paper.success_probability);
+    }
+
+    #[test]
+    fn workload_saturates_instead_of_wrapping() {
+        let platform = dg_platform::Platform::new(
+            vec![WorkerSpec::new(3_000_000_000), WorkerSpec::new(2)],
+            vec![dg_availability::MarkovChain3::always_up(); 2],
+        );
+        let master = dg_platform::MasterSpec::from_slots(2, 2, 1);
+        let est = Estimator::with_default_epsilon(&platform, &master);
+        assert_eq!(est.computation_workload(&[0, 1], &[usize::MAX, 1]), u64::MAX);
+    }
+
+    #[test]
+    fn warm_estimate_looks_up_its_member_set_once() {
+        // On a warm cache an estimate of k members, c of them with
+        // communication, adds c singleton lookups plus one for the member set
+        // — and equals the composition of the public pieces bit for bit.
+        let s = paper_scenario();
+        for paper in [false, true] {
+            let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
+            est.set_use_paper_formula(paper);
+            let probes: [(&[usize], &[u64], u64); 5] = [
+                (&[0, 2, 4], &[3, 0, 2], 12),
+                (&[1, 3, 5, 7], &[0, 0, 0, 0], 7),
+                (&[6], &[4], 1),
+                (&[2, 8, 9], &[1, 1, 1], 0),
+                (&[], &[], 5),
+            ];
+            for &(members, comm, w) in &probes {
+                est.estimate(members, comm, w); // warm up
+                let c = comm.iter().filter(|&&n| n > 0).count() as u64;
+                let before = est.cache().stats();
+                let value = est.estimate(members, comm, w);
+                let delta = est.cache().stats().since(&before);
+                assert_eq!(delta, EvalCacheStats { group_hits: c + 1, group_misses: 0 });
+
+                let mut fresh = Estimator::with_default_epsilon(&s.platform, &s.master);
+                fresh.set_use_paper_formula(paper);
+                let ce = fresh.comm_estimate(members, comm);
+                let g = fresh.group(members);
+                let e = if paper {
+                    g.expected_completion_time_paper(w)
+                } else {
+                    g.expected_completion_time(w)
+                };
+                let expected = IterationEstimate::combine(
+                    ce.expected_duration,
+                    ce.success_probability,
+                    e,
+                    g.prob_success(w),
+                );
+                let bits = |x: IterationEstimate| {
+                    (x.expected_duration.to_bits(), x.success_probability.to_bits())
+                };
+                assert_eq!(bits(value), bits(expected), "{members:?} paper={paper}");
+            }
+        }
     }
 
     #[test]
@@ -794,9 +962,9 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_lookups_are_all_counted_under_one_lock_per_table() {
-        // Many threads hammering many distinct sets through the one lock per
-        // table: every observed value must equal the sequential reference,
+    fn concurrent_lookups_and_cold_estimates_are_all_counted() {
+        // Many threads hammering many distinct sets through the one memo
+        // lock: every observed value must equal the sequential reference,
         // and the counters must account for every single lookup issued —
         // hits + misses == threads × reps × sets, with at least one miss per
         // distinct set and every set memoized exactly once.
@@ -836,6 +1004,53 @@ mod tests {
         assert!(cache.series_terms() > 0);
         cache.clear();
         assert_eq!(cache.series_terms(), 0);
+
+        // Whole estimates on one cold cache, each thread starting at another
+        // rotation of the probe list: misses drop the read guard and write
+        // while other threads hold theirs. Finishing shows no deadlock.
+        let probes: Vec<(Vec<usize>, Vec<usize>, Vec<u64>)> = sets
+            .iter()
+            .enumerate()
+            .map(|(i, set)| {
+                let tasks = set.iter().map(|&q| 1 + (q + i) % 3).collect();
+                let comm = set.iter().map(|&q| ((q + i) % 4) as u64).collect();
+                (set.clone(), tasks, comm)
+            })
+            .collect();
+        let serial = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let expected: Vec<IterationEstimate> = probes
+            .iter()
+            .map(|(members, tasks, comm)| serial.iteration_estimate(members, tasks, comm))
+            .collect();
+        let cold = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let start_line = std::sync::Barrier::new(threads);
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let est = Estimator::from_cache(cold.clone());
+                let (probes, expected, start_line) = (&probes, &expected, &start_line);
+                scope.spawn(move || {
+                    start_line.wait();
+                    let start = t * probes.len() / threads;
+                    for i in (start..probes.len()).chain(0..start) {
+                        let (members, tasks, comm) = &probes[i];
+                        let value = est.iteration_estimate(members, tasks, comm);
+                        assert_eq!(value, expected[i], "probe {members:?}");
+                    }
+                });
+            }
+        });
+        assert_eq!(cold.stats().lookups(), threads as u64 * serial.cache().stats().lookups());
+        assert_eq!(cold.cached_sets(), serial.cached_sets());
+    }
+
+    #[test]
+    fn no_down_memo_matches_the_series() {
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        for (q, t) in [(0, 1), (3, 17), (3, 17), (7, 0)] {
+            let direct = cache.tables().worker_series(q).no_down_within(t);
+            assert_eq!(cache.no_down_within(q, t), direct, "worker {q}, horizon {t}");
+        }
     }
 
     #[test]

@@ -71,11 +71,14 @@ impl GroupQuantities {
     /// Probability that the set completes `w` slots of simultaneous
     /// computation without any worker going `DOWN`: `(P₊^(S))^(w−1)`
     /// (the first slot happens now, while everyone is known to be `UP`).
+    /// The exponent saturates at `i32::MAX` instead of wrapping negative
+    /// (which would score a near-certain failure as a sure success), so past
+    /// `2³¹` slots the result is an upper bound.
     pub fn prob_success(&self, w: u64) -> f64 {
         if w <= 1 {
             1.0
         } else {
-            self.p_plus.powi((w - 1) as i32)
+            self.p_plus.powi((w - 1).min(i32::MAX as u64) as i32)
         }
     }
 
@@ -491,6 +494,20 @@ mod tests {
             assert!(p >= 0.0);
             prev = p;
         }
+    }
+
+    #[test]
+    fn prob_success_exponent_saturates_past_i32() {
+        // A 2³¹-slot exponent used to wrap to a negative power: P₊ = 0.95 then
+        // scored a near-certain failure as probability `inf`, clamped to 1.
+        let w = 1u64 << 31;
+        for p_plus in [0.95, 1.0 - f64::EPSILON] {
+            let g = GroupQuantities { p_plus, ..GroupQuantities::empty() };
+            let (at, past) = (g.prob_success(w), g.prob_success(w + 1));
+            assert!((0.0..=at).contains(&past), "p₊ = {p_plus}: {past} vs {at}");
+            assert!(g.prob_success(3_000_000_000) <= at);
+        }
+        assert_eq!(GroupQuantities::empty().prob_success(w + 1), 1.0);
     }
 
     #[test]

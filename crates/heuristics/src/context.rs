@@ -165,18 +165,9 @@ impl SchedulingContext {
             self.scratch.members.push(q);
             self.scratch.comm.push(view.comm_slots_remaining(q, x));
         }
-        let remaining = config.remaining_computation();
         self.ensure_estimator(view);
         let est = self.estimator.as_ref().expect("estimator was just initialized");
-        let comm_est = est.comm_estimate(&self.scratch.members, &self.scratch.comm);
-        let comp_e = est.expected_computation_time(&self.scratch.members, remaining);
-        let comp_p = est.computation_success_probability(&self.scratch.members, remaining);
-        IterationEstimate::combine(
-            comm_est.expected_duration,
-            comm_est.success_probability,
-            comp_e,
-            comp_p,
-        )
+        est.estimate(&self.scratch.members, &self.scratch.comm, config.remaining_computation())
     }
 }
 
