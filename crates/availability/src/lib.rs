@@ -9,7 +9,9 @@
 //! * a three-state availability model ([`ProcState`]: `Up`, `Reclaimed`, `Down`),
 //! * a per-processor discrete-time Markov chain over those states
 //!   ([`MarkovChain3`]), parameterized exactly as in Section VII-A of the paper,
-//! * availability trace generation and replay ([`trace`]),
+//! * run-length availability traces ([`StateTrace`]) and one lazily extended
+//!   realization for Markov, semi-Markov and scripted trials
+//!   ([`RealizedAvailability`], in [`trace`]),
 //! * small dense matrix utilities used both by the samplers and by the
 //!   analytical approximations of Section V ([`matrix`]),
 //! * a semi-Markov extension with Weibull / log-normal holding times
@@ -29,12 +31,12 @@
 //! quantities needed to reason about them.
 //!
 //! ```
-//! use dg_availability::{AvailabilityModel, MarkovAvailability, MarkovChain3, ProcState};
+//! use dg_availability::{AvailabilityModel, MarkovChain3, ProcState, RealizedAvailability};
 //!
 //! // One processor whose self-loop probabilities follow the paper's rule:
 //! // P(x -> x) given, remaining mass split evenly between the other states.
 //! let chain = MarkovChain3::from_self_loop_probs(0.95, 0.90, 0.90).unwrap();
-//! let mut model = MarkovAvailability::new(vec![chain], 42, false);
+//! let mut model = RealizedAvailability::markov(vec![chain], 42, false);
 //!
 //! // Realizations start UP by default and are deterministic in the seed.
 //! assert_eq!(model.state(0, 0), ProcState::Up);
@@ -67,4 +69,4 @@ pub use semi_markov::{HoldingTime, SemiMarkovModel};
 pub use shared::{RealizedTrial, TrialReplay};
 pub use state::{ProcState, StateTrace};
 pub use stats::TraceStats;
-pub use trace::{AvailabilityModel, MarkovAvailability, ScriptedAvailability, TraceSet};
+pub use trace::{AvailabilityModel, RealizedAvailability};

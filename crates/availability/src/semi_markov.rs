@@ -8,12 +8,11 @@
 //! distribution chooses how long the processor stays there.
 //!
 //! It is used by the "model mismatch" sensitivity experiment: heuristics whose
-//! probabilistic criteria assume the Markov model are run against traces
-//! generated by this process.
+//! probabilistic criteria assume the Markov model are run against
+//! realizations of this process
+//! ([`RealizedAvailability::semi_markov`](crate::RealizedAvailability::semi_markov)).
 
-use crate::rng::sub_rng;
-use crate::state::{ProcState, StateTrace};
-use crate::trace::TraceSet;
+use crate::state::ProcState;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -214,41 +213,29 @@ impl SemiMarkovModel {
         }
     }
 
-    /// Generate a trace of `horizon` slots starting in state `initial`.
-    pub fn generate<R: Rng + ?Sized>(
+    /// Draw the run that begins in `state`: a holding time, then a jump, and
+    /// again while the jump lands back in `state`, which extends the run.
+    /// Returns the run's length and the state after it, or `None` once the
+    /// run lasts at least `room` slots.
+    pub(crate) fn sample_run<R: Rng + ?Sized>(
         &self,
-        initial: ProcState,
-        horizon: u64,
+        state: ProcState,
+        room: u64,
         rng: &mut R,
-    ) -> StateTrace {
-        let mut states = Vec::with_capacity(horizon.max(1) as usize);
-        let mut current = initial;
-        while (states.len() as u64) < horizon.max(1) {
-            let params = self.state_params(current);
+    ) -> Option<(u64, ProcState)> {
+        let params = self.state_params(state);
+        let mut run = 0;
+        loop {
             let hold = params.holding.sample(rng);
-            for _ in 0..hold {
-                if (states.len() as u64) >= horizon.max(1) {
-                    break;
-                }
-                states.push(current);
+            if hold >= room - run {
+                return None;
             }
-            current = params.sample_jump(rng);
+            run += hold;
+            let next = params.sample_jump(rng);
+            if next != state {
+                return Some((run, next));
+            }
         }
-        StateTrace::new(states)
-    }
-
-    /// Generate one trace per processor (all starting `UP`) into a [`TraceSet`].
-    pub fn generate_set(models: &[SemiMarkovModel], horizon: u64, seed: u64) -> TraceSet {
-        TraceSet::new(
-            models
-                .iter()
-                .enumerate()
-                .map(|(q, m)| {
-                    let mut rng = sub_rng(seed, q as u64);
-                    m.generate(ProcState::Up, horizon, &mut rng)
-                })
-                .collect(),
-        )
     }
 }
 
@@ -257,6 +244,7 @@ mod tests {
     use super::*;
     use crate::rng::rng_from_seed;
     use crate::stats::TraceStats;
+    use crate::trace::{AvailabilityModel, RealizedAvailability};
 
     #[test]
     fn gamma_known_values() {
@@ -315,36 +303,34 @@ mod tests {
     }
 
     #[test]
-    fn semi_markov_trace_has_expected_length_and_states() {
+    fn semi_markov_trace_visits_every_state() {
         let m = SemiMarkovModel::weibull_lognormal(50.0, 0.8, 0.3);
-        let mut rng = rng_from_seed(5);
-        let trace = m.generate(ProcState::Up, 5000, &mut rng);
-        assert_eq!(trace.len(), 5000);
-        assert_eq!(trace.state_at(0), ProcState::Up);
-        let stats = TraceStats::from_trace(&trace);
+        let mut realized = RealizedAvailability::semi_markov(&[m], 5, 5000);
+        let stats = TraceStats::from_trace(realized.materialize(5000).trace(0));
+        assert_eq!(stats.total_slots, 5000);
+        assert_eq!(realized.state(0, 0), ProcState::Up);
         // All three states should occur over a long horizon.
         assert!(stats.fraction(ProcState::Up) > 0.0);
         assert!(stats.fraction(ProcState::Reclaimed) + stats.fraction(ProcState::Down) > 0.0);
     }
 
     #[test]
-    fn generate_set_is_reproducible() {
+    fn semi_markov_realizations_are_reproducible() {
         let models = vec![SemiMarkovModel::weibull_lognormal(30.0, 0.7, 0.5); 3];
-        let a = SemiMarkovModel::generate_set(&models, 1000, 77);
-        let b = SemiMarkovModel::generate_set(&models, 1000, 77);
-        let c = SemiMarkovModel::generate_set(&models, 1000, 78);
-        assert_eq!(a.trace(0), b.trace(0));
-        assert_eq!(a.trace(2), b.trace(2));
-        assert_ne!(a.trace(0), c.trace(0));
+        let codes = |seed| {
+            let traces = RealizedAvailability::semi_markov(&models, seed, 1000).materialize(1000);
+            (0..3).map(|q| traces.trace(q).to_code_string()).collect::<Vec<_>>()
+        };
+        assert_eq!(codes(77), codes(77));
+        assert_ne!(codes(77)[0], codes(78)[0]);
     }
 
     #[test]
     fn geometric_special_case_mean_up_interval() {
         // With continue_prob 0.9 the mean UP sojourn is 10 slots.
         let m = SemiMarkovModel::geometric(0.9, 0.9, 0.9);
-        let mut rng = rng_from_seed(6);
-        let trace = m.generate(ProcState::Up, 200_000, &mut rng);
-        let stats = TraceStats::from_trace(&trace);
+        let traces = RealizedAvailability::semi_markov(&[m], 6, 200_000).materialize(200_000);
+        let stats = TraceStats::from_trace(traces.trace(0));
         let mean_up = stats.mean_interval(ProcState::Up).unwrap();
         assert!((mean_up - 10.0).abs() < 1.0, "mean UP interval {mean_up} expected ~10");
     }

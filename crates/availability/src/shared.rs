@@ -10,7 +10,7 @@
 //! [`RealizedTrial`] realizes a trial **once** and hands out any number of
 //! cheap [`TrialReplay`] handles, each of which implements
 //! [`AvailabilityModel`] by reading the shared realization. Because lazily
-//! realized models ([`crate::MarkovAvailability`]) extend their realization
+//! realized models ([`crate::RealizedAvailability`]) extend their realization
 //! deterministically and monotonically — query order never changes the
 //! sampled segments — every replay observes exactly the states a fresh
 //! per-heuristic realization from the same seed would have produced. The
@@ -21,10 +21,10 @@
 //! heuristics sequentially, so no cross-thread sharing is needed.
 //!
 //! ```
-//! use dg_availability::{AvailabilityModel, MarkovAvailability, MarkovChain3, RealizedTrial};
+//! use dg_availability::{AvailabilityModel, MarkovChain3, RealizedAvailability, RealizedTrial};
 //!
 //! let chain = MarkovChain3::from_self_loop_probs(0.95, 0.9, 0.9).unwrap();
-//! let trial = RealizedTrial::new(MarkovAvailability::new(vec![chain], 7, false));
+//! let trial = RealizedTrial::new(RealizedAvailability::markov(vec![chain], 7, false));
 //!
 //! // Two replays (e.g. two heuristics) observe the same realization.
 //! let mut a = trial.replay();
@@ -107,12 +107,12 @@ mod tests {
     use super::*;
     use crate::markov::MarkovChain3;
     use crate::rng::sub_rng;
-    use crate::trace::{MarkovAvailability, ScriptedAvailability};
+    use crate::trace::RealizedAvailability;
 
-    fn paper_model(procs: usize, chain_seed: u64, trial_seed: u64) -> MarkovAvailability {
+    fn paper_model(procs: usize, chain_seed: u64, trial_seed: u64) -> RealizedAvailability {
         let mut rng = sub_rng(chain_seed, 9);
         let chains = (0..procs).map(|_| MarkovChain3::sample_paper_model(&mut rng)).collect();
-        MarkovAvailability::new(chains, trial_seed, false)
+        RealizedAvailability::markov(chains, trial_seed, false)
     }
 
     #[test]
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn works_for_any_availability_backend() {
         // The handle is generic: scripted traces share the same way.
-        let shared = RealizedTrial::new(ScriptedAvailability::from_codes(&["UURD", "RRUU"]));
+        let shared = RealizedTrial::new(RealizedAvailability::from_codes(&["UURD", "RRUU"]));
         assert_eq!(shared.num_procs(), 2);
         let mut r = shared.replay();
         assert_eq!(r.num_procs(), 2);
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn into_inner_requires_all_replays_dropped() {
-        let shared = RealizedTrial::new(ScriptedAvailability::from_codes(&["U"]));
+        let shared = RealizedTrial::new(RealizedAvailability::from_codes(&["U"]));
         let replay = shared.replay();
         drop(replay);
         assert!(shared.into_inner().is_some());

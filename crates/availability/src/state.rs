@@ -97,140 +97,105 @@ impl fmt::Display for ProcState {
 }
 
 /// The availability vector `S_q` of one processor: its state at every time-slot
-/// starting from time-slot 0.
+/// starting from time-slot 0, stored as run-length segments.
 ///
-/// A trace is a plain, densely stored sequence of [`ProcState`]. Queries past the
-/// end of the trace are answered by the *last* recorded state, which makes finite
+/// A trace is a list of `(start, state)` runs whose starts strictly increase
+/// from 0 and whose adjacent states always differ, so every run boundary is a
+/// transition. It also records how many slots it covers. Queries past the
+/// last run's start are answered by the *last* state, which makes finite
 /// traces usable as (eventually constant) infinite ones — handy for scripted
 /// test scenarios such as the paper's Figure 1.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateTrace {
-    states: Vec<ProcState>,
+    runs: Vec<(u64, ProcState)>,
+    len: u64,
 }
 
 impl StateTrace {
-    /// Create a trace from an explicit state sequence.
-    ///
-    /// # Panics
-    /// Panics if `states` is empty: a trace must define at least time-slot 0.
-    pub fn new(states: Vec<ProcState>) -> Self {
-        assert!(!states.is_empty(), "a state trace cannot be empty");
-        StateTrace { states }
+    /// A trace that is `state` from slot 0 on, recording that one slot.
+    pub(crate) fn starting(state: ProcState) -> Self {
+        StateTrace { runs: vec![(0, state)], len: 1 }
     }
 
-    /// Create a trace that is constant over time.
-    pub fn constant(state: ProcState, len: usize) -> Self {
-        StateTrace::new(vec![state; len.max(1)])
+    /// Create a trace that is constant over `len` recorded slots (at least one).
+    pub fn constant(state: ProcState, len: u64) -> Self {
+        StateTrace { runs: vec![(0, state)], len: len.max(1) }
     }
 
     /// Parse a trace from a string of one-letter codes, e.g. `"UURRDUU"`.
     ///
     /// Returns `None` if the string is empty or contains an invalid character.
     pub fn parse(codes: &str) -> Option<Self> {
-        if codes.is_empty() {
-            return None;
+        let mut runs: Vec<(u64, ProcState)> = Vec::new();
+        let mut len = 0;
+        for c in codes.chars() {
+            let state = ProcState::from_code(c)?;
+            if runs.last().is_none_or(|&(_, last)| last != state) {
+                runs.push((len, state));
+            }
+            len += 1;
         }
-        let states: Option<Vec<_>> = codes.chars().map(ProcState::from_code).collect();
-        states.map(StateTrace::new)
+        (len > 0).then_some(StateTrace { runs, len })
     }
 
-    /// State at time-slot `t`. Queries beyond the recorded horizon return the
-    /// last recorded state.
+    /// Index of the run covering slot `t`.
+    #[inline]
+    fn run_at(&self, t: u64) -> usize {
+        self.runs.partition_point(|&(start, _)| start <= t) - 1
+    }
+
+    /// State at time-slot `t`. Queries beyond the last run's start return the
+    /// last state.
     #[inline]
     pub fn state_at(&self, t: u64) -> ProcState {
-        let idx = (t as usize).min(self.states.len() - 1);
-        self.states[idx]
+        self.runs[self.run_at(t)].1
     }
 
-    /// Number of recorded time-slots.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// `true` if the trace records a single time-slot only.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Iterate over the recorded states.
-    pub fn iter(&self) -> impl Iterator<Item = ProcState> + '_ {
-        self.states.iter().copied()
-    }
-
-    /// Raw access to the recorded states.
-    pub fn as_slice(&self) -> &[ProcState] {
-        &self.states
-    }
-
-    /// Append a state at the end of the trace.
-    pub fn push(&mut self, s: ProcState) {
-        self.states.push(s);
-    }
-
-    /// Render the trace as a string of one-letter codes.
-    pub fn to_code_string(&self) -> String {
-        self.states.iter().map(|s| s.code()).collect()
-    }
-
-    /// Ingest a live availability transition: the processor is observed in
-    /// `state` from time-slot `at` onward. The gap between the recorded
-    /// horizon and `at` is filled with the current tail state — which is what
-    /// [`StateTrace::state_at`] already reports for those slots, so filling
-    /// it changes no answer.
+    /// First time-slot strictly after `after` at which the state differs from
+    /// the state at `after`, together with the new state: the start of the
+    /// following run.
     ///
-    /// Reporting the tail state again is **not** a transition: queries past
-    /// the horizon repeat the tail forever, so the trace already says the
-    /// processor is in `state` at `at`. Such events are dropped without
-    /// extending the trace (`Ok(false)`), which keeps
-    /// [`StateTrace::next_change`] free of spurious transitions and keeps the
-    /// horizon available for a later, genuinely different transition at an
-    /// earlier slot. Returns `Ok(true)` when a new transition was recorded,
-    /// and an error when `at` falls inside the already-recorded horizon
-    /// (live ingestion never rewrites history).
-    pub fn append_transition(&mut self, at: u64, state: ProcState) -> Result<bool, String> {
-        let tail = *self.states.last().expect("traces are never empty");
-        if state == tail {
-            return Ok(false);
-        }
-        let horizon = self.states.len();
-        if (at as usize) < horizon {
-            return Err(format!(
-                "transition to {state} at slot {at} predates the recorded horizon {horizon}"
-            ));
-        }
-        self.states.resize(at as usize, tail);
-        self.states.push(state);
-        Ok(true)
-    }
-
-    /// First time-slot strictly after `after` at which the recorded state
-    /// differs from the state at `after`, together with the new state.
-    ///
-    /// Returns `None` when the state never changes again: queries past the
-    /// recorded horizon repeat the last state forever, so a trace whose tail
-    /// is constant has no transition after it. This is the primitive behind
-    /// [`crate::trace::AvailabilityModel::next_transition`] for trace-backed
-    /// models, letting the event-driven simulator jump over idle stretches
-    /// instead of probing [`StateTrace::state_at`] slot by slot.
+    /// Returns `None` when the state never changes again: the last run
+    /// repeats forever. This is the primitive behind
+    /// [`crate::trace::AvailabilityModel::next_transition`], letting the
+    /// event-driven simulator jump over idle stretches instead of probing
+    /// [`StateTrace::state_at`] slot by slot.
     pub fn next_change(&self, after: u64) -> Option<(u64, ProcState)> {
-        let reference = self.state_at(after);
-        let start = (after as usize).saturating_add(1);
-        self.states
-            .get(start..)
-            .unwrap_or(&[])
-            .iter()
-            .position(|&s| s != reference)
-            .map(|offset| ((start + offset) as u64, self.states[start + offset]))
+        self.runs.get(self.run_at(after) + 1).copied()
     }
 
-    /// Number of time-slots in `[from, to)` during which the processor is `Up`.
-    pub fn up_slots(&self, from: u64, to: u64) -> u64 {
-        (from..to).filter(|&t| self.state_at(t).is_up()).count() as u64
+    /// The maximal runs of the recorded slots, as `(state, length)` pairs in
+    /// time order.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = (ProcState, u64)> + '_ {
+        let ends = self.runs[1..].iter().map(|&(start, _)| start).chain([self.len]);
+        self.runs.iter().zip(ends).map(|(&(start, state), end)| (state, end - start))
     }
 
-    /// `true` if the processor is never `Down` in `[from, to)`.
-    pub fn never_down(&self, from: u64, to: u64) -> bool {
-        (from..to).all(|t| !self.state_at(t).is_down())
+    /// Render the recorded slots as a string of one-letter codes.
+    pub fn to_code_string(&self) -> String {
+        self.runs()
+            .flat_map(|(state, len)| std::iter::repeat_n(state.code(), len as usize))
+            .collect()
+    }
+
+    /// The last run, as `(start, state)`.
+    pub(crate) fn last_run(&self) -> (u64, ProcState) {
+        self.runs[self.runs.len() - 1]
+    }
+
+    /// Append a run of `state` starting at `start`, after the last run's start
+    /// and in a different state, recording through its first slot.
+    pub(crate) fn push_run(&mut self, start: u64, state: ProcState) {
+        debug_assert!(self.last_run().0 < start && self.last_run().1 != state);
+        self.runs.push((start, state));
+        self.len = start + 1;
+    }
+
+    /// The first `len` slots (at least one) of this trace.
+    pub(crate) fn truncated(&self, len: u64) -> StateTrace {
+        let len = len.max(1);
+        let runs = self.runs.iter().take_while(|&&(start, _)| start < len).copied().collect();
+        StateTrace { runs, len }
     }
 }
 
@@ -272,28 +237,22 @@ mod tests {
     #[test]
     fn trace_parse_and_query() {
         let t = StateTrace::parse("UURDU").unwrap();
-        assert_eq!(t.len(), 5);
         assert_eq!(t.state_at(0), ProcState::Up);
         assert_eq!(t.state_at(2), ProcState::Reclaimed);
         assert_eq!(t.state_at(3), ProcState::Down);
         // beyond the horizon: last state persists
         assert_eq!(t.state_at(100), ProcState::Up);
+        assert_eq!(t.state_at(u64::MAX), ProcState::Up);
         assert_eq!(t.to_code_string(), "UURDU");
+        let runs: Vec<_> = t.runs().collect();
+        assert_eq!(runs[0], (ProcState::Up, 2));
+        assert_eq!(runs.len(), 4);
     }
 
     #[test]
     fn trace_parse_rejects_bad_input() {
         assert!(StateTrace::parse("").is_none());
         assert!(StateTrace::parse("UUX").is_none());
-    }
-
-    #[test]
-    fn trace_up_slots_and_never_down() {
-        let t = StateTrace::parse("URUDU").unwrap();
-        assert_eq!(t.up_slots(0, 5), 3);
-        assert_eq!(t.up_slots(0, 3), 2);
-        assert!(t.never_down(0, 3));
-        assert!(!t.never_down(0, 4));
     }
 
     #[test]
@@ -305,62 +264,17 @@ mod tests {
         assert_eq!(t.next_change(4), Some((5, ProcState::Up)));
         // The trailing UP run repeats forever, so there is no change after it.
         assert_eq!(t.next_change(5), None);
-        assert_eq!(t.next_change(100), None);
+        assert_eq!(t.next_change(u64::MAX), None);
         assert_eq!(StateTrace::constant(ProcState::Down, 4).next_change(0), None);
     }
 
     #[test]
-    fn append_transition_extends_the_trace_and_next_change_sees_it() {
-        let mut t = StateTrace::parse("UUR").unwrap();
-        // No transition after the constant tail yet.
-        assert_eq!(t.next_change(2), None);
-        // A genuine transition past the horizon: the gap is filled with the
-        // tail state, the new state lands exactly at its slot.
-        assert_eq!(t.append_transition(5, ProcState::Up), Ok(true));
-        assert_eq!(t.to_code_string(), "UURRRU");
-        assert_eq!(t.next_change(2), Some((5, ProcState::Up)));
-        assert_eq!(t.state_at(4), ProcState::Reclaimed);
-        assert_eq!(t.state_at(5), ProcState::Up);
-        // Appending at exactly the horizon needs no gap fill.
-        assert_eq!(t.append_transition(6, ProcState::Down), Ok(true));
-        assert_eq!(t.to_code_string(), "UURRRUD");
-    }
-
-    #[test]
-    fn append_transition_equal_to_the_tail_is_not_a_transition() {
-        // The live-append/next_change interaction pin: an event reporting the
-        // state the trace already repeats forever must not be recorded — a
-        // naive resize-and-push would not change next_change's answer but
-        // would freeze the horizon past `at`, rejecting a later real
-        // transition at an earlier slot.
-        let mut t = StateTrace::parse("UUR").unwrap();
-        assert_eq!(t.append_transition(10, ProcState::Reclaimed), Ok(false));
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.next_change(2), None);
-        assert_eq!(t.next_change(0), Some((2, ProcState::Reclaimed)));
-        // The horizon stayed at 3, so a real transition at slot 4 still fits.
-        assert_eq!(t.append_transition(4, ProcState::Down), Ok(true));
-        assert_eq!(t.next_change(2), Some((4, ProcState::Down)));
-    }
-
-    #[test]
-    fn append_transition_rejects_rewriting_history() {
-        let mut t = StateTrace::parse("UUR").unwrap();
-        let err = t.append_transition(1, ProcState::Down).unwrap_err();
-        assert!(err.contains("predates the recorded horizon 3"), "{err}");
-        assert_eq!(t.to_code_string(), "UUR");
-    }
-
-    #[test]
-    fn constant_trace() {
-        let t = StateTrace::constant(ProcState::Up, 0);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.state_at(10), ProcState::Up);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_trace_panics() {
-        let _ = StateTrace::new(vec![]);
+    fn constant_and_truncated_traces_record_at_least_one_slot() {
+        assert_eq!(StateTrace::constant(ProcState::Up, 0).to_code_string(), "U");
+        assert_eq!(StateTrace::constant(ProcState::Down, 3).to_code_string(), "DDD");
+        let t = StateTrace::parse("UURRDUU").unwrap();
+        assert_eq!(t.truncated(3).to_code_string(), "UUR");
+        assert_eq!(t.truncated(0).to_code_string(), "U");
+        assert_eq!(t.truncated(9).to_code_string(), "UURRDUUUU");
     }
 }

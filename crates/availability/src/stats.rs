@@ -27,33 +27,18 @@ impl TraceStats {
     pub fn from_trace(trace: &StateTrace) -> Self {
         let mut slots_in_state = [0u64; 3];
         let mut transitions = [[0u64; 3]; 3];
-        let mut interval_lengths: [Vec<u64>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-
+        let mut interval_lengths: [Vec<u64>; 3] = Default::default();
         let mut prev: Option<ProcState> = None;
-        let mut run_len: u64 = 0;
-        for s in trace.iter() {
-            slots_in_state[s.index()] += 1;
-            match prev {
-                Some(p) if p == s => run_len += 1,
-                Some(p) => {
-                    transitions[p.index()][s.index()] += 1;
-                    interval_lengths[p.index()].push(run_len);
-                    run_len = 1;
-                }
-                None => run_len = 1,
+        for (state, len) in trace.runs() {
+            slots_in_state[state.index()] += len;
+            interval_lengths[state.index()].push(len);
+            if let Some(p) = prev {
+                transitions[p.index()][state.index()] += 1;
             }
-            prev = Some(s);
+            prev = Some(state);
         }
-        if let Some(p) = prev {
-            interval_lengths[p.index()].push(run_len);
-        }
-
-        TraceStats {
-            slots_in_state,
-            transitions,
-            interval_lengths,
-            total_slots: trace.len() as u64,
-        }
+        let total_slots = slots_in_state.iter().sum();
+        TraceStats { slots_in_state, transitions, interval_lengths, total_slots }
     }
 
     /// Fraction of time-slots spent in `state`.
@@ -115,7 +100,7 @@ mod tests {
     use super::*;
     use crate::markov::MarkovChain3;
     use crate::rng::rng_from_seed;
-    use crate::trace::{AvailabilityModel, MarkovAvailability};
+    use crate::trace::RealizedAvailability;
 
     #[test]
     fn stats_on_simple_trace() {
@@ -150,13 +135,8 @@ mod tests {
     #[test]
     fn empirical_matrix_recovers_generating_chain() {
         let chain = MarkovChain3::from_self_loop_probs(0.93, 0.9, 0.95).unwrap();
-        let mut model = MarkovAvailability::new(vec![chain], 11, false);
-        let horizon = 300_000u64;
-        let mut states = Vec::with_capacity(horizon as usize);
-        for t in 0..horizon {
-            states.push(model.state(0, t));
-        }
-        let stats = TraceStats::from_trace(&StateTrace::new(states));
+        let traces = RealizedAvailability::markov(vec![chain], 11, false).materialize(300_000);
+        let stats = TraceStats::from_trace(traces.trace(0));
         let emp = stats.empirical_transition_matrix();
         for i in 0..3 {
             for j in 0..3 {

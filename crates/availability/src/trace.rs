@@ -1,25 +1,24 @@
-//! Availability trace generation and replay.
+//! Availability realizations.
 //!
 //! The simulator needs to answer two questions about processor availability:
 //! "in which state is processor `q` at time-slot `t`?" ([`AvailabilityModel::
 //! state`]) and "when does processor `q` next *change* state?"
 //! ([`AvailabilityModel::next_transition`], the primitive behind the
-//! event-driven engine's jumps over idle stretches). Two kinds of backend
-//! implement the [`AvailabilityModel`] trait:
+//! event-driven engine's jumps over idle stretches).
 //!
-//! * [`MarkovAvailability`] — realizes each processor's [`MarkovChain3`] lazily
-//!   as a run-length-encoded sequence of `(start_slot, state)` segments,
-//!   sampling sojourn times directly ([`MarkovChain3::sample_transition`])
-//!   instead of flipping a coin every slot. The realization is fully determined
-//!   by the seed, so simulation runs are reproducible, and both queries cost
-//!   `O(log #segments)` after amortized `O(#transitions)` generation.
-//! * [`ScriptedAvailability`] and [`TraceSet`] — replay explicit, pre-generated
-//!   traces (hand-written scripts for unit tests and the Figure 1 worked
-//!   example; semi-Markov realizations for the sensitivity study). Their
-//!   `next_transition` scans the dense trace for the next change.
+//! [`RealizedAvailability`] answers both for every kind of trial. It keeps
+//! one run-length [`StateTrace`] per processor and extends it on demand by
+//! drawing whole runs from the processor's sojourn source: a [`MarkovChain3`]
+//! ([`MarkovChain3::sample_transition`], the paper's model), a
+//! [`SemiMarkovModel`] (Weibull / log-normal holding times, the sensitivity
+//! study's model), or none for scripted traces, whose last state repeats
+//! forever. A realization is fully determined by its seed, query order never
+//! changes it, and both queries cost `O(log runs)` after amortized
+//! `O(transitions)` draws — whatever the slot values involved.
 
 use crate::markov::MarkovChain3;
 use crate::rng::sub_rng;
+use crate::semi_markov::SemiMarkovModel;
 use crate::state::{ProcState, StateTrace};
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -54,11 +53,6 @@ pub trait AvailabilityModel {
     /// Implementations may panic if `q >= self.num_procs()`.
     fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)>;
 
-    /// `true` if every processor in `procs` is `UP` at time-slot `t`.
-    fn all_up(&mut self, procs: &[usize], t: u64) -> bool {
-        procs.iter().all(|&q| self.state(q, t).is_up())
-    }
-
     /// Project the model onto a boolean `UP` matrix over `0..horizon`:
     /// `matrix[q][t]` is `true` exactly when processor `q` is `UP` at slot
     /// `t`. This is the paper's offline view of a realized trial — `RECLAIMED`
@@ -71,232 +65,186 @@ pub trait AvailabilityModel {
     }
 }
 
-/// Lazily realized Markov availability: one [`MarkovChain3`] and one RNG stream
-/// per processor, realized as run-length segments by direct sojourn sampling.
+/// Lazily realized availability: one run-length [`StateTrace`] per
+/// processor, extended on demand from that processor's sojourn source.
+///
+/// A trace *closes* when its source is absorbing, when its next run would
+/// start at or past the realization's horizon, or from the start when it is
+/// scripted. A closed trace repeats its last state forever and draws no more
+/// random numbers.
 #[derive(Debug, Clone)]
-pub struct MarkovAvailability {
-    chains: Vec<MarkovChain3>,
-    /// Per-processor realization as `(start_slot, state)` runs: the processor
-    /// is in `state` from `start_slot` (inclusive) until the next segment's
-    /// start. Starts are strictly increasing and consecutive states always
-    /// differ, so segment boundaries *are* the transition instants.
-    segments: Vec<Vec<(u64, ProcState)>>,
-    /// `true` once the processor reached an absorbing state: the last
-    /// segment's state then persists forever and no more RNG is consumed.
-    absorbed: Vec<bool>,
-    rngs: Vec<SmallRng>,
+pub struct RealizedAvailability {
+    lanes: Vec<Lane>,
+    /// No run starts at or past this slot (`u64::MAX` unless semi-Markov).
+    horizon: u64,
 }
 
-impl MarkovAvailability {
-    /// Create a model from per-processor chains.
+/// One processor's trace and where its next run comes from (`None` once the
+/// trace is closed).
+#[derive(Debug, Clone)]
+struct Lane {
+    trace: StateTrace,
+    source: Option<(Sojourns, SmallRng)>,
+}
+
+/// A per-processor source of runs (the larger semi-Markov model is boxed to
+/// keep Markov lanes small).
+#[derive(Debug, Clone)]
+enum Sojourns {
+    Markov(MarkovChain3),
+    SemiMarkov(Box<SemiMarkovModel>),
+}
+
+impl Sojourns {
+    /// The length of the run of `state` and the state after it, or `None`
+    /// when the run never ends or lasts at least `room` slots.
+    fn next_run(
+        &self,
+        state: ProcState,
+        room: u64,
+        rng: &mut SmallRng,
+    ) -> Option<(u64, ProcState)> {
+        match self {
+            Sojourns::Markov(chain) => {
+                chain.sample_transition(state, rng).filter(|&(sojourn, _)| sojourn < room)
+            }
+            Sojourns::SemiMarkov(model) => model.sample_run(state, room, rng),
+        }
+    }
+}
+
+impl RealizedAvailability {
+    /// Realize per-processor Markov chains, processor `q` from the stream
+    /// `sub_rng(seed, q)`.
     ///
     /// Each processor starts in the `UP` state at time-slot 0 unless
     /// `random_start` is set, in which case the initial state is drawn from the
     /// chain's stationary distribution.
-    pub fn new(chains: Vec<MarkovChain3>, seed: u64, random_start: bool) -> Self {
-        let mut segments = Vec::with_capacity(chains.len());
-        let mut rngs = Vec::with_capacity(chains.len());
-        for (q, chain) in chains.iter().enumerate() {
-            let mut rng = sub_rng(seed, q as u64);
-            let initial = if random_start {
-                let pi = chain.stationary_distribution();
-                let x: f64 = rng.gen();
-                if x < pi[0] {
-                    ProcState::Up
-                } else if x < pi[0] + pi[1] {
-                    ProcState::Reclaimed
+    pub fn markov(chains: Vec<MarkovChain3>, seed: u64, random_start: bool) -> Self {
+        let lanes = chains
+            .into_iter()
+            .enumerate()
+            .map(|(q, chain)| {
+                let mut rng = sub_rng(seed, q as u64);
+                let initial = if random_start {
+                    let pi = chain.stationary_distribution();
+                    let x: f64 = rng.gen();
+                    if x < pi[0] {
+                        ProcState::Up
+                    } else if x < pi[0] + pi[1] {
+                        ProcState::Reclaimed
+                    } else {
+                        ProcState::Down
+                    }
                 } else {
-                    ProcState::Down
+                    ProcState::Up
+                };
+                Lane {
+                    trace: StateTrace::starting(initial),
+                    source: Some((Sojourns::Markov(chain), rng)),
                 }
-            } else {
-                ProcState::Up
-            };
-            segments.push(vec![(0, initial)]);
-            rngs.push(rng);
-        }
-        let absorbed = vec![false; chains.len()];
-        MarkovAvailability { chains, segments, absorbed, rngs }
+            })
+            .collect();
+        RealizedAvailability { lanes, horizon: u64::MAX }
     }
 
-    /// The chain governing processor `q`.
-    pub fn chain(&self, q: usize) -> &MarkovChain3 {
-        &self.chains[q]
+    /// Realize per-processor semi-Markov models, every processor starting
+    /// `UP` and processor `q` drawing from the stream `sub_rng(seed, q)`.
+    ///
+    /// The last run to reach `horizon` (the run's slot cap) is cut there and
+    /// repeats forever, so the answers past the horizon are the state at
+    /// `horizon - 1`.
+    pub fn semi_markov(models: &[SemiMarkovModel], seed: u64, horizon: u64) -> Self {
+        let lanes = models
+            .iter()
+            .enumerate()
+            .map(|(q, &model)| Lane {
+                trace: StateTrace::starting(ProcState::Up),
+                source: Some((Sojourns::SemiMarkov(Box::new(model)), sub_rng(seed, q as u64))),
+            })
+            .collect();
+        RealizedAvailability { lanes, horizon }
     }
 
-    /// All per-processor chains.
-    pub fn chains(&self) -> &[MarkovChain3] {
-        &self.chains
-    }
-
-    /// Materialize the first `horizon` time-slots of every processor into a
-    /// [`TraceSet`] (a single-slot trace per processor when `horizon` is 0).
-    pub fn materialize(&mut self, horizon: u64) -> TraceSet {
-        let cap = horizon.max(1);
-        let mut traces = Vec::with_capacity(self.num_procs());
-        for q in 0..self.num_procs() {
-            self.realize_past(q, cap - 1);
-            let segments = &self.segments[q];
-            let mut states = Vec::with_capacity(cap as usize);
-            for (i, &(start, state)) in segments.iter().enumerate() {
-                if start >= cap {
-                    break;
-                }
-                // Starts are strictly increasing, so the run ends where the
-                // next segment begins (or at the horizon).
-                let end = segments.get(i + 1).map_or(cap, |&(s, _)| s.min(cap));
-                states.extend(std::iter::repeat_n(state, (end - start) as usize));
-            }
-            traces.push(StateTrace::new(states));
-        }
-        TraceSet::new(traces)
-    }
-
-    /// Extend processor `q`'s realization until its last segment starts after
-    /// `t` (so the state at `t` is final) or an absorbing state is reached.
-    fn realize_past(&mut self, q: usize, t: u64) {
-        while !self.absorbed[q] {
-            let &(start, state) = self.segments[q].last().expect("segments are never empty");
-            if start > t {
-                break;
-            }
-            match self.chains[q].sample_transition(state, &mut self.rngs[q]) {
-                Some((sojourn, next)) => self.segments[q].push((start + sojourn, next)),
-                None => self.absorbed[q] = true,
-            }
-        }
-    }
-
-    /// Index of the segment covering slot `t` (requires the realization to
-    /// already extend past `t`).
-    fn segment_at(&self, q: usize, t: u64) -> usize {
-        self.segments[q].partition_point(|&(start, _)| start <= t) - 1
-    }
-}
-
-impl AvailabilityModel for MarkovAvailability {
-    fn num_procs(&self) -> usize {
-        self.chains.len()
-    }
-
-    fn state(&mut self, q: usize, t: u64) -> ProcState {
-        self.realize_past(q, t);
-        self.segments[q][self.segment_at(q, t)].1
-    }
-
-    fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
-        self.realize_past(q, after);
-        let next = self.segment_at(q, after) + 1;
-        self.segments[q].get(next).copied()
-    }
-}
-
-/// Replays explicit traces; deterministic and side-effect free.
-#[derive(Debug, Clone)]
-pub struct ScriptedAvailability {
-    traces: Vec<StateTrace>,
-}
-
-impl ScriptedAvailability {
-    /// Create a scripted model from explicit per-processor traces.
-    pub fn new(traces: Vec<StateTrace>) -> Self {
-        assert!(!traces.is_empty(), "scripted availability needs at least one processor");
-        ScriptedAvailability { traces }
-    }
-
-    /// Create a scripted model from strings of `U`/`R`/`D` codes.
+    /// Replay explicit traces written as strings of `U`/`R`/`D` codes; past
+    /// its end each trace repeats its last state.
     ///
     /// # Panics
     /// Panics if any string is empty or contains an invalid code.
     pub fn from_codes(codes: &[&str]) -> Self {
-        ScriptedAvailability::new(
-            codes
-                .iter()
-                .map(|c| StateTrace::parse(c).expect("invalid availability code string"))
-                .collect(),
+        RealizedAvailability::scripted(
+            codes.iter().map(|c| StateTrace::parse(c).expect("invalid availability code string")),
         )
     }
 
-    /// Access the underlying traces.
-    pub fn traces(&self) -> &[StateTrace] {
-        &self.traces
-    }
-}
-
-impl AvailabilityModel for ScriptedAvailability {
-    fn num_procs(&self) -> usize {
-        self.traces.len()
+    fn scripted(traces: impl IntoIterator<Item = StateTrace>) -> Self {
+        let lanes = traces.into_iter().map(|trace| Lane { trace, source: None }).collect();
+        RealizedAvailability { lanes, horizon: u64::MAX }
     }
 
-    fn state(&mut self, q: usize, t: u64) -> ProcState {
-        self.traces[q].state_at(t)
-    }
-
-    fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
-        self.traces[q].next_change(after)
-    }
-}
-
-/// A plain collection of per-processor traces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceSet {
-    traces: Vec<StateTrace>,
-}
-
-impl TraceSet {
-    /// Wrap a vector of traces.
-    pub fn new(traces: Vec<StateTrace>) -> Self {
-        TraceSet { traces }
-    }
-
-    /// Number of processors.
-    pub fn num_procs(&self) -> usize {
-        self.traces.len()
-    }
-
-    /// Trace of processor `q`.
+    /// The trace realized so far for processor `q`.
     pub fn trace(&self, q: usize) -> &StateTrace {
-        &self.traces[q]
+        &self.lanes[q].trace
     }
 
-    /// Iterate over all traces.
-    pub fn iter(&self) -> impl Iterator<Item = &StateTrace> {
-        self.traces.iter()
+    /// The first `horizon` time-slots (at least one) of every processor, as
+    /// scripted traces.
+    pub fn materialize(&mut self, horizon: u64) -> RealizedAvailability {
+        let cap = horizon.max(1);
+        let procs = 0..self.num_procs();
+        RealizedAvailability::scripted(procs.map(|q| self.realize_past(q, cap - 1).truncated(cap)))
     }
 
-    /// Consume the set and return the traces.
-    pub fn into_traces(self) -> Vec<StateTrace> {
-        self.traces
+    /// Extend processor `q`'s trace until its last run starts after `t` (so
+    /// the state at `t` is final) or the trace closes.
+    #[inline]
+    fn realize_past(&mut self, q: usize, t: u64) -> &StateTrace {
+        let lane = &mut self.lanes[q];
+        while let Some((sojourns, rng)) = &mut lane.source {
+            let (start, state) = lane.trace.last_run();
+            if start > t {
+                break;
+            }
+            match sojourns.next_run(state, self.horizon - start, rng) {
+                Some((len, next)) => lane.trace.push_run(start + len, next),
+                None => lane.source = None,
+            }
+        }
+        &lane.trace
     }
 }
 
-impl AvailabilityModel for TraceSet {
+impl AvailabilityModel for RealizedAvailability {
     fn num_procs(&self) -> usize {
-        self.traces.len()
+        self.lanes.len()
     }
 
     fn state(&mut self, q: usize, t: u64) -> ProcState {
-        self.traces[q].state_at(t)
+        self.realize_past(q, t).state_at(t)
     }
 
     fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
-        self.traces[q].next_change(after)
+        self.realize_past(q, after).next_change(after)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::semi_markov::{HoldingTime, SemiMarkovState};
 
     fn paper_chains(n: usize, seed: u64) -> Vec<MarkovChain3> {
         let mut rng = sub_rng(seed, 1000);
         (0..n).map(|_| MarkovChain3::sample_paper_model(&mut rng)).collect()
     }
 
+    fn markov(n: usize, chain_seed: u64, seed: u64) -> RealizedAvailability {
+        RealizedAvailability::markov(paper_chains(n, chain_seed), seed, false)
+    }
+
     #[test]
     fn markov_availability_is_reproducible() {
-        let chains = paper_chains(5, 17);
-        let mut a = MarkovAvailability::new(chains.clone(), 42, false);
-        let mut b = MarkovAvailability::new(chains, 42, false);
+        let (mut a, mut b) = (markov(5, 17, 42), markov(5, 17, 42));
         for t in 0..500 {
             for q in 0..5 {
                 assert_eq!(a.state(q, t), b.state(q, t));
@@ -306,15 +254,9 @@ mod tests {
 
     #[test]
     fn markov_availability_different_seeds_differ() {
-        let chains = paper_chains(5, 17);
-        let mut a = MarkovAvailability::new(chains.clone(), 1, false);
-        let mut b = MarkovAvailability::new(chains, 2, false);
-        let same = (0..500)
+        let (mut a, mut b) = (markov(5, 17, 1), markov(5, 17, 2));
+        let same = (0..500u64)
             .flat_map(|t| (0..5).map(move |q| (q, t)))
-            .filter(|&(q, t)| {
-                // compare pointwise; count equal slots
-                q < 5 && t < 500
-            })
             .filter(|&(q, t)| a.state(q, t) == b.state(q, t))
             .count();
         assert!(same < 5 * 500, "two different seeds produced identical realizations");
@@ -322,8 +264,7 @@ mod tests {
 
     #[test]
     fn markov_availability_starts_up_by_default() {
-        let chains = paper_chains(8, 3);
-        let mut a = MarkovAvailability::new(chains, 7, false);
+        let mut a = markov(8, 3, 7);
         for q in 0..8 {
             assert_eq!(a.state(q, 0), ProcState::Up);
         }
@@ -331,11 +272,10 @@ mod tests {
 
     #[test]
     fn markov_availability_out_of_order_queries_consistent() {
-        let chains = paper_chains(3, 11);
-        let mut a = MarkovAvailability::new(chains.clone(), 5, false);
+        let mut a = markov(3, 11, 5);
         let late = a.state(1, 300);
         let early = a.state(1, 10);
-        let mut b = MarkovAvailability::new(chains, 5, false);
+        let mut b = markov(3, 11, 5);
         // query in the opposite order
         let early2 = b.state(1, 10);
         let late2 = b.state(1, 300);
@@ -345,7 +285,7 @@ mod tests {
 
     #[test]
     fn scripted_availability_replays_exactly() {
-        let mut s = ScriptedAvailability::from_codes(&["UURD", "RRUU"]);
+        let mut s = RealizedAvailability::from_codes(&["UURD", "RRUU"]);
         assert_eq!(s.num_procs(), 2);
         assert_eq!(s.state(0, 0), ProcState::Up);
         assert_eq!(s.state(0, 2), ProcState::Reclaimed);
@@ -354,23 +294,12 @@ mod tests {
         assert_eq!(s.state(1, 3), ProcState::Up);
         // past the horizon the last state persists
         assert_eq!(s.state(0, 99), ProcState::Down);
-        assert!(!s.all_up(&[0, 1], 0));
-        assert!(s.all_up(&[0, 1], 10).eq(&false));
-    }
-
-    #[test]
-    fn all_up_helper() {
-        let mut s = ScriptedAvailability::from_codes(&["UU", "UU", "UR"]);
-        assert!(s.all_up(&[0, 1], 0));
-        assert!(s.all_up(&[0, 1, 2], 0));
-        assert!(!s.all_up(&[0, 1, 2], 1));
-        assert!(s.all_up(&[], 1));
     }
 
     #[test]
     fn up_matrix_projects_up_only() {
         // RECLAIMED and DOWN both project to `false`.
-        let mut s = ScriptedAvailability::from_codes(&["UURD", "RRUU"]);
+        let mut s = RealizedAvailability::from_codes(&["UURD", "RRUU"]);
         assert_eq!(
             s.up_matrix(4),
             vec![vec![true, true, false, false], vec![false, false, true, true]]
@@ -378,9 +307,7 @@ mod tests {
         // A shorter horizon truncates columns, not rows.
         assert_eq!(s.up_matrix(2), vec![vec![true, true], vec![false, false]]);
         // The projection agrees with the Markov backend's state queries.
-        let chains = paper_chains(3, 17);
-        let mut a = MarkovAvailability::new(chains.clone(), 11, false);
-        let mut b = MarkovAvailability::new(chains, 11, false);
+        let (mut a, mut b) = (markov(3, 17, 11), markov(3, 17, 11));
         let matrix = a.up_matrix(64);
         for (q, row) in matrix.iter().enumerate() {
             for (t, &up) in row.iter().enumerate() {
@@ -391,8 +318,7 @@ mod tests {
 
     #[test]
     fn next_transition_is_consistent_with_state_queries() {
-        let chains = paper_chains(4, 31);
-        let mut a = MarkovAvailability::new(chains, 9, false);
+        let mut a = markov(4, 31, 9);
         for q in 0..4 {
             let mut t = 0u64;
             while t < 2_000 {
@@ -415,33 +341,30 @@ mod tests {
 
     #[test]
     fn next_transition_on_absorbing_chain_is_none() {
-        let mut a = MarkovAvailability::new(vec![MarkovChain3::always_up()], 5, false);
+        let mut a = RealizedAvailability::markov(vec![MarkovChain3::always_up()], 5, false);
         assert_eq!(a.state(0, 1_000_000), ProcState::Up);
         assert_eq!(a.next_transition(0, 0), None);
         assert_eq!(a.next_transition(0, 99), None);
     }
 
     #[test]
-    fn scripted_next_transition_scans_the_trace() {
-        let mut s = ScriptedAvailability::from_codes(&["UURD", "RRRR"]);
+    fn scripted_next_transition_reads_the_runs() {
+        let mut s = RealizedAvailability::from_codes(&["UURD", "RRRR", "UDU"]);
         assert_eq!(s.next_transition(0, 0), Some((2, ProcState::Reclaimed)));
         assert_eq!(s.next_transition(0, 2), Some((3, ProcState::Down)));
         // Past the horizon the last state persists: no more transitions.
         assert_eq!(s.next_transition(0, 3), None);
         assert_eq!(s.next_transition(1, 0), None);
-        let mut set = TraceSet::new(vec![StateTrace::parse("UDU").unwrap()]);
-        assert_eq!(set.next_transition(0, 0), Some((1, ProcState::Down)));
-        assert_eq!(set.next_transition(0, 1), Some((2, ProcState::Up)));
-        assert_eq!(set.next_transition(0, 2), None);
+        assert_eq!(s.next_transition(2, 0), Some((1, ProcState::Down)));
+        assert_eq!(s.next_transition(2, 1), Some((2, ProcState::Up)));
+        assert_eq!(s.next_transition(2, 2), None);
     }
 
     #[test]
     fn query_order_does_not_change_the_realization() {
         // next_transition and state share the same lazily generated
         // realization, so interleaving them in any order must agree.
-        let chains = paper_chains(2, 7);
-        let mut a = MarkovAvailability::new(chains.clone(), 3, false);
-        let mut b = MarkovAvailability::new(chains, 3, false);
+        let (mut a, mut b) = (markov(2, 7, 3), markov(2, 7, 3));
         // `a` explores via transitions first, `b` via dense state queries.
         let mut hops = Vec::new();
         let mut t = 0;
@@ -461,16 +384,52 @@ mod tests {
 
     #[test]
     fn materialize_matches_lazy_queries() {
-        let chains = paper_chains(4, 23);
-        let mut a = MarkovAvailability::new(chains, 99, true);
+        let mut a = RealizedAvailability::markov(paper_chains(4, 23), 99, true);
         let expected: Vec<Vec<ProcState>> =
             (0..4).map(|q| (0..100).map(|t| a.state(q, t)).collect()).collect();
-        let set = a.materialize(100);
+        let mut set = a.materialize(100);
         assert_eq!(set.num_procs(), 4);
         for (q, states) in expected.iter().enumerate() {
+            assert_eq!(set.trace(q).to_code_string().len(), 100);
             for t in 0..100u64 {
-                assert_eq!(set.trace(q).state_at(t), states[t as usize]);
+                assert_eq!(set.state(q, t), states[t as usize]);
             }
+        }
+    }
+
+    #[test]
+    fn sojourns_reaching_u64_max_close_the_trace_instead_of_wrapping() {
+        // Mean sojourns of ~3·10^15 slots: the run starts pass u64::MAX after
+        // some 6,000 sojourns, where a wrapping start would break the order.
+        let p = 1.0 - 3e-16;
+        let chain = MarkovChain3::from_self_loop_probs(p, p, p).unwrap();
+        let mut a = RealizedAvailability::markov(vec![chain], 1, false);
+        let last = a.state(0, u64::MAX);
+        let mut after = 0;
+        for _ in 0..10_000 {
+            let Some((when, state)) = a.next_transition(0, after) else { break };
+            assert!(when > after, "hop to {when} after {after}");
+            assert_eq!(a.state(0, when), state);
+            after = when;
+        }
+        assert!(after > u64::MAX / 2, "the walk stopped early, at {after}");
+        assert_eq!(a.next_transition(0, after), None);
+        assert_eq!(a.state(0, after), last);
+    }
+
+    #[test]
+    fn a_semi_markov_hold_of_u64_max_slots_closes_the_trace() {
+        let hold = SemiMarkovState {
+            holding: HoldingTime::Fixed { slots: u64::MAX },
+            to_up: 0.0,
+            to_reclaimed: 1.0,
+            to_down: 0.0,
+        };
+        let model = SemiMarkovModel { up: hold, reclaimed: hold, down: hold };
+        let mut a = RealizedAvailability::semi_markov(&[model], 3, u64::MAX);
+        for t in [0, 1, u64::MAX] {
+            assert_eq!(a.state(0, t), ProcState::Up);
+            assert_eq!(a.next_transition(0, t), None);
         }
     }
 }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dg_availability::rng::rng_from_seed;
-use dg_availability::trace::MarkovAvailability;
+use dg_availability::trace::RealizedAvailability;
 use dg_availability::MarkovChain3;
 use dg_platform::{ApplicationSpec, MasterSpec, Platform};
 use dg_sim::{Assignment, FixedAssignmentScheduler, SimulationLimits, Simulator};
@@ -26,7 +26,7 @@ fn engine_throughput(c: &mut Criterion) {
     let master = MasterSpec::from_slots(5, 5, 1);
     let assignment = Assignment::new((0..10).map(|q| (q, 1)));
     // Slots per run is deterministic; measure throughput in slots.
-    let availability = MarkovAvailability::new(vec![MarkovChain3::always_up(); p], 1, false);
+    let availability = RealizedAvailability::markov(vec![MarkovChain3::always_up(); p], 1, false);
     let mut sched = FixedAssignmentScheduler::new(assignment.clone());
     let (outcome, _) =
         Simulator::from_parts(platform.clone(), app, master, availability).run(&mut sched);
@@ -34,7 +34,7 @@ fn engine_throughput(c: &mut Criterion) {
     group.bench_function("reliable_20_workers", |b| {
         b.iter(|| {
             let availability =
-                MarkovAvailability::new(vec![MarkovChain3::always_up(); p], 1, false);
+                RealizedAvailability::markov(vec![MarkovChain3::always_up(); p], 1, false);
             let mut sched = FixedAssignmentScheduler::new(assignment.clone());
             Simulator::from_parts(
                 platform.clone(),
@@ -54,7 +54,7 @@ fn engine_throughput(c: &mut Criterion) {
         Platform::new((0..p).map(|_| dg_platform::WorkerSpec::new(3)).collect(), chains.clone());
     group.bench_function("volatile_20_workers", |b| {
         b.iter(|| {
-            let availability = MarkovAvailability::new(chains.clone(), 11, false);
+            let availability = RealizedAvailability::markov(chains.clone(), 11, false);
             let mut sched = FixedAssignmentScheduler::new(assignment.clone());
             Simulator::from_parts(
                 volatile_platform.clone(),

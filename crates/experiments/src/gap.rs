@@ -479,7 +479,7 @@ pub fn render_gap_table(title: &str, aggregates: &[GapAggregate]) -> String {
 mod tests {
     use super::*;
     use crate::executor::ExecutorOptions;
-    use dg_availability::ScriptedAvailability;
+    use dg_availability::RealizedAvailability;
     use std::fs;
     use std::path::PathBuf;
 
@@ -555,7 +555,7 @@ mod tests {
             },
             3,
         );
-        let mut scripted = ScriptedAvailability::from_codes(&["UURD", "RRUU", "UUUU"]);
+        let mut scripted = RealizedAvailability::from_codes(&["UURD", "RRUU", "UUUU"]);
         let instance = project_trial(&scenario, &mut scripted, 4);
         assert_eq!(instance.num_procs(), 3);
         assert_eq!(instance.horizon(), 4);

@@ -15,9 +15,9 @@ use crate::metrics::ReferenceComparison;
 use crate::store::encode_instance;
 use crate::suite::fingerprint_suffix;
 use crate::sweep::{self, Job, Sweep};
-use dg_availability::semi_markov::SemiMarkovModel;
+use dg_availability::RealizedAvailability;
 use dg_heuristics::HeuristicSpec;
-use dg_platform::{ScenarioModel, ScenarioParams, TrialAvailability};
+use dg_platform::{ScenarioModel, ScenarioParams};
 use dg_sim::SimMode;
 use serde::{Deserialize, Serialize};
 
@@ -165,7 +165,7 @@ pub fn run_sensitivity(config: &SensitivityConfig) -> SensitivityResults {
 /// Run the sensitivity experiment, fanning `(point, scenario)` jobs out over
 /// `config.threads` worker threads (`0` = auto-detect) with deterministic,
 /// thread-count-independent result ordering. Each trial realizes its Markov
-/// availability and generates its semi-Markov trace **once**, shared by every
+/// and its semi-Markov availability **once**, shared by every
 /// heuristic of the trial through
 /// [`RealizedTrial`](dg_availability::RealizedTrial) replays.
 ///
@@ -185,11 +185,10 @@ pub fn run_sensitivity_with(
     let job = |job: &Job<'_, InstanceResult>| {
         job.instances(&config.heuristics, config.max_slots, config.engine, |s, arm, seed| {
             if arm == 0 {
-                return TrialAvailability::Markov(s.availability_for_trial(seed, false));
+                return s.availability_for_trial(seed, false);
             }
             let models = matched_semi_markov_models(s, config.weibull_shape);
-            let traces = SemiMarkovModel::generate_set(&models, config.max_slots, seed);
-            TrialAvailability::Traces(traces)
+            RealizedAvailability::semi_markov(&models, seed, config.max_slots)
         })
     };
     let mut results = SensitivityResults { markov: Vec::new(), semi_markov: Vec::new() };

@@ -38,14 +38,17 @@
 //! ## Online mode
 //!
 //! `{"op":"session",...}` instantiates one registry-built scheduler for the
-//! connection and seeds a live [`StateTrace`] per worker. Subsequent
-//! `{"op":"event",...}` lines append availability transitions to the traces
-//! ([`StateTrace::append_transition`]; reporting the tail state again is not
-//! a transition) and re-evaluate the scheduler per its [`Reevaluation`]
-//! contract — the first consumer of that contract outside the simulator: the
-//! engine's always-wake rules (configuration-member transitions, a crash
-//! while holding program or data, entering `UP` while idle) plus the
-//! scheduler's `on_outside_transitions` flag. A changed decision installs
+//! connection and keeps each worker's current state and the slot of its last
+//! change — no history, since a decision only reads the present, so a
+//! session's memory does not depend on the event times. Subsequent
+//! `{"op":"event",...}` lines report availability transitions (reporting the
+//! current state again is not a transition; a change at or before the
+//! worker's last-change slot is refused) and re-evaluate the scheduler per
+//! its [`Reevaluation`] contract — the first consumer of that contract
+//! outside the simulator: the engine's always-wake rules
+//! (configuration-member transitions, a crash while holding program or data,
+//! entering `UP` while idle) plus the scheduler's `on_outside_transitions`
+//! flag. A changed decision installs
 //! the new configuration and emits an unsolicited `{"op":"reschedule",...}`
 //! record after the event's acknowledgement.
 //!
@@ -61,7 +64,7 @@ use crate::json::{self, List, Obj, Opt, Str, Value};
 use crate::runner::scheduler_seed;
 use crate::sweep::scenario_seed;
 use dg_analysis::{EvalCache, EvalCacheStats};
-use dg_availability::{ProcState, StateTrace};
+use dg_availability::ProcState;
 use dg_heuristics::parse_heuristic_named;
 use dg_platform::Scenario;
 use dg_sim::view::{Decision, Reevaluation, Scheduler};
@@ -480,13 +483,13 @@ fn entries(entries: &[(usize, usize)]) -> impl Display + '_ {
     List(entries.iter().map(|&(q, x)| List([q, x])))
 }
 
-/// One connection's online session: a registry-built scheduler, a live
-/// [`StateTrace`] per worker and the world state the traces drive.
+/// One connection's online session: a registry-built scheduler and the world
+/// state the events drive, with each worker's last-change slot.
 struct OnlineSession {
     heuristic: String,
     scheduler: Box<dyn Scheduler>,
     reevaluation: Reevaluation,
-    traces: Vec<StateTrace>,
+    last_change: Vec<u64>,
     ctx: DecisionContext,
 }
 
@@ -611,7 +614,7 @@ impl ScheduleService {
             heuristic: spec.name(),
             scheduler,
             reevaluation,
-            traces: states.iter().map(|&s| StateTrace::constant(s, 1)).collect(),
+            last_change: vec![0; states.len()],
             ctx: DecisionContext::fresh(&states),
         };
         let mut lines = vec![Obj::new()
@@ -642,7 +645,7 @@ impl ScheduleService {
                 &mut self.summary.errors,
             );
         };
-        if worker >= session.traces.len() {
+        if worker >= session.last_change.len() {
             let err = format!("worker {worker} does not exist");
             self.session = Some(session);
             return fail(err, &mut self.summary.errors);
@@ -653,17 +656,22 @@ impl ScheduleService {
             self.session = Some(session);
             return fail(err, &mut self.summary.errors);
         }
-        let changed = match session.traces[worker].append_transition(time, state) {
-            Ok(changed) => changed,
-            Err(err) => {
-                self.session = Some(session);
-                return fail(err, &mut self.summary.errors);
-            }
-        };
+        // Reporting the current state again is not a transition; a change
+        // never rewrites the slot of the worker's last one.
+        let changed = state != session.ctx.workers[worker].state;
+        let last = session.last_change[worker];
+        if changed && time <= last {
+            let horizon = u128::from(last) + 1;
+            let err = format!(
+                "transition to {state} at slot {time} predates the recorded horizon {horizon}"
+            );
+            self.session = Some(session);
+            return fail(err, &mut self.summary.errors);
+        }
 
-        // Advance the session's world to the event's slot: states from the
-        // live traces, then the engine's DOWN consequences (crashed holdings,
-        // a configuration aborted by a DOWN member).
+        // Advance the session's world to the event's slot, then apply the
+        // engine's DOWN consequences (crashed holdings, a configuration
+        // aborted by a DOWN member).
         let held_before = {
             let d = &session.ctx.workers[worker].dynamic;
             d.has_program || d.data_messages > 0 || d.partial_transfer > 0
@@ -671,8 +679,9 @@ impl ScheduleService {
         let was_member =
             session.ctx.current.as_ref().is_some_and(|cfg| cfg.assignment.contains(worker));
         session.ctx.time = time;
-        for (q, trace) in session.traces.iter().enumerate() {
-            session.ctx.workers[q].state = trace.state_at(time);
+        if changed {
+            session.ctx.workers[worker].state = state;
+            session.last_change[worker] = time;
         }
         session.ctx.normalize();
 
@@ -1139,6 +1148,33 @@ mod tests {
         let err = service.handle_line(r#"{"op":"event","worker":99,"state":"U","time":9}"#);
         assert!(err[0].contains("does not exist"), "{}", err[0]);
         assert!(service.session.is_some());
+    }
+
+    #[test]
+    fn session_changes_never_rewrite_a_workers_last_change() {
+        let mut service = ScheduleService::new(core());
+        service.handle_line(r#"{"op":"session","heuristic":"IE","workers":"UUUUUUUU"}"#);
+        let mut event = |worker: usize, state: char, time: u64| {
+            let line =
+                format!(r#"{{"op":"event","worker":{worker},"state":"{state}","time":{time}}}"#);
+            service.handle_line(&line).remove(0)
+        };
+        // A changing event at slot 0 would rewrite the session's initial state.
+        let err = event(1, 'R', 0);
+        assert!(err.contains("transition to R at slot 0 predates the recorded horizon 1"), "{err}");
+        // Repeating the current state is no change and leaves the last-change
+        // slot at 3, so a real change at the repeat's slot 5 still fits.
+        assert!(event(1, 'R', 3).contains("\"changed\":true"));
+        assert!(event(1, 'R', 5).contains("\"changed\":false"));
+        assert!(event(1, 'D', 5).contains("\"changed\":true"));
+        // A second change of one worker at the same slot is refused.
+        let err = event(1, 'U', 5);
+        assert!(err.contains("transition to U at slot 5 predates the recorded horizon 6"), "{err}");
+        // Far-future slots cost nothing, up to the last one.
+        assert!(event(2, 'D', 1_000_000_000_000).contains("\"changed\":true"));
+        assert!(event(2, 'U', u64::MAX).contains("\"changed\":true"));
+        let err = event(2, 'D', u64::MAX);
+        assert!(err.contains("predates the recorded horizon 18446744073709551616"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Instance and solution representation of OFF-LINE-COUPLED.
 
-use dg_availability::trace::TraceSet;
 use serde::{Deserialize, Serialize};
 
 /// An OFF-LINE-COUPLED instance: a boolean availability matrix (`up[q][t]` is
@@ -32,15 +31,6 @@ impl OfflineInstance {
         assert!(w > 0, "per-task work w must be positive");
         assert!(m > 0, "the iteration must contain at least one task");
         OfflineInstance { up, w, m }
-    }
-
-    /// Build an instance from availability traces: a processor counts as
-    /// available at `t` exactly when its trace says `UP`.
-    pub fn from_traces(traces: &TraceSet, horizon: u64, w: u64, m: usize) -> Self {
-        let up = (0..traces.num_procs())
-            .map(|q| (0..horizon).map(|t| traces.trace(q).state_at(t).is_up()).collect())
-            .collect();
-        OfflineInstance::new(up, w, m)
     }
 
     /// Number of processors `p`.
@@ -136,7 +126,7 @@ impl OfflineSolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dg_availability::{ProcState, StateTrace};
+    use dg_availability::{AvailabilityModel, RealizedAvailability};
 
     fn small_instance() -> OfflineInstance {
         // 3 processors, 4 slots.
@@ -173,12 +163,9 @@ mod tests {
     }
 
     #[test]
-    fn from_traces_uses_up_only() {
-        let traces = TraceSet::new(vec![
-            StateTrace::parse("URDU").unwrap(),
-            StateTrace::constant(ProcState::Up, 4),
-        ]);
-        let inst = OfflineInstance::from_traces(&traces, 4, 2, 1);
+    fn instances_from_realized_traces_count_up_only() {
+        let mut traces = RealizedAvailability::from_codes(&["URDU", "U"]);
+        let inst = OfflineInstance::new(traces.up_matrix(4), 2, 1);
         assert_eq!(inst.up[0], vec![true, false, false, true]);
         assert_eq!(inst.up[1], vec![true, true, true, true]);
     }

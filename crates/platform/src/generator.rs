@@ -25,7 +25,6 @@
 
 use crate::scenario::Scenario;
 use dg_availability::semi_markov::SemiMarkovModel;
-use dg_availability::trace::{AvailabilityModel, MarkovAvailability, TraceSet};
 use dg_availability::{MarkovChain3, ProcState};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -259,40 +258,6 @@ impl Default for ScenarioModel {
     }
 }
 
-/// One trial's realized availability, produced by
-/// [`Scenario::realize_trial`] according to the scenario's [`TrialModel`]:
-/// either a lazily realized Markov model or pre-generated semi-Markov traces.
-#[derive(Debug, Clone)]
-pub enum TrialAvailability {
-    /// A Markov realization of the scenario's chains.
-    Markov(MarkovAvailability),
-    /// Pre-generated semi-Markov traces (one per worker).
-    Traces(TraceSet),
-}
-
-impl AvailabilityModel for TrialAvailability {
-    fn num_procs(&self) -> usize {
-        match self {
-            TrialAvailability::Markov(m) => m.num_procs(),
-            TrialAvailability::Traces(t) => t.num_procs(),
-        }
-    }
-
-    fn state(&mut self, q: usize, t: u64) -> ProcState {
-        match self {
-            TrialAvailability::Markov(m) => m.state(q, t),
-            TrialAvailability::Traces(s) => s.state(q, t),
-        }
-    }
-
-    fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
-        match self {
-            TrialAvailability::Markov(m) => m.next_transition(q, after),
-            TrialAvailability::Traces(s) => s.next_transition(q, after),
-        }
-    }
-}
-
 /// Build, for every worker of a scenario, a [`SemiMarkovModel`] whose mean
 /// `UP` sojourn and crash-vs-preemption mix match the worker's Markov chain
 /// (so the heuristics' assumed model is *calibrated* but *wrong in shape*).
@@ -441,24 +406,5 @@ mod tests {
                 "mean UP sojourn {actual_mean} vs Markov {expected_mean}"
             );
         }
-    }
-
-    #[test]
-    fn trial_availability_delegates_to_both_backends() {
-        use dg_availability::StateTrace;
-        let mut markov = TrialAvailability::Markov(MarkovAvailability::new(
-            vec![MarkovChain3::always_up()],
-            1,
-            false,
-        ));
-        assert_eq!(markov.num_procs(), 1);
-        assert_eq!(markov.state(0, 5), ProcState::Up);
-        assert_eq!(markov.next_transition(0, 0), None);
-
-        let mut traces =
-            TrialAvailability::Traces(TraceSet::new(vec![StateTrace::parse("UDU").unwrap()]));
-        assert_eq!(traces.num_procs(), 1);
-        assert_eq!(traces.state(0, 1), ProcState::Down);
-        assert_eq!(traces.next_transition(0, 1), Some((2, ProcState::Up)));
     }
 }

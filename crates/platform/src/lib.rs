@@ -35,9 +35,7 @@ pub mod scenario;
 pub mod worker;
 
 pub use application::ApplicationSpec;
-pub use generator::{
-    AppShape, AvailabilityRegime, ScenarioModel, SpeedProfile, TrialAvailability, TrialModel,
-};
+pub use generator::{AppShape, AvailabilityRegime, ScenarioModel, SpeedProfile, TrialModel};
 pub use master::MasterSpec;
 pub use platform::Platform;
 pub use scenario::{Scenario, ScenarioParams};

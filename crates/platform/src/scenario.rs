@@ -8,12 +8,11 @@
 //! realize processor availability.
 
 use crate::application::ApplicationSpec;
-use crate::generator::{matched_semi_markov_models, ScenarioModel, TrialAvailability, TrialModel};
+use crate::generator::{matched_semi_markov_models, ScenarioModel, TrialModel};
 use crate::master::MasterSpec;
 use crate::platform::Platform;
 use dg_availability::rng::sub_rng;
-use dg_availability::semi_markov::SemiMarkovModel;
-use dg_availability::trace::MarkovAvailability;
+use dg_availability::RealizedAvailability;
 use serde::{Deserialize, Serialize};
 
 /// The synthetic parameters that define one point of the paper's experiment
@@ -151,8 +150,8 @@ impl Scenario {
         &self,
         trial_seed: u64,
         random_start: bool,
-    ) -> MarkovAvailability {
-        MarkovAvailability::new(self.platform.chains().to_vec(), trial_seed, random_start)
+    ) -> RealizedAvailability {
+        RealizedAvailability::markov(self.platform.chains().to_vec(), trial_seed, random_start)
     }
 
     /// Create the availability realization for one simulation trial according
@@ -161,20 +160,17 @@ impl Scenario {
     /// * [`TrialModel::Markov`] — a lazy Markov realization of the chains,
     ///   exactly [`Scenario::availability_for_trial`] (every worker starts
     ///   `UP`); `horizon` is ignored.
-    /// * [`TrialModel::SemiMarkov`] — matched semi-Markov traces of `horizon`
-    ///   slots (the slot cap of the run; past the horizon the last state
-    ///   persists, matching [`dg_availability::TraceSet`] semantics).
-    pub fn realize_trial(&self, trial_seed: u64, horizon: u64) -> TrialAvailability {
+    /// * [`TrialModel::SemiMarkov`] — a lazy realization of matched
+    ///   semi-Markov models whose runs are cut at `horizon` (the slot cap of
+    ///   the run); past it the last state persists.
+    pub fn realize_trial(&self, trial_seed: u64, horizon: u64) -> RealizedAvailability {
         match self.trial_model {
-            TrialModel::Markov => {
-                TrialAvailability::Markov(self.availability_for_trial(trial_seed, false))
-            }
-            TrialModel::SemiMarkov { shape } => {
-                let models = matched_semi_markov_models(self, shape);
-                TrialAvailability::Traces(SemiMarkovModel::generate_set(
-                    &models, horizon, trial_seed,
-                ))
-            }
+            TrialModel::Markov => self.availability_for_trial(trial_seed, false),
+            TrialModel::SemiMarkov { shape } => RealizedAvailability::semi_markov(
+                &matched_semi_markov_models(self, shape),
+                trial_seed,
+                horizon,
+            ),
         }
     }
 }
@@ -317,25 +313,21 @@ mod tests {
         use dg_availability::trace::AvailabilityModel;
         let params = ScenarioParams::paper(5, 10, 1);
         let markov = Scenario::generate(params, 3);
-        match markov.realize_trial(11, 500) {
-            TrialAvailability::Markov(mut m) => {
-                let mut direct = markov.availability_for_trial(11, false);
-                for t in 0..200 {
-                    assert_eq!(m.state(0, t), direct.state(0, t));
-                }
-            }
-            TrialAvailability::Traces(_) => panic!("Markov scenario realized traces"),
+        let mut m = markov.realize_trial(11, 500);
+        let mut direct = markov.availability_for_trial(11, false);
+        for t in 0..1_000 {
+            assert_eq!(m.state(0, t), direct.state(0, t));
         }
 
         let mut model = ScenarioModel::paper();
         model.trials = TrialModel::SemiMarkov { shape: 0.7 };
         let semi = Scenario::generate_with(params, &model, 3);
-        match semi.realize_trial(11, 500) {
-            TrialAvailability::Traces(t) => {
-                assert_eq!(t.num_procs(), 20);
-                assert_eq!(t.trace(0).len(), 500);
-            }
-            TrialAvailability::Markov(_) => panic!("semi-Markov scenario realized chains"),
+        let mut t = semi.realize_trial(11, 500);
+        assert_eq!(t.num_procs(), 20);
+        // Runs are cut at the horizon: the state at slot 499 persists.
+        for q in 0..20 {
+            assert_eq!(t.next_transition(q, 499), None);
+            assert_eq!(t.state(q, u64::MAX), t.state(q, 499));
         }
         // Same seed, same realization.
         let mut a = semi.realize_trial(11, 300);

@@ -777,19 +777,15 @@ impl<A: AvailabilityModel> Simulator<A> {
 mod tests {
     use super::*;
     use crate::fixed::FixedAssignmentScheduler;
-    use dg_availability::trace::ScriptedAvailability;
-    use dg_availability::MarkovChain3;
+    use dg_availability::{MarkovChain3, RealizedAvailability};
     use dg_platform::WorkerSpec;
 
     fn reliable_platform(p: usize, speed: u64) -> Platform {
         Platform::reliable_homogeneous(p, speed)
     }
 
-    fn always_up(p: usize, horizon: usize) -> ScriptedAvailability {
-        ScriptedAvailability::new(vec![
-            dg_availability::StateTrace::constant(ProcState::Up, horizon);
-            p
-        ])
+    fn always_up(p: usize) -> RealizedAvailability {
+        RealizedAvailability::from_codes(&vec!["U"; p])
     }
 
     #[test]
@@ -803,7 +799,7 @@ mod tests {
             let platform = reliable_platform(3, 2);
             let app = ApplicationSpec::new(3, 2);
             let master = MasterSpec::from_slots(3, 2, 1);
-            let availability = always_up(3, 10);
+            let availability = always_up(3);
             let assignment = Assignment::new([(0, 1), (1, 1), (2, 1)]);
             let mut sched = FixedAssignmentScheduler::new(assignment);
             let sim = Simulator::from_parts(platform, app, master, availability)
@@ -829,7 +825,7 @@ mod tests {
                 reliable_platform(3, 2),
                 ApplicationSpec::new(3, 2),
                 MasterSpec::from_slots(3, 2, 1),
-                always_up(3, 10),
+                always_up(3),
             )
             .with_event_log(true)
             .with_mode(mode);
@@ -839,7 +835,7 @@ mod tests {
                 reliable_platform(3, 2),
                 ApplicationSpec::new(3, 2),
                 MasterSpec::from_slots(3, 2, 1),
-                always_up(3, 10),
+                always_up(3),
             )
             .with_completion_log(true)
             .with_mode(mode);
@@ -865,7 +861,7 @@ mod tests {
             let platform = reliable_platform(3, 2);
             let app = ApplicationSpec::new(3, 2);
             let master = MasterSpec::from_slots(1, 2, 1);
-            let availability = always_up(3, 30);
+            let availability = always_up(3);
             let assignment = Assignment::new([(0, 1), (1, 1), (2, 1)]);
             let mut sched = FixedAssignmentScheduler::new(assignment);
             let sim = Simulator::from_parts(platform, app, master, availability).with_mode(mode);
@@ -882,7 +878,7 @@ mod tests {
             let platform = Platform::new(vec![WorkerSpec::new(3)], vec![MarkovChain3::always_up()]);
             let app = ApplicationSpec::new(1, 1);
             let master = MasterSpec::from_slots(1, 0, 0);
-            let availability = ScriptedAvailability::from_codes(&["URRUUU"]);
+            let availability = RealizedAvailability::from_codes(&["URRUUU"]);
             let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
             let sim = Simulator::from_parts(platform, app, master, availability)
                 .with_event_log(true)
@@ -903,7 +899,7 @@ mod tests {
             let platform = Platform::new(vec![WorkerSpec::new(2)], vec![MarkovChain3::always_up()]);
             let app = ApplicationSpec::new(1, 1);
             let master = MasterSpec::from_slots(1, 0, 0);
-            let availability = ScriptedAvailability::from_codes(&["UDUUU"]);
+            let availability = RealizedAvailability::from_codes(&["UDUUU"]);
             let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
             let sim = Simulator::from_parts(platform, app, master, availability)
                 .with_event_log(true)
@@ -929,7 +925,7 @@ mod tests {
             let platform = Platform::new(vec![WorkerSpec::new(1)], vec![MarkovChain3::always_up()]);
             let app = ApplicationSpec::new(1, 1);
             let master = MasterSpec::from_slots(1, 2, 1);
-            let availability = ScriptedAvailability::from_codes(&["UUUDUUUUU"]);
+            let availability = RealizedAvailability::from_codes(&["UUUDUUUUU"]);
             let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
             let sim = Simulator::from_parts(platform, app, master, availability).with_mode(mode);
             let (outcome, _) = sim.run(&mut sched);
@@ -945,7 +941,7 @@ mod tests {
             let platform = Platform::new(vec![WorkerSpec::new(1)], vec![MarkovChain3::always_up()]);
             let app = ApplicationSpec::new(1, 1);
             let master = MasterSpec::from_slots(1, 1, 1);
-            let availability = ScriptedAvailability::from_codes(&["UD"]);
+            let availability = RealizedAvailability::from_codes(&["UD"]);
             let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
             let sim = Simulator::from_parts(platform, app, master, availability)
                 .with_limits(SimulationLimits::with_max_slots(100).unwrap())
@@ -966,7 +962,7 @@ mod tests {
             let platform = Platform::new(vec![WorkerSpec::new(1)], vec![MarkovChain3::always_up()]);
             let app = ApplicationSpec::new(2, 2);
             let master = MasterSpec::from_slots(1, 3, 2);
-            let availability = always_up(1, 30);
+            let availability = always_up(1);
             let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 2)]));
             let sim = Simulator::from_parts(platform, app, master, availability).with_mode(mode);
             let (outcome, _) = sim.run(&mut sched);
@@ -980,7 +976,7 @@ mod tests {
         let platform = reliable_platform(2, 1);
         let app = ApplicationSpec::new(3, 1);
         let master = MasterSpec::from_slots(1, 0, 0);
-        let availability = always_up(2, 10);
+        let availability = always_up(2);
         // Assignment only places 2 of the 3 tasks.
         let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1), (1, 1)]));
         let sim = Simulator::from_parts(platform, app, master, availability);
@@ -994,7 +990,7 @@ mod tests {
             Platform::new(vec![WorkerSpec::with_capacity(1, 1)], vec![MarkovChain3::always_up()]);
         let app = ApplicationSpec::new(2, 1);
         let master = MasterSpec::from_slots(1, 0, 0);
-        let availability = always_up(1, 10);
+        let availability = always_up(1);
         let _ = Simulator::from_parts(platform, app, master, availability);
     }
 
@@ -1032,7 +1028,7 @@ mod tests {
             vec![MarkovChain3::always_up(); speeds.len()],
         );
         let run = |mode: SimMode| {
-            let availability = ScriptedAvailability::from_codes(codes);
+            let availability = RealizedAvailability::from_codes(codes);
             let mut sched = FixedAssignmentScheduler::new(assignment.clone());
             Simulator::from_parts(platform.clone(), app, master, availability)
                 .with_limits(SimulationLimits::with_max_slots(cap).unwrap())
@@ -1105,7 +1101,6 @@ mod tests {
     #[test]
     fn event_mode_matches_slot_mode_on_markov_scenarios() {
         use dg_availability::rng::sub_rng;
-        use dg_availability::trace::MarkovAvailability;
         // Seeded stochastic platforms: the two engines must agree on the exact
         // outcome because they share the availability realization.
         for seed in 0..10u64 {
@@ -1122,7 +1117,7 @@ mod tests {
                 chains.clone(),
             );
             let run = |mode: SimMode| {
-                let availability = MarkovAvailability::new(chains.clone(), seed, false);
+                let availability = RealizedAvailability::markov(chains.clone(), seed, false);
                 let mut sched =
                     FixedAssignmentScheduler::new(Assignment::new([(0, 1), (1, 1), (2, 1)]));
                 Simulator::from_parts(

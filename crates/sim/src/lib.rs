@@ -36,14 +36,14 @@
 //!
 //! ```
 //! use dg_platform::{ApplicationSpec, MasterSpec, Platform};
-//! use dg_availability::ScriptedAvailability;
+//! use dg_availability::RealizedAvailability;
 //! use dg_sim::{Assignment, FixedAssignmentScheduler, SimMode, Simulator};
 //!
 //! // One worker (speed 4), one task, one iteration, no communication cost;
 //! // the worker is reclaimed for three slots in the middle of the run.
 //! let run = |mode: SimMode| {
 //!     let platform = Platform::reliable_homogeneous(1, 4);
-//!     let availability = ScriptedAvailability::from_codes(&["UURRRUUUU"]);
+//!     let availability = RealizedAvailability::from_codes(&["UURRRUUUU"]);
 //!     let mut scheduler = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
 //!     Simulator::from_parts(
 //!         platform,

@@ -23,7 +23,7 @@ fn main() {
 
     // One availability string per worker (U = UP, R = RECLAIMED, D = DOWN).
     // P1 and P5 are not UP at time 0, so the scheduler cannot enroll them.
-    let availability = ScriptedAvailability::from_codes(&[
+    let availability = RealizedAvailability::from_codes(&[
         "DDDDDDDDDDDDDDDDDDDD", // P1: down the whole time
         "UUUUUUUUUURRUUUUUUUU", // P2: reclaimed at slots 10-11
         "UUURRUUUUUUURUUUUUUU", // P3: reclaimed at 3-4 and 12

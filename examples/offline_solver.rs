@@ -19,13 +19,13 @@ fn main() {
     let chains: Vec<MarkovChain3> = (0..8)
         .map(|q| MarkovChain3::from_self_loop_probs(0.93 + 0.005 * q as f64, 0.9, 0.92).unwrap())
         .collect();
-    let mut availability = MarkovAvailability::new(chains, 4242, false);
+    let mut availability = RealizedAvailability::markov(chains, 4242, false);
     let horizon = 60;
-    let traces = availability.materialize(horizon);
+    let mut traces = availability.materialize(horizon);
     for q in 0..traces.num_procs() {
         println!("P{q}: {}", traces.trace(q).to_code_string());
     }
-    let instance = OfflineInstance::from_traces(&traces, horizon, 4, 3);
+    let instance = OfflineInstance::new(traces.up_matrix(horizon), 4, 3);
     println!(
         "\nOFF-LINE-COUPLED instance: p = {}, N = {}, w = {}, m = {}",
         instance.num_procs(),

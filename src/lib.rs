@@ -53,7 +53,7 @@ pub mod prelude {
     pub use dg_analysis::{
         Estimator, EvalCache, GroupComputation, IterationEstimate, PlatformTables,
     };
-    pub use dg_availability::trace::{AvailabilityModel, MarkovAvailability, ScriptedAvailability};
+    pub use dg_availability::trace::{AvailabilityModel, RealizedAvailability};
     pub use dg_availability::{MarkovChain3, ProcState, SemiMarkovModel, StateTrace};
     pub use dg_heuristics::{
         build_heuristic, build_heuristic_with_cache, HeuristicSpec, PassiveKind, PassiveScheduler,

@@ -33,7 +33,7 @@ fn fully_available_workers_follow_the_nominal_timeline() {
     // but the tail is limited by P4 starting late);
     // computation — 6 slots of simultaneous work.
     let (platform, application, master) = figure1_platform();
-    let availability = ScriptedAvailability::from_codes(&["D", "U", "U", "U", "R"]);
+    let availability = RealizedAvailability::from_codes(&["D", "U", "U", "U", "R"]);
     let mut scheduler = FixedAssignmentScheduler::new(figure1_assignment());
     let (outcome, log) = Simulator::from_parts(platform, application, master, availability)
         .with_event_log(true)
@@ -62,7 +62,7 @@ fn reclaimed_workers_suspend_but_do_not_destroy_the_iteration() {
     // Scripted RECLAIMED periods modeled on Figure 1: P3 is reclaimed during
     // the communication phase, P2 and later P3 during the computation phase.
     let (platform, application, master) = figure1_platform();
-    let availability = ScriptedAvailability::from_codes(&[
+    let availability = RealizedAvailability::from_codes(&[
         "DDDDDDDDDDDDDDDDDDDDDDDD",
         "UUUUUUUUUURRUUUUUUUUUUUU",
         "UUURRUUUUUUURUUUUUUUUUUU",
@@ -92,7 +92,7 @@ fn a_crash_restarts_the_iteration_from_scratch() {
     // Same mapping, but P4 crashes during the computation phase: the whole
     // iteration (communication included for the crashed worker) restarts.
     let (platform, application, master) = figure1_platform();
-    let availability = ScriptedAvailability::from_codes(&[
+    let availability = RealizedAvailability::from_codes(&[
         "DDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDDD",
         "UUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU",
         "UUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU",

@@ -23,7 +23,7 @@ proptest! {
 
     #[test]
     fn markov_chain_samples_only_valid_states(chain in markov_chain(), seed in 0u64..1000) {
-        let mut model = MarkovAvailability::new(vec![chain], seed, false);
+        let mut model = RealizedAvailability::markov(vec![chain], seed, false);
         for t in 0..200u64 {
             let s = model.state(0, t);
             prop_assert!(matches!(s, ProcState::Up | ProcState::Reclaimed | ProcState::Down));
@@ -144,8 +144,8 @@ proptest! {
     }
 
     /// The headline guarantee of the event-driven engine: on random scenarios,
-    /// across every availability backend (lazy Markov, materialized trace set,
-    /// semi-Markov Weibull/log-normal traces) and every heuristic, slot-stepped
+    /// across every availability backend (lazy Markov, materialized traces,
+    /// lazy semi-Markov Weibull/log-normal) and every heuristic, slot-stepped
     /// and event-driven runs produce byte-identical `SimOutcome`s.
     #[test]
     fn slot_and_event_engines_produce_identical_outcomes(
@@ -155,7 +155,6 @@ proptest! {
         heuristic_idx in 0usize..17,
         backend in 0usize..3,
     ) {
-        use desktop_grid_scheduling::availability::semi_markov::SemiMarkovModel;
         use desktop_grid_scheduling::sim::{SimulationLimits, Simulator};
 
         let cap = 20_000u64;
@@ -175,7 +174,7 @@ proptest! {
                         .with_mode(mode)
                         .run_with_report(scheduler.as_mut())
                 }
-                // The same realization replayed from a materialized TraceSet.
+                // The same realization replayed from materialized traces.
                 1 => {
                     let traces = scenario.availability_for_trial(seed, false).materialize(cap);
                     Simulator::new(&scenario, traces)
@@ -183,13 +182,13 @@ proptest! {
                         .with_mode(mode)
                         .run_with_report(scheduler.as_mut())
                 }
-                // Semi-Markov (Weibull/log-normal) traces: the model-mismatch
-                // backend of the sensitivity study.
+                // Semi-Markov (Weibull/log-normal) availability: the
+                // model-mismatch backend of the sensitivity study.
                 _ => {
                     let models =
                         vec![SemiMarkovModel::weibull_lognormal(30.0, 0.8, 0.3);
                              scenario.platform.num_workers()];
-                    let traces = SemiMarkovModel::generate_set(&models, cap, seed);
+                    let traces = RealizedAvailability::semi_markov(&models, seed, cap);
                     Simulator::new(&scenario, traces)
                         .with_limits(SimulationLimits::with_max_slots(cap).unwrap())
                         .with_mode(mode)
@@ -775,7 +774,7 @@ proptest! {
         // Project a realization from each availability regime and check
         // makespan dominance of the chained oracles on it.
         let p = chains.len();
-        let mut model = MarkovAvailability::new(chains, seed, false);
+        let mut model = RealizedAvailability::markov(chains, seed, false);
         let inst = OfflineInstance::new(model.up_matrix(48), w, 1 + p / 2);
         let exact = schedule_exact(&inst, iterations, OracleVariant::MuUnbounded);
         let greedy = schedule_greedy(&inst, iterations, OracleVariant::MuUnbounded);
@@ -856,6 +855,103 @@ proptest! {
         prop_assert_eq!(report.points, num_points);
         prop_assert!(store.is_complete().unwrap());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Run-length availability against dense per-slot references.
+// ---------------------------------------------------------------------------
+
+use desktop_grid_scheduling::availability::rng::sub_rng;
+use desktop_grid_scheduling::availability::semi_markov::{HoldingTime, SemiMarkovState};
+use rand::Rng;
+
+/// `U`/`R`/`D` strings built from runs of up to 40 slots (adjacent runs may
+/// repeat a state).
+fn codes() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0usize..3, 1usize..40), 1..12)
+        .prop_map(|runs| runs.into_iter().map(|(s, n)| ["U", "R", "D"][s].repeat(n)).collect())
+}
+
+fn semi_state() -> impl Strategy<Value = SemiMarkovState> {
+    let weights = (0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0);
+    (0usize..4, 0.0f64..1.0, 0.0f64..1.0, weights).prop_map(|(kind, x, y, (u, r, d))| {
+        let holding = match kind {
+            0 => HoldingTime::Geometric { continue_prob: 0.95 * x },
+            1 => HoldingTime::Weibull { scale: 0.5 + 30.0 * x, shape: 0.3 + 2.7 * y },
+            2 => HoldingTime::LogNormal { mu: 3.0 * x, sigma: 0.1 + 1.4 * y },
+            _ => HoldingTime::Fixed { slots: 1 + (20.0 * x) as u64 },
+        };
+        SemiMarkovState { holding, to_up: u, to_reclaimed: r, to_down: d }
+    })
+}
+
+/// `(state_at, next_change)` at every slot of a dense trace.
+fn dense_answers(dense: &[ProcState]) -> Vec<(ProcState, Option<(u64, ProcState)>)> {
+    let mut answers: Vec<_> = dense.iter().map(|&state| (state, None)).collect();
+    for t in (0..dense.len() - 1).rev() {
+        let change = (dense[t + 1] != dense[t]).then_some(((t + 1) as u64, dense[t + 1]));
+        answers[t].1 = change.or(answers[t + 1].1);
+    }
+    answers
+}
+
+/// The eager per-slot semi-Markov generator, the reference for the lazy
+/// realization: the first `horizon` slots of processor `q`, starting `UP`,
+/// drawing a holding time then a jump from `sub_rng(seed, q)`.
+fn eager_semi_markov(model: &SemiMarkovModel, seed: u64, q: u64, horizon: u64) -> Vec<ProcState> {
+    let mut rng = sub_rng(seed, q);
+    let mut states = Vec::new();
+    let mut current = ProcState::Up;
+    while (states.len() as u64) < horizon.max(1) {
+        let params = [&model.up, &model.reclaimed, &model.down][current.index()];
+        let hold = params.holding.sample(&mut rng);
+        let room = horizon.max(1) - states.len() as u64;
+        states.extend(std::iter::repeat_n(current, hold.min(room) as usize));
+        let x = rng.gen::<f64>() * (params.to_up + params.to_reclaimed + params.to_down);
+        current = if x < params.to_up {
+            ProcState::Up
+        } else if x < params.to_up + params.to_reclaimed {
+            ProcState::Reclaimed
+        } else {
+            ProcState::Down
+        };
+    }
+    states
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn run_length_traces_answer_like_their_codes(codes in codes()) {
+        let trace = StateTrace::parse(&codes).unwrap();
+        prop_assert_eq!(trace.to_code_string(), codes.clone());
+        let dense: Vec<ProcState> = codes.chars().map(|c| ProcState::from_code(c).unwrap()).collect();
+        let (answers, last) = (dense_answers(&dense), dense.len() as u64 - 1);
+        for t in (0..last + 4).chain([u64::MAX]) {
+            let got = (trace.state_at(t), trace.next_change(t));
+            prop_assert_eq!(got, answers[t.min(last) as usize], "slot {}", t);
+        }
+    }
+
+    #[test]
+    fn lazy_semi_markov_matches_the_eager_generator(
+        up in semi_state(),
+        reclaimed in semi_state(),
+        down in semi_state(),
+        seed in any::<u64>(),
+        horizon in 1u64..3000,
+    ) {
+        let model = SemiMarkovModel { up, reclaimed, down };
+        let mut lazy = RealizedAvailability::semi_markov(&[model, model], seed, horizon);
+        for q in 0..2 {
+            let answers = dense_answers(&eager_semi_markov(&model, seed, q as u64, horizon));
+            for t in 0..horizon + 50 {
+                let got = (lazy.state(q, t), lazy.next_transition(q, t));
+                prop_assert_eq!(got, answers[t.min(horizon - 1) as usize], "processor {} at {}", q, t);
+            }
+        }
     }
 }
 
@@ -1073,6 +1169,81 @@ proptest! {
             let prefix = &request_line[..cut];
             prop_assert!(DecideRequest::parse(prefix).is_err(), "{prefix}");
             prop_assert!(Request::parse(prefix).is_err(), "{prefix}");
+        }
+    }
+}
+
+/// The session's event rules applied to dense per-worker traces, one state
+/// per slot: the part of the reply that carries the `changed` flag, or the
+/// error line.
+fn dense_event(
+    traces: &mut [Vec<ProcState>],
+    clock: &mut u64,
+    event: (usize, ProcState, u64),
+) -> String {
+    let (worker, state, time) = event;
+    let error = |message: String| format!("{{\"id\":null,\"ok\":false,\"error\":\"{message}\"}}");
+    let Some(trace) = traces.get_mut(worker) else {
+        return error(format!("worker {worker} does not exist"));
+    };
+    if time < *clock {
+        return error(format!("event at slot {time} predates the session clock {clock}"));
+    }
+    let (tail, horizon) = (*trace.last().unwrap(), trace.len());
+    if state != tail && (time as usize) < horizon {
+        return error(format!(
+            "transition to {state} at slot {time} predates the recorded horizon {horizon}"
+        ));
+    }
+    if state != tail {
+        trace.resize(time as usize, tail);
+        trace.push(state);
+    }
+    *clock = time;
+    format!("\"changed\":{}", state != tail)
+}
+
+/// `(worker, state, time)` events over times up to 64, mostly in time order;
+/// worker 8 does not exist on the 8-worker service.
+fn session_events() -> impl Strategy<Value = Vec<(usize, ProcState, u64)>> {
+    proptest::collection::vec((0usize..9, 0usize..3, 0u64..4, 0u8..8), 1..40).prop_map(|steps| {
+        let mut time = 0u64;
+        let events = steps.into_iter().map(|(worker, state, ahead, back)| {
+            time = if back == 0 { time.saturating_sub(2) } else { (time + ahead).min(64) };
+            (worker, ProcState::from_index(state), time)
+        });
+        events.collect()
+    })
+}
+
+fn event_line(worker: usize, state: ProcState, time: u64) -> String {
+    format!("{{\"op\":\"event\",\"worker\":{worker},\"state\":\"{state}\",\"time\":{time}}}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A session that keeps one state and one last-change slot per worker
+    /// answers every event as the dense per-slot traces did, and far-future
+    /// times cost it nothing.
+    #[test]
+    fn session_events_follow_the_dense_trace_rules(events in session_events()) {
+        let session = r#"{"op":"session","heuristic":"IE","workers":"UUUUUUUU"}"#;
+        let mut service = codec_service();
+        service.handle_line(session);
+        let (mut traces, mut clock) = (vec![vec![ProcState::Up]; 8], 0);
+        for &(worker, state, time) in &events {
+            let line = event_line(worker, state, time);
+            let reply = service.handle_line(&line).remove(0);
+            let expected = dense_event(&mut traces, &mut clock, (worker, state, time));
+            prop_assert!(reply.contains(&expected), "{} -> {}, expected {}", line, reply, expected);
+        }
+        let mut far = codec_service();
+        far.handle_line(session);
+        for &(worker, state, time) in &events {
+            for reply in far.handle_line(&event_line(worker, state, time + (u64::MAX - 64))) {
+                prop_assert!(reply.starts_with('{') && reply.ends_with('}'), "{}", reply);
+            }
         }
     }
 }
