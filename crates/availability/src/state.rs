@@ -112,11 +112,6 @@ pub struct StateTrace {
 }
 
 impl StateTrace {
-    /// A trace that is `state` from slot 0 on, recording that one slot.
-    pub(crate) fn starting(state: ProcState) -> Self {
-        StateTrace { runs: vec![(0, state)], len: 1 }
-    }
-
     /// Create a trace that is constant over `len` recorded slots (at least one).
     pub fn constant(state: ProcState, len: u64) -> Self {
         StateTrace { runs: vec![(0, state)], len: len.max(1) }

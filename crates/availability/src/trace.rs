@@ -53,6 +53,11 @@ pub trait AvailabilityModel {
     /// Implementations may panic if `q >= self.num_procs()`.
     fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)>;
 
+    /// `true` if every processor in `procs` is `UP` at time-slot `t`.
+    fn all_up(&mut self, procs: &[usize], t: u64) -> bool {
+        procs.iter().all(|&q| self.state(q, t).is_up())
+    }
+
     /// Project the model onto a boolean `UP` matrix over `0..horizon`:
     /// `matrix[q][t]` is `true` exactly when processor `q` is `UP` at slot
     /// `t`. This is the paper's offline view of a realized trial — `RECLAIMED`
@@ -87,12 +92,11 @@ struct Lane {
     source: Option<(Sojourns, SmallRng)>,
 }
 
-/// A per-processor source of runs (the larger semi-Markov model is boxed to
-/// keep Markov lanes small).
+/// A per-processor source of runs.
 #[derive(Debug, Clone)]
 enum Sojourns {
     Markov(MarkovChain3),
-    SemiMarkov(Box<SemiMarkovModel>),
+    SemiMarkov(SemiMarkovModel),
 }
 
 impl Sojourns {
@@ -140,7 +144,7 @@ impl RealizedAvailability {
                     ProcState::Up
                 };
                 Lane {
-                    trace: StateTrace::starting(initial),
+                    trace: StateTrace::constant(initial, 1),
                     source: Some((Sojourns::Markov(chain), rng)),
                 }
             })
@@ -159,8 +163,8 @@ impl RealizedAvailability {
             .iter()
             .enumerate()
             .map(|(q, &model)| Lane {
-                trace: StateTrace::starting(ProcState::Up),
-                source: Some((Sojourns::SemiMarkov(Box::new(model)), sub_rng(seed, q as u64))),
+                trace: StateTrace::constant(ProcState::Up, 1),
+                source: Some((Sojourns::SemiMarkov(model), sub_rng(seed, q as u64))),
             })
             .collect();
         RealizedAvailability { lanes, horizon }
@@ -294,6 +298,17 @@ mod tests {
         assert_eq!(s.state(1, 3), ProcState::Up);
         // past the horizon the last state persists
         assert_eq!(s.state(0, 99), ProcState::Down);
+        assert!(!s.all_up(&[0, 1], 0));
+        assert!(s.all_up(&[0, 1], 10).eq(&false));
+    }
+
+    #[test]
+    fn all_up_helper() {
+        let mut s = RealizedAvailability::from_codes(&["UU", "UU", "UR"]);
+        assert!(s.all_up(&[0, 1], 0));
+        assert!(s.all_up(&[0, 1, 2], 0));
+        assert!(!s.all_up(&[0, 1, 2], 1));
+        assert!(s.all_up(&[], 1));
     }
 
     #[test]
