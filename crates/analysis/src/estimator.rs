@@ -223,14 +223,14 @@ struct CacheState {
     memo: RwLock<Memo>,
     accums: RwLock<Accumulators>,
     /// Prefix-accumulator extensions performed (including ones later evicted
-    /// or lost to racing duplicate builds) — the chain-sharing diagnostic the
-    /// scaling bench records: a decision whose probe sequence shares prefixes
+    /// or lost to racing duplicate builds) — the chain-sharing diagnostic
+    /// `tests/scaling.rs` pins: a decision whose probe sequence shares prefixes
     /// poorly builds many more accumulators than its misses suggest, and that
     /// extension work is exactly what `series_terms` (final groups only)
     /// cannot see.
     accum_built: AtomicU64,
     /// Total series terms evaluated by group misses — the per-decision series
-    /// workload, for the scaling bench's cost attribution.
+    /// workload, for the benchmark's cost attribution.
     series_terms: AtomicU64,
     group_hits: AtomicU64,
     group_misses: AtomicU64,
@@ -371,8 +371,8 @@ impl EvalCache {
         self.state.memo.read().expect("eval cache poisoned").group.len()
     }
 
-    /// Number of prefix accumulators currently retained (exposed for the
-    /// scaling bench and tests; see [`GroupAccumulator`]).
+    /// Number of prefix accumulators currently retained (exposed for tests;
+    /// see [`GroupAccumulator`]).
     pub fn cached_accumulators(&self) -> usize {
         self.state.accums.read().expect("eval cache poisoned").by_set.len()
     }
@@ -388,7 +388,7 @@ impl EvalCache {
 
     /// Total series terms evaluated by group misses since creation (or the
     /// last [`EvalCache::clear`]) — the series workload behind the misses,
-    /// used by the scaling bench to attribute decision cost.
+    /// used by the benchmark to attribute decision cost.
     pub fn series_terms(&self) -> u64 {
         self.state.series_terms.load(Ordering::Relaxed)
     }
@@ -649,8 +649,7 @@ impl Estimator {
         self.estimate(members, comm_slots, self.computation_workload(members, tasks))
     }
 
-    /// Number of distinct worker sets currently memoized (exposed for the
-    /// heuristic-cost ablation bench).
+    /// Number of distinct worker sets currently memoized (exposed for tests).
     pub fn cached_sets(&self) -> usize {
         self.cache.cached_sets()
     }

@@ -190,8 +190,7 @@ impl GroupComputation {
 
     /// Reference implementation of `P₊` and `E_c` through the first-return
     /// recurrence even when the set can fail. Quadratic in the truncation
-    /// length; used for cross-validation of the closed forms in tests and in
-    /// the `analysis` ablation bench.
+    /// length; used for cross-validation of the closed forms in tests.
     pub fn first_return_reference(&self, workers: &[&WorkerSeries]) -> (f64, f64) {
         if workers.is_empty() {
             return (1.0, 1.0);

@@ -68,9 +68,9 @@ impl<M: AvailabilityModel> RealizedTrial<M> {
         TrialReplay { inner: Rc::clone(&self.inner) }
     }
 
-    /// How many replay handles were handed out so far. The campaign executor
-    /// reports this as "instances served per realization" — the quantity the
-    /// `campaign_throughput` bench compares against per-instance realization.
+    /// How many replay handles were handed out so far: the instances this one
+    /// realization served, each of which per-instance realization would have
+    /// realized again.
     pub fn replay_count(&self) -> usize {
         self.replays.get()
     }

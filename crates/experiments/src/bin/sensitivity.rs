@@ -40,12 +40,9 @@ fn main() {
         opts.heuristics_or(&["IE", "IAY", "IY", "IP", "Y-IE", "P-IE", "E-IAY", "RANDOM"]);
     let heuristic_names: Vec<String> = heuristic_specs.iter().map(|h| h.name()).collect();
     // One point per wmin at the suite's first m and middle ncom (the paper
-    // suite gives the historical m = 5, ncom = 10 slice); --ncom and --wmin
-    // override the suite's sweeps as everywhere else.
+    // suite gives the historical m = 5, ncom = 10 slice).
     let m = suite.m_values[0];
-    let ncom_values = opts.ncom_values.clone().unwrap_or_else(|| suite.ncom_values.clone());
-    let ncom = ncom_values[ncom_values.len() / 2];
-    let wmin_values = opts.wmin_values.clone().unwrap_or_else(|| suite.wmin_values.clone());
+    let ncom = suite.ncom_values[suite.ncom_values.len() / 2];
     // A suite declaring `trials semi(SHAPE)` fixes the semi-Markov arm's
     // Weibull shape; otherwise the historical 0.7 applies.
     let weibull_shape = match suite.model.trials {
@@ -53,7 +50,8 @@ fn main() {
         dg_platform::TrialModel::Markov => 0.7,
     };
     let config = SensitivityConfig {
-        points: wmin_values
+        points: suite
+            .wmin_values
             .iter()
             .map(|&wmin| ScenarioParams {
                 num_workers: suite.workers,

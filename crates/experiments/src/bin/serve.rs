@@ -9,12 +9,11 @@
 //! cargo run --release -p dg-experiments --bin serve -- --suite paper --listen 127.0.0.1:4800
 //! ```
 //!
-//! The campaign flags (`--suite`, `--workers`, `--ncom`, `--wmin`, `--seed`,
-//! `--epsilon`) select the warm scenario exactly like the experiment binaries
-//! select their first job; `--listen ADDR` serves TCP connections (one
-//! session each, at most `MAX_SESSIONS` at once, all sharing the warm cache)
-//! instead of stdin. See `docs/ARCHITECTURE.md` ("Service layer") for the
-//! protocol.
+//! The campaign flags (`--suite`, `--workers`, `--ncom`, `--wmin`, `--seed`)
+//! select the warm scenario exactly like the experiment binaries select their
+//! first job; `--listen ADDR` serves TCP connections (one session each, at
+//! most `MAX_SESSIONS` at once, all sharing the warm cache) instead of stdin.
+//! See `docs/ARCHITECTURE.md` ("Service layer") for the protocol.
 
 use dg_experiments::service::{serve_listener, ScheduleService, ServeOptions, ServiceCore};
 use std::io::{BufWriter, Write};

@@ -95,7 +95,7 @@ impl CampaignConfig {
         }
     }
 
-    /// A minimal smoke-test campaign used by tests and criterion benches.
+    /// A minimal smoke-test campaign used by tests.
     pub fn smoke() -> Self {
         CampaignConfig {
             m_values: vec![5],

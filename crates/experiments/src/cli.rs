@@ -211,31 +211,34 @@ impl CliOptions {
     }
 
     /// Resolve the selected scenario suite: the `paper` preset unless
-    /// `--suite NAME|FILE` was given. Fails on an unknown preset name or an
-    /// unreadable/invalid suite file.
+    /// `--suite NAME|FILE` was given, with `--workers`, `--ncom` and `--wmin`
+    /// replacing the suite's platform size and sweeps. Fails on an unknown
+    /// preset name, an unreadable/invalid suite file, or overrides the suite
+    /// file format would refuse (a zero or empty sweep).
     pub fn suite(&self) -> Result<SuiteSpec, String> {
-        match &self.suite {
-            None => Ok(SuiteSpec::paper()),
-            Some(arg) => SuiteSpec::resolve(arg),
-        }
-    }
-
-    /// Build a campaign configuration from these options: the suite supplies
-    /// the axes and generator model, explicit `--ncom`/`--wmin` flags
-    /// override the suite's sweeps, `--heuristics` restricts the heuristic
-    /// list, and the scale/seed/engine flags apply on top. Fails only on an
-    /// unresolvable `--suite`.
-    pub fn campaign(&self) -> Result<CampaignConfig, String> {
-        let mut config = self.suite()?.campaign(self.scenarios, self.trials, self.max_slots);
+        let mut suite = match &self.suite {
+            None => SuiteSpec::paper(),
+            Some(arg) => SuiteSpec::resolve(arg)?,
+        };
         if let Some(workers) = self.workers {
-            config.num_workers = workers;
+            suite.workers = workers;
         }
         if let Some(ncom) = &self.ncom_values {
-            config.ncom_values = ncom.clone();
+            suite.ncom_values = ncom.clone();
         }
         if let Some(wmin) = &self.wmin_values {
-            config.wmin_values = wmin.clone();
+            suite.wmin_values = wmin.clone();
         }
+        suite.validate()?;
+        Ok(suite)
+    }
+
+    /// Build a campaign configuration from these options: the
+    /// [`CliOptions::suite`] supplies the axes and generator model,
+    /// `--heuristics` restricts the heuristic list, and the scale/seed/engine
+    /// flags apply on top. Fails where [`CliOptions::suite`] fails.
+    pub fn campaign(&self) -> Result<CampaignConfig, String> {
+        let mut config = self.suite()?.campaign(self.scenarios, self.trials, self.max_slots);
         if let Some(heuristics) = &self.heuristics {
             config.heuristics = heuristics.clone();
         }
@@ -468,6 +471,12 @@ mod tests {
         assert!(CliOptions::parse(["--scenarios", "0"]).is_err());
         assert!(CliOptions::parse(["--cap", "0"]).is_err());
         assert!(CliOptions::parse(["--engine", "warp"]).is_err());
+        // Sweep overrides parse, but the suite they produce is validated like
+        // a suite file: a zero or empty sweep is refused, not run.
+        for (flag, value) in [("--wmin", "0"), ("--ncom", "0"), ("--wmin", ","), ("--ncom", ",")] {
+            let opts = CliOptions::parse([flag, value]).unwrap();
+            assert!(opts.campaign().is_err(), "{flag} {value} must be refused");
+        }
     }
 
     #[test]
@@ -731,6 +740,8 @@ mod tests {
         let reduced =
             CliOptions::parse(["--suite", "massive", "--workers", "600"]).unwrap().campaign();
         assert_eq!(reduced.unwrap().num_workers, 600);
+        let paper = CliOptions::parse(["--workers", "40"]).unwrap();
+        assert_eq!(paper.suite().unwrap().workers, 40);
         assert!(CliOptions::parse(["--workers", "0"]).is_err());
         assert!(CliOptions::parse(["--workers"]).is_err());
     }

@@ -56,8 +56,8 @@ pub fn run_instance(
 }
 
 /// Like [`run_instance`], but additionally return the [`EngineReport`] saying
-/// how many slots the engine actually executed — the quantity the
-/// `engine_event_vs_slot` bench and the `--engine` comparison are about.
+/// how many slots the engine actually executed — the quantity the `--engine`
+/// comparison is about.
 ///
 /// # Panics
 /// Panics if `max_slots` is zero (see [`SimulationLimits::with_max_slots`]).

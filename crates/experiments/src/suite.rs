@@ -129,8 +129,9 @@ impl SuiteSpec {
     /// slower) and 16 pooled availability classes — running a larger
     /// application (`m = 50`) for a few iterations. The pooled classes make
     /// worker-class bucketing and group-set memoization effective, which is
-    /// what lets scheduling decisions complete at this scale (the `scaling`
-    /// bench charts it); use `--workers` to shrink the fleet for smoke runs.
+    /// what lets scheduling decisions complete at this scale
+    /// (`tests/scaling.rs` pins a decision's counts); use `--workers` to
+    /// shrink the fleet for smoke runs.
     pub fn massive() -> SuiteSpec {
         SuiteSpec {
             name: "massive".to_string(),

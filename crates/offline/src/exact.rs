@@ -2,9 +2,9 @@
 //!
 //! Both variants are NP-hard (Theorem 4.1), so these solvers enumerate
 //! processor subsets; they are intended for the small instances used to
-//! validate the reductions and the greedy heuristics, and for the `offline`
-//! bench. Enumeration is pruned by the obvious monotonicity: adding a
-//! processor can only shrink the set of common `UP` slots.
+//! validate the reductions and the greedy heuristics. Enumeration is pruned
+//! by the obvious monotonicity: adding a processor can only shrink the set of
+//! common `UP` slots.
 
 use crate::problem::{OfflineInstance, OfflineSolution};
 

@@ -4,8 +4,8 @@
 //! set greedily: starting from the empty set, they repeatedly add the
 //! processor that keeps the largest number of common `UP` slots. They are
 //! sound (any returned witness is valid) but incomplete (they may miss a
-//! feasible solution the exact solvers would find) — the gap is measured in
-//! the `offline` bench.
+//! feasible solution the exact solvers would find) — the `offline_solver`
+//! example compares both on one instance.
 
 use crate::problem::{OfflineInstance, OfflineSolution};
 

@@ -17,7 +17,7 @@
 //!
 //! * [`problem`] — the instance representation (an availability matrix);
 //! * [`exact`] — exponential-time exact solvers for both variants (practical
-//!   for the small instances used in tests and benches);
+//!   for the small instances used in tests and examples);
 //! * [`greedy`] — polynomial-time greedy heuristics;
 //! * [`oracle`] — earliest-finish makespan oracles that chain iterations into
 //!   full schedules (exact lower bounds at small `m`, greedy upper bounds

@@ -16,8 +16,12 @@
 //!   min-heap ([`crate::queue::WakeQueue`]).
 //!
 //! The number of actually executed slots is reported per run in
-//! [`EngineReport`]; Table I/II-style campaigns become event-bound instead of
-//! slot-bound, which is what makes the paper's 10⁶-slot caps affordable.
+//! [`EngineReport`]. Skipping slots pays off on runs that reach the slot cap
+//! and costs time at paper scale, where runs end long before it: on a
+//! 2-CPU host, a `table1` campaign whose RANDOM runs stop at the 200 000-slot
+//! cap took 0.68 s event-driven against 1.09 s slot-stepped, while the paper's
+//! `--wmin 1,2` campaign took 0.32 s against 0.28 s (docs/ARCHITECTURE.md,
+//! "Slot-stepped vs event-driven simulation", gives the commands and samples).
 
 use crate::assignment::Assignment;
 use crate::config::ActiveConfiguration;

@@ -243,23 +243,41 @@ fn daemon_survives_malformed_input_and_shuts_down_cleanly_at_eof() {
     assert_eq!(summary.requests, 5);
 }
 
-/// A batch amortizes one warm cache across its group: identical later entries
-/// are answered entirely from the hits the first entry's misses created.
+/// The raw value of `field` in batch member `id`'s reply. No member value
+/// contains `,"`, so that ends each one.
+fn member_field(reply: &str, id: usize, field: &str) -> String {
+    let member = reply.find(&format!("\"id\":{id},")).expect("member reply present");
+    let rest = &reply[member..];
+    let key = format!("\"{field}\":");
+    let at = rest.find(&key).expect("member field present") + key.len();
+    rest[at..at + rest[at..].find(",\"").expect("a field follows")].to_string()
+}
+
+/// A batch amortizes one warm cache across its group: for every heuristic, a
+/// repeated entry on a fresh core is answered entirely from the hits the
+/// first entry's misses created, with the first entry's assignment.
 #[test]
 fn batch_entries_share_the_warm_cache() {
-    let mut service = ScheduleService::new(core());
-    let entry =
-        |id: u64| format!("{{\"heuristic\":\"E-IE\",\"workers\":\"UUUUUUUU\",\"id\":{id}}}");
-    let line = format!("{{\"batch\":[{},{},{}]}}", entry(1), entry(2), entry(3));
-    let replies = service.handle_line(&line);
-    assert_eq!(replies.len(), 1, "a batch answers as one line");
-    let reply = &replies[0];
-    assert!(reply.contains("\"op\":\"batch\""), "{reply}");
-    for id in 1..=3 {
-        assert!(reply.contains(&format!("\"id\":{id}")), "{reply}");
+    for spec in HeuristicSpec::all() {
+        let name = spec.name();
+        let mut service = ScheduleService::new(core());
+        let entry =
+            |id: u64| format!("{{\"heuristic\":\"{name}\",\"workers\":\"UURUUDUU\",\"id\":{id}}}");
+        let replies = service.handle_line(&format!("{{\"batch\":[{},{}]}}", entry(1), entry(2)));
+        assert_eq!(replies.len(), 1, "{name}: a batch answers as one line");
+        let reply = &replies[0];
+        assert!(reply.contains("\"op\":\"batch\""), "{reply}");
+        // RANDOM is the one heuristic that never reads the cache.
+        if spec != HeuristicSpec::Random {
+            assert_ne!(member_field(reply, 1, "cache_misses"), "0", "{name}: cold entry: {reply}");
+        }
+        assert_eq!(member_field(reply, 2, "cache_misses"), "0", "{name}: warm entry: {reply}");
+        assert_eq!(
+            member_field(reply, 1, "assignment"),
+            member_field(reply, 2, "assignment"),
+            "{name}: the warm entry chose another assignment"
+        );
     }
-    // Exactly the first entry computes; the other two are pure hits.
-    assert_eq!(reply.matches("\"cache_misses\":0").count(), 2, "{reply}");
 }
 
 /// A batch under `--decision-threads 4` answers its members in request order,
@@ -282,16 +300,10 @@ fn parallel_batch_matches_the_serial_batch_and_reports_its_threads() {
     let serial_reply = serial.handle_line(&line).pop().unwrap();
     let parallel_reply = parallel.handle_line(&line).pop().unwrap();
 
-    let assignment_of = |reply: &str, id: usize| -> String {
-        let member = reply.find(&format!("\"id\":{id},")).expect("member reply present");
-        let rest = &reply[member..];
-        let at = rest.find("\"assignment\":").unwrap() + "\"assignment\":".len();
-        rest[at..at + rest[at..].find(",\"latency_us\"").unwrap()].to_string()
-    };
     for id in 0..heuristics.len() {
         assert_eq!(
-            assignment_of(&serial_reply, id),
-            assignment_of(&parallel_reply, id),
+            member_field(&serial_reply, id, "assignment"),
+            member_field(&parallel_reply, id, "assignment"),
             "batch member {id} diverged between serial and parallel fan-out",
         );
     }
