@@ -15,8 +15,8 @@
 //!   a scenario concurrently, so each group set is computed once per
 //!   *scenario* instead of once per `(heuristic, trial)`. Hit/miss counters
 //!   quantify the reuse ([`EvalCache::stats`]).
-//! * [`Estimator`] — the thin front-end combining a cache handle with the
-//!   per-consumer `use_paper_formula` toggle. [`Estimator::new`] builds a
+//! * [`Estimator`] — the thin front-end over a cache handle that combines
+//!   the cached quantities into estimates. [`Estimator::new`] builds a
 //!   private cache (the historical behavior); [`Estimator::from_cache`]
 //!   attaches to a shared one. One [`Estimator::estimate`] takes the memo
 //!   read lock once and looks its member set up once.
@@ -490,14 +490,12 @@ impl Drop for MemoReader<'_> {
 
 /// Memoized computation of the Section V estimates for one platform.
 ///
-/// A thin front-end over an [`EvalCache`] handle plus the per-consumer
-/// `use_paper_formula` toggle. [`Estimator::new`] owns a private cache — the
-/// historical single-consumer behavior — while [`Estimator::from_cache`]
-/// evaluates through a shared one.
+/// A thin front-end over an [`EvalCache`] handle. [`Estimator::new`] owns a
+/// private cache — the historical single-consumer behavior — while
+/// [`Estimator::from_cache`] evaluates through a shared one.
 #[derive(Debug)]
 pub struct Estimator {
     cache: EvalCache,
-    use_paper_formula: bool,
 }
 
 impl Estimator {
@@ -514,18 +512,12 @@ impl Estimator {
 
     /// Build an estimator evaluating through the (possibly shared) `cache`.
     pub fn from_cache(cache: EvalCache) -> Self {
-        Estimator { cache, use_paper_formula: false }
+        Estimator { cache }
     }
 
     /// The cache handle this estimator evaluates through.
     pub fn cache(&self) -> &EvalCache {
         &self.cache
-    }
-
-    /// Use the conditional-completion-time formula exactly as printed in the
-    /// paper instead of the renewal form (see the `group` module docs).
-    pub fn set_use_paper_formula(&mut self, use_paper: bool) {
-        self.use_paper_formula = use_paper;
     }
 
     /// Number of workers known to the estimator.
@@ -560,16 +552,6 @@ impl Estimator {
         self.cache.tables().computation_workload(members, tasks)
     }
 
-    /// `E^(S)(w)` of the group quantities `g` under this estimator's
-    /// duration model (renewal form, or the paper's printed formula).
-    fn completion_time(&self, g: &GroupQuantities, w: u64) -> f64 {
-        if self.use_paper_formula {
-            g.expected_completion_time_paper(w)
-        } else {
-            g.expected_completion_time(w)
-        }
-    }
-
     /// Communication-phase estimate for enrolled workers `members`, where
     /// `comm_slots[i]` is the number of communication slots worker
     /// `members[i]` still needs (program + missing data messages).
@@ -595,7 +577,7 @@ impl Estimator {
             if n == 0 {
                 continue;
             }
-            max_single = max_single.max(self.completion_time(&reader.group(&[q]), n));
+            max_single = max_single.max(reader.group(&[q]).expected_completion_time(n));
         }
 
         let total: u64 = comm_slots.iter().sum();
@@ -628,7 +610,7 @@ impl Estimator {
         IterationEstimate::combine(
             comm.expected_duration,
             comm.success_probability,
-            self.completion_time(&g, w),
+            g.expected_completion_time(w),
             g.prob_success(w),
         )
     }
@@ -812,24 +794,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_formula_toggle_changes_only_duration_model() {
-        let s = paper_scenario();
-        let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
-        let members = [0usize, 1, 2];
-        let no_comm = [0u64; 3];
-        let w = 20;
-        let renewal = est.estimate(&members, &no_comm, w);
-        est.set_use_paper_formula(true);
-        let paper = est.estimate(&members, &no_comm, w);
-        // Both are >= W; the paper's literal formula divides by P₊^{W-1} and is
-        // therefore never smaller than the renewal form.
-        assert!(renewal.expected_duration >= w as f64 - 1e-9);
-        assert!(paper.expected_duration >= renewal.expected_duration - 1e-9);
-        // Success probabilities are identical under both readings.
-        assert_eq!(renewal.success_probability, paper.success_probability);
-    }
-
-    #[test]
     fn workload_saturates_instead_of_wrapping() {
         let platform = dg_platform::Platform::new(
             vec![WorkerSpec::new(3_000_000_000), WorkerSpec::new(2)],
@@ -846,44 +810,35 @@ mod tests {
         // communication, adds c singleton lookups plus one for the member set
         // — and equals the composition of the public pieces bit for bit.
         let s = paper_scenario();
-        for paper in [false, true] {
-            let mut est = Estimator::with_default_epsilon(&s.platform, &s.master);
-            est.set_use_paper_formula(paper);
-            let probes: [(&[usize], &[u64], u64); 5] = [
-                (&[0, 2, 4], &[3, 0, 2], 12),
-                (&[1, 3, 5, 7], &[0, 0, 0, 0], 7),
-                (&[6], &[4], 1),
-                (&[2, 8, 9], &[1, 1, 1], 0),
-                (&[], &[], 5),
-            ];
-            for &(members, comm, w) in &probes {
-                est.estimate(members, comm, w); // warm up
-                let c = comm.iter().filter(|&&n| n > 0).count() as u64;
-                let before = est.cache().stats();
-                let value = est.estimate(members, comm, w);
-                let delta = est.cache().stats().since(&before);
-                assert_eq!(delta, EvalCacheStats { group_hits: c + 1, group_misses: 0 });
+        let est = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let probes: [(&[usize], &[u64], u64); 5] = [
+            (&[0, 2, 4], &[3, 0, 2], 12),
+            (&[1, 3, 5, 7], &[0, 0, 0, 0], 7),
+            (&[6], &[4], 1),
+            (&[2, 8, 9], &[1, 1, 1], 0),
+            (&[], &[], 5),
+        ];
+        for &(members, comm, w) in &probes {
+            est.estimate(members, comm, w); // warm up
+            let c = comm.iter().filter(|&&n| n > 0).count() as u64;
+            let before = est.cache().stats();
+            let value = est.estimate(members, comm, w);
+            let delta = est.cache().stats().since(&before);
+            assert_eq!(delta, EvalCacheStats { group_hits: c + 1, group_misses: 0 });
 
-                let mut fresh = Estimator::with_default_epsilon(&s.platform, &s.master);
-                fresh.set_use_paper_formula(paper);
-                let ce = fresh.comm_estimate(members, comm);
-                let g = fresh.group(members);
-                let e = if paper {
-                    g.expected_completion_time_paper(w)
-                } else {
-                    g.expected_completion_time(w)
-                };
-                let expected = IterationEstimate::combine(
-                    ce.expected_duration,
-                    ce.success_probability,
-                    e,
-                    g.prob_success(w),
-                );
-                let bits = |x: IterationEstimate| {
-                    (x.expected_duration.to_bits(), x.success_probability.to_bits())
-                };
-                assert_eq!(bits(value), bits(expected), "{members:?} paper={paper}");
-            }
+            let fresh = Estimator::with_default_epsilon(&s.platform, &s.master);
+            let ce = fresh.comm_estimate(members, comm);
+            let g = fresh.group(members);
+            let expected = IterationEstimate::combine(
+                ce.expected_duration,
+                ce.success_probability,
+                g.expected_completion_time(w),
+                g.prob_success(w),
+            );
+            let bits = |x: IterationEstimate| {
+                (x.expected_duration.to_bits(), x.success_probability.to_bits())
+            };
+            assert_eq!(bits(value), bits(expected), "{members:?}");
         }
     }
 

@@ -43,14 +43,14 @@
 //! session's memory does not depend on the event times. Subsequent
 //! `{"op":"event",...}` lines report availability transitions (reporting the
 //! current state again is not a transition; a change at or before the
-//! worker's last-change slot is refused) and re-evaluate the scheduler per
-//! its [`Reevaluation`] contract — the first consumer of that contract
-//! outside the simulator: the engine's always-wake rules
-//! (configuration-member transitions, a crash while holding program or data,
-//! entering `UP` while idle) plus the scheduler's `on_outside_transitions`
-//! flag. A changed decision installs
-//! the new configuration and emits an unsolicited `{"op":"reschedule",...}`
-//! record after the event's acknowledgement.
+//! worker's last-change slot is refused). The session's world is a
+//! [`DecisionContext`], the engine's own world type, and an event changes it
+//! through the engine's rules: [`DecisionContext::normalize`] applies the
+//! `DOWN` consequences, and the scheduler is re-consulted exactly when the
+//! engine would wake for the transition ([`Reevaluation::wakes_on`]). A
+//! changed decision is installed with [`DecisionContext::install`] and
+//! emitted as an unsolicited `{"op":"reschedule",...}` record after the
+//! event's acknowledgement.
 //!
 //! Malformed input is answered with `{"ok":false,"error":...}` on the same
 //! stream — the daemon never exits on bad input; it shuts down cleanly on
@@ -669,34 +669,27 @@ impl ScheduleService {
             return fail(err, &mut self.summary.errors);
         }
 
+        // The engine's wake rule, judged on the world before the event.
+        let before = session.ctx.workers[worker];
+        let current = session.ctx.current.as_ref();
+        let reconsult = changed
+            && session.reevaluation.wakes_on(
+                before.state,
+                state,
+                current.is_some_and(|cfg| cfg.assignment.contains(worker)),
+                current.is_none(),
+                before.dynamic.holds_anything(),
+            );
+
         // Advance the session's world to the event's slot, then apply the
-        // engine's DOWN consequences (crashed holdings, a configuration
-        // aborted by a DOWN member).
-        let held_before = {
-            let d = &session.ctx.workers[worker].dynamic;
-            d.has_program || d.data_messages > 0 || d.partial_transfer > 0
-        };
-        let was_member =
-            session.ctx.current.as_ref().is_some_and(|cfg| cfg.assignment.contains(worker));
+        // engine's DOWN rule (crashed holdings, a configuration aborted by a
+        // DOWN member).
         session.ctx.time = time;
         if changed {
             session.ctx.workers[worker].state = state;
             session.last_change[worker] = time;
         }
         session.ctx.normalize();
-
-        // The engine's wake rules, applied to a single outside event: it
-        // always wakes for configuration-member transitions, for a crash
-        // while holding program or data, and — while idle — for a worker
-        // entering UP; outside transitions under an installed configuration
-        // wake only schedulers that declared `on_outside_transitions`.
-        let reconsult = changed
-            && (was_member
-                || (state.is_down() && held_before)
-                || match session.ctx.current {
-                    None => state.is_up(),
-                    Some(_) => session.reevaluation.on_outside_transitions,
-                });
 
         let mut lines = vec![Obj::new()
             .field("ok", true)
@@ -1148,6 +1141,27 @@ mod tests {
         let err = service.handle_line(r#"{"op":"event","worker":99,"state":"U","time":9}"#);
         assert!(err[0].contains("does not exist"), "{}", err[0]);
         assert!(service.session.is_some());
+
+        // Proactive P-IE watches outsiders, but only across the UP boundary:
+        // like the engine, it sleeps through an outsider's R<->D churn.
+        let paper = ServeOptions::parse(["--suite", "paper", "--quiet"]).unwrap();
+        let mut service =
+            ScheduleService::new(Arc::new(ServiceCore::from_options(&paper.base).unwrap()));
+        let lines = service
+            .handle_line(r#"{"op":"session","heuristic":"P-IE","workers":"UUUUUUUUUUUUUUUUUUUU"}"#);
+        assert!(
+            lines[1].contains("\"assignment\":[[4,1],[5,1],[13,1],[15,1],[18,1]]"),
+            "{lines:?}"
+        );
+        for (state, time, wakes) in
+            [("R", 3, true), ("D", 5, false), ("R", 7, false), ("U", 9, true)]
+        {
+            let lines = service.handle_line(&format!(
+                "{{\"op\":\"event\",\"worker\":0,\"state\":\"{state}\",\"time\":{time}}}"
+            ));
+            let expected = format!("\"changed\":true,\"reevaluated\":{wakes}");
+            assert!(lines[0].contains(&expected), "{}", lines[0]);
+        }
     }
 
     #[test]

@@ -1,14 +1,15 @@
-//! Owned decision contexts: the scheduler-facing [`SimView`] built from a
-//! world state that lives **outside** the engine.
+//! The world state of one run: the facts a [`SimView`] lends to a scheduler,
+//! owned in one place, with the rules that change them between decisions.
 //!
-//! The simulator assembles its views from private engine state, so until now
-//! the only way to get a [`Scheduler`](crate::Scheduler) decision was to run a
-//! simulation. A [`DecisionContext`] owns the same per-slot facts — clock,
-//! iteration progress, per-worker availability and holdings, the installed
-//! configuration — and lends them out as a [`SimView`], so external callers
-//! (the `serve` daemon of `dg-experiments`, tests, tools) can consult a
-//! scheduler about an arbitrary world state and get exactly the answer the
-//! engine would get for the same view.
+//! A [`DecisionContext`] holds the clock, the iteration progress, every
+//! worker's availability and holdings and the installed configuration. The
+//! engine runs on one: it writes each slot's availability into the context,
+//! applies [`DecisionContext::normalize`] (the `DOWN` rule), consults the
+//! scheduler through [`DecisionContext::view`] and installs its choice with
+//! [`DecisionContext::install`]. External callers (the `serve` daemon of
+//! `dg-experiments`, tests, tools) build a context for an arbitrary world
+//! state and call the same rules, so a scheduler consulted about it gives
+//! exactly the answer the engine would give at the same view.
 
 use crate::assignment::Assignment;
 use crate::config::ActiveConfiguration;
@@ -17,7 +18,7 @@ use crate::worker_state::WorkerDynamicState;
 use dg_availability::ProcState;
 use dg_platform::{ApplicationSpec, MasterSpec, Platform};
 
-/// An owned snapshot of everything a [`SimView`] borrows from the engine.
+/// An owned world state: everything a [`SimView`] borrows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecisionContext {
     /// Current time-slot.
@@ -53,35 +54,40 @@ impl DecisionContext {
     }
 
     /// Install `assignment` as the current configuration, selected at the
-    /// context's current time with no accumulated computation.
+    /// context's current time with no accumulated computation. A worker
+    /// that leaves the configuration loses its in-flight transfer
+    /// (interrupted communications restart from scratch); its completed
+    /// messages and program are kept.
     pub fn install(&mut self, assignment: Assignment, platform: &Platform) {
+        if let Some(old) = &self.current {
+            for q in old.assignment.members_iter() {
+                if !assignment.contains(q) {
+                    self.workers[q].dynamic.abort_partial_transfer();
+                }
+            }
+        }
         self.current = Some(ActiveConfiguration::new(assignment, platform, self.time));
     }
 
-    /// Apply the engine's pre-decision consequences of `DOWN` workers
-    /// (step 2 of the slot semantics): every `DOWN` worker loses its program,
-    /// data and in-flight transfer, and a configuration with a `DOWN` member
-    /// is aborted — the tightly-coupled iteration cannot survive it. Returns
-    /// `true` if the installed configuration was aborted.
+    /// Apply the consequences of `DOWN` workers (step 2 of the slot
+    /// semantics): every `DOWN` worker loses its program, data and in-flight
+    /// transfer, and a configuration with a `DOWN` member is aborted — the
+    /// tightly-coupled iteration cannot survive it. Returns the aborted
+    /// configuration, if any.
     ///
-    /// The engine normalizes its state exactly like this before every
+    /// The engine applies exactly this before every
     /// [`Scheduler::decide`](crate::Scheduler::decide) call, so a context
     /// normalized at its current states yields the same view — and therefore
     /// the same decision — the engine would produce.
-    pub fn normalize(&mut self) -> bool {
+    pub fn normalize(&mut self) -> Option<ActiveConfiguration> {
         for w in &mut self.workers {
             if w.state.is_down() {
                 w.dynamic.crash();
             }
         }
-        let aborted = match &self.current {
-            Some(cfg) => cfg.assignment.members_iter().any(|q| self.workers[q].state.is_down()),
-            None => false,
-        };
-        if aborted {
-            self.current = None;
-        }
-        aborted
+        let workers = &self.workers;
+        self.current
+            .take_if(|cfg| cfg.assignment.members_iter().any(|q| workers[q].state.is_down()))
     }
 
     /// Borrow the context as the [`SimView`] handed to a scheduler.
@@ -159,20 +165,36 @@ mod tests {
         assert_eq!(cfg.selected_at, 7);
         assert_eq!(cfg.workload, Assignment::new([(1, 1), (2, 2)]).workload(&platform));
         // Nothing DOWN: normalize changes nothing.
-        assert!(!ctx.normalize());
+        assert_eq!(ctx.normalize(), None);
         assert!(ctx.current.is_some());
         // A DOWN member crashes its holdings and aborts the configuration.
+        let installed = ctx.current.clone();
         ctx.workers[1].state = ProcState::Down;
-        assert!(ctx.normalize());
+        assert_eq!(ctx.normalize(), installed);
         assert!(ctx.current.is_none());
         assert_eq!(ctx.workers[1].dynamic, WorkerDynamicState::fresh());
         // A DOWN outsider only loses its holdings.
         ctx.install(Assignment::new([(2, 3)]), &platform);
         ctx.workers[0].dynamic.data_messages = 2;
         ctx.workers[0].state = ProcState::Down;
-        assert!(!ctx.normalize());
+        assert_eq!(ctx.normalize(), None);
         assert!(ctx.current.is_some());
         assert_eq!(ctx.workers[0].dynamic.data_messages, 0);
+        // A worker the next configuration drops loses its in-flight transfer
+        // and keeps its program; a worker that stays keeps both.
+        let downloading = WorkerDynamicState {
+            has_program: true,
+            partial_transfer: 1,
+            ..WorkerDynamicState::fresh()
+        };
+        ctx.workers[0].state = ProcState::Up;
+        ctx.install(Assignment::new([(0, 1), (2, 2)]), &platform);
+        ctx.workers[0].dynamic = downloading;
+        ctx.workers[2].dynamic = downloading;
+        ctx.install(Assignment::new([(1, 1), (2, 2)]), &platform);
+        assert_eq!(ctx.workers[0].dynamic.partial_transfer, 0);
+        assert!(ctx.workers[0].dynamic.has_program);
+        assert_eq!(ctx.workers[2].dynamic, downloading);
     }
 
     #[test]

@@ -12,8 +12,13 @@
 //!   availability transition of any worker, the completion of the current
 //!   computation phase, or a scheduler re-evaluation point declared through
 //!   [`crate::view::Reevaluation`] — accounting for the skipped, provably
-//!   unchanged slots in bulk. Wake-ups are ordered by a deterministic
-//!   min-heap ([`crate::queue::WakeQueue`]).
+//!   unchanged slots in bulk. The next executed slot is the minimum of those
+//!   wake-ups.
+//!
+//! Both run on one [`DecisionContext`], the world state the `serve` daemon
+//! runs on too, so the `DOWN` rule ([`DecisionContext::normalize`]), the
+//! install rule ([`DecisionContext::install`]) and the wake rule
+//! ([`crate::view::Reevaluation::wakes_on`]) each exist once.
 //!
 //! The number of actually executed slots is reported per run in
 //! [`EngineReport`]. Skipping slots pays off on runs that reach the slot cap
@@ -25,11 +30,10 @@
 
 use crate::assignment::Assignment;
 use crate::config::ActiveConfiguration;
+use crate::decision::DecisionContext;
 use crate::events::{EventKind, EventLog};
 use crate::metrics::{SimOutcome, SimStats};
-use crate::queue::{WakeEvent, WakeQueue};
-use crate::view::{Decision, Scheduler, SimView, WorkerView};
-use crate::worker_state::WorkerStateTable;
+use crate::view::{Decision, Scheduler, WorkerView};
 use dg_availability::trace::AvailabilityModel;
 use dg_availability::ProcState;
 use dg_platform::{ApplicationSpec, MasterSpec, Platform, Scenario};
@@ -174,28 +178,20 @@ enum SlotPhase {
 
 /// Memoized outcome of one relevance walk: `None` = not computed yet for
 /// this context, `Some(None)` = no relevant transition ever again,
-/// `Some(Some((slot, state)))` = the next relevant transition.
-type CachedTransition = Option<Option<(u64, ProcState)>>;
+/// `Some(Some(slot))` = the slot of the next relevant transition.
+type CachedTransition = Option<Option<u64>>;
 
 /// Mutable per-run state shared by both engine modes.
 struct RunState {
-    /// Per-worker holdings in struct-of-arrays layout: per-slot sweeps touch
-    /// one field of every worker, not every field of one worker.
-    dynamic: WorkerStateTable,
-    current: Option<ActiveConfiguration>,
+    /// What the scheduler sees: clock, iteration progress, per-worker
+    /// availability and holdings, the installed configuration.
+    world: DecisionContext,
     stats: SimStats,
-    completed: u64,
-    iteration_started_at: u64,
     makespan: Option<u64>,
-    states: Vec<ProcState>,
     log: EventLog,
     /// Workers served during the last communication slot (scratch buffer;
     /// the event engine uses it to bulk-advance skipped transfer slots).
     served: Vec<usize>,
-    /// Per-slot scheduler view of the fleet (scratch buffer, rebuilt each
-    /// executed slot — at 10⁴–10⁵ workers a fresh allocation per slot would
-    /// dominate the engine).
-    views: Vec<WorkerView>,
 }
 
 /// The discrete-event simulator.
@@ -304,13 +300,9 @@ impl<A: AvailabilityModel> Simulator<A> {
     ) -> (SimOutcome, EventLog, EngineReport) {
         let p = self.platform.num_workers();
         let mut st = RunState {
-            dynamic: WorkerStateTable::fresh(p),
-            current: None,
+            world: DecisionContext::fresh(&vec![ProcState::Up; p]),
             stats: SimStats::default(),
-            completed: 0,
-            iteration_started_at: 0,
             makespan: None,
-            states: vec![ProcState::Up; p],
             log: if self.log_events {
                 EventLog::enabled()
             } else if self.completion_log {
@@ -319,7 +311,6 @@ impl<A: AvailabilityModel> Simulator<A> {
                 EventLog::disabled()
             },
             served: Vec::new(),
-            views: Vec::with_capacity(p),
         };
         st.log.push(0, EventKind::IterationStarted { iteration: 0 });
 
@@ -330,7 +321,7 @@ impl<A: AvailabilityModel> Simulator<A> {
 
         st.log.push(simulated, EventKind::RunFinished { success: st.makespan.is_some() });
         let outcome = SimOutcome {
-            completed_iterations: st.completed,
+            completed_iterations: st.world.completed_iterations,
             target_iterations: self.application.iterations,
             makespan: st.makespan,
             simulated_slots: simulated,
@@ -364,7 +355,6 @@ impl<A: AvailabilityModel> Simulator<A> {
         let p = self.platform.num_workers();
         let cap = self.limits.max_slots;
         let reeval = scheduler.reevaluation();
-        let mut queue = WakeQueue::new();
         // Memoized results of `next_relevant_transition`, per worker and per
         // relevance context (member? idle? holding anything? — 8 combinations).
         // A worker's realization is immutable, so a computed "next relevant
@@ -383,7 +373,9 @@ impl<A: AvailabilityModel> Simulator<A> {
                 break;
             }
 
-            // Does the very next slot need executing regardless of events?
+            // The next executed slot is the earliest wake-up. Does the very
+            // next slot need executing regardless of events?
+            let mut wake = cap;
             let step_next = match phase {
                 // `Finished` sets the makespan, handled above.
                 SlotPhase::Finished => unreachable!("finished runs exit before classification"),
@@ -395,25 +387,28 @@ impl<A: AvailabilityModel> Simulator<A> {
                 // the channel allocation at the very next slot.
                 SlotPhase::ActiveComm { boundary } => match boundary {
                     Some(b) if !reeval.during_transfer => {
-                        queue.push(WakeEvent::completion(t + b));
+                        wake = wake.min(t + b);
                         false
                     }
                     _ => true,
                 },
                 SlotPhase::Computing { remaining } => {
-                    queue.push(WakeEvent::completion(t + remaining));
+                    wake = wake.min(t + remaining);
                     reeval.during_computation
                 }
                 SlotPhase::Suspended | SlotPhase::StalledComm => reeval.during_stall,
                 SlotPhase::Idle => reeval.while_idle,
             };
             if step_next {
-                queue.push(WakeEvent::reevaluate(t + 1));
+                wake = wake.min(t + 1);
             } else {
-                let idle = st.current.is_none();
-                for (q, cached) in relevance_cache.iter_mut().enumerate() {
-                    let member = st.current.as_ref().is_some_and(|cfg| cfg.assignment.contains(q));
-                    let holds_anything = st.dynamic.holds_anything(q);
+                let current = st.world.current.as_ref();
+                let idle = current.is_none();
+                for (q, (cached, w)) in
+                    relevance_cache.iter_mut().zip(&st.world.workers).enumerate()
+                {
+                    let member = current.is_some_and(|cfg| cfg.assignment.contains(q));
+                    let holds_anything = w.dynamic.holds_anything();
                     let ctx = usize::from(member)
                         | usize::from(idle) << 1
                         | usize::from(holds_anything) << 2;
@@ -421,28 +416,21 @@ impl<A: AvailabilityModel> Simulator<A> {
                         // "Never relevant again" holds forever for a context.
                         Some(None) => None,
                         // A future relevant transition stays the next one.
-                        Some(Some((when, to))) if when > t => Some((when, to)),
+                        Some(Some(when)) if when > t => Some(when),
                         _ => {
-                            let result = self.next_relevant_transition(
-                                q,
-                                t,
-                                st.states[q],
-                                member,
-                                idle,
-                                reeval.on_outside_transitions,
-                                holds_anything,
-                            );
+                            let result =
+                                self.next_relevant_transition(q, t, w.state, |from, to| {
+                                    reeval.wakes_on(from, to, member, idle, holds_anything)
+                                });
                             cached[ctx] = Some(result);
                             result
                         }
                     };
-                    if let Some((when, to)) = next {
-                        queue.push(WakeEvent::transition(when, q, to));
+                    if let Some(when) = next {
+                        wake = wake.min(when);
                     }
                 }
             }
-            let wake = queue.pop().map_or(cap, |e| e.time).min(cap);
-            queue.clear();
             debug_assert!(wake > t, "wake-ups must move time forward");
 
             // The slots in (t, wake) are provably identical to slot t's span:
@@ -452,7 +440,8 @@ impl<A: AvailabilityModel> Simulator<A> {
                 match phase {
                     SlotPhase::Computing { .. } => {
                         st.stats.computation_slots += skipped;
-                        st.current
+                        st.world
+                            .current
                             .as_mut()
                             .expect("a computing span has an installed configuration")
                             .advance_computation_bulk(skipped);
@@ -463,7 +452,7 @@ impl<A: AvailabilityModel> Simulator<A> {
                         // their (unfinished) in-flight message.
                         st.stats.transfer_slots += skipped * st.served.len() as u64;
                         for &q in &st.served {
-                            st.dynamic.add_partial_transfer(q, skipped);
+                            st.world.workers[q].dynamic.partial_transfer += skipped;
                         }
                     }
                     SlotPhase::Idle => st.stats.idle_slots += skipped,
@@ -481,60 +470,34 @@ impl<A: AvailabilityModel> Simulator<A> {
     }
 
     /// Walk worker `q`'s availability transitions forward from `t` to the
-    /// first one that can change anything about the current span, skipping
-    /// churn the scheduler provably cannot react to.
+    /// first one for which `relevant(from, to)` holds — the scheduler's
+    /// [`crate::view::Reevaluation::wakes_on`] in the current span's
+    /// context — and return its slot, skipping churn the scheduler provably
+    /// cannot react to.
     ///
-    /// A transition is relevant when:
-    /// * `q` is enrolled in the installed configuration (suspension, abort and
-    ///   resumption all hinge on member states), or
-    /// * `q` enters `DOWN` while holding program or data — the crash must be
-    ///   applied at that slot, not lazily, or a later `UP` re-entry would
-    ///   resurrect state the slot-stepper already destroyed, or
-    /// * no configuration is installed and `q` enters `UP` — the only change
-    ///   that can make a configuration installable (losing workers keeps an
-    ///   infeasible `UP` set infeasible), or
-    /// * the scheduler watches outside workers
-    ///   ([`crate::view::Reevaluation::on_outside_transitions`]) and `q`
-    ///   crosses the `UP` boundary, changing the candidate pool.
-    ///
-    /// Everything else (`RECLAIMED`/`DOWN` churn of empty-handed bystanders,
-    /// `UP`-boundary crossings passive schedulers ignore) is skipped. The walk
-    /// is bounded: after `MAX_IRRELEVANT_WALK` skipped transitions the next
-    /// one is returned as a conservative wake-up — a spurious wake executes
-    /// one extra slot and changes nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// The context stays valid along the walk: the span keeps its
+    /// configuration, and while the worker holds nothing, passing through
+    /// `DOWN` keeps it holding nothing; with holdings the walk stops at the
+    /// first `DOWN` entry, before they could have been lost. The walk is
+    /// bounded: after `MAX_IRRELEVANT_WALK` skipped transitions the next one
+    /// is returned as a conservative wake-up — a spurious wake executes one
+    /// extra slot and changes nothing.
     fn next_relevant_transition(
         &mut self,
         q: usize,
         t: u64,
         state_now: ProcState,
-        member: bool,
-        idle: bool,
-        outside_matters: bool,
-        holds_anything: bool,
-    ) -> Option<(u64, ProcState)> {
+        relevant: impl Fn(ProcState, ProcState) -> bool,
+    ) -> Option<u64> {
         const MAX_IRRELEVANT_WALK: u32 = 1024;
         let mut from = state_now;
         let mut after = t;
         let mut walked = 0u32;
         loop {
             let (when, to) = self.availability.next_transition(q, after)?;
-            let relevant = if member {
-                true
-            } else if to.is_down() && holds_anything {
-                // While the worker holds nothing, passing through DOWN keeps
-                // it holding nothing, so `holds_anything` is stable along the
-                // walk; with holdings the walk stops here before they could
-                // have been lost.
-                true
-            } else if idle {
-                to.is_up()
-            } else {
-                outside_matters && (from.is_up() || to.is_up())
-            };
             walked += 1;
-            if relevant || walked >= MAX_IRRELEVANT_WALK {
-                return Some((when, to));
+            if relevant(from, to) || walked >= MAX_IRRELEVANT_WALK {
+                return Some(when);
             }
             from = to;
             after = when;
@@ -551,78 +514,53 @@ impl<A: AvailabilityModel> Simulator<A> {
         scheduler: &mut dyn Scheduler,
         t: u64,
     ) -> SlotPhase {
-        let p = self.platform.num_workers();
         let target = self.application.iterations;
         let t_prog = self.master.t_prog;
         let t_data = self.master.t_data;
 
         // 1. Read availability for this slot.
-        for (q, s) in st.states.iter_mut().enumerate() {
-            *s = self.availability.state(q, t);
+        st.world.time = t;
+        for (q, w) in st.world.workers.iter_mut().enumerate() {
+            w.state = self.availability.state(q, t);
         }
 
         // 2. Consequences of DOWN workers: they lose program, data and any
         //    in-flight transfer; if one of them is enrolled, the whole
         //    iteration restarts from scratch.
-        for q in 0..p {
-            if st.states[q].is_down() {
-                st.dynamic.crash(q);
-            }
-        }
-        if let Some(cfg) = &st.current {
-            if cfg.assignment.members_iter().any(|q| st.states[q].is_down()) {
-                let failed: Vec<usize> =
-                    cfg.assignment.members_iter().filter(|&q| st.states[q].is_down()).collect();
-                st.stats.iterations_aborted += 1;
-                st.log.push(t, EventKind::IterationAborted { failed_workers: failed });
-                st.current = None;
-            }
+        if let Some(aborted) = st.world.normalize() {
+            let workers = &st.world.workers;
+            let failed = aborted.assignment.members_iter().filter(|&q| workers[q].state.is_down());
+            st.stats.iterations_aborted += 1;
+            st.log.push(t, EventKind::IterationAborted { failed_workers: failed.collect() });
         }
 
         // 3. Ask the scheduler what to do.
-        st.views.clear();
-        let (states, dynamic, views) = (&st.states, &st.dynamic, &mut st.views);
-        views.extend((0..p).map(|q| WorkerView { state: states[q], dynamic: dynamic.get(q) }));
-        let decision = {
-            let view = SimView {
-                time: t,
-                iteration: st.completed,
-                completed_iterations: st.completed,
-                iteration_started_at: st.iteration_started_at,
-                workers: &st.views,
-                platform: &self.platform,
-                application: &self.application,
-                master: &self.master,
-                current: st.current.as_ref(),
-            };
-            scheduler.decide(&view)
-        };
+        let decision =
+            scheduler.decide(&st.world.view(&self.platform, &self.application, &self.master));
 
         // 4. Apply the decision.
         if let Decision::NewConfiguration(assignment) = decision {
-            let same = st.current.as_ref().is_some_and(|c| c.assignment == assignment);
+            let same = st.world.current.as_ref().is_some_and(|c| c.assignment == assignment);
             if !same && !assignment.is_empty() {
                 self.apply_new_configuration(assignment, st, t);
             }
         }
 
         // 5. Execute the slot.
-        match st.current.as_mut() {
+        let world = &mut st.world;
+        match world.current.as_mut() {
             None => {
                 st.stats.idle_slots += 1;
                 SlotPhase::Idle
             }
             Some(cfg) => {
-                let ready = cfg
-                    .assignment
-                    .entries()
-                    .iter()
-                    .all(|&(q, x)| st.dynamic.comm_slots_remaining(q, x, t_prog, t_data) == 0);
+                let ready = cfg.assignment.entries().iter().all(|&(q, x)| {
+                    world.workers[q].dynamic.comm_slots_remaining(x, t_prog, t_data) == 0
+                });
                 if !ready {
                     let boundary = Self::run_communication_slot(
                         cfg,
-                        &st.states,
-                        &mut st.dynamic,
+                        &mut world.workers,
                         &mut st.served,
                         &self.master,
                         &mut st.stats,
@@ -636,7 +574,7 @@ impl<A: AvailabilityModel> Simulator<A> {
                     }
                 } else {
                     let all_up =
-                        cfg.assignment.entries().iter().all(|&(q, _)| st.states[q].is_up());
+                        cfg.assignment.members_iter().all(|q| world.workers[q].state.is_up());
                     if !all_up {
                         st.stats.stalled_slots += 1;
                         st.log.push(t, EventKind::ComputationSuspended);
@@ -652,20 +590,23 @@ impl<A: AvailabilityModel> Simulator<A> {
                             },
                         );
                         if finished {
-                            st.log
-                                .push(t, EventKind::IterationCompleted { iteration: st.completed });
-                            st.completed += 1;
-                            scheduler.on_iteration_complete(st.completed);
-                            if st.completed == target {
+                            let completed = world.completed_iterations;
+                            st.log.push(t, EventKind::IterationCompleted { iteration: completed });
+                            world.completed_iterations += 1;
+                            world.iteration = world.completed_iterations;
+                            scheduler.on_iteration_complete(world.completed_iterations);
+                            if world.completed_iterations == target {
                                 st.makespan = Some(t + 1);
                                 SlotPhase::Finished
                             } else {
-                                st.dynamic.new_iteration_all();
-                                st.current = None;
-                                st.iteration_started_at = t + 1;
+                                for w in &mut world.workers {
+                                    w.dynamic.new_iteration();
+                                }
+                                world.current = None;
+                                world.iteration_started_at = t + 1;
                                 st.log.push(
                                     t + 1,
-                                    EventKind::IterationStarted { iteration: st.completed },
+                                    EventKind::IterationStarted { iteration: world.iteration },
                                 );
                                 SlotPhase::IterationBoundary
                             }
@@ -683,32 +624,22 @@ impl<A: AvailabilityModel> Simulator<A> {
         if let Err(e) = assignment.validate(&self.platform, &self.application) {
             panic!("scheduler produced an invalid assignment at slot {t}: {e}");
         }
-        for &(q, _) in assignment.entries() {
+        for q in assignment.members_iter() {
             assert!(
-                st.states[q].is_up(),
+                st.world.workers[q].state.is_up(),
                 "scheduler enrolled worker {q} at slot {t} but it is not UP"
             );
         }
-        let proactive = st.current.is_some();
+        let proactive = st.world.current.is_some();
         if proactive {
             st.stats.proactive_changes += 1;
-        }
-        // Workers leaving the configuration lose their in-flight transfer
-        // (interrupted communications restart from scratch); completed
-        // messages and the program are kept.
-        if let Some(old) = st.current.as_ref() {
-            for &(q, _) in old.assignment.entries() {
-                if !assignment.contains(q) {
-                    st.dynamic.abort_partial_transfer(q);
-                }
-            }
         }
         st.stats.configurations_selected += 1;
         st.log.push(
             t,
             EventKind::ConfigurationSelected { assignment: assignment.clone(), proactive },
         );
-        st.current = Some(ActiveConfiguration::new(assignment, &self.platform, t));
+        st.world.install(assignment, &self.platform);
     }
 
     /// Serve one slot of master bandwidth to enrolled workers that need data.
@@ -719,11 +650,9 @@ impl<A: AvailabilityModel> Simulator<A> {
     /// worker completes — during which the channel allocation provably
     /// repeats itself — or `None` when a message completed this very slot
     /// (the allocation may reshuffle at the next one).
-    #[allow(clippy::too_many_arguments)]
     fn run_communication_slot(
         cfg: &ActiveConfiguration,
-        states: &[ProcState],
-        dynamic: &mut WorkerStateTable,
+        workers: &mut [WorkerView],
         served: &mut Vec<usize>,
         master: &MasterSpec,
         stats: &mut SimStats,
@@ -738,19 +667,20 @@ impl<A: AvailabilityModel> Simulator<A> {
             if channels == 0 {
                 break;
             }
-            if !states[q].is_up() {
+            let WorkerView { state, dynamic } = &mut workers[q];
+            if !state.is_up() {
                 continue;
             }
-            if dynamic.comm_slots_remaining(q, x, master.t_prog, master.t_data) == 0 {
+            if dynamic.comm_slots_remaining(x, master.t_prog, master.t_data) == 0 {
                 continue;
             }
-            let receiving_program = !dynamic.get(q).has_program;
-            let message_done = dynamic.advance_transfer(q, master.t_prog, master.t_data);
+            let receiving_program = !dynamic.has_program;
+            let message_done = dynamic.advance_transfer(master.t_prog, master.t_data);
             stats.transfer_slots += 1;
             served.push(q);
             channels -= 1;
             log.push(t, EventKind::TransferSlot { worker: q, program: receiving_program });
-            let after = dynamic.get(q);
+            let after = *dynamic;
             if message_done {
                 any_completion = true;
                 if receiving_program && after.has_program {

@@ -73,7 +73,6 @@ pub mod engine;
 pub mod events;
 pub mod fixed;
 pub mod metrics;
-pub mod queue;
 pub mod view;
 pub mod worker_state;
 
@@ -84,6 +83,5 @@ pub use engine::{EngineReport, InvalidLimits, SimMode, SimulationLimits, Simulat
 pub use events::{Event, EventKind, EventLog};
 pub use fixed::FixedAssignmentScheduler;
 pub use metrics::{SimOutcome, SimStats};
-pub use queue::{WakeEvent, WakeKind, WakeQueue};
 pub use view::{Decision, Reevaluation, Scheduler, SimView, WorkerView};
 pub use worker_state::WorkerDynamicState;

@@ -186,11 +186,10 @@ pub struct Reevaluation {
     /// schedulers never touch an installed configuration and can leave it
     /// `false`, letting the engine sleep through unrelated churn.
     ///
-    /// Regardless of this flag, the engine always wakes for transitions of
-    /// configuration members, for any worker entering `DOWN` while it holds
-    /// program or data (the crash must be applied at the right slot), and —
-    /// while idle — for any worker entering `UP` (which is the only change
-    /// that can make a configuration installable).
+    /// Outside transitions that stay off the `UP` boundary
+    /// (`RECLAIMED`↔`DOWN`) never change the candidate pool and never wake a
+    /// scheduler, with or without this flag. [`Reevaluation::wakes_on`] is
+    /// the whole rule, including the transitions that wake every scheduler.
     pub on_outside_transitions: bool,
 }
 
@@ -217,6 +216,38 @@ impl Reevaluation {
             while_idle: true,
             on_outside_transitions: true,
             during_transfer: true,
+        }
+    }
+
+    /// `true` if a worker's availability transition `from → to` can change
+    /// this scheduler's answer, so the event-driven engine must execute its
+    /// slot and a `serve` session must re-consult. The flags describe the
+    /// worker just before the transition: `member` of the installed
+    /// configuration, `idle` (no configuration installed) and
+    /// `holds_anything` ([`WorkerDynamicState::holds_anything`]).
+    ///
+    /// Every scheduler wakes for the transitions of configuration members
+    /// (suspension, abort and resumption hinge on them), for a worker
+    /// entering `DOWN` while it holds program or data (the crash must be
+    /// applied at its slot) and, while idle, for a worker entering `UP` (the
+    /// only change that can make a configuration installable). An outside
+    /// worker under an installed configuration wakes only schedulers that
+    /// declared [`Reevaluation::on_outside_transitions`], and only when it
+    /// crosses the `UP` boundary.
+    pub fn wakes_on(
+        &self,
+        from: ProcState,
+        to: ProcState,
+        member: bool,
+        idle: bool,
+        holds_anything: bool,
+    ) -> bool {
+        if member || (to.is_down() && holds_anything) {
+            true
+        } else if idle {
+            to.is_up()
+        } else {
+            self.on_outside_transitions && (from.is_up() || to.is_up())
         }
     }
 }
@@ -345,5 +376,34 @@ mod tests {
         ];
         let view_up = SimView { workers: &workers_up, ..view };
         assert!(view_up.current_ready_to_compute());
+    }
+
+    #[test]
+    fn wake_rule_covers_the_documented_cases() {
+        use ProcState::{Down, Reclaimed, Up};
+        let (passive, watching) = (
+            Reevaluation::never(),
+            Reevaluation { on_outside_transitions: true, ..Reevaluation::never() },
+        );
+        for reeval in [passive, watching] {
+            // Every transition of a configuration member wakes.
+            assert!(reeval.wakes_on(Reclaimed, Down, true, false, false));
+            assert!(reeval.wakes_on(Up, Reclaimed, true, false, false));
+            // Entering DOWN wakes only while holding something.
+            assert!(reeval.wakes_on(Reclaimed, Down, false, false, true));
+            assert!(reeval.wakes_on(Up, Down, false, true, true));
+            assert!(!reeval.wakes_on(Reclaimed, Down, false, true, false));
+            // While idle, only entering UP wakes.
+            assert!(reeval.wakes_on(Down, Up, false, true, false));
+            assert!(!reeval.wakes_on(Up, Reclaimed, false, true, false));
+            // Outside churn off the UP boundary never wakes.
+            assert!(!reeval.wakes_on(Reclaimed, Down, false, false, false));
+            assert!(!reeval.wakes_on(Down, Reclaimed, false, false, false));
+        }
+        // An outside UP-boundary crossing wakes only a watching scheduler.
+        for (from, to) in [(Up, Reclaimed), (Up, Down), (Reclaimed, Up), (Down, Up)] {
+            assert!(!passive.wakes_on(from, to, false, false, false));
+            assert!(watching.wakes_on(from, to, false, false, false));
+        }
     }
 }

@@ -34,6 +34,12 @@ impl WorkerDynamicState {
         WorkerDynamicState::default()
     }
 
+    /// `true` if the worker holds or is downloading anything — i.e. its state
+    /// differs from [`WorkerDynamicState::fresh`].
+    pub fn holds_anything(&self) -> bool {
+        *self != WorkerDynamicState::fresh()
+    }
+
     /// Apply the consequences of the worker being `DOWN` during a slot: it
     /// loses the program, all task data and any in-flight transfer.
     pub fn crash(&mut self) {
@@ -101,114 +107,6 @@ impl WorkerDynamicState {
     }
 }
 
-/// Struct-of-arrays storage for the dynamic state of a whole fleet.
-///
-/// At massive platform sizes (10⁴–10⁵ workers) the engine touches one field
-/// of every worker per slot far more often than it touches every field of one
-/// worker; splitting [`WorkerDynamicState`] into parallel columns keeps those
-/// sweeps dense. Per-worker transition logic stays single-sourced in
-/// [`WorkerDynamicState`]: the heavier operations load a worker into a scalar
-/// state, delegate, and store it back.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerStateTable {
-    has_program: Vec<bool>,
-    data_messages: Vec<usize>,
-    partial_transfer: Vec<u64>,
-    partial_is_program: Vec<bool>,
-}
-
-impl WorkerStateTable {
-    /// A fleet of `p` workers that hold nothing.
-    pub fn fresh(p: usize) -> Self {
-        WorkerStateTable {
-            has_program: vec![false; p],
-            data_messages: vec![0; p],
-            partial_transfer: vec![0; p],
-            partial_is_program: vec![false; p],
-        }
-    }
-
-    /// Number of workers tracked.
-    pub fn len(&self) -> usize {
-        self.has_program.len()
-    }
-
-    /// `true` if the table tracks no workers.
-    pub fn is_empty(&self) -> bool {
-        self.has_program.is_empty()
-    }
-
-    /// The scalar dynamic state of worker `q`.
-    pub fn get(&self, q: usize) -> WorkerDynamicState {
-        WorkerDynamicState {
-            has_program: self.has_program[q],
-            data_messages: self.data_messages[q],
-            partial_transfer: self.partial_transfer[q],
-            partial_is_program: self.partial_is_program[q],
-        }
-    }
-
-    /// Overwrite the dynamic state of worker `q`.
-    pub fn set(&mut self, q: usize, d: WorkerDynamicState) {
-        self.has_program[q] = d.has_program;
-        self.data_messages[q] = d.data_messages;
-        self.partial_transfer[q] = d.partial_transfer;
-        self.partial_is_program[q] = d.partial_is_program;
-    }
-
-    /// `true` if worker `q` holds or is downloading anything — i.e. its state
-    /// differs from [`WorkerDynamicState::fresh`].
-    pub fn holds_anything(&self, q: usize) -> bool {
-        self.has_program[q]
-            || self.data_messages[q] > 0
-            || self.partial_transfer[q] > 0
-            || self.partial_is_program[q]
-    }
-
-    /// See [`WorkerDynamicState::crash`].
-    pub fn crash(&mut self, q: usize) {
-        self.set(q, WorkerDynamicState::fresh());
-    }
-
-    /// See [`WorkerDynamicState::abort_partial_transfer`].
-    pub fn abort_partial_transfer(&mut self, q: usize) {
-        self.partial_transfer[q] = 0;
-        self.partial_is_program[q] = false;
-    }
-
-    /// Apply [`WorkerDynamicState::new_iteration`] to every worker.
-    pub fn new_iteration_all(&mut self) {
-        self.data_messages.fill(0);
-        self.partial_transfer.fill(0);
-        self.partial_is_program.fill(false);
-    }
-
-    /// See [`WorkerDynamicState::comm_slots_remaining`].
-    pub fn comm_slots_remaining(
-        &self,
-        q: usize,
-        assigned_tasks: usize,
-        t_prog: u64,
-        t_data: u64,
-    ) -> u64 {
-        self.get(q).comm_slots_remaining(assigned_tasks, t_prog, t_data)
-    }
-
-    /// See [`WorkerDynamicState::advance_transfer`].
-    pub fn advance_transfer(&mut self, q: usize, t_prog: u64, t_data: u64) -> bool {
-        let mut d = self.get(q);
-        let completed = d.advance_transfer(t_prog, t_data);
-        self.set(q, d);
-        completed
-    }
-
-    /// Credit `slots` slots of transfer progress to worker `q` without message
-    /// completions — the engine's bulk skip over uneventful transfer slots.
-    pub fn add_partial_transfer(&mut self, q: usize, slots: u64) {
-        self.partial_transfer[q] += slots;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,8 +152,10 @@ mod tests {
         }
         assert!(s.has_program);
         assert!(s.data_messages > 0);
+        assert!(s.holds_anything());
         s.crash();
         assert_eq!(s, WorkerDynamicState::fresh());
+        assert!(!s.holds_anything());
     }
 
     #[test]
@@ -288,59 +188,5 @@ mod tests {
         s.has_program = true;
         s.data_messages = 4;
         assert_eq!(s.comm_slots_remaining(2, 5, 3), 0);
-    }
-
-    #[test]
-    fn table_round_trips_scalar_states() {
-        let mut table = WorkerStateTable::fresh(3);
-        assert_eq!(table.len(), 3);
-        assert!(!table.is_empty());
-        for q in 0..3 {
-            assert_eq!(table.get(q), WorkerDynamicState::fresh());
-            assert!(!table.holds_anything(q));
-        }
-        let mut scalar = WorkerDynamicState::fresh();
-        for _ in 0..3 {
-            let a = table.advance_transfer(1, 2, 1);
-            let b = scalar.advance_transfer(2, 1);
-            assert_eq!(a, b);
-            assert_eq!(table.get(1), scalar);
-            assert_eq!(
-                table.comm_slots_remaining(1, 2, 2, 1),
-                scalar.comm_slots_remaining(2, 2, 1)
-            );
-        }
-        assert!(table.holds_anything(1));
-        assert!(!table.holds_anything(0));
-    }
-
-    #[test]
-    fn table_bulk_operations_match_scalar_ones() {
-        let mut table = WorkerStateTable::fresh(2);
-        for _ in 0..4 {
-            table.advance_transfer(0, 2, 1);
-            table.advance_transfer(1, 2, 1);
-        }
-        assert_eq!(table.get(0).data_messages, 2);
-
-        let mut aborted = table.get(1);
-        table.add_partial_transfer(1, 3);
-        assert_eq!(table.get(1).partial_transfer, aborted.partial_transfer + 3);
-        table.abort_partial_transfer(1);
-        aborted.abort_partial_transfer();
-        assert_eq!(table.get(1), aborted);
-
-        let mut expected = [table.get(0), table.get(1)];
-        table.new_iteration_all();
-        for (q, e) in expected.iter_mut().enumerate() {
-            e.new_iteration();
-            assert_eq!(table.get(q), *e);
-        }
-
-        table.advance_transfer(0, 0, 1);
-        table.advance_transfer(0, 0, 1);
-        assert!(table.holds_anything(0));
-        table.crash(0);
-        assert_eq!(table.get(0), WorkerDynamicState::fresh());
     }
 }
