@@ -15,9 +15,10 @@
 //!   `Σ_q n_q / ncom`;
 //! * the success probability multiplies, for every worker, the probability of
 //!   not going `DOWN` during the estimated phase duration.
+//!
+//! [`crate::EvalCache::comm_estimate`] computes the estimate, through the
+//! memoized single-worker group quantities and `P_ND` values.
 
-use crate::group::GroupComputation;
-use crate::series::WorkerSeries;
 use serde::{Deserialize, Serialize};
 
 /// Estimated duration and success probability of a communication phase.
@@ -35,141 +36,140 @@ impl CommEstimate {
     pub fn nothing_to_send() -> Self {
         CommEstimate { expected_duration: 0.0, success_probability: 1.0 }
     }
-
-    /// Compute the estimate for a set of enrolled workers.
-    ///
-    /// `workers[i]` is the availability series of enrolled worker `i` and
-    /// `comm_slots[i]` its number `n_q` of required communication slots.
-    /// `ncom` is the master's bound on simultaneous transfers.
-    ///
-    /// # Panics
-    /// Panics if the two slices have different lengths or `ncom == 0`.
-    pub fn compute(
-        computation: &GroupComputation,
-        workers: &[&WorkerSeries],
-        comm_slots: &[u64],
-        ncom: usize,
-    ) -> Self {
-        assert_eq!(workers.len(), comm_slots.len(), "one comm volume per worker");
-        assert!(ncom > 0, "ncom must be at least 1");
-        if workers.is_empty() || comm_slots.iter().all(|&n| n == 0) {
-            return CommEstimate::nothing_to_send();
-        }
-
-        // Per-worker expected communication time E^({P_q})(n_q).
-        let mut max_single = 0.0f64;
-        for (w, &n) in workers.iter().zip(comm_slots.iter()) {
-            if n == 0 {
-                continue;
-            }
-            let g = computation.compute(&[*w]);
-            max_single = max_single.max(g.expected_completion_time(n));
-        }
-
-        let total: u64 = comm_slots.iter().sum();
-        let expected_duration = if workers.len() <= ncom {
-            max_single
-        } else {
-            max_single.max(total as f64 / ncom as f64)
-        };
-
-        // P_comm = Π_q P_ND^(q)(E_comm) — every enrolled worker (even one with
-        // nothing to receive) must avoid going DOWN while the others download.
-        let horizon = expected_duration.ceil() as u64;
-        let success_probability =
-            workers.iter().map(|w| w.no_down_within(horizon)).product::<f64>().clamp(0.0, 1.0);
-
-        CommEstimate { expected_duration, success_probability }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EvalCache, GroupComputation, WorkerSeries};
     use dg_availability::MarkovChain3;
+    use dg_platform::{MasterSpec, Platform, Scenario, ScenarioParams, WorkerSpec};
 
-    fn series(p_uu: f64, p_rr: f64, p_dd: f64) -> WorkerSeries {
-        WorkerSeries::new(&MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap())
+    fn chain(p_uu: f64, p_rr: f64, p_dd: f64) -> MarkovChain3 {
+        MarkovChain3::from_self_loop_probs(p_uu, p_rr, p_dd).unwrap()
     }
 
-    fn reliable() -> WorkerSeries {
-        WorkerSeries::new(&MarkovChain3::always_up())
+    fn reliable() -> MarkovChain3 {
+        MarkovChain3::always_up()
+    }
+
+    /// A cache over one worker per chain (speeds play no part in the
+    /// communication phase) behind a master with bound `ncom`.
+    fn cache(chains: Vec<MarkovChain3>, ncom: usize) -> EvalCache {
+        let platform = Platform::new(vec![WorkerSpec::new(1); chains.len()], chains);
+        EvalCache::with_default_epsilon(&platform, &MasterSpec::from_slots(ncom, 1, 1))
     }
 
     #[test]
     fn no_communication_needed() {
-        let comp = GroupComputation::default();
-        let w = reliable();
-        let est = CommEstimate::compute(&comp, &[&w], &[0], 2);
+        let cache = cache(vec![reliable()], 2);
+        let est = cache.comm_estimate(&[0], &[0]);
         assert_eq!(est.expected_duration, 0.0);
         assert_eq!(est.success_probability, 1.0);
-        let empty = CommEstimate::compute(&comp, &[], &[], 2);
+        let empty = cache.comm_estimate(&[], &[]);
         assert_eq!(empty.expected_duration, 0.0);
     }
 
     #[test]
     fn reliable_workers_under_ncom_take_max_volume() {
-        let comp = GroupComputation::default();
-        let ws = [reliable(), reliable(), reliable()];
-        let refs: Vec<&WorkerSeries> = ws.iter().collect();
-        let est = CommEstimate::compute(&comp, &refs, &[3, 7, 2], 3);
+        let est = cache(vec![reliable(); 3], 3).comm_estimate(&[0, 1, 2], &[3, 7, 2]);
         assert!((est.expected_duration - 7.0).abs() < 1e-6);
         assert!((est.success_probability - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn bandwidth_bound_kicks_in_when_over_ncom() {
-        let comp = GroupComputation::default();
-        let ws = [reliable(), reliable(), reliable(), reliable()];
-        let refs: Vec<&WorkerSeries> = ws.iter().collect();
         // 4 workers, ncom = 2, volumes sum to 12 -> aggregated bound 6 > max 4.
-        let est = CommEstimate::compute(&comp, &refs, &[4, 4, 2, 2], 2);
+        let est = cache(vec![reliable(); 4], 2).comm_estimate(&[0, 1, 2, 3], &[4, 4, 2, 2]);
         assert!((est.expected_duration - 6.0).abs() < 1e-6);
     }
 
     #[test]
     fn per_worker_expectation_dominates_when_larger() {
-        let comp = GroupComputation::default();
-        let ws = [reliable(), reliable(), reliable(), reliable()];
-        let refs: Vec<&WorkerSeries> = ws.iter().collect();
         // max volume 10 > total/ncom = 16/2 = 8.
-        let est = CommEstimate::compute(&comp, &refs, &[10, 2, 2, 2], 2);
+        let est = cache(vec![reliable(); 4], 2).comm_estimate(&[0, 1, 2, 3], &[10, 2, 2, 2]);
         assert!((est.expected_duration - 10.0).abs() < 1e-6);
     }
 
     #[test]
     fn volatile_workers_lower_success_probability() {
-        let comp = GroupComputation::default();
-        let risky = [series(0.9, 0.9, 0.9), series(0.9, 0.9, 0.9)];
-        let refs: Vec<&WorkerSeries> = risky.iter().collect();
-        let est = CommEstimate::compute(&comp, &refs, &[5, 5], 2);
+        let risky = cache(vec![chain(0.9, 0.9, 0.9); 2], 2);
+        let est = risky.comm_estimate(&[0, 1], &[5, 5]);
         assert!(est.success_probability < 1.0);
         assert!(est.success_probability > 0.0);
         // Expected duration exceeds the raw volume because of reclaiming.
         assert!(est.expected_duration > 5.0);
 
         // Workers with a higher failure rate fare worse.
-        let safer = [series(0.99, 0.99, 0.9), series(0.99, 0.99, 0.9)];
-        let refs_safe: Vec<&WorkerSeries> = safer.iter().collect();
-        let est_safe = CommEstimate::compute(&comp, &refs_safe, &[5, 5], 2);
+        let safer = cache(vec![chain(0.99, 0.99, 0.9); 2], 2);
+        let est_safe = safer.comm_estimate(&[0, 1], &[5, 5]);
         assert!(est_safe.success_probability > est.success_probability);
     }
 
     #[test]
     fn idle_enrolled_worker_still_risks_failure() {
-        let comp = GroupComputation::default();
-        let ws = [series(0.9, 0.9, 0.9), reliable()];
-        let refs: Vec<&WorkerSeries> = ws.iter().collect();
         // Only the reliable worker downloads, but the volatile one must survive.
-        let est = CommEstimate::compute(&comp, &refs, &[0, 6], 2);
+        let est = cache(vec![chain(0.9, 0.9, 0.9), reliable()], 2).comm_estimate(&[0, 1], &[0, 6]);
         assert!(est.success_probability < 1.0);
     }
 
     #[test]
     #[should_panic]
     fn mismatched_lengths_panic() {
-        let comp = GroupComputation::default();
-        let w = reliable();
-        let _ = CommEstimate::compute(&comp, &[&w], &[1, 2], 2);
+        let _ = cache(vec![reliable()], 2).comm_estimate(&[0], &[1, 2]);
+    }
+
+    /// The V-B formula written out from the uncached pieces.
+    fn written_out(s: &Scenario, members: &[usize], comm_slots: &[u64]) -> CommEstimate {
+        if comm_slots.iter().all(|&n| n == 0) {
+            return CommEstimate::nothing_to_send();
+        }
+        let computation = GroupComputation::new(crate::DEFAULT_EPSILON);
+        let series: Vec<WorkerSeries> =
+            members.iter().map(|&q| WorkerSeries::new(s.platform.chain(q))).collect();
+        let mut max_single = 0.0f64;
+        for (w, &n) in series.iter().zip(comm_slots) {
+            if n > 0 {
+                max_single = max_single.max(computation.compute(&[w]).expected_completion_time(n));
+            }
+        }
+        let total: u64 = comm_slots.iter().sum();
+        let ncom = s.master.ncom;
+        let expected_duration = if members.len() <= ncom {
+            max_single
+        } else {
+            max_single.max(total as f64 / ncom as f64)
+        };
+        let horizon = expected_duration.ceil() as u64;
+        let success_probability =
+            series.iter().map(|w| w.no_down_within(horizon)).product::<f64>().clamp(0.0, 1.0);
+        CommEstimate { expected_duration, success_probability }
+    }
+
+    #[test]
+    fn cached_estimate_matches_the_written_out_formula_bit_for_bit() {
+        let s = Scenario::generate(ScenarioParams::paper(5, 5, 2), 42);
+        assert_eq!(s.master.ncom, 5);
+        let probes: [(&[usize], &[u64]); 5] = [
+            (&[0, 3, 7], &[12, 0, 7]),
+            (&[2, 4, 6, 8, 10], &[5, 5, 5, 5, 5]),
+            (&[1, 2, 5, 9, 11, 13, 17], &[15, 3, 0, 15, 15, 3, 9]),
+            (&[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11], &[4; 12]),
+            (&[6, 19], &[0, 0]),
+        ];
+        let bits =
+            |e: CommEstimate| (e.expected_duration.to_bits(), e.success_probability.to_bits());
+        let warm = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        for &(members, comm_slots) in &probes {
+            warm.comm_estimate(members, comm_slots);
+        }
+        for &(members, comm_slots) in &probes {
+            let expected = bits(written_out(&s, members, comm_slots));
+            let cold = EvalCache::with_default_epsilon(&s.platform, &s.master);
+            assert_eq!(bits(cold.comm_estimate(members, comm_slots)), expected, "cold {members:?}");
+            let before = warm.stats();
+            assert_eq!(bits(warm.comm_estimate(members, comm_slots)), expected, "warm {members:?}");
+            assert_eq!(warm.stats().since(&before).group_misses, 0, "warm {members:?}");
+        }
     }
 }

@@ -3,23 +3,20 @@
 //! The incremental heuristics of Section VI evaluate the Section V estimates
 //! for many closely related worker sets (the current set `S` plus one
 //! candidate worker, for every candidate and every task) — and a campaign
-//! evaluates the *same* platform once per heuristic and once per trial. The
-//! layer is therefore split into:
+//! evaluates the *same* platform once per heuristic and once per trial. One
+//! type, [`EvalCache`], serves both:
 //!
-//! * [`PlatformTables`] — the immutable, scenario-scoped inputs of every
-//!   estimate: per-worker availability series, speeds, the master's `ncom`
-//!   bound and the series-truncation precision `ε`. Built once per scenario.
-//! * [`EvalCache`] — the memo tables (`group` quantities per member set,
-//!   `P_ND` per `(worker, horizon)`) behind one `RwLock`. The handle is
-//!   `Arc`-clonable: one cache can serve all 17 heuristics and all trials of
-//!   a scenario concurrently, so each group set is computed once per
-//!   *scenario* instead of once per `(heuristic, trial)`. Hit/miss counters
-//!   quantify the reuse ([`EvalCache::stats`]).
-//! * [`Estimator`] — the thin front-end over a cache handle that combines
-//!   the cached quantities into estimates. [`Estimator::new`] builds a
-//!   private cache (the historical behavior); [`Estimator::from_cache`]
-//!   attaches to a shared one. One [`Estimator::estimate`] takes the memo
-//!   read lock once and looks its member set up once.
+//! * it holds the immutable, scenario-scoped inputs of every estimate
+//!   (per-worker availability series, speeds, the master's `ncom` bound and
+//!   the series-truncation precision `ε`), built once per scenario;
+//! * it memoizes `group` quantities per member set and `P_ND` per
+//!   `(worker, horizon)` behind one `RwLock`. The handle is `Arc`-clonable:
+//!   one cache can serve all 17 heuristics and all trials of a scenario
+//!   concurrently, so each group set is computed once per *scenario* instead
+//!   of once per `(heuristic, trial)` ([`EvalCache::stats`] counts the reuse);
+//! * it scores candidates: [`EvalCache::comm_estimate`] (Section V-B) and
+//!   [`EvalCache::estimate`], which takes the memo read lock once and looks
+//!   its member set up once.
 //!
 //! Every cached quantity is a pure function of `(platform, master, ε)`, so
 //! sharing a cache across heuristics, trials or threads cannot change any
@@ -46,7 +43,7 @@ const ACCUMULATOR_TERM_BUDGET: u64 = 4_000_000;
 /// series-truncation precision. Everything an [`EvalCache`] memoizes is a
 /// pure function of these tables.
 #[derive(Debug)]
-pub struct PlatformTables {
+struct PlatformTables {
     series: Vec<WorkerSeries>,
     speeds: Vec<u64>,
     ncom: usize,
@@ -56,7 +53,7 @@ pub struct PlatformTables {
 impl PlatformTables {
     /// Build the tables for `platform` and `master`, with series precision
     /// `epsilon`.
-    pub fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
+    fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
         PlatformTables {
             series: platform.chains().iter().map(WorkerSeries::new).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
@@ -65,35 +62,10 @@ impl PlatformTables {
         }
     }
 
-    /// Number of workers known to the tables.
-    pub fn num_workers(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Speed `w_q` of worker `q`.
-    pub fn speed(&self, q: usize) -> u64 {
-        self.speeds[q]
-    }
-
-    /// The master's `ncom` bound used for communication estimates.
-    pub fn ncom(&self) -> usize {
-        self.ncom
-    }
-
-    /// The availability series of worker `q`.
-    pub fn worker_series(&self, q: usize) -> &WorkerSeries {
-        &self.series[q]
-    }
-
-    /// The series-truncation precision `ε` the tables were built with.
-    pub fn epsilon(&self) -> f64 {
-        self.computation.epsilon()
-    }
-
     /// Lock-step computation workload, in slots of simultaneous `UP` time, of
     /// an assignment: `max_q x_q · w_q` (Section III-C), saturating at
     /// `u64::MAX` instead of wrapping.
-    pub fn computation_workload(&self, members: &[usize], tasks: &[usize]) -> u64 {
+    fn computation_workload(&self, members: &[usize], tasks: &[usize]) -> u64 {
         members
             .iter()
             .zip(tasks.iter())
@@ -247,7 +219,8 @@ struct Accumulators {
     terms: u64,
 }
 
-/// A shareable evaluation cache over one scenario's [`PlatformTables`].
+/// A shareable evaluation cache over one scenario's platform tables, and the
+/// only way to score a candidate against the Section V estimates.
 ///
 /// Cloning is cheap (two `Arc` bumps) and every clone reads and writes the
 /// *same* memo tables, so one cache created next to a scenario serves every
@@ -273,22 +246,13 @@ impl EvalCache {
     /// Build a fresh cache (and its tables) for `platform` and `master`, with
     /// series precision `epsilon`.
     pub fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
-        EvalCache::from_tables(Arc::new(PlatformTables::new(platform, master, epsilon)))
+        let tables = Arc::new(PlatformTables::new(platform, master, epsilon));
+        EvalCache { tables, state: Arc::default(), decision_threads: 1 }
     }
 
     /// Build a fresh cache with the crate's default precision.
     pub fn with_default_epsilon(platform: &Platform, master: &MasterSpec) -> Self {
         EvalCache::new(platform, master, crate::DEFAULT_EPSILON)
-    }
-
-    /// Build an empty cache over existing tables.
-    pub fn from_tables(tables: Arc<PlatformTables>) -> Self {
-        EvalCache { tables, state: Arc::new(CacheState::default()), decision_threads: 1 }
-    }
-
-    /// The immutable platform tables the cached quantities derive from.
-    pub fn tables(&self) -> &PlatformTables {
-        &self.tables
     }
 
     /// Set how many scoped threads the candidate scan of a decision made
@@ -329,20 +293,20 @@ impl EvalCache {
     /// Built by extending the accumulator of `key[..len-1]` by the last
     /// (largest) member, so the fold order equals a batch evaluation of the
     /// full slice and the quantities are bit-identical to
-    /// [`PlatformTables`]' direct computation. Racing builds of the same key
+    /// the tables' direct computation. Racing builds of the same key
     /// therefore insert identical values; the first insert wins.
     fn accumulator_for(&self, key: &[usize]) -> Arc<GroupAccumulator> {
         if let Some(acc) = self.state.accums.read().expect("eval cache poisoned").by_set.get(key) {
             return Arc::clone(acc);
         }
         let base = if key.len() == 1 {
-            Arc::new(GroupAccumulator::empty(self.tables.epsilon()))
+            Arc::new(GroupAccumulator::empty(self.tables.computation.epsilon()))
         } else {
             self.accumulator_for(&key[..key.len() - 1])
         };
         let last = key[key.len() - 1];
         let extended = Arc::new(
-            base.extend(self.tables.worker_series(last))
+            base.extend(&self.tables.series[last])
                 .expect("every prefix of a chain rooted at a can-fail worker can fail"),
         );
         self.state.accum_built.fetch_add(1, Ordering::Relaxed);
@@ -358,6 +322,88 @@ impl EvalCache {
         }
         accums.by_set.insert(key.to_vec(), Arc::clone(&extended));
         extended
+    }
+
+    /// Communication-phase estimate of Section V-B (see [`crate::comm`]) for
+    /// enrolled workers `members`, where `comm_slots[i]` is the number of
+    /// communication slots worker `members[i]` still needs (program + missing
+    /// data messages).
+    pub fn comm_estimate(&self, members: &[usize], comm_slots: &[u64]) -> CommEstimate {
+        self.comm_with(&mut self.reader(), members, comm_slots)
+    }
+
+    fn comm_with(
+        &self,
+        reader: &mut MemoReader<'_>,
+        members: &[usize],
+        comm_slots: &[u64],
+    ) -> CommEstimate {
+        assert_eq!(members.len(), comm_slots.len(), "one comm volume per member");
+        if members.is_empty() || comm_slots.iter().all(|&n| n == 0) {
+            return CommEstimate::nothing_to_send();
+        }
+
+        // Per-worker expected communication time, through the memoized
+        // single-worker group quantities.
+        let mut max_single = 0.0f64;
+        for (&q, &n) in members.iter().zip(comm_slots.iter()) {
+            if n == 0 {
+                continue;
+            }
+            max_single = max_single.max(reader.group(&[q]).expected_completion_time(n));
+        }
+
+        let total: u64 = comm_slots.iter().sum();
+        let ncom = self.tables.ncom;
+        let expected_duration = if members.len() <= ncom {
+            max_single
+        } else {
+            max_single.max(total as f64 / ncom as f64)
+        };
+
+        // P_comm = Π_q P_ND^(q)(E_comm) — every enrolled worker (even one with
+        // nothing to receive) must avoid going DOWN while the others download.
+        let horizon = expected_duration.ceil() as u64;
+        let mut success_probability = 1.0;
+        for &q in members {
+            success_probability *= reader.no_down_within(q, horizon);
+        }
+
+        CommEstimate { expected_duration, success_probability: success_probability.clamp(0.0, 1.0) }
+    }
+
+    /// Iteration estimate (communication followed by `w` slots of lock-step
+    /// computation) for the enrolled workers `members`, where
+    /// `comm_slots[i]` is the communication `members[i]` still needs.
+    ///
+    /// Takes the memo read lock once and looks the member set up once: both
+    /// `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
+    pub fn estimate(&self, members: &[usize], comm_slots: &[u64], w: u64) -> IterationEstimate {
+        let mut reader = self.reader();
+        let comm = self.comm_with(&mut reader, members, comm_slots);
+        let g = reader.group(members);
+        IterationEstimate::combine(
+            comm.expected_duration,
+            comm.success_probability,
+            g.expected_completion_time(w),
+            g.prob_success(w),
+        )
+    }
+
+    /// Full iteration estimate (communication followed by lock-step
+    /// computation) for a candidate configuration.
+    ///
+    /// * `members[i]` — enrolled worker index,
+    /// * `tasks[i]` — number of tasks assigned to that worker,
+    /// * `comm_slots[i]` — communication slots that worker still needs.
+    pub fn iteration_estimate(
+        &self,
+        members: &[usize],
+        tasks: &[usize],
+        comm_slots: &[u64],
+    ) -> IterationEstimate {
+        assert_eq!(members.len(), tasks.len(), "one task count per member");
+        self.estimate(members, comm_slots, self.tables.computation_workload(members, tasks))
     }
 
     /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
@@ -488,165 +534,11 @@ impl Drop for MemoReader<'_> {
     }
 }
 
-/// Memoized computation of the Section V estimates for one platform.
-///
-/// A thin front-end over an [`EvalCache`] handle. [`Estimator::new`] owns a
-/// private cache — the historical single-consumer behavior — while
-/// [`Estimator::from_cache`] evaluates through a shared one.
-#[derive(Debug)]
-pub struct Estimator {
-    cache: EvalCache,
-}
-
-impl Estimator {
-    /// Build an estimator with a private cache for `platform` and `master`,
-    /// with series precision `epsilon`.
-    pub fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
-        Estimator::from_cache(EvalCache::new(platform, master, epsilon))
-    }
-
-    /// Build an estimator with the crate's default precision.
-    pub fn with_default_epsilon(platform: &Platform, master: &MasterSpec) -> Self {
-        Estimator::new(platform, master, crate::DEFAULT_EPSILON)
-    }
-
-    /// Build an estimator evaluating through the (possibly shared) `cache`.
-    pub fn from_cache(cache: EvalCache) -> Self {
-        Estimator { cache }
-    }
-
-    /// The cache handle this estimator evaluates through.
-    pub fn cache(&self) -> &EvalCache {
-        &self.cache
-    }
-
-    /// Number of workers known to the estimator.
-    pub fn num_workers(&self) -> usize {
-        self.cache.tables().num_workers()
-    }
-
-    /// Speed `w_q` of worker `q`.
-    pub fn speed(&self, q: usize) -> u64 {
-        self.cache.tables().speed(q)
-    }
-
-    /// The master's `ncom` bound used for communication estimates.
-    pub fn ncom(&self) -> usize {
-        self.cache.tables().ncom()
-    }
-
-    /// The availability series of worker `q`.
-    pub fn worker_series(&self, q: usize) -> &WorkerSeries {
-        self.cache.tables().worker_series(q)
-    }
-
-    /// Group quantities (`Eu`, `A`, `P₊`, `E_c`) for the set of workers
-    /// `members`, memoized on the (sorted, deduplicated) member list.
-    pub fn group(&self, members: &[usize]) -> GroupQuantities {
-        self.cache.group(members)
-    }
-
-    /// Lock-step computation workload, in slots of simultaneous `UP` time, of
-    /// an assignment: `max_q x_q · w_q` (Section III-C).
-    pub fn computation_workload(&self, members: &[usize], tasks: &[usize]) -> u64 {
-        self.cache.tables().computation_workload(members, tasks)
-    }
-
-    /// Communication-phase estimate for enrolled workers `members`, where
-    /// `comm_slots[i]` is the number of communication slots worker
-    /// `members[i]` still needs (program + missing data messages).
-    pub fn comm_estimate(&self, members: &[usize], comm_slots: &[u64]) -> CommEstimate {
-        self.comm_with(&mut self.cache.reader(), members, comm_slots)
-    }
-
-    fn comm_with(
-        &self,
-        reader: &mut MemoReader<'_>,
-        members: &[usize],
-        comm_slots: &[u64],
-    ) -> CommEstimate {
-        assert_eq!(members.len(), comm_slots.len(), "one comm volume per member");
-        if members.is_empty() || comm_slots.iter().all(|&n| n == 0) {
-            return CommEstimate::nothing_to_send();
-        }
-
-        // Per-worker expected communication time, through the memoized
-        // single-worker group quantities.
-        let mut max_single = 0.0f64;
-        for (&q, &n) in members.iter().zip(comm_slots.iter()) {
-            if n == 0 {
-                continue;
-            }
-            max_single = max_single.max(reader.group(&[q]).expected_completion_time(n));
-        }
-
-        let total: u64 = comm_slots.iter().sum();
-        let ncom = self.ncom();
-        let expected_duration = if members.len() <= ncom {
-            max_single
-        } else {
-            max_single.max(total as f64 / ncom as f64)
-        };
-
-        let horizon = expected_duration.ceil() as u64;
-        let mut success_probability = 1.0;
-        for &q in members {
-            success_probability *= reader.no_down_within(q, horizon);
-        }
-
-        CommEstimate { expected_duration, success_probability: success_probability.clamp(0.0, 1.0) }
-    }
-
-    /// Iteration estimate (communication followed by `w` slots of lock-step
-    /// computation) for the enrolled workers `members`, where
-    /// `comm_slots[i]` is the communication `members[i]` still needs.
-    ///
-    /// Takes the memo read lock once and looks the member set up once: both
-    /// `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
-    pub fn estimate(&self, members: &[usize], comm_slots: &[u64], w: u64) -> IterationEstimate {
-        let mut reader = self.cache.reader();
-        let comm = self.comm_with(&mut reader, members, comm_slots);
-        let g = reader.group(members);
-        IterationEstimate::combine(
-            comm.expected_duration,
-            comm.success_probability,
-            g.expected_completion_time(w),
-            g.prob_success(w),
-        )
-    }
-
-    /// Full iteration estimate (communication followed by lock-step
-    /// computation) for a candidate configuration.
-    ///
-    /// * `members[i]` — enrolled worker index,
-    /// * `tasks[i]` — number of tasks assigned to that worker,
-    /// * `comm_slots[i]` — communication slots that worker still needs.
-    pub fn iteration_estimate(
-        &self,
-        members: &[usize],
-        tasks: &[usize],
-        comm_slots: &[u64],
-    ) -> IterationEstimate {
-        assert_eq!(members.len(), tasks.len(), "one task count per member");
-        self.estimate(members, comm_slots, self.computation_workload(members, tasks))
-    }
-
-    /// Number of distinct worker sets currently memoized (exposed for tests).
-    pub fn cached_sets(&self) -> usize {
-        self.cache.cached_sets()
-    }
-
-    /// Drop all memoized group quantities.
-    pub fn clear_cache(&self) {
-        self.cache.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dg_availability::rng::rng_from_seed;
-    use dg_platform::{ApplicationSpec, Scenario, ScenarioParams, WorkerSpec};
+    use dg_platform::{Scenario, ScenarioParams, WorkerSpec};
 
     fn paper_scenario() -> Scenario {
         Scenario::generate(ScenarioParams::paper(5, 5, 2), 42)
@@ -655,15 +547,15 @@ mod tests {
     #[test]
     fn caching_returns_identical_values() {
         let s = paper_scenario();
-        let est = Estimator::with_default_epsilon(&s.platform, &s.master);
-        let a = est.group(&[0, 3, 7]);
-        let b = est.group(&[7, 0, 3]); // order must not matter
-        let c = est.group(&[0, 3, 7, 3]); // duplicates must not matter
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let a = cache.group(&[0, 3, 7]);
+        let b = cache.group(&[7, 0, 3]); // order must not matter
+        let c = cache.group(&[0, 3, 7, 3]); // duplicates must not matter
         assert_eq!(a, b);
         assert_eq!(a, c);
-        assert_eq!(est.cached_sets(), 1);
-        est.clear_cache();
-        assert_eq!(est.cached_sets(), 0);
+        assert_eq!(cache.cached_sets(), 1);
+        cache.clear();
+        assert_eq!(cache.cached_sets(), 0);
     }
 
     #[test]
@@ -707,17 +599,17 @@ mod tests {
 
     #[test]
     fn shared_cache_serves_several_estimators() {
-        // The tentpole property: two estimators over one cache handle memoize
-        // into the same tables, so the second consumer's probes are all hits
-        // — and every value is identical to a private-cache estimator's.
+        // Two handles cloned from one cache memoize into the same tables, so
+        // the second consumer's probes are all hits — and every value is
+        // identical to a fresh cache's.
         let s = paper_scenario();
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
-        let first = Estimator::from_cache(cache.clone());
-        let second = Estimator::from_cache(cache.clone());
-        assert!(first.cache().shares_state_with(second.cache()));
+        let first = cache.clone();
+        let second = cache.clone();
+        assert!(first.shares_state_with(&second));
 
-        let private = Estimator::with_default_epsilon(&s.platform, &s.master);
-        assert!(!first.cache().shares_state_with(private.cache()));
+        let private = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert!(!first.shares_state_with(&private));
 
         let members = [0usize, 2, 4];
         let a = first.iteration_estimate(&members, &[1, 1, 1], &[2, 2, 2]);
@@ -733,40 +625,26 @@ mod tests {
     }
 
     #[test]
-    fn platform_tables_expose_platform_constants() {
-        let s = paper_scenario();
-        let tables = PlatformTables::new(&s.platform, &s.master, 1e-6);
-        assert_eq!(tables.num_workers(), s.platform.num_workers());
-        assert_eq!(tables.ncom(), s.master.ncom);
-        assert_eq!(tables.epsilon(), 1e-6);
-        for q in 0..tables.num_workers() {
-            assert_eq!(tables.speed(q), s.platform.worker(q).speed);
-        }
-    }
-
-    #[test]
     fn workload_is_max_of_task_times() {
         let platform = dg_platform::Platform::new(
             vec![WorkerSpec::new(2), WorkerSpec::new(3), WorkerSpec::new(4)],
             vec![dg_availability::MarkovChain3::always_up(); 3],
         );
         let master = dg_platform::MasterSpec::from_slots(2, 2, 1);
-        let est = Estimator::with_default_epsilon(&platform, &master);
+        let tables = PlatformTables::new(&platform, &master, crate::DEFAULT_EPSILON);
         // Example of Figure 1: 2 tasks on w=2, 2 tasks on w=3, 1 task on w=4
         // -> workload 6.
-        assert_eq!(est.computation_workload(&[0, 1, 2], &[2, 2, 1]), 6);
-        assert_eq!(est.computation_workload(&[], &[]), 0);
+        assert_eq!(tables.computation_workload(&[0, 1, 2], &[2, 2, 1]), 6);
+        assert_eq!(tables.computation_workload(&[], &[]), 0);
     }
 
     #[test]
     fn reliable_platform_estimates_are_exact() {
         let platform = dg_platform::Platform::reliable_homogeneous(3, 2);
         let master = dg_platform::MasterSpec::from_slots(3, 2, 1);
-        let app = ApplicationSpec::new(3, 1);
-        let _ = app;
-        let est = Estimator::with_default_epsilon(&platform, &master);
+        let cache = EvalCache::with_default_epsilon(&platform, &master);
         // Each worker: program (2) + 1 data (1) = 3 comm slots; all fit under ncom.
-        let it = est.iteration_estimate(&[0, 1, 2], &[1, 1, 1], &[3, 3, 3]);
+        let it = cache.iteration_estimate(&[0, 1, 2], &[1, 1, 1], &[3, 3, 3]);
         assert!((it.success_probability - 1.0).abs() < 1e-9);
         // comm = 3 slots, computation = 1 task * speed 2 = 2 slots.
         assert!((it.expected_duration - 5.0).abs() < 1e-6);
@@ -775,9 +653,9 @@ mod tests {
     #[test]
     fn riskier_worker_lowers_probability_and_raises_time() {
         let s = paper_scenario();
-        let est = Estimator::with_default_epsilon(&s.platform, &s.master);
-        let small = est.iteration_estimate(&[0, 1], &[1, 1], &[2, 2]);
-        let bigger = est.iteration_estimate(&[0, 1, 2, 3, 4, 5], &[1, 1, 1, 1, 1, 1], &[2; 6]);
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let small = cache.iteration_estimate(&[0, 1], &[1, 1], &[2, 2]);
+        let bigger = cache.iteration_estimate(&[0, 1, 2, 3, 4, 5], &[1, 1, 1, 1, 1, 1], &[2; 6]);
         assert!(bigger.success_probability <= small.success_probability + 1e-12);
     }
 
@@ -785,9 +663,9 @@ mod tests {
     fn comm_estimate_over_ncom_uses_aggregate_bound() {
         let platform = dg_platform::Platform::reliable_homogeneous(6, 1);
         let master = dg_platform::MasterSpec::from_slots(2, 4, 1);
-        let est = Estimator::with_default_epsilon(&platform, &master);
+        let cache = EvalCache::with_default_epsilon(&platform, &master);
         let members: Vec<usize> = (0..6).collect();
-        let comm = est.comm_estimate(&members, &[5; 6]);
+        let comm = cache.comm_estimate(&members, &[5; 6]);
         // total 30 slots over ncom=2 -> at least 15.
         assert!((comm.expected_duration - 15.0).abs() < 1e-6);
         assert!((comm.success_probability - 1.0).abs() < 1e-12);
@@ -800,8 +678,8 @@ mod tests {
             vec![dg_availability::MarkovChain3::always_up(); 2],
         );
         let master = dg_platform::MasterSpec::from_slots(2, 2, 1);
-        let est = Estimator::with_default_epsilon(&platform, &master);
-        assert_eq!(est.computation_workload(&[0, 1], &[usize::MAX, 1]), u64::MAX);
+        let tables = PlatformTables::new(&platform, &master, crate::DEFAULT_EPSILON);
+        assert_eq!(tables.computation_workload(&[0, 1], &[usize::MAX, 1]), u64::MAX);
     }
 
     #[test]
@@ -810,7 +688,7 @@ mod tests {
         // communication, adds c singleton lookups plus one for the member set
         // — and equals the composition of the public pieces bit for bit.
         let s = paper_scenario();
-        let est = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let probes: [(&[usize], &[u64], u64); 5] = [
             (&[0, 2, 4], &[3, 0, 2], 12),
             (&[1, 3, 5, 7], &[0, 0, 0, 0], 7),
@@ -819,14 +697,14 @@ mod tests {
             (&[], &[], 5),
         ];
         for &(members, comm, w) in &probes {
-            est.estimate(members, comm, w); // warm up
+            cache.estimate(members, comm, w); // warm up
             let c = comm.iter().filter(|&&n| n > 0).count() as u64;
-            let before = est.cache().stats();
-            let value = est.estimate(members, comm, w);
-            let delta = est.cache().stats().since(&before);
+            let before = cache.stats();
+            let value = cache.estimate(members, comm, w);
+            let delta = cache.stats().since(&before);
             assert_eq!(delta, EvalCacheStats { group_hits: c + 1, group_misses: 0 });
 
-            let fresh = Estimator::with_default_epsilon(&s.platform, &s.master);
+            let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
             let ce = fresh.comm_estimate(members, comm);
             let g = fresh.group(members);
             let expected = IterationEstimate::combine(
@@ -847,15 +725,15 @@ mod tests {
         let mut rng = rng_from_seed(9);
         let platform = dg_platform::Platform::sample_paper_model(10, 1, &mut rng);
         let master = dg_platform::MasterSpec::from_slots(5, 5, 1);
-        let est = Estimator::with_default_epsilon(&platform, &master);
+        let cache = EvalCache::with_default_epsilon(&platform, &master);
         for k in 1..=10usize {
             let members: Vec<usize> = (0..k).collect();
-            let g = est.group(&members);
+            let g = cache.group(&members);
             assert!(g.p_plus > 0.0 && g.p_plus <= 1.0);
             assert!(g.e_c.is_finite());
         }
         // One miss per subset size, no sharing between sizes.
-        assert_eq!(est.cache().stats().group_misses, 10);
+        assert_eq!(cache.stats().group_misses, 10);
     }
 
     #[test]
@@ -893,7 +771,7 @@ mod tests {
         // contract the executor's per-scenario sharing relies on.
         let s = paper_scenario();
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
-        let reference = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let reference = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let sets: Vec<Vec<usize>> = (1..=6)
             .map(|k| (0..k).collect())
             .chain((1..=6).map(|k| (k..k + 4).collect()))
@@ -924,7 +802,7 @@ mod tests {
         // distinct set and every set memoized exactly once.
         let s = paper_scenario();
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
-        let reference = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let reference = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let n = s.platform.num_workers();
         let mut sets: Vec<Vec<usize>> = Vec::new();
         for start in 0..n {
@@ -971,7 +849,7 @@ mod tests {
                 (set.clone(), tasks, comm)
             })
             .collect();
-        let serial = Estimator::with_default_epsilon(&s.platform, &s.master);
+        let serial = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let expected: Vec<IterationEstimate> = probes
             .iter()
             .map(|(members, tasks, comm)| serial.iteration_estimate(members, tasks, comm))
@@ -980,20 +858,20 @@ mod tests {
         let start_line = std::sync::Barrier::new(threads);
         std::thread::scope(|scope| {
             for t in 0..threads {
-                let est = Estimator::from_cache(cold.clone());
+                let cache = cold.clone();
                 let (probes, expected, start_line) = (&probes, &expected, &start_line);
                 scope.spawn(move || {
                     start_line.wait();
                     let start = t * probes.len() / threads;
                     for i in (start..probes.len()).chain(0..start) {
                         let (members, tasks, comm) = &probes[i];
-                        let value = est.iteration_estimate(members, tasks, comm);
+                        let value = cache.iteration_estimate(members, tasks, comm);
                         assert_eq!(value, expected[i], "probe {members:?}");
                     }
                 });
             }
         });
-        assert_eq!(cold.stats().lookups(), threads as u64 * serial.cache().stats().lookups());
+        assert_eq!(cold.stats().lookups(), threads as u64 * serial.stats().lookups());
         assert_eq!(cold.cached_sets(), serial.cached_sets());
     }
 
@@ -1002,7 +880,7 @@ mod tests {
         let s = paper_scenario();
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         for (q, t) in [(0, 1), (3, 17), (3, 17), (7, 0)] {
-            let direct = cache.tables().worker_series(q).no_down_within(t);
+            let direct = WorkerSeries::new(s.platform.chain(q)).no_down_within(t);
             assert_eq!(cache.no_down_within(q, t), direct, "worker {q}, horizon {t}");
         }
     }

@@ -19,11 +19,11 @@
 //! * the four scheduling criteria built on these quantities — probability of
 //!   success, expected completion time, yield and apparent yield
 //!   ([`criteria`]);
-//! * a scenario-scoped evaluation layer ([`estimator`]): immutable
-//!   [`PlatformTables`] plus an `Arc`-clonable, concurrently usable
-//!   [`EvalCache`] memoizing the group quantities, so one cache serves every
-//!   heuristic and every trial of a scenario ([`Estimator`] is the thin
-//!   front-end);
+//! * a scenario-scoped evaluation layer ([`estimator`]): one `Arc`-clonable,
+//!   concurrently usable [`EvalCache`] over the scenario's immutable tables
+//!   memoizes the group quantities, so one cache serves every heuristic and
+//!   every trial of a scenario, and it is the one place that scores a
+//!   candidate ([`EvalCache::estimate`], [`EvalCache::comm_estimate`]);
 //! * streaming accumulators for campaign-scale result reduction ([`streaming`]):
 //!   online mean/stdev (Welford, mergeable), per-trial win/fail tallies and
 //!   per-scenario relative differences, letting the experiment harness
@@ -45,7 +45,7 @@ pub mod streaming;
 
 pub use comm::CommEstimate;
 pub use criteria::{apparent_yield, yield_metric, IterationEstimate};
-pub use estimator::{Estimator, EvalCache, EvalCacheStats, PlatformTables};
+pub use estimator::{EvalCache, EvalCacheStats};
 pub use group::{GroupAccumulator, GroupComputation, GroupQuantities};
 pub use series::WorkerSeries;
 pub use streaming::{OnlineStats, ScenarioAccumulator, StreamingComparison, TrialTally};

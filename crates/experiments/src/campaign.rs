@@ -197,11 +197,6 @@ impl CampaignResults {
         self.results.iter().filter(|r| r.params.tasks_per_iteration == m).collect()
     }
 
-    /// Results restricted to a given `wmin`.
-    pub fn for_wmin(&self, wmin: u64) -> Vec<&InstanceResult> {
-        self.results.iter().filter(|r| r.params.wmin == wmin).collect()
-    }
-
     /// Names of the heuristics present in the results, in registry order.
     pub fn heuristic_names(&self) -> Vec<String> {
         self.config.heuristics.iter().map(|h| h.name()).collect()

@@ -472,8 +472,16 @@ mod tests {
         assert!(CliOptions::parse(["--cap", "0"]).is_err());
         assert!(CliOptions::parse(["--engine", "warp"]).is_err());
         // Sweep overrides parse, but the suite they produce is validated like
-        // a suite file: a zero or empty sweep is refused, not run.
-        for (flag, value) in [("--wmin", "0"), ("--ncom", "0"), ("--wmin", ","), ("--ncom", ",")] {
+        // a suite file: a zero or empty sweep, or a wmin above the suite's
+        // ceiling, is refused, not run.
+        for (flag, value) in [
+            ("--wmin", "0"),
+            ("--ncom", "0"),
+            ("--wmin", ","),
+            ("--ncom", ","),
+            ("--wmin", "1500000000000000000"),
+            ("--wmin", "18446744073709551615"),
+        ] {
             let opts = CliOptions::parse([flag, value]).unwrap();
             assert!(opts.campaign().is_err(), "{flag} {value} must be refused");
         }

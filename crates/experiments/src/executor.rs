@@ -366,7 +366,7 @@ mod tests {
         // results — produced with one shared availability realization per
         // trial AND one shared EvalCache per scenario job — equal
         // per-instance `run_instance` runs, which realize their own trial and
-        // build a fresh private estimator each.
+        // build a fresh cache each.
         use crate::runner::run_instance;
         let config = test_config();
         let results = run_campaign(&config, |_, _| {});

@@ -77,7 +77,7 @@ pub fn run_instance_with_report(
 
 /// Run one instance on a **pre-realized** availability model and a
 /// **caller-supplied** evaluation cache, instead of realizing the trial from
-/// its seed and building a private estimator. This is the entry point the
+/// its seed and building a fresh cache. This is the entry point the
 /// campaign executor uses to share, per scenario job, one
 /// [`dg_availability::RealizedTrial`] across the heuristics of a trial
 /// (handing each a replay) *and* one [`EvalCache`] across the whole

@@ -224,7 +224,8 @@ impl SuiteSpec {
         config
     }
 
-    /// Check structural validity (positive axes, sane model parameters).
+    /// Check structural validity (positive axes, sane model parameters, no
+    /// `wmin` above the suite's ceiling).
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() || !self.name.chars().all(|c| c.is_alphanumeric() || c == '-') {
             return Err(format!(
@@ -244,7 +245,33 @@ impl SuiteSpec {
         if self.wmin_values.contains(&0) {
             return Err("wmin values must be positive".to_string());
         }
-        validate_model(&self.model)
+        validate_model(&self.model)?;
+        let ceiling = self.max_wmin();
+        if let Some(&wmin) = self.wmin_values.iter().find(|&&w| w > ceiling) {
+            return Err(format!(
+                "wmin {wmin} is too large: suite '{}' accepts wmin up to {ceiling}, above which \
+                 a worker's time for all m tasks or an iteration's transfers overflow 64 bits",
+                self.name
+            ));
+        }
+        Ok(())
+    }
+
+    /// The largest `wmin` this suite accepts. With `m*` its largest `m`, two
+    /// sizes must fit in `u64`: the slowest speed the profile can draw times
+    /// `m*` (one worker computing every task) and `m*·(Tprog + m*·Tdata)`
+    /// (at most `m*` workers, each receiving the program and up to `m*` data
+    /// messages). Both are `wmin` times a factor of the suite, so the ceiling
+    /// is `u64::MAX` over the larger factor, or 0 when a factor overflows.
+    fn max_wmin(&self) -> u64 {
+        let m = self.m_values.iter().copied().max().unwrap_or(1) as u64;
+        let AppShape { prog_factor, data_factor } = self.model.app;
+        let factor = self.model.speeds.bounds(1).and_then(|(_, slowest)| {
+            let compute = slowest.checked_mul(m)?;
+            let transfers = m.checked_mul(data_factor)?.checked_add(prog_factor)?.checked_mul(m)?;
+            Some(compute.max(transfers))
+        });
+        factor.map_or(0, |factor| u64::MAX / factor)
     }
 
     /// Parse a suite from the text format (see the module docs). Missing
@@ -625,6 +652,43 @@ mod tests {
         assert!(SuiteSpec::parse("suite x\ntrials semi(-1)\n").is_err());
         assert!(SuiteSpec::parse("suite x\napp 5-1\n").is_err());
         assert!(SuiteSpec::parse("suite x\nspeeds uniform(4\n").is_err());
+    }
+
+    #[test]
+    fn wmin_ceiling_is_accepted_and_one_above_is_refused() {
+        // The paper suite: m* = 10, speeds up to 10·wmin and Tprog + 10·Tdata
+        // = 15·wmin, so the transfer bound 150·wmin binds.
+        assert_eq!(SuiteSpec::paper().max_wmin(), u64::MAX / 150);
+        for name in PRESET_NAMES {
+            let mut suite = SuiteSpec::preset(name).unwrap();
+            let ceiling = suite.max_wmin();
+            suite.wmin_values = vec![1, ceiling];
+            suite.validate().unwrap_or_else(|e| panic!("{name} at its ceiling: {e}"));
+            suite.wmin_values = vec![1, ceiling + 1];
+            let err = suite.validate().unwrap_err();
+            let expected = format!(
+                "wmin {} is too large: suite '{name}' accepts wmin up to {ceiling},",
+                ceiling + 1
+            );
+            assert!(err.starts_with(&expected), "{err}");
+        }
+        let err = SuiteSpec::parse("suite big\nwmin 2000000000000000000\n").unwrap_err();
+        assert!(err.starts_with("wmin 2000000000000000000 is too large"), "{err}");
+        // A speed factor that alone overflows for m = 5 admits no wmin.
+        let err =
+            SuiteSpec::parse("suite wide\nm 5\nwmin 1\nspeeds uniform(18446744073709551615)\n")
+                .unwrap_err();
+        assert!(err.contains("accepts wmin up to 0,"), "{err}");
+    }
+
+    #[test]
+    fn a_campaign_at_the_wmin_ceiling_runs_without_overflow() {
+        // Tests build with overflow checks, so any wrapping product panics.
+        let mut suite = SuiteSpec::paper();
+        suite.wmin_values = vec![suite.max_wmin()];
+        let config = suite.campaign(1, 1, 2);
+        let results = crate::campaign::run_campaign(&config, |_, _| {});
+        assert_eq!(results.results.len(), config.points().len() * config.heuristics.len());
     }
 
     #[test]

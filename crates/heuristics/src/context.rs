@@ -1,30 +1,29 @@
 //! Shared evaluation context for all heuristics.
 //!
-//! The context holds a handle to the evaluation layer of `dg-analysis` — a
-//! lazily created private [`dg_analysis::EvalCache`], or a shared one
-//! injected through [`SchedulingContext::with_cache`] so that all heuristics
-//! and all trials of a scenario memoize into the same tables — and knows how
-//! to evaluate a candidate configuration (or the *remaining* work of the
+//! The context holds a handle to the evaluation layer of `dg-analysis` — an
+//! [`dg_analysis::EvalCache`], typically shared so that all heuristics and
+//! all trials of a scenario memoize into the same tables — and knows how to
+//! evaluate a candidate configuration (or the *remaining* work of the
 //! currently active configuration) against the Section V estimates, taking
 //! into account what each worker already holds (program, data messages).
 //!
 //! Evaluation is allocation-free on the hot path: the per-probe member, task
 //! and communication-volume lists live in scratch buffers reused across
 //! [`SchedulingContext::evaluate`] calls, and the member lists handed to the
-//! estimator are already sorted, so the cache looks them up without building
-//! a key.
+//! cache are already sorted, so the cache looks them up without building a
+//! key.
 
 use crate::index::ScanStrategy;
-use dg_analysis::{Estimator, EvalCache, IterationEstimate};
+use dg_analysis::{EvalCache, IterationEstimate};
 use dg_sim::config::ActiveConfiguration;
 use dg_sim::view::SimView;
 
 /// Reusable scratch buffers of one candidate evaluation: the member, task and
-/// communication-volume lists handed to the estimator.
+/// communication-volume lists handed to the cache.
 ///
 /// A [`SchedulingContext`] owns one for its serial hot path; a parallel
 /// candidate scan gives each scoped thread its own, so concurrent probes
-/// against the shared (`Sync`) [`Estimator`] never contend on buffers. The
+/// against the shared (`Sync`) [`EvalCache`] never contend on buffers. The
 /// evaluation itself is a pure function of the view and the entries — which
 /// scratch carries it cannot affect the result.
 #[derive(Debug, Default)]
@@ -36,11 +35,11 @@ pub struct EvalScratch {
 
 impl EvalScratch {
     /// Evaluate a candidate configuration described by `(worker, tasks)`
-    /// entries (ascending worker order) through `estimator`. See
+    /// entries (ascending worker order) through `cache`. See
     /// [`SchedulingContext::evaluate`] for the semantics.
     pub fn evaluate(
         &mut self,
-        estimator: &Estimator,
+        cache: &EvalCache,
         view: &SimView<'_>,
         entries: impl IntoIterator<Item = (usize, usize)>,
     ) -> IterationEstimate {
@@ -52,16 +51,15 @@ impl EvalScratch {
             self.tasks.push(x);
             self.comm.push(view.comm_slots_remaining(q, x));
         }
-        estimator.iteration_estimate(&self.members, &self.tasks, &self.comm)
+        cache.iteration_estimate(&self.members, &self.tasks, &self.comm)
     }
 }
 
-/// Evaluation context shared by the heuristics: an estimator handle plus the
+/// Evaluation context shared by the heuristics: a cache handle plus the
 /// scratch buffers of the candidate-evaluation hot path.
 #[derive(Debug)]
 pub struct SchedulingContext {
-    estimator: Option<Estimator>,
-    epsilon: f64,
+    cache: EvalCache,
     scan: ScanStrategy,
     // Scratch reused by evaluate/evaluate_remaining so that probing a
     // candidate allocates nothing.
@@ -69,43 +67,19 @@ pub struct SchedulingContext {
 }
 
 impl SchedulingContext {
-    /// Create a context using the given series-truncation precision `ε`. The
-    /// evaluation cache is private to this context and built lazily from the
-    /// first view.
-    pub fn new(epsilon: f64) -> Self {
-        SchedulingContext {
-            estimator: None,
-            epsilon,
-            scan: ScanStrategy::Auto,
-            scratch: EvalScratch::default(),
-        }
-    }
-
-    /// Create a context with the default precision of `dg-analysis`.
-    pub fn with_default_epsilon() -> Self {
-        SchedulingContext::new(dg_analysis::DEFAULT_EPSILON)
-    }
-
     /// Create a context evaluating through the (possibly shared) `cache`.
     /// Every context built from clones of one cache handle reads and writes
     /// the same memo tables, so group quantities are computed once per
     /// scenario rather than once per heuristic. The cache's
     /// `decision_threads` knob rides along: contexts built from a
     /// multi-threaded cache handle run parallel candidate scans.
-    pub fn with_cache(cache: EvalCache) -> Self {
-        SchedulingContext {
-            epsilon: cache.tables().epsilon(),
-            estimator: Some(Estimator::from_cache(cache)),
-            scan: ScanStrategy::Auto,
-            scratch: EvalScratch::default(),
-        }
+    pub fn new(cache: EvalCache) -> Self {
+        SchedulingContext { cache, scan: ScanStrategy::Auto, scratch: EvalScratch::default() }
     }
 
-    /// How many scoped threads a candidate scan driven through this context
-    /// may use, inherited from the underlying cache handle (1 for private,
-    /// lazily built caches).
-    pub fn decision_threads(&self) -> usize {
-        self.estimator.as_ref().map_or(1, |e| e.cache().decision_threads())
+    /// The cache handle this context evaluates through.
+    pub fn cache(&self) -> &EvalCache {
+        &self.cache
     }
 
     /// How [`crate::passive::build_incremental`] enumerates candidate workers
@@ -119,19 +93,6 @@ impl SchedulingContext {
         self.scan = strategy;
     }
 
-    /// Access the estimator, creating it (with a private cache) from the
-    /// view's platform and master description on first use.
-    pub fn estimator(&mut self, view: &SimView<'_>) -> &Estimator {
-        self.ensure_estimator(view);
-        self.estimator.as_ref().expect("estimator was just initialized")
-    }
-
-    fn ensure_estimator(&mut self, view: &SimView<'_>) {
-        if self.estimator.is_none() {
-            self.estimator = Some(Estimator::new(view.platform, view.master, self.epsilon));
-        }
-    }
-
     /// Evaluate a candidate configuration described by `(worker, tasks)`
     /// entries (ascending worker order, as produced by
     /// [`crate::CandidateConfig::entries`]): expected duration and success
@@ -143,9 +104,7 @@ impl SchedulingContext {
         view: &SimView<'_>,
         entries: impl IntoIterator<Item = (usize, usize)>,
     ) -> IterationEstimate {
-        self.ensure_estimator(view);
-        let est = self.estimator.as_ref().expect("estimator was just initialized");
-        self.scratch.evaluate(est, view, entries)
+        self.scratch.evaluate(&self.cache, view, entries)
     }
 
     /// Evaluate the *remaining* work of the currently active configuration:
@@ -165,15 +124,11 @@ impl SchedulingContext {
             self.scratch.members.push(q);
             self.scratch.comm.push(view.comm_slots_remaining(q, x));
         }
-        self.ensure_estimator(view);
-        let est = self.estimator.as_ref().expect("estimator was just initialized");
-        est.estimate(&self.scratch.members, &self.scratch.comm, config.remaining_computation())
-    }
-}
-
-impl Default for SchedulingContext {
-    fn default() -> Self {
-        SchedulingContext::with_default_epsilon()
+        self.cache.estimate(
+            &self.scratch.members,
+            &self.scratch.comm,
+            config.remaining_computation(),
+        )
     }
 }
 
@@ -191,6 +146,11 @@ mod tests {
         application: ApplicationSpec,
         master: MasterSpec,
         workers: Vec<WorkerView>,
+    }
+
+    /// A context over a fresh cache of `f`'s platform, at the default ε.
+    fn context(f: &Fixture) -> SchedulingContext {
+        SchedulingContext::new(EvalCache::with_default_epsilon(&f.platform, &f.master))
     }
 
     fn fixture() -> Fixture {
@@ -224,7 +184,7 @@ mod tests {
     fn evaluate_reliable_candidate_is_exact() {
         let f = fixture();
         let v = view(&f, None);
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = context(&f);
         let est = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);
         // comm: program 2 + data 1 = 3 per worker, parallel -> 3; compute: 2.
         assert!((est.expected_duration - 5.0).abs() < 1e-6);
@@ -238,7 +198,7 @@ mod tests {
         f.workers[0].dynamic =
             WorkerDynamicState { has_program: true, data_messages: 1, ..Default::default() };
         let v = view(&f, None);
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = context(&f);
         let with_data = ctx.evaluate(&v, [(0, 1)]);
         let fresh = ctx.evaluate(&v, [(1, 1)]);
         // Worker 0 needs no more communication, so it is strictly faster.
@@ -249,7 +209,7 @@ mod tests {
     #[test]
     fn evaluate_remaining_shrinks_as_computation_progresses() {
         let f = fixture();
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = context(&f);
         let assignment = Assignment::new([(0, 1), (1, 1), (2, 1)]);
         let mut cfg = ActiveConfiguration::new(assignment, &f.platform, 0);
         // Pretend communication is done.
@@ -270,9 +230,9 @@ mod tests {
     fn contexts_over_one_cache_share_memoized_sets() {
         let f = fixture();
         let v = view(&f, None);
-        let cache = dg_analysis::EvalCache::with_default_epsilon(&f.platform, &f.master);
-        let mut a = SchedulingContext::with_cache(cache.clone());
-        let mut b = SchedulingContext::with_cache(cache.clone());
+        let cache = EvalCache::with_default_epsilon(&f.platform, &f.master);
+        let mut a = SchedulingContext::new(cache.clone());
+        let mut b = SchedulingContext::new(cache.clone());
         let ea = a.evaluate(&v, [(0, 1), (1, 1)]);
         let misses = cache.stats().group_misses;
         let eb = b.evaluate(&v, [(0, 1), (1, 1)]);
@@ -280,8 +240,8 @@ mod tests {
         // The second context recomputed nothing: every probe was a hit.
         assert_eq!(cache.stats().group_misses, misses);
         assert!(cache.stats().group_hits > 0);
-        // And a private-cache context agrees exactly.
-        let mut private = SchedulingContext::with_default_epsilon();
+        // And a context over a fresh cache agrees exactly.
+        let mut private = context(&f);
         assert_eq!(private.evaluate(&v, [(0, 1), (1, 1)]), ea);
     }
 
@@ -289,7 +249,7 @@ mod tests {
     fn scratch_buffers_do_not_leak_between_probes() {
         let f = fixture();
         let v = view(&f, None);
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = context(&f);
         let wide = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);
         let narrow = ctx.evaluate(&v, [(1, 2)]);
         let wide_again = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);

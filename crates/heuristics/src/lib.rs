@@ -22,12 +22,13 @@
 //!   and it replaces the current one if it is strictly better according to `C`
 //!   (the current configuration being re-evaluated on its *remaining* work).
 //!
-//! The [`registry`] module enumerates all heuristics by their paper names
-//! (`"Y-IE"`, `"IAY"`, `"RANDOM"`, …) and builds them from a name string —
-//! either with a private evaluation cache ([`build_heuristic`]) or through a
-//! shared, scenario-scoped [`dg_analysis::EvalCache`]
-//! ([`build_heuristic_with_cache`]), so a campaign evaluating many heuristics
-//! and trials on one scenario computes each Section V group set once.
+//! Every heuristic scores its candidates through a [`dg_analysis::EvalCache`]
+//! built for the scenario it schedules. The [`registry`] module enumerates
+//! all heuristics by their paper names (`"Y-IE"`, `"IAY"`, `"RANDOM"`, …)
+//! and builds them from a name string over such a cache
+//! ([`build_heuristic_with_cache`]); clones of one cache handle share its
+//! memo tables, so a campaign evaluating many heuristics and trials on one
+//! scenario computes each Section V group set once.
 //!
 //! Every heuristic also declares, through [`dg_sim::Reevaluation`], when its
 //! decisions can change while the observable simulation state does not — the
@@ -35,14 +36,17 @@
 //! idle stretches without changing any decision.
 //!
 //! ```
-//! use dg_heuristics::build_heuristic;
+//! use dg_analysis::EvalCache;
+//! use dg_heuristics::build_heuristic_with_cache;
 //! use dg_platform::{Scenario, ScenarioParams};
 //! use dg_sim::{SimulationLimits, Simulator};
 //!
-//! // Build the paper's headline proactive heuristic by name and drive one
-//! // seeded trial of a small paper-style scenario with it.
+//! // Build the paper's headline proactive heuristic by name over the
+//! // scenario's cache and drive one seeded trial of a small paper-style
+//! // scenario with it.
 //! let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 1), 42);
-//! let mut scheduler = build_heuristic("Y-IE", 0, 1e-7).unwrap();
+//! let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
+//! let mut scheduler = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();
 //! let (outcome, _log) = Simulator::new(&scenario, scenario.availability_for_trial(7, false))
 //!     .with_limits(SimulationLimits::with_max_slots(200_000).unwrap())
 //!     .run(scheduler.as_mut());
@@ -67,6 +71,5 @@ pub use passive::{PassiveKind, PassiveScheduler};
 pub use proactive::{ProactiveCriterion, ProactiveScheduler};
 pub use random::RandomScheduler;
 pub use registry::{
-    all_heuristic_names, build_heuristic, build_heuristic_with_cache, parse_heuristic_named,
-    HeuristicSpec,
+    all_heuristic_names, build_heuristic_with_cache, parse_heuristic_named, HeuristicSpec,
 };

@@ -104,7 +104,7 @@ pub fn build_incremental(
 /// maximizer (`score > best_score`). The parallel path splits `probe` into
 /// contiguous chunks, finds each chunk's first maximizer on its own scoped
 /// thread (with a private [`CandidateConfig`] clone and [`EvalScratch`],
-/// against the shared `Sync` estimator), then folds the chunk winners **in
+/// against the shared `Sync` cache), then folds the chunk winners **in
 /// chunk order** under the same strict `>` — which selects exactly the
 /// serial winner, because every score is a pure function of
 /// `(worker, partial candidate, view)` and the first maximizer of a
@@ -117,7 +117,7 @@ fn scan_round(
     probe: &[usize],
     elapsed: u64,
 ) -> Option<(usize, f64)> {
-    let threads = context.decision_threads().min(probe.len());
+    let threads = context.cache().decision_threads().min(probe.len());
     if threads <= 1 || probe.len() < PARALLEL_SCAN_MIN_PROBES {
         let mut best: Option<(usize, f64)> = None;
         for &q in probe {
@@ -139,7 +139,7 @@ fn scan_round(
         return best;
     }
 
-    let estimator = context.estimator(view);
+    let cache = context.cache();
     let chunk = probe.len().div_ceil(threads);
     let chunk_best: Vec<Option<(usize, f64)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = probe
@@ -154,7 +154,7 @@ fn scan_round(
                             continue;
                         }
                         local.add_task(q);
-                        let estimate = scratch.evaluate(estimator, view, local.entries());
+                        let estimate = scratch.evaluate(cache, view, local.entries());
                         let score = kind.score(&estimate, elapsed);
                         local.remove_task(q);
                         let better = match best {
@@ -251,26 +251,11 @@ pub struct PassiveScheduler {
 }
 
 impl PassiveScheduler {
-    /// Create a passive scheduler with the default estimate precision.
-    pub fn new(kind: PassiveKind) -> Self {
-        PassiveScheduler::with_epsilon(kind, dg_analysis::DEFAULT_EPSILON)
-    }
-
-    /// Create a passive scheduler with an explicit estimate precision `ε`.
-    pub fn with_epsilon(kind: PassiveKind, epsilon: f64) -> Self {
-        PassiveScheduler::with_context(kind, SchedulingContext::new(epsilon))
-    }
-
-    /// Create a passive scheduler evaluating through the (possibly shared)
-    /// `cache`, so its estimates memoize into the scenario-scoped tables
-    /// instead of a private one.
-    pub fn with_cache(kind: PassiveKind, cache: dg_analysis::EvalCache) -> Self {
-        PassiveScheduler::with_context(kind, SchedulingContext::with_cache(cache))
-    }
-
-    /// Create a passive scheduler around an explicit, possibly pre-configured
-    /// context (e.g. one with a forced
-    /// [`crate::index::ScanStrategy`]).
+    /// Create a passive scheduler around `context`, whose (possibly shared)
+    /// cache it scores candidates through.
+    /// [`crate::HeuristicSpec::build_with_cache`] builds every registry
+    /// scheduler this way; a context with a forced
+    /// [`crate::index::ScanStrategy`] pins the candidate scan.
     pub fn with_context(kind: PassiveKind, context: SchedulingContext) -> Self {
         PassiveScheduler { kind, context, name: kind.paper_name().to_string() }
     }
@@ -309,6 +294,7 @@ impl Scheduler for PassiveScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_analysis::EvalCache;
     use dg_availability::{MarkovChain3, ProcState};
     use dg_platform::{ApplicationSpec, MasterSpec, Platform, WorkerSpec};
     use dg_sim::view::WorkerView;
@@ -322,6 +308,11 @@ mod tests {
     }
 
     impl Fixture {
+        /// A context over a fresh cache of the fixture's platform.
+        fn context(&self) -> SchedulingContext {
+            SchedulingContext::new(EvalCache::with_default_epsilon(&self.platform, &self.master))
+        }
+
         fn view(&self) -> SimView<'_> {
             SimView {
                 time: 0,
@@ -357,7 +348,7 @@ mod tests {
     #[test]
     fn ie_prefers_fast_workers_on_reliable_platform() {
         let f = heterogeneous_reliable(2);
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = f.context();
         let a = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
         // With no communication cost and 2 tasks, the two fastest workers
         // (speeds 1 and 2) minimize max(x_q w_q): one task each, or both on the
@@ -371,7 +362,7 @@ mod tests {
     fn all_kinds_produce_valid_assignments() {
         let f = heterogeneous_reliable(5);
         for kind in PassiveKind::ALL {
-            let mut ctx = SchedulingContext::with_default_epsilon();
+            let mut ctx = f.context();
             let a = build_incremental(&mut ctx, &f.view(), kind)
                 .unwrap_or_else(|| panic!("{kind:?} failed to build"));
             assert!(a.validate(&f.platform, &f.application).is_ok(), "{kind:?}");
@@ -401,7 +392,7 @@ mod tests {
                 2
             ],
         };
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = f.context();
         let ip = build_incremental(&mut ctx, &f.view(), PassiveKind::IP).unwrap();
         assert!(ip.contains(1), "IP must pick the reliable worker");
         let ie = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
@@ -424,7 +415,7 @@ mod tests {
                 2
             ],
         };
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = f.context();
         assert!(build_incremental(&mut ctx, &f.view(), PassiveKind::IE).is_none());
     }
 
@@ -434,7 +425,7 @@ mod tests {
         // The two fastest workers are unavailable.
         f.workers[0].state = ProcState::Reclaimed;
         f.workers[1].state = ProcState::Down;
-        let mut ctx = SchedulingContext::with_default_epsilon();
+        let mut ctx = f.context();
         let a = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
         assert!(!a.contains(0));
         assert!(!a.contains(1));
@@ -447,7 +438,7 @@ mod tests {
         for w in f.workers.iter_mut() {
             w.state = ProcState::Down;
         }
-        let mut sched = PassiveScheduler::new(PassiveKind::IE);
+        let mut sched = PassiveScheduler::with_context(PassiveKind::IE, f.context());
         assert_eq!(sched.decide(&f.view()), Decision::KeepCurrent);
         assert_eq!(sched.name(), "IE");
         assert_eq!(sched.kind(), PassiveKind::IE);
@@ -459,7 +450,7 @@ mod tests {
         let assignment = Assignment::new([(3, 2)]); // deliberately poor choice
         let cfg = dg_sim::config::ActiveConfiguration::new(assignment, &f.platform, 0);
         let view = SimView { current: Some(&cfg), ..f.view() };
-        let mut sched = PassiveScheduler::new(PassiveKind::IE);
+        let mut sched = PassiveScheduler::with_context(PassiveKind::IE, f.context());
         assert_eq!(sched.decide(&view), Decision::KeepCurrent);
     }
 

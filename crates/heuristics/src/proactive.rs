@@ -94,29 +94,11 @@ pub struct ProactiveScheduler {
 }
 
 impl ProactiveScheduler {
-    /// Create the proactive scheduler `criterion-base` with default precision.
-    pub fn new(criterion: ProactiveCriterion, base: PassiveKind) -> Self {
-        ProactiveScheduler::with_epsilon(criterion, base, dg_analysis::DEFAULT_EPSILON)
-    }
-
-    /// Create the proactive scheduler `criterion-base` with precision `ε`.
-    pub fn with_epsilon(criterion: ProactiveCriterion, base: PassiveKind, epsilon: f64) -> Self {
-        ProactiveScheduler::with_context(criterion, base, SchedulingContext::new(epsilon))
-    }
-
-    /// Create the proactive scheduler `criterion-base` evaluating through the
-    /// (possibly shared) `cache`.
-    pub fn with_cache(
-        criterion: ProactiveCriterion,
-        base: PassiveKind,
-        cache: dg_analysis::EvalCache,
-    ) -> Self {
-        ProactiveScheduler::with_context(criterion, base, SchedulingContext::with_cache(cache))
-    }
-
-    /// Create the proactive scheduler `criterion-base` around an explicit,
-    /// possibly pre-configured context (e.g. one with a forced
-    /// [`crate::index::ScanStrategy`]).
+    /// Create the proactive scheduler `criterion-base` around `context`,
+    /// whose (possibly shared) cache it scores candidates through.
+    /// [`crate::HeuristicSpec::build_with_cache`] builds every registry
+    /// scheduler this way; a context with a forced
+    /// [`crate::index::ScanStrategy`] pins the candidate scan.
     pub fn with_context(
         criterion: ProactiveCriterion,
         base: PassiveKind,
@@ -257,6 +239,7 @@ impl Scheduler for ProactiveScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_analysis::EvalCache;
     use dg_availability::{MarkovChain3, ProcState};
     use dg_platform::{ApplicationSpec, MasterSpec, Platform, WorkerSpec};
     use dg_sim::config::ActiveConfiguration;
@@ -272,6 +255,17 @@ mod tests {
     }
 
     impl Fixture {
+        /// The scheduler `criterion-base` over a fresh cache of the fixture's
+        /// platform.
+        fn scheduler(
+            &self,
+            criterion: ProactiveCriterion,
+            base: PassiveKind,
+        ) -> ProactiveScheduler {
+            let cache = EvalCache::with_default_epsilon(&self.platform, &self.master);
+            ProactiveScheduler::with_context(criterion, base, SchedulingContext::new(cache))
+        }
+
         fn view<'a>(&'a self, current: Option<&'a ActiveConfiguration>) -> SimView<'a> {
             SimView {
                 time: 0,
@@ -305,14 +299,12 @@ mod tests {
 
     #[test]
     fn names_and_accessors() {
-        let s = ProactiveScheduler::new(ProactiveCriterion::Yield, PassiveKind::IE);
+        let f = fast_slow();
+        let s = f.scheduler(ProactiveCriterion::Yield, PassiveKind::IE);
         assert_eq!(s.name(), "Y-IE");
         assert_eq!(s.criterion(), ProactiveCriterion::Yield);
         assert_eq!(s.base(), PassiveKind::IE);
-        assert_eq!(
-            ProactiveScheduler::new(ProactiveCriterion::Probability, PassiveKind::IAY).name(),
-            "P-IAY"
-        );
+        assert_eq!(f.scheduler(ProactiveCriterion::Probability, PassiveKind::IAY).name(), "P-IAY");
         for c in ProactiveCriterion::ALL {
             let parsed: ProactiveCriterion = c.paper_letter().parse().unwrap();
             assert_eq!(parsed, c);
@@ -323,7 +315,7 @@ mod tests {
     #[test]
     fn behaves_like_passive_base_when_idle() {
         let f = fast_slow();
-        let mut sched = ProactiveScheduler::new(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
+        let mut sched = f.scheduler(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
         match sched.decide(&f.view(None)) {
             Decision::NewConfiguration(a) => {
                 assert!(a.contains(0), "E-IE must start on the fast worker");
@@ -339,7 +331,7 @@ mod tests {
         // and has made no progress; the fast worker is UP.
         let poor = Assignment::new([(1, 1)]);
         let cfg = ActiveConfiguration::new(poor, &f.platform, 0);
-        let mut sched = ProactiveScheduler::new(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
+        let mut sched = f.scheduler(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
         match sched.decide(&f.view(Some(&cfg))) {
             Decision::NewConfiguration(a) => assert!(a.contains(0)),
             Decision::KeepCurrent => panic!("E-IE must abandon the slow worker"),
@@ -358,7 +350,7 @@ mod tests {
         for _ in 0..4 {
             cfg.advance_computation();
         }
-        let mut sched = ProactiveScheduler::new(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
+        let mut sched = f.scheduler(ProactiveCriterion::ExpectedTime, PassiveKind::IE);
         assert_eq!(sched.decide(&f.view(Some(&cfg))), Decision::KeepCurrent);
     }
 
@@ -368,7 +360,7 @@ mod tests {
         let best = Assignment::new([(0, 1)]);
         let cfg = ActiveConfiguration::new(best, &f.platform, 0);
         for criterion in ProactiveCriterion::ALL {
-            let mut sched = ProactiveScheduler::new(criterion, PassiveKind::IE);
+            let mut sched = f.scheduler(criterion, PassiveKind::IE);
             assert_eq!(sched.decide(&f.view(Some(&cfg))), Decision::KeepCurrent, "{criterion:?}");
         }
     }
@@ -396,7 +388,7 @@ mod tests {
         // Current configuration: the unreliable fast worker, no progress yet.
         let risky = Assignment::new([(0, 1)]);
         let cfg = ActiveConfiguration::new(risky, &f.platform, 0);
-        let mut sched = ProactiveScheduler::new(ProactiveCriterion::Probability, PassiveKind::IP);
+        let mut sched = f.scheduler(ProactiveCriterion::Probability, PassiveKind::IP);
         match sched.decide(&f.view(Some(&cfg))) {
             Decision::NewConfiguration(a) => assert!(a.contains(1)),
             Decision::KeepCurrent => panic!("P-IP must switch to the reliable worker"),

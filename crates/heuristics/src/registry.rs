@@ -1,5 +1,6 @@
 //! Registry of the paper's 17 heuristics by name.
 
+use crate::context::SchedulingContext;
 use crate::passive::{PassiveKind, PassiveScheduler};
 use crate::proactive::{ProactiveCriterion, ProactiveScheduler};
 use crate::random::RandomScheduler;
@@ -63,30 +64,18 @@ impl HeuristicSpec {
         matches!(self, HeuristicSpec::Proactive(_, _))
     }
 
-    /// Instantiate the scheduler with a private evaluation cache. `seed` is
-    /// only used by RANDOM; `epsilon` is the precision of the Section V
-    /// estimates.
-    pub fn build(&self, seed: u64, epsilon: f64) -> Box<dyn Scheduler> {
-        match *self {
-            HeuristicSpec::Random => Box::new(RandomScheduler::new(seed)),
-            HeuristicSpec::Passive(k) => Box::new(PassiveScheduler::with_epsilon(k, epsilon)),
-            HeuristicSpec::Proactive(c, k) => {
-                Box::new(ProactiveScheduler::with_epsilon(c, k, epsilon))
-            }
-        }
-    }
-
     /// Instantiate the scheduler evaluating through the (possibly shared)
     /// `cache`, so every heuristic built from clones of one handle memoizes
     /// the Section V group quantities into the same scenario-scoped tables.
     /// `seed` is only used by RANDOM (which needs no estimates); the series
     /// precision is the one the cache's tables were built with.
     pub fn build_with_cache(&self, seed: u64, cache: &EvalCache) -> Box<dyn Scheduler> {
+        let context = || SchedulingContext::new(cache.clone());
         match *self {
             HeuristicSpec::Random => Box::new(RandomScheduler::new(seed)),
-            HeuristicSpec::Passive(k) => Box::new(PassiveScheduler::with_cache(k, cache.clone())),
+            HeuristicSpec::Passive(k) => Box::new(PassiveScheduler::with_context(k, context())),
             HeuristicSpec::Proactive(c, k) => {
-                Box::new(ProactiveScheduler::with_cache(c, k, cache.clone()))
+                Box::new(ProactiveScheduler::with_context(c, k, context()))
             }
         }
     }
@@ -112,11 +101,6 @@ pub fn parse_heuristic_named(name: &str) -> Result<HeuristicSpec, String> {
     })
 }
 
-/// Build a heuristic from its paper name, with a private evaluation cache.
-pub fn build_heuristic(name: &str, seed: u64, epsilon: f64) -> Result<Box<dyn Scheduler>, String> {
-    Ok(HeuristicSpec::parse(name)?.build(seed, epsilon))
-}
-
 /// Build a heuristic from its paper name, evaluating through the (possibly
 /// shared) `cache` — see [`HeuristicSpec::build_with_cache`].
 pub fn build_heuristic_with_cache(
@@ -130,6 +114,13 @@ pub fn build_heuristic_with_cache(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A cache over a small paper-style scenario.
+    fn cache() -> EvalCache {
+        let scenario =
+            dg_platform::Scenario::generate(dg_platform::ScenarioParams::paper(4, 8, 1), 5);
+        EvalCache::new(&scenario.platform, &scenario.master, 1e-7)
+    }
 
     #[test]
     fn there_are_seventeen_heuristics() {
@@ -177,13 +168,14 @@ mod tests {
 
     #[test]
     fn build_produces_matching_names() {
+        let cache = cache();
         for spec in HeuristicSpec::all() {
-            let sched = spec.build(42, 1e-7);
+            let sched = spec.build_with_cache(42, &cache);
             assert_eq!(sched.name(), spec.name());
         }
-        let byname = build_heuristic("Y-IE", 0, 1e-7).unwrap();
+        let byname = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();
         assert_eq!(byname.name(), "Y-IE");
-        assert!(build_heuristic("nope", 0, 1e-7).is_err());
+        assert!(build_heuristic_with_cache("nope", 0, &cache).is_err());
     }
 
     #[test]
@@ -209,7 +201,7 @@ mod tests {
             master: &scenario.master,
             current: None,
         };
-        // Drive one decision per heuristic; after the first estimator-based
+        // Drive one decision per heuristic; after the first cache-scored
         // heuristic has populated the cache, identical siblings add no misses.
         let mut sched = build_heuristic_with_cache("IE", 1, &cache).unwrap();
         let _ = sched.decide(&view);
@@ -228,8 +220,9 @@ mod tests {
     #[test]
     fn reevaluation_contract_matches_time_dependence() {
         use dg_sim::Reevaluation;
+        let cache = cache();
         for spec in HeuristicSpec::all() {
-            let sched = spec.build(1, 1e-7);
+            let sched = spec.build_with_cache(1, &cache);
             let reeval = sched.reevaluation();
             let name = spec.name();
             // No heuristic starts configurations based on the clock alone.

@@ -78,39 +78,6 @@ fn search_fixed_size(
     None
 }
 
-/// Largest number of common `UP` slots achievable by any subset of exactly
-/// `k` processors (exhaustive). Useful for analyses and benches.
-pub fn best_common_slots_for_size(instance: &OfflineInstance, k: usize) -> usize {
-    fn recurse(
-        instance: &OfflineInstance,
-        start: usize,
-        remaining: usize,
-        common: &[usize],
-        best: &mut usize,
-    ) {
-        if common.len() <= *best {
-            return;
-        }
-        if remaining == 0 {
-            *best = (*best).max(common.len());
-            return;
-        }
-        let p = instance.num_procs();
-        if p - start < remaining {
-            return;
-        }
-        for q in start..p {
-            let narrowed: Vec<usize> =
-                common.iter().copied().filter(|&t| instance.is_up(q, t)).collect();
-            recurse(instance, q + 1, remaining - 1, &narrowed, best);
-        }
-    }
-    let mut best = 0;
-    let all: Vec<usize> = (0..instance.horizon()).collect();
-    recurse(instance, 0, k, &all, &mut best);
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,17 +139,5 @@ mod tests {
         } else {
             panic!("expected a µ=1 solution in this instance");
         }
-    }
-
-    #[test]
-    fn best_common_slots_is_monotone_in_k() {
-        let inst = OfflineInstance::new(matrix(&["111101", "110111", "011111", "111011"]), 1, 1);
-        let mut prev = usize::MAX;
-        for k in 1..=4 {
-            let best = best_common_slots_for_size(&inst, k);
-            assert!(best <= prev, "adding processors cannot increase common slots");
-            prev = best;
-        }
-        assert_eq!(best_common_slots_for_size(&inst, 1), 5);
     }
 }

@@ -64,14 +64,16 @@ pub enum SpeedProfile {
 }
 
 impl SpeedProfile {
-    /// Inclusive `[min, max]` bounds every sampled speed respects.
-    pub fn bounds(&self, wmin: u64) -> (u64, u64) {
-        match *self {
-            SpeedProfile::PaperUniform => (wmin, 10 * wmin),
-            SpeedProfile::Uniform { max_factor } => (wmin, max_factor.max(1) * wmin),
-            SpeedProfile::Clustered { slow_factor, .. } => (wmin, 2 * slow_factor.max(1) * wmin),
-            SpeedProfile::PowerLaw { max_factor, .. } => (wmin, max_factor.max(1) * wmin),
-        }
+    /// Inclusive `[min, max]` bounds every sampled speed respects, or `None`
+    /// when the upper bound does not fit in `u64`.
+    pub fn bounds(&self, wmin: u64) -> Option<(u64, u64)> {
+        let factor = match *self {
+            SpeedProfile::PaperUniform => 10,
+            SpeedProfile::Uniform { max_factor } => max_factor.max(1),
+            SpeedProfile::Clustered { slow_factor, .. } => slow_factor.max(1).checked_mul(2)?,
+            SpeedProfile::PowerLaw { max_factor, .. } => max_factor.max(1),
+        };
+        Some((wmin, factor.checked_mul(wmin)?))
     }
 
     /// Draw one worker speed.
@@ -213,11 +215,6 @@ impl AppShape {
     pub fn comm_heavy() -> Self {
         AppShape { prog_factor: 20, data_factor: 4 }
     }
-
-    /// A compute-heavy shape: one-slot program transfer, free data transfers.
-    pub fn compute_heavy() -> Self {
-        AppShape { prog_factor: 1, data_factor: 0 }
-    }
 }
 
 /// One choice per generator axis: everything beyond the factorial parameters
@@ -287,7 +284,8 @@ mod tests {
     fn paper_profile_matches_paper_bounds() {
         let mut rng = rng_from_seed(1);
         let p = SpeedProfile::PaperUniform;
-        assert_eq!(p.bounds(3), (3, 30));
+        assert_eq!(p.bounds(3), Some((3, 30)));
+        assert_eq!(p.bounds(u64::MAX / 10 + 1), None);
         for _ in 0..200 {
             let s = p.sample(3, &mut rng);
             assert!((3..=30).contains(&s));
@@ -305,7 +303,7 @@ mod tests {
         ];
         for profile in profiles {
             for wmin in [1u64, 2, 7] {
-                let (lo, hi) = profile.bounds(wmin);
+                let (lo, hi) = profile.bounds(wmin).expect("small bounds fit");
                 assert!(lo >= wmin);
                 for _ in 0..300 {
                     let s = profile.sample(wmin, &mut rng);

@@ -11,6 +11,7 @@
 
 use desktop_grid_scheduling::analysis::series::WorkerSeries;
 use desktop_grid_scheduling::analysis::{yield_metric, GroupComputation};
+use desktop_grid_scheduling::availability::rng::rng_from_seed;
 use desktop_grid_scheduling::prelude::*;
 use rand::Rng;
 
@@ -60,8 +61,9 @@ fn main() {
 /// Simulate the chains directly: all workers start UP, count the slots until
 /// `workload` simultaneous-UP slots have been accumulated, aborting if any
 /// worker goes DOWN. Returns (success probability, mean completion time).
+/// Seeded, so every run prints the same estimates.
 fn monte_carlo(chains: &[MarkovChain3], workload: u64, runs: u64) -> (f64, f64) {
-    let mut rng = rand::thread_rng();
+    let mut rng = rng_from_seed(2013);
     let mut successes = 0u64;
     let mut total_time = 0u64;
     for _ in 0..runs {

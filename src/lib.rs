@@ -32,8 +32,9 @@
 //! let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 1), 42);
 //! // One availability realization (trial).
 //! let availability = scenario.availability_for_trial(7, false);
-//! // The paper's best heuristic, Y-IE.
-//! let mut scheduler = build_heuristic("Y-IE", 0, 1e-7).unwrap();
+//! // The paper's best heuristic, Y-IE, scoring through the scenario's cache.
+//! let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
+//! let mut scheduler = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();
 //! let (outcome, _log) = Simulator::new(&scenario, availability)
 //!     .with_limits(SimulationLimits::with_max_slots(200_000).unwrap())
 //!     .run(scheduler.as_mut());
@@ -50,13 +51,11 @@ pub use dg_sim as sim;
 
 /// The most commonly used types, re-exported for convenience.
 pub mod prelude {
-    pub use dg_analysis::{
-        Estimator, EvalCache, GroupComputation, IterationEstimate, PlatformTables,
-    };
+    pub use dg_analysis::{EvalCache, GroupComputation, IterationEstimate};
     pub use dg_availability::trace::{AvailabilityModel, RealizedAvailability};
     pub use dg_availability::{MarkovChain3, ProcState, SemiMarkovModel, StateTrace};
     pub use dg_heuristics::{
-        build_heuristic, build_heuristic_with_cache, HeuristicSpec, PassiveKind, PassiveScheduler,
+        build_heuristic_with_cache, HeuristicSpec, PassiveKind, PassiveScheduler,
         ProactiveCriterion, ProactiveScheduler, RandomScheduler,
     };
     pub use dg_offline::{

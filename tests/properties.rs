@@ -164,7 +164,8 @@ proptest! {
         );
         let heuristic = HeuristicSpec::all()[heuristic_idx];
         let run = |mode: SimMode| {
-            let mut scheduler = heuristic.build(seed ^ 0x5EED, 1e-6);
+            let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-6);
+            let mut scheduler = heuristic.build_with_cache(seed ^ 0x5EED, &cache);
             let sim = match backend {
                 // Lazily realized Markov chains (the paper's model).
                 0 => {
@@ -241,7 +242,8 @@ proptest! {
         );
         let spec = HeuristicSpec::all()[heuristic_idx];
         let run = |strategy: ScanStrategy| {
-            let mut ctx = SchedulingContext::new(1e-6);
+            let mut ctx =
+                SchedulingContext::new(EvalCache::new(&scenario.platform, &scenario.master, 1e-6));
             ctx.set_scan_strategy(strategy);
             let mut scheduler: Box<dyn Scheduler> = match spec {
                 HeuristicSpec::Random => Box::new(RandomScheduler::new(seed)),
@@ -379,7 +381,7 @@ proptest! {
     ) {
         use desktop_grid_scheduling::availability::rng::rng_from_seed;
         let mut rng = rng_from_seed(seed);
-        let (lo, hi) = profile.bounds(wmin);
+        let (lo, hi) = profile.bounds(wmin).expect("small bounds fit");
         prop_assert!(lo >= wmin);
         for _ in 0..50 {
             let speed = profile.sample(wmin, &mut rng);
@@ -533,8 +535,10 @@ proptest! {
             current: None,
         };
         for kind in PassiveKind::ALL {
-            let mut ex_ctx = SchedulingContext::new(1e-6);
-            let mut ix_ctx = SchedulingContext::new(1e-6);
+            let fresh = || {
+                SchedulingContext::new(EvalCache::new(&scenario.platform, &scenario.master, 1e-6))
+            };
+            let (mut ex_ctx, mut ix_ctx) = (fresh(), fresh());
             let exhaustive = build_incremental_exhaustive(&mut ex_ctx, &view, kind);
             let indexed = build_incremental_indexed(&mut ix_ctx, &view, kind);
             prop_assert_eq!(
@@ -611,9 +615,7 @@ proptest! {
             use desktop_grid_scheduling::heuristics::{PassiveScheduler, ProactiveScheduler};
             let context = |cache: &EvalCache| {
                 let mut ctx =
-                    desktop_grid_scheduling::heuristics::SchedulingContext::with_cache(
-                        cache.clone(),
-                    );
+                    desktop_grid_scheduling::heuristics::SchedulingContext::new(cache.clone());
                 ctx.set_scan_strategy(strategy);
                 ctx
             };

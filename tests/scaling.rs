@@ -46,7 +46,7 @@ fn decide(scenario: &Scenario, decision_threads: usize) -> (Assignment, Counts) 
     };
     let mut cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
     cache.set_decision_threads(decision_threads);
-    let mut context = SchedulingContext::with_cache(cache.clone());
+    let mut context = SchedulingContext::new(cache.clone());
     context.set_scan_strategy(ScanStrategy::Indexed);
     let assignment = build_incremental(&mut context, &view, PassiveKind::IE)
         .expect("an all-UP platform holds the massive workload");
