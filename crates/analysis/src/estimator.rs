@@ -9,6 +9,11 @@
 //! * it holds the immutable, scenario-scoped inputs of every estimate
 //!   (per-worker availability series, speeds, the master's `ncom` bound and
 //!   the series-truncation precision `ε`), built once per scenario;
+//! * it tabulates each worker's series `P^(q)_{u →t→ u}` once, the first time
+//!   a miss needs that worker, up to the longest truncation any set
+//!   containing the worker needs ([`WorkerSeries::tabulate`]). A miss reads
+//!   its terms from these tables and never evaluates the closed form again,
+//!   and workers no decision touches are never tabulated;
 //! * it memoizes `group` quantities per member set and `P_ND` per
 //!   `(worker, horizon)` behind one `RwLock`. The handle is `Arc`-clonable:
 //!   one cache can serve all 17 heuristics and all trials of a scenario
@@ -30,7 +35,7 @@ use dg_platform::{MasterSpec, Platform};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 
 /// Upper bound on the total number of per-`t` joint products retained by the
 /// prefix accumulators (~32 MB of `f64`s). Accumulators are pure derivations
@@ -39,12 +44,15 @@ use std::sync::{Arc, RwLock, RwLockReadGuard};
 const ACCUMULATOR_TERM_BUDGET: u64 = 4_000_000;
 
 /// Immutable, scenario-scoped inputs of the Section V estimates: worker
-/// availability series, speeds, the master's `ncom` bound and the
-/// series-truncation precision. Everything an [`EvalCache`] memoizes is a
-/// pure function of these tables.
+/// availability series and their tabulated values, speeds, the master's
+/// `ncom` bound and the series-truncation precision. Everything an
+/// [`EvalCache`] memoizes is a pure function of these tables.
 #[derive(Debug)]
 struct PlatformTables {
     series: Vec<WorkerSeries>,
+    /// `up_up[q]` is worker `q`'s [`WorkerSeries::tabulate`] at this `ε`,
+    /// built the first time a miss needs it.
+    up_up: Vec<OnceLock<Box<[f64]>>>,
     speeds: Vec<u64>,
     ncom: usize,
     computation: GroupComputation,
@@ -56,10 +64,19 @@ impl PlatformTables {
     fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
         PlatformTables {
             series: platform.chains().iter().map(WorkerSeries::new).collect(),
+            up_up: (0..platform.num_workers()).map(|_| OnceLock::new()).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
             ncom: master.ncom,
             computation: GroupComputation::new(epsilon),
         }
+    }
+
+    /// `base` extended by worker `q`, whose terms come from `q`'s table
+    /// (tabulated here on first use); `None` if the extended set cannot fail.
+    fn extend(&self, base: &GroupAccumulator, q: usize) -> Option<GroupAccumulator> {
+        let table = self.up_up[q]
+            .get_or_init(|| self.series[q].tabulate(self.computation.epsilon()).into());
+        base.extend(&self.series[q], table)
     }
 
     /// Lock-step computation workload, in slots of simultaneous `UP` time, of
@@ -75,7 +92,8 @@ impl PlatformTables {
     }
 
     /// Compute the group quantities of the (sorted, deduplicated) member set
-    /// `key` from scratch, bypassing any cache.
+    /// `key` by the batch evaluation alone, bypassing every cache and
+    /// table.
     fn compute_group(&self, key: &[usize]) -> GroupQuantities {
         let refs: Vec<&WorkerSeries> = key.iter().map(|&q| &self.series[q]).collect();
         self.computation.compute(&refs)
@@ -201,7 +219,7 @@ struct CacheState {
     /// extension work is exactly what `series_terms` (final groups only)
     /// cannot see.
     accum_built: AtomicU64,
-    /// Total series terms evaluated by group misses — the per-decision series
+    /// Total series terms folded by group misses — the per-decision series
     /// workload, for the benchmark's cost attribution.
     series_terms: AtomicU64,
     group_hits: AtomicU64,
@@ -291,8 +309,8 @@ impl EvalCache {
     /// first member can fail.
     ///
     /// Built by extending the accumulator of `key[..len-1]` by the last
-    /// (largest) member, so the fold order equals a batch evaluation of the
-    /// full slice and the quantities are bit-identical to
+    /// (largest) member's series table, so the fold order equals a batch
+    /// evaluation of the full slice and the quantities are bit-identical to
     /// the tables' direct computation. Racing builds of the same key
     /// therefore insert identical values; the first insert wins.
     fn accumulator_for(&self, key: &[usize]) -> Arc<GroupAccumulator> {
@@ -304,9 +322,9 @@ impl EvalCache {
         } else {
             self.accumulator_for(&key[..key.len() - 1])
         };
-        let last = key[key.len() - 1];
         let extended = Arc::new(
-            base.extend(&self.tables.series[last])
+            self.tables
+                .extend(&base, key[key.len() - 1])
                 .expect("every prefix of a chain rooted at a can-fail worker can fail"),
         );
         self.state.accum_built.fetch_add(1, Ordering::Relaxed);
@@ -432,9 +450,10 @@ impl EvalCache {
         }
     }
 
-    /// Total series terms evaluated by group misses since creation (or the
-    /// last [`EvalCache::clear`]) — the series workload behind the misses,
-    /// used by the benchmark to attribute decision cost.
+    /// Total series terms folded by group misses since creation (or the last
+    /// [`EvalCache::clear`]) — the series workload behind the misses, used by
+    /// the benchmark to attribute decision cost. It does not count the
+    /// evaluations that fill the per-worker series tables.
     pub fn series_terms(&self) -> u64 {
         self.state.series_terms.load(Ordering::Relaxed)
     }
@@ -499,15 +518,21 @@ impl MemoReader<'_> {
         self.guard = None;
         let (tables, state) = (&self.cache.tables, &self.cache.state);
         state.group_misses.fetch_add(1, Ordering::Relaxed);
-        // Multi-worker sets whose smallest member can fail (hence every sorted
-        // prefix can fail) are built by extending the memoized accumulator of
-        // the longest proper prefix — bit-identical to the batch series, at
-        // O(terms) per probe instead of O(terms × |S|). Everything else takes
-        // the batch path (singletons, and sets needing the recurrence).
-        let g = if key.len() >= 2 && tables.series[key[0]].can_fail() {
-            self.cache.accumulator_for(key).quantities()
-        } else {
-            tables.compute_group(key)
+        // A set whose smallest member can fail (hence every sorted prefix can
+        // fail) is folded from the members' tables, bit-identical to the
+        // batch series: a singleton folds its own table, a larger set extends
+        // the memoized accumulator of its longest proper prefix, at O(terms)
+        // multiplications per probe. The empty set and a set whose smallest
+        // member cannot fail (no generated regime has such a worker) take the
+        // batch path: the series evaluated term by term, or the recurrence if
+        // no member fails.
+        let g = match key {
+            [q] if tables.series[*q].can_fail() => {
+                let empty = GroupAccumulator::empty(tables.computation.epsilon());
+                tables.extend(&empty, *q).expect("the worker can fail").quantities()
+            }
+            [q, ..] if tables.series[*q].can_fail() => self.cache.accumulator_for(key).quantities(),
+            _ => tables.compute_group(key),
         };
         state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
         state.memo.write().expect("eval cache poisoned").group.insert(key.to_vec(), g);
@@ -537,6 +562,7 @@ impl Drop for MemoReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::group::series_len;
     use dg_availability::rng::rng_from_seed;
     use dg_platform::{Scenario, ScenarioParams, WorkerSpec};
 
@@ -762,6 +788,28 @@ mod tests {
         assert!(cache.cached_accumulators() > 0);
         cache.clear();
         assert_eq!(cache.cached_accumulators(), 0);
+    }
+
+    #[test]
+    fn series_tables_are_built_only_for_the_workers_misses_need() {
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let built = || -> Vec<usize> {
+            (0..s.platform.num_workers())
+                .filter(|&q| cache.tables.up_up[q].get().is_some())
+                .collect()
+        };
+        assert!(built().is_empty(), "no table is built eagerly");
+        cache.group(&[2, 5]); // a chain miss: worker 2's table, then 5's
+        cache.group(&[7]); // a singleton miss folds its own table
+        assert_eq!(built(), [2, 5, 7]);
+        cache.estimate(&[2, 5], &[0, 0], 4); // hits read no table
+        assert_eq!(built(), [2, 5, 7]);
+        for q in built() {
+            let series = &cache.tables.series[q];
+            let table = cache.tables.up_up[q].get().expect("built");
+            assert_eq!(table.len() as u64, series_len(crate::DEFAULT_EPSILON, series.lambda1()));
+        }
     }
 
     #[test]

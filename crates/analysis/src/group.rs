@@ -26,6 +26,15 @@
 //! All series are truncated once their geometric tail bound drops below the
 //! requested precision `ε`, which yields the fully-polynomial approximation of
 //! Theorem 5.1.
+//!
+//! Each factor `P^(q)_{u →t→ u}` depends only on the worker and on `t`. The
+//! incremental path ([`GroupAccumulator`], what the evaluation cache runs)
+//! reads it from the worker's table ([`WorkerSeries::tabulate`]), which
+//! reaches the truncation point of every set containing that worker: a set's
+//! `Λ` never exceeds a member's `λ₁` and [`series_len`] is monotone in `Λ`.
+//! The batch path ([`GroupComputation::compute`]) evaluates every factor
+//! term by term; it is the reference the incremental path matches bit for
+//! bit.
 
 use crate::series::WorkerSeries;
 use serde::{Deserialize, Serialize};
@@ -276,17 +285,19 @@ fn fold_series(terms: impl IntoIterator<Item = f64>, t_final: u64) -> GroupQuant
 /// products `P^(S)_{u →t→ u}` and the running `Λ = Π λ₁`, alongside the set's
 /// [`GroupQuantities`].
 ///
-/// Extending a set by one worker re-runs the truncation loop over the stored
-/// products, so it costs O(terms) instead of the O(terms × |S|) of a batch
-/// [`GroupComputation::compute`]. The stored products are the exact left-fold
-/// prefixes of the batch product, so an accumulator built by extending workers
-/// in slice order yields quantities **bit-identical** to the batch evaluation
-/// of that slice — the `EvalCache` keys prefix accumulators on this guarantee
-/// without perturbing any cached value.
+/// Extending a set by one worker multiplies the stored products by that
+/// worker's tabulated series ([`WorkerSeries::tabulate`]), so it costs
+/// O(terms) multiplications instead of the O(terms × |S|) series evaluations
+/// of a batch [`GroupComputation::compute`]. The table holds the very values
+/// [`WorkerSeries::up_to_up`] returns and the stored products are the exact
+/// left-fold prefixes of the batch product, so an accumulator built by
+/// extending workers in slice order yields quantities **bit-identical** to
+/// the batch evaluation of that slice — the `EvalCache` keys prefix
+/// accumulators on this guarantee without perturbing any cached value.
 ///
 /// Because `Λ` only shrinks under extension (every `λ₁ ≤ 1`) and the tail
 /// bounds grow with `Λ`, an extended series never needs more terms than its
-/// base stored: the base's `joint` array always suffices.
+/// base stored, nor more than the new worker's table holds.
 ///
 /// Only sets that can fail have a truncated series: [`GroupAccumulator::extend`]
 /// returns `None` when the extended set cannot fail (callers fall back to the
@@ -348,7 +359,16 @@ impl GroupAccumulator {
     /// Extend the accumulated set by one worker in O(stored terms), or `None`
     /// if the extended set cannot fail (its quantities come from the
     /// first-return recurrence, which this accumulator does not model).
-    pub fn extend(&self, worker: &WorkerSeries) -> Option<GroupAccumulator> {
+    ///
+    /// `table` is `worker`'s [`WorkerSeries::tabulate`] at this accumulator's
+    /// `ε`: the terms are read from it, never evaluated, and the empty
+    /// accumulator extended by one worker folds that worker's table. A
+    /// `None` extension reads nothing, so it may be given an empty table.
+    ///
+    /// # Panics
+    /// Panics if `table` is shorter than the extended series, which a table
+    /// built at this accumulator's `ε` never is.
+    pub fn extend(&self, worker: &WorkerSeries, table: &[f64]) -> Option<GroupAccumulator> {
         if !(self.quantities.can_fail || worker.can_fail()) {
             return None;
         }
@@ -364,15 +384,15 @@ impl GroupAccumulator {
             );
             t_final = t_final.min(self.joint.len() as u64);
         }
+        let terms = &table[..t_final as usize];
         // The stored prefix product is the exact left fold of the base slice;
         // multiplying the new worker last reproduces the batch fold
-        // `(..((1·u₁)·u₂)..)·u_k` bitwise.
-        let joint: Vec<f64> = (1..=t_final)
-            .map(|t| {
-                let prefix = if self.is_empty() { 1.0 } else { self.joint[(t - 1) as usize] };
-                prefix * worker.up_to_up(t)
-            })
-            .collect();
+        // `(..((1·u₁)·u₂)..)·u_k` bitwise (`1·u₁ = u₁` exactly).
+        let joint: Vec<f64> = if self.is_empty() {
+            terms.to_vec()
+        } else {
+            self.joint.iter().zip(terms).map(|(prefix, u)| prefix * u).collect()
+        };
         let quantities = fold_series(joint.iter().copied(), t_final);
         Some(GroupAccumulator {
             joint,
@@ -550,7 +570,8 @@ mod tests {
         assert!(acc.is_empty());
         assert_eq!(acc.quantities(), GroupQuantities::empty());
         for k in 1..=workers.len() {
-            acc = acc.extend(&workers[k - 1]).expect("all workers can fail");
+            let table = workers[k - 1].tabulate(comp.epsilon());
+            acc = acc.extend(&workers[k - 1], &table).expect("all workers can fail");
             let refs: Vec<&WorkerSeries> = workers[..k].iter().collect();
             let batch = comp.compute(&refs);
             // Same fold order, same truncation loop: exact equality, not just
@@ -565,7 +586,7 @@ mod tests {
     fn accumulator_rejects_sets_that_cannot_fail() {
         let always_up = WorkerSeries::new(&MarkovChain3::always_up());
         let empty = GroupAccumulator::empty(1e-7);
-        assert!(empty.extend(&always_up).is_none());
+        assert!(empty.extend(&always_up, &[]).is_none());
 
         // Reclaim-only workers use the recurrence, not the series.
         let chain = MarkovChain3::new(dg_availability::Matrix3::new([
@@ -575,12 +596,14 @@ mod tests {
         ]))
         .unwrap();
         let reclaim_only = WorkerSeries::new(&chain);
-        assert!(empty.extend(&reclaim_only).is_none());
+        assert!(empty.extend(&reclaim_only, &[]).is_none());
 
         // But a can-fail base absorbs no-fail extensions fine.
         let failing = series(0.95, 0.92, 0.9);
-        let base = empty.extend(&failing).unwrap();
-        let mixed = base.extend(&reclaim_only).expect("the union can still fail");
+        let base = empty.extend(&failing, &failing.tabulate(1e-7)).unwrap();
+        let mixed = base
+            .extend(&reclaim_only, &reclaim_only.tabulate(1e-7))
+            .expect("the union can still fail");
         let batch = GroupComputation::default().compute(&[&failing, &reclaim_only]);
         assert_eq!(mixed.quantities(), batch);
     }

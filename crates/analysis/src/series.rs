@@ -3,9 +3,11 @@
 //! For each worker the quantity of interest is the probability of being `UP`
 //! at time `t` without having been `DOWN` in between, starting `UP` at time 0.
 //! It is `(M_q^t)[0][0]` for the `{UP, RECLAIMED}` sub-matrix `M_q`, and has
-//! the closed form `µ·λ₁ᵗ + ν·λ₂ᵗ`. This module wraps both evaluations and the
-//! per-worker data needed for series truncation.
+//! the closed form `µ·λ₁ᵗ + ν·λ₂ᵗ`. This module wraps both evaluations, the
+//! per-worker data needed for series truncation, and the tabulation of the
+//! series up to the longest truncation any set containing the worker needs.
 
+use crate::group::series_len;
 use dg_availability::markov::UpUpSeries;
 use dg_availability::MarkovChain3;
 use serde::{Deserialize, Serialize};
@@ -55,6 +57,19 @@ impl WorkerSeries {
         }
     }
 
+    /// `P^(q)_{u →t→ u}` for `t = 1 ..= series_len(ε, λ₁)` at precision
+    /// `epsilon`; entry `t − 1` is the value [`WorkerSeries::up_to_up`]
+    /// returns for `t`.
+    ///
+    /// Every set containing this worker has a joint `Λ = Π λ₁ ≤ λ₁` (each
+    /// factor is at most 1, and so is every rounded product), and
+    /// [`series_len`] is monotone in `Λ`, so the table covers every term the
+    /// truncated series of such a set evaluates. A worker that cannot fail
+    /// (`λ₁ = 1`) tabulates the whole [`crate::group::MAX_SERIES_TERMS`] cap.
+    pub fn tabulate(&self, epsilon: f64) -> Vec<f64> {
+        (1..=series_len(epsilon, self.lambda1)).map(|t| self.up_to_up(t)).collect()
+    }
+
     /// `P^(q)_{ND}(t)`: probability of not going `DOWN` within `t` slots,
     /// starting `UP`.
     #[inline]
@@ -76,6 +91,18 @@ mod tests {
             let a = s.up_to_up(t);
             let b = chain.up_to_up_avoiding_down(t);
             assert!((a - b).abs() < 1e-9, "t={t}");
+        }
+    }
+
+    #[test]
+    fn table_holds_the_series_values_up_to_the_workers_own_truncation() {
+        let s = WorkerSeries::new(&MarkovChain3::from_self_loop_probs(0.97, 0.95, 0.96).unwrap());
+        for epsilon in [1e-3, 1e-7, 1e-12] {
+            let table = s.tabulate(epsilon);
+            assert_eq!(table.len() as u64, series_len(epsilon, s.lambda1()));
+            for (i, &v) in table.iter().enumerate() {
+                assert_eq!(v.to_bits(), s.up_to_up(i as u64 + 1).to_bits(), "t = {}", i + 1);
+            }
         }
     }
 

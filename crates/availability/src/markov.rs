@@ -82,9 +82,14 @@ pub struct UpUpSeries {
 
 impl UpUpSeries {
     /// Evaluate `P_{u →t→ u}` at time `t` using the closed form.
+    ///
+    /// The exponent saturates at `i32::MAX` instead of wrapping negative
+    /// (which turned a vanished probability into 1 at `t = 2³¹`), so past
+    /// `2³¹` slots the powers are those of `t = i32::MAX`.
     #[inline]
     pub fn eval(&self, t: u64) -> f64 {
-        let v = self.mu * self.lambda1.powi(t as i32) + self.nu * self.lambda2.powi(t as i32);
+        let t = t.min(i32::MAX as u64) as i32;
+        let v = self.mu * self.lambda1.powi(t) + self.nu * self.lambda2.powi(t);
         v.clamp(0.0, 1.0)
     }
 }
@@ -338,6 +343,19 @@ mod tests {
 
     fn approx(a: f64, b: f64, tol: f64) -> bool {
         (a - b).abs() < tol
+    }
+
+    #[test]
+    fn closed_form_exponent_saturates_past_i32() {
+        // `t as i32` used to wrap: t = 2³¹ became a negative power and 2³²
+        // the zeroth, so a probability that had long vanished read as 1.
+        let s =
+            MarkovChain3::from_self_loop_probs(0.95, 0.92, 0.9).unwrap().up_up_series().unwrap();
+        let last = (1u64 << 31) - 1;
+        assert_eq!(s.eval(last), 0.0);
+        for t in [1u64 << 31, (1 << 31) + 1, 1 << 32, u64::MAX] {
+            assert_eq!(s.eval(t), s.eval(last), "t = {t}");
+        }
     }
 
     #[test]

@@ -481,10 +481,38 @@ mod tests {
             ("--ncom", ","),
             ("--wmin", "1500000000000000000"),
             ("--wmin", "18446744073709551615"),
+            ("--workers", "5000000000"),
         ] {
             let opts = CliOptions::parse([flag, value]).unwrap();
             assert!(opts.campaign().is_err(), "{flag} {value} must be refused");
         }
+    }
+
+    #[test]
+    fn workers_ceiling_holds_for_overrides_and_suite_files() {
+        let ceiling = crate::suite::MAX_WORKERS;
+        assert_eq!(SuiteSpec::colossal().workers, ceiling, "the ceiling is the colossal size");
+        let refused = |workers: &str| {
+            format!("workers {workers} is too large: a suite accepts workers up to {ceiling}")
+        };
+        let at = CliOptions::parse(["--workers", "1000000"]).unwrap();
+        assert_eq!(at.suite().unwrap().workers, ceiling);
+        let above = CliOptions::parse(["--workers", "1000001"]).unwrap();
+        assert_eq!(above.suite().unwrap_err(), refused("1000001"));
+
+        let dir = std::env::temp_dir().join(format!("dg-cli-workers-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let from_file = |workers: &str| {
+            let path = dir.join(format!("w{workers}.suite"));
+            std::fs::write(&path, format!("suite wide\nworkers {workers}\n")).unwrap();
+            CliOptions::parse(["--suite", path.to_str().unwrap()]).unwrap().suite()
+        };
+        assert_eq!(from_file("1000000").unwrap().workers, ceiling);
+        for workers in ["1000001", "4000000000000"] {
+            let err = from_file(workers).unwrap_err();
+            assert!(err.ends_with(&refused(workers)), "{err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

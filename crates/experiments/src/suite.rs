@@ -41,6 +41,12 @@ use serde::{Deserialize, Serialize};
 pub const PRESET_NAMES: [&str; 6] =
     ["paper", "volatile", "largegrid", "commbound", "massive", "colossal"];
 
+/// The largest platform a suite may ask for: the `colossal` preset's 10⁶
+/// workers. Several structures are sized by `workers` (the generated
+/// platform, the per-worker availability and evaluation tables), so a size
+/// past this is refused instead of failing an allocation.
+pub const MAX_WORKERS: usize = 1_000_000;
+
 /// A named scenario suite: factorial axes plus a generator model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuiteSpec {
@@ -235,6 +241,12 @@ impl SuiteSpec {
         }
         if self.workers == 0 || self.iterations == 0 {
             return Err("workers and iterations must be positive".to_string());
+        }
+        if self.workers > MAX_WORKERS {
+            return Err(format!(
+                "workers {} is too large: a suite accepts workers up to {MAX_WORKERS}",
+                self.workers
+            ));
         }
         if self.m_values.is_empty() || self.ncom_values.is_empty() || self.wmin_values.is_empty() {
             return Err("m, ncom and wmin sweeps must be non-empty".to_string());

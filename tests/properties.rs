@@ -439,14 +439,14 @@ proptest! {
     }
 
     /// The prefix-accumulator of the scaling layer: folding workers in one at
-    /// a time agrees with the batch left-fold of `GroupComputation` to within
-    /// `1e-12` relative error, on chains drawn from every availability regime.
+    /// a time, each read from its tabulated series, agrees bit for bit with
+    /// the batch left-fold of `GroupComputation`, on chains drawn from every
+    /// availability regime.
     #[test]
     fn accumulator_extend_chain_matches_batch(
         regime in availability_regime(),
         seed in 0u64..10_000,
         count in 2usize..7,
-        w in 1u64..40,
     ) {
         use desktop_grid_scheduling::analysis::GroupAccumulator;
         use desktop_grid_scheduling::availability::rng::rng_from_seed;
@@ -458,27 +458,71 @@ proptest! {
         let refs: Vec<&WorkerSeries> = series.iter().collect();
         let batch = GroupComputation::new(1e-7).compute(&refs);
 
-        let close = |x: f64, y: f64| (x - y).abs() <= 1e-12 * x.abs().max(y.abs()).max(1.0);
-        let check = |label: &str, got: desktop_grid_scheduling::analysis::GroupQuantities| {
-            prop_assert!(close(got.eu, batch.eu), "{label}: Eu {} vs {}", got.eu, batch.eu);
-            prop_assert!(close(got.a, batch.a), "{label}: A {} vs {}", got.a, batch.a);
-            prop_assert!(
-                close(got.p_plus, batch.p_plus),
-                "{label}: P+ {} vs {}", got.p_plus, batch.p_plus
-            );
-            prop_assert!(close(got.e_c, batch.e_c), "{label}: Ec {} vs {}", got.e_c, batch.e_c);
-            prop_assert!(
-                close(got.prob_success(w), batch.prob_success(w)),
-                "{label}: P(success, {w}) diverged"
-            );
-        };
-
         // One-at-a-time chain, in the cache's sorted-prefix order.
         let mut acc = GroupAccumulator::empty(1e-7);
         for s in &series {
-            acc = acc.extend(s).expect("regime-sampled chains can fail");
+            acc = acc.extend(s, &s.tabulate(1e-7)).expect("regime-sampled chains can fail");
         }
-        check("extend chain", acc.quantities());
+        prop_assert_eq!(acc.quantities(), batch);
+    }
+
+    /// Every group the evaluation cache serves equals the batch evaluation of
+    /// the sorted member set bit for bit, on every availability regime: on a
+    /// cold cache, on one cache whose tables and extension chains were built
+    /// by the probes before it (in a random order, so a set may reuse or
+    /// extend any earlier set's prefix), and again on that warm cache, which
+    /// then computes nothing.
+    #[test]
+    fn eval_cache_groups_match_the_batch_series_bit_for_bit(
+        regime in availability_regime(),
+        seed in 0u64..10_000,
+        workers in 2usize..10,
+        probes in proptest::collection::vec(
+            proptest::collection::vec(0usize..10, 0..7), 1..16),
+    ) {
+        use desktop_grid_scheduling::analysis::GroupQuantities;
+        use desktop_grid_scheduling::availability::rng::rng_from_seed;
+
+        let mut rng = rng_from_seed(seed);
+        let chains: Vec<MarkovChain3> =
+            (0..workers).map(|_| regime.sample_chain(&mut rng)).collect();
+        let platform = Platform::new(vec![WorkerSpec::new(1); workers], chains);
+        let master = MasterSpec::from_slots(4, 2, 1);
+        let series: Vec<WorkerSeries> = platform.chains().iter().map(WorkerSeries::new).collect();
+        // Probes name workers in any order and may repeat one; the cache
+        // normalizes them to the sorted set the batch evaluation folds.
+        let probes: Vec<Vec<usize>> =
+            probes.iter().map(|probe| probe.iter().map(|&q| q % workers).collect()).collect();
+        let sets: Vec<Vec<usize>> = probes
+            .iter()
+            .map(|probe| {
+                let mut set = probe.clone();
+                set.sort_unstable();
+                set.dedup();
+                set
+            })
+            .collect();
+        let batch = |set: &[usize]| {
+            let refs: Vec<&WorkerSeries> = set.iter().map(|&q| &series[q]).collect();
+            GroupComputation::new(1e-7).compute(&refs)
+        };
+        let bits = |g: GroupQuantities| {
+            let values = (g.eu.to_bits(), g.a.to_bits(), g.p_plus.to_bits(), g.e_c.to_bits());
+            (values, g.can_fail, g.terms_evaluated)
+        };
+
+        let shared = EvalCache::new(&platform, &master, 1e-7);
+        for (probe, set) in probes.iter().zip(&sets) {
+            let expected = bits(batch(set));
+            let cold = EvalCache::new(&platform, &master, 1e-7);
+            prop_assert_eq!(bits(cold.group(probe)), expected, "cold {:?}", probe);
+            prop_assert_eq!(bits(shared.group(probe)), expected, "chained {:?}", probe);
+        }
+        let misses = shared.stats().group_misses;
+        for (probe, set) in probes.iter().zip(&sets) {
+            prop_assert_eq!(bits(shared.group(probe)), bits(batch(set)), "warm {:?}", probe);
+        }
+        prop_assert_eq!(shared.stats().group_misses, misses);
     }
 
     /// The indexed candidate scan builds the exact assignment of the
