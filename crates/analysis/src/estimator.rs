@@ -50,8 +50,10 @@ const ACCUMULATOR_TERM_BUDGET: u64 = 4_000_000;
 #[derive(Debug)]
 struct PlatformTables {
     series: Vec<WorkerSeries>,
-    /// `up_up[q]` is worker `q`'s [`WorkerSeries::tabulate`] at this `ε`,
-    /// built the first time a miss needs it.
+    /// The largest `λ₁` among the workers that can fail (0 when none can).
+    fail_lambda: f64,
+    /// `up_up[q]` is worker `q`'s [`WorkerSeries::tabulate`] at this `ε`
+    /// and `fail_lambda`, built the first time a miss needs it.
     up_up: Vec<OnceLock<Box<[f64]>>>,
     speeds: Vec<u64>,
     ncom: usize,
@@ -62,8 +64,12 @@ impl PlatformTables {
     /// Build the tables for `platform` and `master`, with series precision
     /// `epsilon`.
     fn new(platform: &Platform, master: &MasterSpec, epsilon: f64) -> Self {
+        let series: Vec<WorkerSeries> = platform.chains().iter().map(WorkerSeries::new).collect();
+        let fail_lambda =
+            series.iter().filter(|s| s.can_fail()).map(WorkerSeries::lambda1).fold(0.0, f64::max);
         PlatformTables {
-            series: platform.chains().iter().map(WorkerSeries::new).collect(),
+            series,
+            fail_lambda,
             up_up: (0..platform.num_workers()).map(|_| OnceLock::new()).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
             ncom: master.ncom,
@@ -74,8 +80,9 @@ impl PlatformTables {
     /// `base` extended by worker `q`, whose terms come from `q`'s table
     /// (tabulated here on first use); `None` if the extended set cannot fail.
     fn extend(&self, base: &GroupAccumulator, q: usize) -> Option<GroupAccumulator> {
-        let table = self.up_up[q]
-            .get_or_init(|| self.series[q].tabulate(self.computation.epsilon()).into());
+        let table = self.up_up[q].get_or_init(|| {
+            self.series[q].tabulate(self.computation.epsilon(), self.fail_lambda).into()
+        });
         base.extend(&self.series[q], table)
     }
 
@@ -564,6 +571,7 @@ mod tests {
     use super::*;
     use crate::group::series_len;
     use dg_availability::rng::rng_from_seed;
+    use dg_availability::MarkovChain3;
     use dg_platform::{Scenario, ScenarioParams, WorkerSpec};
 
     fn paper_scenario() -> Scenario {
@@ -810,6 +818,36 @@ mod tests {
             let table = cache.tables.up_up[q].get().expect("built");
             assert_eq!(table.len() as u64, series_len(crate::DEFAULT_EPSILON, series.lambda1()));
         }
+    }
+
+    #[test]
+    fn a_worker_that_cannot_fail_tabulates_only_what_failing_sets_need() {
+        // Worker 0 can fail; worker 1 is only ever reclaimed (λ₁ = 1).
+        let reclaim_only = MarkovChain3::new(dg_availability::Matrix3::new([
+            [0.9, 0.1, 0.0],
+            [0.3, 0.7, 0.0],
+            [0.0, 0.0, 1.0],
+        ]))
+        .unwrap();
+        let failing = MarkovChain3::from_self_loop_probs(0.95, 0.92, 0.9).unwrap();
+        let platform = Platform::new(
+            vec![WorkerSpec::new(1), WorkerSpec::new(2)],
+            vec![failing, reclaim_only],
+        );
+        let cache = EvalCache::with_default_epsilon(&platform, &MasterSpec::from_slots(2, 1, 1));
+        assert!(!cache.tables.series[1].can_fail());
+        let pair = cache.group(&[0, 1]);
+        assert_eq!(
+            pair,
+            cache.tables.compute_group(&[0, 1]),
+            "the pair's group is the batch series"
+        );
+        let len = |q: usize| cache.tables.up_up[q].get().expect("built").len();
+        assert_eq!(
+            len(0) as u64,
+            series_len(crate::DEFAULT_EPSILON, cache.tables.series[0].lambda1())
+        );
+        assert_eq!(len(1), len(0), "bounded by the failing worker's length");
     }
 
     #[test]

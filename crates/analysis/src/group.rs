@@ -30,8 +30,9 @@
 //! Each factor `P^(q)_{u →t→ u}` depends only on the worker and on `t`. The
 //! incremental path ([`GroupAccumulator`], what the evaluation cache runs)
 //! reads it from the worker's table ([`WorkerSeries::tabulate`]), which
-//! reaches the truncation point of every set containing that worker: a set's
-//! `Λ` never exceeds a member's `λ₁` and [`series_len`] is monotone in `Λ`.
+//! reaches the truncation point of every failing set containing that worker:
+//! a set's `Λ` never exceeds a member's `λ₁` and [`series_len`] is monotone
+//! in `Λ`.
 //! The batch path ([`GroupComputation::compute`]) evaluates every factor
 //! term by term; it is the reference the incremental path matches bit for
 //! bit.
@@ -570,7 +571,7 @@ mod tests {
         assert!(acc.is_empty());
         assert_eq!(acc.quantities(), GroupQuantities::empty());
         for k in 1..=workers.len() {
-            let table = workers[k - 1].tabulate(comp.epsilon());
+            let table = workers[k - 1].tabulate(comp.epsilon(), 1.0);
             acc = acc.extend(&workers[k - 1], &table).expect("all workers can fail");
             let refs: Vec<&WorkerSeries> = workers[..k].iter().collect();
             let batch = comp.compute(&refs);
@@ -600,9 +601,9 @@ mod tests {
 
         // But a can-fail base absorbs no-fail extensions fine.
         let failing = series(0.95, 0.92, 0.9);
-        let base = empty.extend(&failing, &failing.tabulate(1e-7)).unwrap();
+        let base = empty.extend(&failing, &failing.tabulate(1e-7, 1.0)).unwrap();
         let mixed = base
-            .extend(&reclaim_only, &reclaim_only.tabulate(1e-7))
+            .extend(&reclaim_only, &reclaim_only.tabulate(1e-7, failing.lambda1()))
             .expect("the union can still fail");
         let batch = GroupComputation::default().compute(&[&failing, &reclaim_only]);
         assert_eq!(mixed.quantities(), batch);

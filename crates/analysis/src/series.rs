@@ -57,17 +57,21 @@ impl WorkerSeries {
         }
     }
 
-    /// `P^(q)_{u →t→ u}` for `t = 1 ..= series_len(ε, λ₁)` at precision
-    /// `epsilon`; entry `t − 1` is the value [`WorkerSeries::up_to_up`]
-    /// returns for `t`.
+    /// `P^(q)_{u →t→ u}` for `t = 1 ..= series_len(ε, min(λ₁, fail_lambda))`
+    /// at precision `epsilon`, where `fail_lambda` is the largest `λ₁` among
+    /// the platform's workers that can fail; entry `t − 1` is the value
+    /// [`WorkerSeries::up_to_up`] returns for `t`.
     ///
-    /// Every set containing this worker has a joint `Λ = Π λ₁ ≤ λ₁` (each
-    /// factor is at most 1, and so is every rounded product), and
-    /// [`series_len`] is monotone in `Λ`, so the table covers every term the
-    /// truncated series of such a set evaluates. A worker that cannot fail
-    /// (`λ₁ = 1`) tabulates the whole [`crate::group::MAX_SERIES_TERMS`] cap.
-    pub fn tabulate(&self, epsilon: f64) -> Vec<f64> {
-        (1..=series_len(epsilon, self.lambda1)).map(|t| self.up_to_up(t)).collect()
+    /// A truncated series only exists for a set that can fail, so for a set
+    /// holding one of those workers and this one. Its joint `Λ = Π λ₁` is at
+    /// most each factor's `λ₁` (each is at most 1, and so is every rounded
+    /// product), and [`series_len`] is monotone in `Λ`, so the table covers
+    /// every term such a series evaluates. The bound only binds for a worker
+    /// that cannot fail (`λ₁ = 1`), which would otherwise tabulate the whole
+    /// [`crate::group::MAX_SERIES_TERMS`] cap.
+    pub fn tabulate(&self, epsilon: f64, fail_lambda: f64) -> Vec<f64> {
+        let len = series_len(epsilon, self.lambda1.min(fail_lambda));
+        (1..=len).map(|t| self.up_to_up(t)).collect()
     }
 
     /// `P^(q)_{ND}(t)`: probability of not going `DOWN` within `t` slots,
@@ -98,7 +102,7 @@ mod tests {
     fn table_holds_the_series_values_up_to_the_workers_own_truncation() {
         let s = WorkerSeries::new(&MarkovChain3::from_self_loop_probs(0.97, 0.95, 0.96).unwrap());
         for epsilon in [1e-3, 1e-7, 1e-12] {
-            let table = s.tabulate(epsilon);
+            let table = s.tabulate(epsilon, 1.0);
             assert_eq!(table.len() as u64, series_len(epsilon, s.lambda1()));
             for (i, &v) in table.iter().enumerate() {
                 assert_eq!(v.to_bits(), s.up_to_up(i as u64 + 1).to_bits(), "t = {}", i + 1);

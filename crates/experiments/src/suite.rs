@@ -47,6 +47,13 @@ pub const PRESET_NAMES: [&str; 6] =
 /// past this is refused instead of failing an allocation.
 pub const MAX_WORKERS: usize = 1_000_000;
 
+/// The most tasks per iteration (`m`) a suite may ask for, 200 times the
+/// largest preset `m` (`massive`'s 50). A run's decisions grow with `m`
+/// (each builds its candidate in `m` greedy rounds, and a proactive
+/// scheduler logs one winner per round), so a larger `m` is refused instead
+/// of running without bound.
+pub const MAX_TASKS: usize = 10_000;
+
 /// A named scenario suite: factorial axes plus a generator model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SuiteSpec {
@@ -231,7 +238,7 @@ impl SuiteSpec {
     }
 
     /// Check structural validity (positive axes, sane model parameters, no
-    /// `wmin` above the suite's ceiling).
+    /// `workers`, `m` or `wmin` above its ceiling).
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() || !self.name.chars().all(|c| c.is_alphanumeric() || c == '-') {
             return Err(format!(
@@ -253,6 +260,9 @@ impl SuiteSpec {
         }
         if self.m_values.contains(&0) || self.ncom_values.contains(&0) {
             return Err("m and ncom values must be positive".to_string());
+        }
+        if let Some(&m) = self.m_values.iter().find(|&&m| m > MAX_TASKS) {
+            return Err(format!("m {m} is too large: a suite accepts m up to {MAX_TASKS}"));
         }
         if self.wmin_values.contains(&0) {
             return Err("wmin values must be positive".to_string());
@@ -691,6 +701,21 @@ mod tests {
             SuiteSpec::parse("suite wide\nm 5\nwmin 1\nspeeds uniform(18446744073709551615)\n")
                 .unwrap_err();
         assert!(err.contains("accepts wmin up to 0,"), "{err}");
+    }
+
+    #[test]
+    fn m_ceiling_holds_for_suite_files() {
+        let dir = std::env::temp_dir().join(format!("dg-suite-m-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let from_file = |m: &str| {
+            let path = dir.join(format!("m{m}.suite"));
+            std::fs::write(&path, format!("suite wide\nworkers 10\nm {m}\n")).unwrap();
+            SuiteSpec::resolve(path.to_str().unwrap())
+        };
+        assert_eq!(from_file("10000").unwrap().m_values, vec![MAX_TASKS]);
+        let err = from_file("5,10001").unwrap_err();
+        assert!(err.ends_with("m 10001 is too large: a suite accepts m up to 10000"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -96,9 +96,32 @@ pub fn build_incremental(
     }
 }
 
+/// The first strict maximizer of a sequence of `(worker, score)` offers: the
+/// winner of one greedy round.
+#[derive(Debug, Clone, Copy, Default)]
+struct RoundBest {
+    /// The winning offer, `None` when nothing was offered. An offer replaces
+    /// the winner only if it scores strictly higher (`score > best`), so a
+    /// tie keeps the earlier offer, a NaN offered first wins and a NaN
+    /// offered later never does.
+    winner: Option<(usize, f64)>,
+    /// Whether any offer scored NaN.
+    saw_nan: bool,
+}
+
+impl RoundBest {
+    fn offer(&mut self, q: usize, score: f64) {
+        self.saw_nan |= score.is_nan();
+        if self.winner.is_none_or(|(_, best)| score > best) {
+            self.winner = Some((q, score));
+        }
+    }
+}
+
 /// One greedy round: probe every worker of `probe` against the partial
 /// `candidate` and return the winning `(worker, score)` under the serial
-/// first-maximizer rule, or `None` if no probed worker can take another task.
+/// first-maximizer rule, or no winner if no probed worker can take another
+/// task.
 ///
 /// The serial reference walks `probe` in order and keeps the first strict
 /// maximizer (`score > best_score`). The parallel path splits `probe` into
@@ -116,54 +139,40 @@ fn scan_round(
     candidate: &mut CandidateConfig,
     probe: &[usize],
     elapsed: u64,
-) -> Option<(usize, f64)> {
+) -> RoundBest {
     let threads = context.cache().decision_threads().min(probe.len());
     if threads <= 1 || probe.len() < PARALLEL_SCAN_MIN_PROBES {
-        let mut best: Option<(usize, f64)> = None;
+        let mut best = RoundBest::default();
         for &q in probe {
             if !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
                 continue;
             }
             candidate.add_task(q);
             let estimate = context.evaluate(view, candidate.entries());
-            let score = kind.score(&estimate, elapsed);
             candidate.remove_task(q);
-            let better = match best {
-                None => true,
-                Some((_, best_score)) => score > best_score,
-            };
-            if better {
-                best = Some((q, score));
-            }
+            best.offer(q, kind.score(&estimate, elapsed));
         }
         return best;
     }
 
     let cache = context.cache();
     let chunk = probe.len().div_ceil(threads);
-    let chunk_best: Vec<Option<(usize, f64)>> = std::thread::scope(|scope| {
+    let chunk_best: Vec<RoundBest> = std::thread::scope(|scope| {
         let handles: Vec<_> = probe
             .chunks(chunk)
             .map(|part| {
                 let mut local = candidate.clone();
                 scope.spawn(move || {
                     let mut scratch = EvalScratch::default();
-                    let mut best: Option<(usize, f64)> = None;
+                    let mut best = RoundBest::default();
                     for &q in part {
                         if !view.platform.worker(q).can_hold(local.tasks_of(q) + 1) {
                             continue;
                         }
                         local.add_task(q);
                         let estimate = scratch.evaluate(cache, view, local.entries());
-                        let score = kind.score(&estimate, elapsed);
                         local.remove_task(q);
-                        let better = match best {
-                            None => true,
-                            Some((_, best_score)) => score > best_score,
-                        };
-                        if better {
-                            best = Some((q, score));
-                        }
+                        best.offer(q, kind.score(&estimate, elapsed));
                     }
                     best
                 })
@@ -171,17 +180,24 @@ fn scan_round(
             .collect();
         handles.into_iter().map(|h| h.join().expect("candidate scan panicked")).collect()
     });
-    let mut best: Option<(usize, f64)> = None;
-    for won in chunk_best.into_iter().flatten() {
-        let better = match best {
-            None => true,
-            Some((_, best_score)) => won.1 > best_score,
-        };
-        if better {
-            best = Some(won);
+    let mut best = RoundBest::default();
+    for part in chunk_best {
+        best.saw_nan |= part.saw_nan;
+        if let Some((q, score)) = part.winner {
+            best.offer(q, score);
         }
     }
     best
+}
+
+/// What a greedy build decided, round by round.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GreedyLog {
+    /// Each round's winner and winning score, in round order. Shorter than
+    /// `m` when the build failed at round `won.len()`.
+    pub(crate) won: Vec<(usize, f64)>,
+    /// Whether any probe of the logged rounds scored NaN.
+    pub(crate) saw_nan: bool,
 }
 
 /// The reference scan: every `UP` worker is probed for every task.
@@ -190,19 +206,33 @@ pub fn build_incremental_exhaustive(
     view: &SimView<'_>,
     kind: PassiveKind,
 ) -> Option<Assignment> {
-    let m = view.application.tasks_per_iteration;
+    let empty = CandidateConfig::new(view.platform.num_workers());
+    resume_exhaustive(context, view, kind, empty, &mut GreedyLog::default())
+}
+
+/// The greedy loop of [`build_incremental_exhaustive`], resumed after the
+/// winners already in `log` (which `candidate` holds): every further round
+/// probes every `UP` worker and appends its winner to `log`, until `m` tasks
+/// are placed or a round finds no worker that can take another task
+/// (`None`, the scheduler then waits for more workers to come back `UP`).
+pub(crate) fn resume_exhaustive(
+    context: &mut SchedulingContext,
+    view: &SimView<'_>,
+    kind: PassiveKind,
+    mut candidate: CandidateConfig,
+    log: &mut GreedyLog,
+) -> Option<Assignment> {
     let up: Vec<usize> = view.up_workers();
     if up.is_empty() {
         return None;
     }
     let elapsed = view.elapsed_in_iteration();
-    let mut candidate = CandidateConfig::new(view.platform.num_workers());
-
-    for _ in 0..m {
-        match scan_round(context, view, kind, &mut candidate, &up, elapsed) {
-            Some((q, _)) => candidate.add_task(q),
-            None => return None, // no UP worker can take another task
-        }
+    while log.won.len() < view.application.tasks_per_iteration {
+        let best = scan_round(context, view, kind, &mut candidate, &up, elapsed);
+        log.saw_nan |= best.saw_nan;
+        let (q, score) = best.winner?;
+        candidate.add_task(q);
+        log.won.push((q, score));
     }
     Some(candidate.to_assignment())
 }
@@ -233,10 +263,8 @@ pub fn build_incremental_indexed(
 
     for _ in 0..m {
         index.candidates_into(candidate.occupied(), &mut probe);
-        match scan_round(context, view, kind, &mut candidate, &probe, elapsed) {
-            Some((q, _)) => candidate.add_task(q),
-            None => return None, // no candidate can take another task
-        }
+        let (q, _) = scan_round(context, view, kind, &mut candidate, &probe, elapsed).winner?;
+        candidate.add_task(q);
     }
     Some(candidate.to_assignment())
 }

@@ -1,9 +1,9 @@
 //! Proactive heuristics C-H (Section VI-B).
 //!
-//! A proactive heuristic `C-H` re-runs, at every time-slot, the passive
-//! building block `H` to construct a candidate configuration from scratch,
-//! then compares that candidate against the *remaining work* of the current
-//! configuration according to the criterion `C`:
+//! A proactive heuristic `C-H` takes, at every time-slot, the candidate
+//! configuration the passive building block `H` would construct from
+//! scratch, then compares that candidate against the *remaining work* of the
+//! current configuration according to the criterion `C`:
 //!
 //! * **P** — probability of success,
 //! * **E** — expected completion time,
@@ -16,18 +16,45 @@
 //! configurations — the divergence-avoidance constraint discussed in the paper.
 //! The apparent-yield criterion is excluded, as in the paper, because it leads
 //! to many unnecessary configuration changes.
+//!
+//! The candidate is always equal to the from-scratch build, but it is not
+//! always rebuilt. Outside the IY base, whose scores move with the iteration
+//! clock, the scheduler keeps a round log: the `UP` set and holdings the last
+//! candidate was built on, and each greedy round's winner and winning score.
+//! A later consult re-scores only the workers that changed since then and
+//! redoes the greedy rounds from the first one such a worker wins or had won
+//! (see `ProactiveScheduler::candidate_for`); an unchanged view reuses the
+//! candidate outright.
 
+use crate::candidate::CandidateConfig;
 use crate::context::SchedulingContext;
-use crate::passive::{build_incremental, PassiveKind};
+use crate::index::use_indexed_scan;
+use crate::passive::{build_incremental, resume_exhaustive, GreedyLog, PassiveKind};
 use dg_analysis::IterationEstimate;
-use dg_sim::view::{Decision, Reevaluation, Scheduler, SimView};
+use dg_sim::view::{Decision, Reevaluation, Scheduler, SimView, WorkerView};
 use dg_sim::Assignment;
 use serde::{Deserialize, Serialize};
 
-/// Fingerprint of the scheduler-visible inputs that determine the candidate
-/// configuration built by a (time-independent) passive base: which workers are
-/// `UP` and what each of them already holds.
-type CandidateFingerprint = Vec<(usize, bool, usize, u64)>;
+/// What a worker holds that a candidate's scores read — program, complete
+/// data messages, in-flight transfer progress — or `None` when it is not
+/// `UP` (and so is not a candidate at all).
+type Holdings = Option<(bool, usize, u64)>;
+
+fn holdings(w: &WorkerView) -> Holdings {
+    let d = &w.dynamic;
+    w.state.is_up().then_some((d.has_program, d.data_messages, d.partial_transfer))
+}
+
+/// The candidate of the last consult and how it was built.
+#[derive(Debug)]
+struct RoundLog {
+    /// Every worker's [`Holdings`] in the view the candidate was built on.
+    snapshot: Vec<Holdings>,
+    /// The greedy rounds of that build, or `None` for the indexed scan,
+    /// whose candidate is rebuilt on any change.
+    rounds: Option<GreedyLog>,
+    candidate: Option<Assignment>,
+}
 
 /// The reconfiguration criteria retained by the paper for proactive heuristics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -87,10 +114,12 @@ pub struct ProactiveScheduler {
     base: PassiveKind,
     context: SchedulingContext,
     name: String,
-    /// Memoized candidate for the last observed fingerprint. Only used for
-    /// bases whose incremental construction does not depend on the time
-    /// already spent in the iteration (IP, IE, IAY); IY is always rebuilt.
-    last_candidate: Option<(CandidateFingerprint, Option<Assignment>)>,
+    /// The last candidate and its round log. Only kept for bases whose
+    /// scores do not depend on the time already spent in the iteration (IP,
+    /// IE, IAY); IY is always rebuilt.
+    log: Option<RoundLog>,
+    /// Scratch: the workers that changed since the log's snapshot.
+    changed: Vec<usize>,
 }
 
 impl ProactiveScheduler {
@@ -105,38 +134,111 @@ impl ProactiveScheduler {
         context: SchedulingContext,
     ) -> Self {
         let name = format!("{}-{}", criterion.paper_letter(), base.paper_name());
-        ProactiveScheduler { criterion, base, context, name, last_candidate: None }
+        ProactiveScheduler { criterion, base, context, name, log: None, changed: Vec::new() }
     }
 
-    /// Build (or reuse) the candidate configuration for the current view.
+    /// The candidate configuration for the current view: always equal to
+    /// the passive base's from-scratch build, and repaired from the round
+    /// log where that is cheaper.
     ///
-    /// The result of the incremental construction is fully determined by the
-    /// set of `UP` workers and by what each of them already holds, except for
-    /// the IY base whose scores depend on the time spent in the iteration;
-    /// for the other bases the candidate is memoized on that fingerprint so
-    /// that long stretches of unchanged platform state (e.g. the computation
-    /// phase) do not pay the full construction cost every slot.
+    /// Outside IY, a round's scores depend only on the partial candidate (its
+    /// members and their holdings), on the probed worker's holdings and on
+    /// platform constants, and each round's winner is the first strict
+    /// maximizer in ascending worker order. So against the log's snapshot,
+    /// with *changed* meaning a worker that joined or left `UP` or whose
+    /// holdings moved:
+    ///
+    /// * with nothing changed, the logged candidate stands;
+    /// * the build is redone from the first round a changed worker won, at
+    ///   the latest;
+    /// * before that round every unchanged worker scores as logged, so only
+    ///   the changed `UP` workers are re-scored, round-major, against the
+    ///   logged winner: one that scores higher, or ties it at a lower index,
+    ///   takes the round and the build is redone from there;
+    /// * a logged build that failed (no worker could take another task) is
+    ///   redone from the failing round if a changed worker can take one there.
+    ///
+    /// The redone rounds run the very loop of
+    /// [`crate::passive::build_incremental_exhaustive`], resumed after the
+    /// logged prefix; the first consult repairs an empty log (nothing `UP`,
+    /// nothing built), which redoes every round. Any NaN score breaks the
+    /// first-maximizer argument, so a log that saw one is rebuilt from
+    /// scratch. The indexed scan keeps full rebuilds, reusing its candidate
+    /// only on an unchanged snapshot.
     fn candidate_for(&mut self, view: &SimView<'_>) -> Option<Assignment> {
         if self.base == PassiveKind::IY {
             return build_incremental(&mut self.context, view, self.base);
         }
-        let fingerprint: CandidateFingerprint = view
-            .workers
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.state.is_up())
-            .map(|(q, w)| {
-                (q, w.dynamic.has_program, w.dynamic.data_messages, w.dynamic.partial_transfer)
-            })
-            .collect();
-        if let Some((prev, candidate)) = &self.last_candidate {
-            if *prev == fingerprint {
-                return candidate.clone();
+        let p = view.workers.len();
+        let log = match &mut self.log {
+            Some(log) if log.snapshot.len() == p => log,
+            // No worker UP and nothing built: every UP worker is a change.
+            slot => slot.insert(RoundLog {
+                snapshot: vec![None; p],
+                rounds: (!use_indexed_scan(self.context.scan_strategy(), p))
+                    .then(GreedyLog::default),
+                candidate: None,
+            }),
+        };
+        self.changed.clear();
+        for (q, (then, w)) in log.snapshot.iter_mut().zip(view.workers).enumerate() {
+            let now = holdings(w);
+            if *then != now {
+                *then = now;
+                self.changed.push(q);
             }
         }
-        let candidate = build_incremental(&mut self.context, view, self.base);
-        self.last_candidate = Some((fingerprint, candidate.clone()));
-        candidate
+        if self.changed.is_empty() {
+            return log.candidate.clone();
+        }
+        let Some(rounds) = &mut log.rounds else {
+            // The indexed scan rebuilds on any change.
+            log.candidate = build_incremental(&mut self.context, view, self.base);
+            return log.candidate.clone();
+        };
+
+        let changed = &self.changed;
+        let was_changed = |q: &usize| changed.binary_search(q).is_ok();
+        let first_changed_win = rounds.won.iter().position(|(q, _)| was_changed(q));
+        // A NaN score breaks the first-maximizer argument: start over.
+        let mut redo = rounds.saw_nan.then_some(0);
+        let unchanged = match redo {
+            Some(_) => 0,
+            None => first_changed_win.unwrap_or(rounds.won.len()),
+        };
+        let elapsed = view.elapsed_in_iteration();
+        let mut candidate = CandidateConfig::new(view.platform.num_workers());
+        'rounds: for (r, &(winner, best)) in rounds.won[..unchanged].iter().enumerate() {
+            for &q in changed {
+                if !view.is_up(q) || !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
+                    continue;
+                }
+                candidate.add_task(q);
+                let estimate = self.context.evaluate(view, candidate.entries());
+                candidate.remove_task(q);
+                let score = self.base.score(&estimate, elapsed);
+                if score > best || (score == best && q < winner) || score.is_nan() {
+                    redo = Some(r);
+                    break 'rounds;
+                }
+            }
+            candidate.add_task(winner);
+        }
+        let redo = redo.or(first_changed_win).or_else(|| {
+            let reopened = log.candidate.is_none()
+                && changed.iter().any(|&q| {
+                    view.is_up(q) && view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1)
+                });
+            reopened.then_some(rounds.won.len())
+        });
+        let Some(from) = redo else {
+            return log.candidate.clone();
+        };
+        rounds.won.truncate(from);
+        // The kept prefix saw no NaN: a log that saw one restarts at round 0.
+        rounds.saw_nan = false;
+        log.candidate = resume_exhaustive(&mut self.context, view, self.base, candidate, rounds);
+        log.candidate.clone()
     }
 
     /// The reconfiguration criterion `C`.
@@ -210,8 +312,8 @@ impl Scheduler for ProactiveScheduler {
             };
         }
         match self.criterion {
-            // P and E scores are clock-free and the memoized candidate only
-            // changes when the worker fingerprint does; while the world is
+            // P and E scores are clock-free and the candidate only changes
+            // when the UP set or a worker's holdings do; while the world is
             // frozen or computing, the running configuration's score can only
             // improve, so a keep decision stays a keep decision.
             ProactiveCriterion::Probability | ProactiveCriterion::ExpectedTime => Reevaluation {
@@ -264,6 +366,11 @@ mod tests {
         ) -> ProactiveScheduler {
             let cache = EvalCache::with_default_epsilon(&self.platform, &self.master);
             ProactiveScheduler::with_context(criterion, base, SchedulingContext::new(cache))
+        }
+
+        /// A fresh cache of the fixture's platform.
+        fn cache(&self) -> EvalCache {
+            EvalCache::with_default_epsilon(&self.platform, &self.master)
         }
 
         fn view<'a>(&'a self, current: Option<&'a ActiveConfiguration>) -> SimView<'a> {
@@ -392,6 +499,93 @@ mod tests {
         match sched.decide(&f.view(Some(&cfg))) {
             Decision::NewConfiguration(a) => assert!(a.contains(1)),
             Decision::KeepCurrent => panic!("P-IP must switch to the reliable worker"),
+        }
+    }
+
+    /// Four `UP` workers of speeds 1 to 4, one of them unreliable, holding
+    /// nothing; two tasks per iteration.
+    fn four_speeds() -> Fixture {
+        let mut chains = vec![MarkovChain3::always_up(); 4];
+        chains[1] = MarkovChain3::from_self_loop_probs(0.9, 0.9, 0.9).unwrap();
+        Fixture {
+            platform: Platform::new((1..=4).map(WorkerSpec::new).collect(), chains),
+            application: ApplicationSpec::new(2, 10),
+            master: MasterSpec::from_slots(2, 2, 1),
+            workers: vec![
+                WorkerView { state: ProcState::Up, dynamic: WorkerDynamicState::fresh() };
+                4
+            ],
+        }
+    }
+
+    /// The nine proactive heuristics whose candidate is repaired (IY bases
+    /// always rebuild).
+    fn repaired() -> impl Iterator<Item = (ProactiveCriterion, PassiveKind)> {
+        ProactiveCriterion::ALL.into_iter().flat_map(|c| {
+            [PassiveKind::IP, PassiveKind::IE, PassiveKind::IAY].into_iter().map(move |k| (c, k))
+        })
+    }
+
+    #[test]
+    fn a_leaving_worker_that_won_no_round_costs_no_lookup() {
+        for (criterion, base) in repaired() {
+            let mut f = four_speeds();
+            let cache = f.cache();
+            let mut sched = ProactiveScheduler::with_context(
+                criterion,
+                base,
+                SchedulingContext::new(cache.clone()),
+            );
+            let first = sched.decide(&f.view(None));
+            let Decision::NewConfiguration(candidate) = &first else {
+                panic!("{}: no candidate on an all-UP platform", sched.name());
+            };
+            let loser = (0..4).find(|&q| !candidate.contains(q)).expect("two tasks leave a loser");
+            f.workers[loser].state = ProcState::Down;
+            let before = cache.stats();
+            let second = sched.decide(&f.view(None));
+            assert_eq!(second, first, "{}", sched.name());
+            assert_eq!(cache.stats().since(&before).lookups(), 0, "{}", sched.name());
+            let fresh = f.scheduler(criterion, base).decide(&f.view(None));
+            assert_eq!(second, fresh, "{}", sched.name());
+        }
+    }
+
+    #[test]
+    fn a_joining_loser_costs_fewer_lookups_than_a_fresh_build() {
+        for (criterion, base) in repaired() {
+            let mut f = four_speeds();
+            // The slowest worker is away for the first consult.
+            f.workers[3].state = ProcState::Reclaimed;
+            let cache = f.cache();
+            let mut sched = ProactiveScheduler::with_context(
+                criterion,
+                base,
+                SchedulingContext::new(cache.clone()),
+            );
+            sched.decide(&f.view(None));
+            f.workers[3].state = ProcState::Up;
+            let before = cache.stats();
+            let repaired = sched.decide(&f.view(None));
+            let repair_lookups = cache.stats().since(&before).lookups();
+
+            let fresh_cache = f.cache();
+            let mut fresh = ProactiveScheduler::with_context(
+                criterion,
+                base,
+                SchedulingContext::new(fresh_cache.clone()),
+            );
+            assert_eq!(repaired, fresh.decide(&f.view(None)), "{}", sched.name());
+            let Decision::NewConfiguration(candidate) = &repaired else {
+                panic!("{}: no candidate on an all-UP platform", sched.name());
+            };
+            assert!(!candidate.contains(3), "{}: the joining worker must lose", sched.name());
+            assert!(
+                repair_lookups < fresh_cache.stats().lookups(),
+                "{}: the repair looked up {repair_lookups} sets, a fresh build {}",
+                sched.name(),
+                fresh_cache.stats().lookups()
+            );
         }
     }
 }

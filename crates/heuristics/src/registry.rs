@@ -229,7 +229,7 @@ mod tests {
             assert!(!reeval.while_idle, "{name} should not re-evaluate while idle");
             // Exactly the proactive heuristics watch workers outside the
             // installed configuration and observe transfer progress through
-            // their candidate fingerprints.
+            // the holdings their candidates are built on.
             assert_eq!(reeval.on_outside_transitions, spec.is_proactive(), "{name}");
             assert_eq!(reeval.during_transfer, spec.is_proactive(), "{name}");
             if name.ends_with("-IY") {

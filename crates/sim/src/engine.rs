@@ -24,8 +24,8 @@
 //! [`EngineReport`]. Skipping slots pays off on runs that reach the slot cap
 //! and costs time at paper scale, where runs end long before it: on a
 //! 2-CPU host, a `table1` campaign whose RANDOM runs stop at the 200 000-slot
-//! cap took 0.68 s event-driven against 1.09 s slot-stepped, while the paper's
-//! `--wmin 1,2` campaign took 0.32 s against 0.28 s (docs/ARCHITECTURE.md,
+//! cap took 0.46 s event-driven against 0.51 s slot-stepped, while the paper's
+//! `--wmin 1,2` campaign took 0.26 s against 0.22 s (docs/ARCHITECTURE.md,
 //! "Slot-stepped vs event-driven simulation", gives the commands and samples).
 
 use crate::assignment::Assignment;
@@ -186,6 +186,11 @@ struct RunState {
     /// What the scheduler sees: clock, iteration progress, per-worker
     /// availability and holdings, the installed configuration.
     world: DecisionContext,
+    /// Per worker, the first slot at which its availability may differ from
+    /// the state in `world`: [`AvailabilityModel::next_transition`] after the
+    /// last read, `u64::MAX` when it never changes again, and 0 before the
+    /// first read.
+    next_change: Vec<u64>,
     stats: SimStats,
     makespan: Option<u64>,
     log: EventLog,
@@ -301,6 +306,7 @@ impl<A: AvailabilityModel> Simulator<A> {
         let p = self.platform.num_workers();
         let mut st = RunState {
             world: DecisionContext::fresh(&vec![ProcState::Up; p]),
+            next_change: vec![0; p],
             stats: SimStats::default(),
             makespan: None,
             log: if self.log_events {
@@ -518,10 +524,15 @@ impl<A: AvailabilityModel> Simulator<A> {
         let t_prog = self.master.t_prog;
         let t_data = self.master.t_data;
 
-        // 1. Read availability for this slot.
+        // 1. Read availability for this slot, only where a run ended since
+        //    the last read: the trait contract keeps every other worker's
+        //    state constant until its next transition.
         st.world.time = t;
-        for (q, w) in st.world.workers.iter_mut().enumerate() {
-            w.state = self.availability.state(q, t);
+        for (q, (w, next)) in st.world.workers.iter_mut().zip(&mut st.next_change).enumerate() {
+            if *next <= t {
+                w.state = self.availability.state(q, t);
+                *next = self.availability.next_transition(q, t).map_or(u64::MAX, |(when, _)| when);
+            }
         }
 
         // 2. Consequences of DOWN workers: they lose program, data and any
@@ -1030,6 +1041,90 @@ mod tests {
         );
         assert!(event.skipped_slots() > 0);
         assert_eq!(slot.skipped_slots(), 0);
+    }
+
+    /// A scripted realization that counts its `state` queries.
+    struct CountingStates<'a> {
+        inner: RealizedAvailability,
+        states: &'a std::cell::Cell<u64>,
+    }
+
+    impl AvailabilityModel for CountingStates<'_> {
+        fn num_procs(&self) -> usize {
+            self.inner.num_procs()
+        }
+
+        fn state(&mut self, q: usize, t: u64) -> ProcState {
+            self.states.set(self.states.get() + 1);
+            self.inner.state(q, t)
+        }
+
+        fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
+            self.inner.next_transition(q, after)
+        }
+    }
+
+    #[test]
+    fn availability_is_read_only_where_a_run_ended() {
+        // Two enrolled workers (one of them reclaimed mid-computation, one
+        // crashing once) and two bystanders churning between RECLAIMED and
+        // DOWN while a long computation runs.
+        let codes = [
+            "UUUUUUUUUUURRRRUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU",
+            "UUUUUUDUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU",
+            "URDRDRDURRRDDDUUUUURRRRDDDDUUUUU",
+            "RRRRRRRRRRRRRRRRRRRRRRRRUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU",
+        ];
+        let p = codes.len() as u64;
+        let platform = Platform::new(
+            [20, 3, 1, 1].iter().map(|&s| WorkerSpec::new(s)).collect(),
+            vec![MarkovChain3::always_up(); codes.len()],
+        );
+        fn run<A: AvailabilityModel>(
+            platform: &Platform,
+            mode: SimMode,
+            availability: A,
+        ) -> (SimOutcome, EventLog, EngineReport) {
+            let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1), (1, 1)]));
+            Simulator::from_parts(
+                platform.clone(),
+                ApplicationSpec::new(2, 2),
+                MasterSpec::from_slots(2, 1, 1),
+                availability,
+            )
+            .with_mode(mode)
+            .run_with_report(&mut sched)
+        }
+        for mode in [SimMode::SlotStepped, SimMode::EventDriven] {
+            let states = std::cell::Cell::new(0);
+            let inner = RealizedAvailability::from_codes(&codes);
+            let counted = run(&platform, mode, CountingStates { inner, states: &states });
+            let (outcome, _, report) =
+                run(&platform, mode, RealizedAvailability::from_codes(&codes));
+            assert_eq!(counted.0, outcome, "{mode}: counting changed the outcome");
+            assert_eq!(counted.2, report);
+
+            // Runs entered before the last executed slot, over all workers.
+            let mut script = RealizedAvailability::from_codes(&codes);
+            let mut entered = 0u64;
+            for q in 0..codes.len() {
+                let mut after = 0;
+                while let Some((when, _)) = script.next_transition(q, after) {
+                    if when >= report.simulated_slots {
+                        break;
+                    }
+                    entered += 1;
+                    after = when;
+                }
+            }
+            assert!(
+                states.get() <= p + entered,
+                "{mode}: {} state reads for {p} workers entering {entered} runs",
+                states.get()
+            );
+            // Reading every worker at every executed slot would break the bound.
+            assert!(p * report.executed_slots > p + entered, "{mode}: the run is too short");
+        }
     }
 
     #[test]

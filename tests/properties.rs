@@ -461,7 +461,7 @@ proptest! {
         // One-at-a-time chain, in the cache's sorted-prefix order.
         let mut acc = GroupAccumulator::empty(1e-7);
         for s in &series {
-            acc = acc.extend(s, &s.tabulate(1e-7)).expect("regime-sampled chains can fail");
+            acc = acc.extend(s, &s.tabulate(1e-7, 1.0)).expect("regime-sampled chains can fail");
         }
         prop_assert_eq!(acc.quantities(), batch);
     }
@@ -1289,6 +1289,186 @@ proptest! {
         for &(worker, state, time) in &events {
             for reply in far.handle_line(&event_line(worker, state, time + (u64::MAX - 64))) {
                 prop_assert!(reply.starts_with('{') && reply.ends_with('}'), "{}", reply);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Proactive candidates repaired from the round log against fresh builds.
+// ---------------------------------------------------------------------------
+
+use desktop_grid_scheduling::heuristics::SchedulingContext;
+use desktop_grid_scheduling::sim::config::ActiveConfiguration;
+use desktop_grid_scheduling::sim::view::{SimView, WorkerView};
+use desktop_grid_scheduling::sim::worker_state::WorkerDynamicState;
+
+/// One change between two consults: `(what, worker, amount)`.
+fn view_change() -> impl Strategy<Value = (usize, usize, u64)> {
+    (0usize..8, 0usize..64, 1u64..4)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A proactive scheduler kept across a sequence of views decides on
+    /// every view exactly what a fresh scheduler decides (and, with no
+    /// configuration installed, what its passive base decides), for all 12
+    /// proactive heuristics at 1 and 2 decision threads. The views move the
+    /// way a run moves them: workers join and leave `UP`, `UP` and non-`UP`
+    /// workers' holdings change, configurations are installed and dropped,
+    /// iterations end and the clock runs. Some workers are capacity-limited,
+    /// and the first `twins + 1` workers are interchangeable, so their scores
+    /// tie exactly and the lower index must win.
+    #[test]
+    fn repaired_proactive_candidates_match_fresh_builds(
+        seed in 0u64..10_000,
+        workers in 4usize..12,
+        m in 1usize..7,
+        twins in 1usize..3,
+        limited in 0u32..256,
+        initially_up in 0u32..4096,
+        comm in (1usize..4, 0u64..4, 0u64..3),
+        changes in proptest::collection::vec(view_change(), 1..20),
+    ) {
+        let mut rng = sub_rng(seed, 7);
+        // Workers 0 ..= twins are fast and interchangeable, so they often
+        // win rounds and tie exactly with each other.
+        let twin_chain = MarkovChain3::sample_paper_model(&mut rng);
+        let mut specs = vec![WorkerSpec::new(1); twins + 1];
+        let mut chains = vec![twin_chain; twins + 1];
+        for _ in twins + 1..workers {
+            specs.push(WorkerSpec::new(rng.gen_range(1u64..6)));
+            chains.push(MarkovChain3::sample_paper_model(&mut rng));
+        }
+        // Capacity limits (the twins share one; bit 7 limits every worker),
+        // so that builds fail part-way when too few workers are UP, and a
+        // joining worker can reopen the failed round.
+        for (q, spec) in specs.iter_mut().enumerate() {
+            let bit = if q <= twins { 0 } else { q % 6 };
+            if limited & (1 << bit | 1 << 7) != 0 {
+                *spec = WorkerSpec::with_capacity(spec.speed, 1 + (limited as usize >> 6) % 2);
+            }
+        }
+        let platform = Platform::new(specs, chains);
+        let application = ApplicationSpec::new(m, 10);
+        let (ncom, t_prog, t_data) = comm;
+        let master = MasterSpec::from_slots(ncom, t_prog, t_data);
+
+        let mut world: Vec<WorkerView> = (0..workers)
+            .map(|q| {
+                let up = initially_up & (1 << q) != 0;
+                let state = if up { ProcState::Up } else { ProcState::Reclaimed };
+                WorkerView { state, dynamic: WorkerDynamicState::fresh() }
+            })
+            .collect();
+        let (mut time, mut iteration, mut started) = (0u64, 0u64, 0u64);
+        let mut current: Option<ActiveConfiguration> = None;
+        let mut last_decided: Option<Assignment> = None;
+
+        let proactive: Vec<HeuristicSpec> = HeuristicSpec::all()
+            .into_iter()
+            .filter(|spec| matches!(spec, HeuristicSpec::Proactive(..)))
+            .collect();
+        prop_assert_eq!(proactive.len(), 12);
+        let mut kept: Vec<(ProactiveScheduler, EvalCache)> = Vec::new();
+        for threads in [1usize, 2] {
+            let mut cache = EvalCache::new(&platform, &master, 1e-6);
+            cache.set_decision_threads(threads);
+            for spec in &proactive {
+                let HeuristicSpec::Proactive(criterion, base) = *spec else { unreachable!() };
+                let context = SchedulingContext::new(cache.clone());
+                kept.push((ProactiveScheduler::with_context(criterion, base, context), cache.clone()));
+            }
+        }
+
+        for (step, &(what, pick, amount)) in changes.iter().enumerate() {
+            let q = if pick < 32 { pick % (twins + 1) } else { pick % workers };
+            match what {
+                // A worker leaves UP (reclaimed keeps its holdings, DOWN loses them).
+                0 if world[q].state.is_up() => {
+                    if amount == 1 {
+                        world[q].state = ProcState::Down;
+                        world[q].dynamic.crash();
+                    } else {
+                        world[q].state = ProcState::Reclaimed;
+                    }
+                }
+                // A worker joins UP.
+                0 | 1 => world[q].state = ProcState::Up,
+                // Transfer progress on one worker, UP or not.
+                2 | 3 => {
+                    for _ in 0..amount {
+                        world[q].dynamic.advance_transfer(t_prog, t_data);
+                    }
+                }
+                // Install the last candidate if its members are all UP, or
+                // drop the configuration.
+                4 => {
+                    current = last_decided
+                        .clone()
+                        .filter(|a| a.members_iter().all(|w| world[w].state.is_up()))
+                        .map(|a| {
+                            let mut cfg = ActiveConfiguration::new(a, &platform, time);
+                            for _ in 1..amount.min(cfg.remaining_computation()) {
+                                cfg.advance_computation();
+                            }
+                            cfg
+                        });
+                }
+                // An iteration ends.
+                5 => {
+                    for w in &mut world {
+                        w.dynamic.new_iteration();
+                    }
+                    iteration += 1;
+                    started = time;
+                    current = None;
+                }
+                // Several workers move at once.
+                6 => {
+                    for w in world.iter_mut().skip(q % 3).step_by(2) {
+                        w.dynamic.advance_transfer(t_prog, t_data);
+                    }
+                    world[q].state =
+                        if world[q].state.is_up() { ProcState::Reclaimed } else { ProcState::Up };
+                }
+                // Only the clock moves.
+                _ => {}
+            }
+            time += amount;
+            let view = SimView {
+                time,
+                iteration,
+                completed_iterations: iteration,
+                iteration_started_at: started,
+                workers: &world,
+                platform: &platform,
+                application: &application,
+                master: &master,
+                current: current.as_ref(),
+            };
+            for (sched, cache) in kept.iter_mut() {
+                let context = SchedulingContext::new(cache.clone());
+                let mut fresh = ProactiveScheduler::with_context(sched.criterion(), sched.base(), context);
+                let expected = fresh.decide(&view);
+                let got = sched.decide(&view);
+                prop_assert_eq!(
+                    &got, &expected,
+                    "{} at {} decision threads diverged at step {} (seed {})",
+                    sched.name(), cache.decision_threads(), step, seed
+                );
+                if current.is_none() {
+                    // With nothing installed the decision is the candidate
+                    // itself, so the passive base's from-scratch build is an
+                    // oracle that shares no code with the round log.
+                    let context = SchedulingContext::new(cache.clone());
+                    let passive = PassiveScheduler::with_context(sched.base(), context).decide(&view);
+                    prop_assert_eq!(&got, &passive, "{} differs from its passive base", sched.name());
+                }
+                if let Decision::NewConfiguration(a) = got {
+                    last_decided = Some(a);
+                }
             }
         }
     }
