@@ -363,9 +363,37 @@ impl EvalCache {
         members: &[usize],
         comm_slots: &[u64],
     ) -> CommEstimate {
+        let expected_duration = self.comm_time_with(reader, members, comm_slots);
+        CommEstimate {
+            expected_duration,
+            success_probability: self.comm_success_with(reader, members, expected_duration),
+        }
+    }
+
+    /// `E_comm`, the expected duration of the communication phase of
+    /// Section V-B: the `expected_duration` of
+    /// [`EvalCache::comm_estimate`], computed by the same function.
+    ///
+    /// It is all that the holdings contribute to an estimate: the
+    /// communication slots enter [`EvalCache::estimate`] only through
+    /// `E_comm`, directly and through `P_comm`'s horizon `⌈E_comm⌉`. Two
+    /// estimates of one member set and workload whose `E_comm` have the same
+    /// bits are therefore the same.
+    pub fn comm_time(&self, members: &[usize], comm_slots: &[u64]) -> f64 {
+        self.comm_time_with(&mut self.reader(), members, comm_slots)
+    }
+
+    /// `E_comm`; exactly `0.0` when nothing is to be sent, and positive
+    /// otherwise (a transfer of `n ≥ 1` slots takes at least one slot).
+    fn comm_time_with(
+        &self,
+        reader: &mut MemoReader<'_>,
+        members: &[usize],
+        comm_slots: &[u64],
+    ) -> f64 {
         assert_eq!(members.len(), comm_slots.len(), "one comm volume per member");
         if members.is_empty() || comm_slots.iter().all(|&n| n == 0) {
-            return CommEstimate::nothing_to_send();
+            return CommEstimate::nothing_to_send().expected_duration;
         }
 
         // Per-worker expected communication time, through the memoized
@@ -380,21 +408,32 @@ impl EvalCache {
 
         let total: u64 = comm_slots.iter().sum();
         let ncom = self.tables.ncom;
-        let expected_duration = if members.len() <= ncom {
+        if members.len() <= ncom {
             max_single
         } else {
             max_single.max(total as f64 / ncom as f64)
-        };
+        }
+    }
 
-        // P_comm = Π_q P_ND^(q)(E_comm) — every enrolled worker (even one with
-        // nothing to receive) must avoid going DOWN while the others download.
-        let horizon = expected_duration.ceil() as u64;
+    /// `P_comm = Π_q P_ND^(q)(⌈E_comm⌉)`: every enrolled worker (even one
+    /// with nothing to receive) must avoid going `DOWN` while the others
+    /// download. An `E_comm` of zero means nothing to send (and
+    /// `P_ND(0) = 1` anyway).
+    fn comm_success_with(
+        &self,
+        reader: &mut MemoReader<'_>,
+        members: &[usize],
+        comm_time: f64,
+    ) -> f64 {
+        if comm_time == 0.0 {
+            return CommEstimate::nothing_to_send().success_probability;
+        }
+        let horizon = comm_time.ceil() as u64;
         let mut success_probability = 1.0;
         for &q in members {
             success_probability *= reader.no_down_within(q, horizon);
         }
-
-        CommEstimate { expected_duration, success_probability: success_probability.clamp(0.0, 1.0) }
+        success_probability.clamp(0.0, 1.0)
     }
 
     /// Iteration estimate (communication followed by `w` slots of lock-step
@@ -405,11 +444,24 @@ impl EvalCache {
     /// `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
     pub fn estimate(&self, members: &[usize], comm_slots: &[u64], w: u64) -> IterationEstimate {
         let mut reader = self.reader();
-        let comm = self.comm_with(&mut reader, members, comm_slots);
+        let comm_time = self.comm_time_with(&mut reader, members, comm_slots);
+        self.estimate_with(&mut reader, members, comm_time, w)
+    }
+
+    /// The estimate of `members` computing `w` slots after a communication
+    /// phase of expected duration `comm_time`.
+    fn estimate_with(
+        &self,
+        reader: &mut MemoReader<'_>,
+        members: &[usize],
+        comm_time: f64,
+        w: u64,
+    ) -> IterationEstimate {
+        let comm_success = self.comm_success_with(reader, members, comm_time);
         let g = reader.group(members);
         IterationEstimate::combine(
-            comm.expected_duration,
-            comm.success_probability,
+            comm_time,
+            comm_success,
             g.expected_completion_time(w),
             g.prob_success(w),
         )
@@ -427,8 +479,34 @@ impl EvalCache {
         tasks: &[usize],
         comm_slots: &[u64],
     ) -> IterationEstimate {
+        self.timed_iteration_estimate(members, tasks, comm_slots, None).0
+    }
+
+    /// [`EvalCache::iteration_estimate`], handing back the `E_comm` it used,
+    /// under one read of the memo tables.
+    ///
+    /// `earlier`, when given, is an earlier `(E_comm, estimate)` of the same
+    /// `members` and `tasks` under other holdings. When `E_comm` has the same
+    /// bits now, that estimate is returned without computing the rest: an
+    /// estimate is a function of the members, their tasks and `E_comm`
+    /// ([`EvalCache::comm_time`]).
+    pub fn timed_iteration_estimate(
+        &self,
+        members: &[usize],
+        tasks: &[usize],
+        comm_slots: &[u64],
+        earlier: Option<(f64, IterationEstimate)>,
+    ) -> (IterationEstimate, f64) {
         assert_eq!(members.len(), tasks.len(), "one task count per member");
-        self.estimate(members, comm_slots, self.tables.computation_workload(members, tasks))
+        let mut reader = self.reader();
+        let comm_time = self.comm_time_with(&mut reader, members, comm_slots);
+        if let Some((then, estimate)) = earlier {
+            if then.to_bits() == comm_time.to_bits() {
+                return (estimate, comm_time);
+            }
+        }
+        let w = self.tables.computation_workload(members, tasks);
+        (self.estimate_with(&mut reader, members, comm_time, w), comm_time)
     }
 
     /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
@@ -751,6 +829,47 @@ mod tests {
                 (x.expected_duration.to_bits(), x.success_probability.to_bits())
             };
             assert_eq!(bits(value), bits(expected), "{members:?}");
+        }
+    }
+
+    #[test]
+    fn comm_time_is_the_comm_estimates_duration_bit_for_bit() {
+        // E_comm on its own, in the comm estimate and handed back by a full
+        // estimate, bit for bit.
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let probes: [(&[usize], &[usize], &[u64]); 5] = [
+            (&[0, 2, 4], &[1, 2, 1], &[3, 0, 2]),
+            (&[1, 3, 5, 7, 8, 9], &[1, 1, 1, 1, 1, 1], &[4, 4, 3, 2, 9, 1]),
+            (&[6], &[3], &[4]),
+            (&[2, 8], &[1, 1], &[0, 0]),
+            (&[], &[], &[]),
+        ];
+        for &(members, tasks, comm) in &probes {
+            let alone = cache.comm_time(members, comm);
+            let (estimate, handed_back) =
+                cache.timed_iteration_estimate(members, tasks, comm, None);
+            assert_eq!(
+                alone.to_bits(),
+                cache.comm_estimate(members, comm).expected_duration.to_bits()
+            );
+            assert_eq!(alone.to_bits(), handed_back.to_bits(), "{members:?}");
+            assert_eq!(estimate, cache.iteration_estimate(members, tasks, comm));
+            let c = comm.iter().filter(|&&n| n > 0).count() as u64;
+            let before = cache.stats();
+            cache.comm_time(members, comm);
+            assert_eq!(cache.stats().since(&before).lookups(), c, "{members:?}");
+            // An earlier estimate with the same E_comm bits comes back as
+            // given, for E_comm's lookups alone; another E_comm recomputes.
+            let marker = IterationEstimate { success_probability: 0.5, expected_duration: 7.0 };
+            let before = cache.stats();
+            let kept = cache.timed_iteration_estimate(members, tasks, comm, Some((alone, marker)));
+            assert_eq!(cache.stats().since(&before).lookups(), c, "{members:?}");
+            assert_eq!(kept, (marker, alone), "{members:?}");
+            let moved = f64::from_bits(alone.to_bits() + 1);
+            let redone =
+                cache.timed_iteration_estimate(members, tasks, comm, Some((moved, marker)));
+            assert_eq!(redone, (estimate, alone), "{members:?}");
         }
     }
 

@@ -73,13 +73,21 @@ fn main() {
         suite: suite.name.clone(),
         model: suite.model,
     };
+    let runs = match config.checked_total_runs() {
+        Ok(runs) => runs,
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    };
     eprintln!(
-        "Sensitivity campaign ({} suite): {} points x {} scenarios x {} trials x {} heuristics (x2 models, {} engine, {} threads)",
+        "Sensitivity campaign ({} suite): {} points x {} scenarios x {} trials x {} heuristics x 2 models = {} runs ({} engine, {} threads)",
         config.suite,
         config.points.len(),
         config.scenarios_per_point,
         config.trials_per_scenario,
         config.heuristics.len(),
+        runs,
         config.engine,
         resolve_threads(config.threads),
     );

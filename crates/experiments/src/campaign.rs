@@ -159,12 +159,48 @@ impl CampaignConfig {
     }
 
     /// Total number of simulation runs the campaign will perform.
+    ///
+    /// # Panics
+    /// Panics if the count does not fit in `usize`;
+    /// [`crate::cli::CliOptions::campaign`] refuses such a campaign first.
     pub fn total_runs(&self) -> usize {
-        self.points().len()
-            * self.scenarios_per_point
-            * self.trials_per_scenario
-            * self.heuristics.len()
+        self.checked_total_runs().expect("the campaign's run count fits in usize")
     }
+
+    /// [`CampaignConfig::total_runs`], or the [`run_count`] error when the
+    /// count does not fit in `usize`.
+    pub fn checked_total_runs(&self) -> Result<usize, String> {
+        // The length of `points()`, without building them.
+        let (m, ncom, wmin) = (self.m_values.len(), self.ncom_values.len(), self.wmin_values.len());
+        let points = m.checked_mul(ncom).and_then(|n| n.checked_mul(wmin)).ok_or_else(|| {
+            format!("{m} m × {ncom} ncom × {wmin} wmin values are more points than fit in usize")
+        })?;
+        run_count(points, self.scenarios_per_point, self.trials_per_scenario, self.heuristics.len())
+    }
+}
+
+/// The number of runs of a sweep over `points` experiment points with
+/// `scenarios` scenarios per point, `trials` trials per scenario and
+/// `per_trial` runs per trial (heuristics × availability arms), computed
+/// without wrapping. Every campaign binary's count goes through here before
+/// its banner prints; a count past `usize::MAX` is an error that names
+/// `--scenarios`, `--trials` and the product.
+pub fn run_count(
+    points: usize,
+    scenarios: usize,
+    trials: usize,
+    per_trial: usize,
+) -> Result<usize, String> {
+    [scenarios, trials, per_trial].into_iter().try_fold(points, usize::checked_mul).ok_or_else(
+        || {
+            format!(
+                "--scenarios {scenarios} and --trials {trials} ask for too many runs: \
+                 {points} points × {scenarios} scenarios × {trials} trials × {per_trial} runs \
+                 per trial exceeds {}",
+                usize::MAX
+            )
+        },
+    )
 }
 
 /// The outcome of one `(point, scenario, trial, heuristic)` run.
@@ -218,7 +254,7 @@ where
     F: Fn(usize, usize) + Sync,
 {
     run_campaign_with(config, &ExecutorOptions::new().retain_raw(true), on_progress)
-        .expect("a campaign without an artifact store cannot fail")
+        .expect("a campaign without an artifact store fails only on a run count past usize::MAX")
         .results
 }
 

@@ -40,7 +40,7 @@
 use crate::campaign::CampaignConfig;
 use crate::distrib::WorkerShard;
 use crate::executor::ExecutorOptions;
-use crate::suite::SuiteSpec;
+use crate::suite::{SuiteSpec, MAX_TRIALS};
 use dg_heuristics::{parse_heuristic_named, HeuristicSpec};
 use dg_sim::SimMode;
 use std::path::PathBuf;
@@ -161,6 +161,12 @@ impl CliOptions {
         if opts.scenarios == 0 || opts.trials == 0 {
             return Err("--scenarios and --trials must be positive".to_string());
         }
+        if opts.trials > MAX_TRIALS {
+            return Err(format!(
+                "--trials {} is too large: a campaign accepts --trials up to {MAX_TRIALS}",
+                opts.trials
+            ));
+        }
         if opts.max_slots == 0 {
             return Err("--cap must be positive".to_string());
         }
@@ -236,7 +242,10 @@ impl CliOptions {
     /// Build a campaign configuration from these options: the
     /// [`CliOptions::suite`] supplies the axes and generator model,
     /// `--heuristics` restricts the heuristic list, and the scale/seed/engine
-    /// flags apply on top. Fails where [`CliOptions::suite`] fails.
+    /// flags apply on top. Fails where [`CliOptions::suite`] fails, and when
+    /// the campaign's run count does not fit in `usize`
+    /// ([`crate::campaign::run_count`]); the binaries that narrow the
+    /// campaign afterwards only shrink that count.
     pub fn campaign(&self) -> Result<CampaignConfig, String> {
         let mut config = self.suite()?.campaign(self.scenarios, self.trials, self.max_slots);
         if let Some(heuristics) = &self.heuristics {
@@ -245,6 +254,7 @@ impl CliOptions {
         config.base_seed = self.seed;
         config.threads = self.threads;
         config.engine = self.engine;
+        config.checked_total_runs()?;
         Ok(config)
     }
 
@@ -513,6 +523,54 @@ mod tests {
             assert!(err.ends_with(&refused(workers)), "{err}");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_run_count_past_usize_is_refused_and_names_both_flags() {
+        let huge = usize::MAX.to_string();
+        let opts = CliOptions::parse(["--scenarios", &huge]).unwrap();
+        let err = opts.campaign().unwrap_err();
+        assert_eq!(
+            err,
+            format!(
+                "--scenarios {huge} and --trials 3 ask for too many runs: 60 points × {huge} \
+                 scenarios × 3 trials × 17 runs per trial exceeds {huge}"
+            )
+        );
+        // A count that fits is accepted, however large: nothing is sized by
+        // it. (The paper suite has two m values, so 34 runs per scenario.)
+        let scenarios = usize::MAX / 34;
+        let exact = scenarios.to_string();
+        let args = ["--scenarios", &exact, "--trials", "1", "--wmin", "1", "--ncom", "5"];
+        let opts = CliOptions::parse(args).unwrap();
+        let config = opts.campaign().unwrap();
+        assert_eq!(config.total_runs(), scenarios * 34);
+        assert_eq!(config.with_m(5).total_runs(), scenarios * 17);
+        assert_eq!(
+            crate::campaign::run_count(2, 1, 1, usize::MAX / 2 + 1).unwrap_err(),
+            format!(
+                "--scenarios 1 and --trials 1 ask for too many runs: 2 points × 1 scenarios × 1 \
+             trials × {} runs per trial exceeds {huge}",
+                usize::MAX / 2 + 1
+            )
+        );
+    }
+
+    #[test]
+    fn trials_ceiling_admits_every_preset_scale_and_names_the_flag() {
+        let ceiling = crate::suite::MAX_TRIALS;
+        assert!(CliOptions::parse(["--full"]).unwrap().trials <= ceiling);
+        assert!(CliOptions::default().trials <= ceiling);
+        let at = CliOptions::parse(["--trials", "10000"]).unwrap();
+        assert_eq!(at.trials, ceiling);
+        for trials in ["10001", "18446744073709551615"] {
+            assert_eq!(
+                CliOptions::parse(["--trials", trials]).unwrap_err(),
+                format!(
+                    "--trials {trials} is too large: a campaign accepts --trials up to {ceiling}"
+                )
+            );
+        }
     }
 
     #[test]

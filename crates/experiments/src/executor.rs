@@ -224,8 +224,9 @@ pub(crate) fn join<T: std::fmt::Display>(xs: &[T]) -> String {
 /// with `(completed_runs, total_runs)` — once up-front covering every resumed
 /// instance, then after every executed instance — and the reported `done`
 /// counts are strictly increasing regardless of thread interleaving. Fails
-/// only on store I/O or configuration-mismatch errors; a store-less campaign
-/// is infallible.
+/// on store I/O or configuration-mismatch errors, and on a run count past
+/// `usize::MAX` ([`crate::campaign::run_count`]), which is a store-less
+/// campaign's only error.
 pub fn run_campaign_with<F>(
     config: &CampaignConfig,
     options: &ExecutorOptions,
@@ -243,8 +244,8 @@ where
         Box::new(move |point, _, r| encode_instance(point, tag, None, r)),
     );
     let mut streaming = CampaignAccumulator::new(config, DEFAULT_REFERENCE);
-    let mut raw: Vec<InstanceResult> =
-        if options.retain_raw { Vec::with_capacity(config.total_runs()) } else { Vec::new() };
+    // Retained results grow with the campaign instead of being sized by it.
+    let mut raw: Vec<InstanceResult> = Vec::new();
     // Each trial is realized once per the scenario's trial model (Markov
     // chains for the paper suite, matched semi-Markov traces otherwise),
     // capped at the slot horizon, and replayed for every heuristic.

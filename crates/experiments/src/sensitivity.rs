@@ -8,7 +8,7 @@
 //! Markov chains the heuristics believe in, and reports how the ranking
 //! degrades — quantifying the robustness question raised in Section VII-B.
 
-use crate::campaign::InstanceResult;
+use crate::campaign::{run_count, InstanceResult};
 use crate::executor::ExecutorOptions;
 use crate::json::{List, Obj, Str};
 use crate::metrics::ReferenceComparison;
@@ -88,6 +88,17 @@ impl SensitivityConfig {
     pub fn suite_tag(&self) -> Option<&str> {
         crate::suite::store_tag(&self.suite)
     }
+
+    /// The number of runs of the experiment, both availability models
+    /// included, or the [`run_count`] error when it does not fit in `usize`.
+    pub fn checked_total_runs(&self) -> Result<usize, String> {
+        run_count(
+            self.points.len(),
+            self.scenarios_per_point,
+            self.trials_per_scenario,
+            self.heuristics.len() * MODELS.len(),
+        )
+    }
 }
 
 /// Results of the sensitivity experiment: the same instances run under the
@@ -155,11 +166,13 @@ fn sweep_of(config: &SensitivityConfig) -> Sweep<'_, InstanceResult> {
 
 /// Run the sensitivity experiment.
 ///
-/// Equivalent to [`run_sensitivity_with`] without an artifact store; the
-/// store-less run cannot fail.
+/// Equivalent to [`run_sensitivity_with`] without an artifact store, which
+/// fails only on a run count past `usize::MAX`
+/// ([`SensitivityConfig::checked_total_runs`]).
 pub fn run_sensitivity(config: &SensitivityConfig) -> SensitivityResults {
-    run_sensitivity_with(config, &ExecutorOptions::new())
-        .expect("a sensitivity run without an artifact store cannot fail")
+    run_sensitivity_with(config, &ExecutorOptions::new()).expect(
+        "a sensitivity run without an artifact store fails only on a run count past usize::MAX",
+    )
 }
 
 /// Run the sensitivity experiment, fanning `(point, scenario)` jobs out over

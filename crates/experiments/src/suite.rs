@@ -50,9 +50,19 @@ pub const MAX_WORKERS: usize = 1_000_000;
 /// The most tasks per iteration (`m`) a suite may ask for, 200 times the
 /// largest preset `m` (`massive`'s 50). A run's decisions grow with `m`
 /// (each builds its candidate in `m` greedy rounds, and a proactive
-/// scheduler logs one winner per round), so a larger `m` is refused instead
-/// of running without bound.
+/// scheduler logs every probe of every round), so a larger `m` is refused
+/// instead of running without bound.
 pub const MAX_TASKS: usize = 10_000;
+
+/// The most trials per scenario (`--trials`) a campaign may ask for, 1 000
+/// times `--full`'s 10. A `(point, scenario)` job holds its whole block of
+/// records until it completes, one record per trial, heuristic and
+/// availability arm, so a larger count is refused instead of failing an
+/// allocation. At the ceiling, a one-scenario `sensitivity` run of all 17
+/// heuristics over both availability arms (340 000 records in one job) peaked
+/// at 136 MB resident (release build, `--cap 2`). `--scenarios` needs no
+/// ceiling: nothing is sized by it.
+pub const MAX_TRIALS: usize = 10_000;
 
 /// A named scenario suite: factorial axes plus a generator model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

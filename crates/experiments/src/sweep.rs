@@ -23,7 +23,7 @@ use dg_availability::{AvailabilityModel, RealizedTrial};
 use dg_heuristics::HeuristicSpec;
 use dg_platform::{Scenario, ScenarioModel, ScenarioParams};
 use dg_sim::SimMode;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 
@@ -135,7 +135,8 @@ pub(crate) struct Job<'a, R> {
     sweep: &'a Sweep<'a, R>,
     /// The scenario and its shared cache; `None` when every slot was resumed.
     generated: Option<(Scenario, EvalCache)>,
-    stored: &'a [Option<R>],
+    /// The job's resumed records, one entry per slot of its block.
+    stored: Vec<Option<&'a R>>,
     stats: &'a Mutex<ExecutorStats>,
     on_progress: &'a (dyn Fn(usize, usize) + Sync),
 }
@@ -154,7 +155,6 @@ impl<R> Job<'_, R> {
     /// The resumed record of `(trial, heuristic, arm)`, if any.
     pub(crate) fn stored(&self, trial: usize, heuristic: usize, arm: usize) -> Option<&R> {
         self.stored[(trial * self.sweep.heuristics.len() + heuristic) * self.sweep.arms + arm]
-            .as_ref()
     }
 
     /// Realize `arm` of `trial` from the trial seed, once for all of the
@@ -240,8 +240,10 @@ impl Job<'_, InstanceResult> {
 /// order (trial-major, then heuristic, then arm); `sink` receives the blocks
 /// in job order on the calling thread, after their lines reach the store.
 /// `on_progress` gets `(done, total)` over the shard's slots: resumed slots
-/// once up front, then after every executed slot. Fails only on store I/O or
-/// a configuration mismatch.
+/// once up front, then after every executed slot. Fails on a run count past
+/// `usize::MAX` ([`crate::campaign::run_count`]), on store I/O and on a
+/// configuration mismatch. Nothing is sized by the sweep's run count: the
+/// resumed records are kept by slot, and each job gathers its own.
 pub(crate) fn run<R, J, S>(
     sweep: &Sweep<'_, R>,
     options: &ExecutorOptions,
@@ -256,8 +258,10 @@ where
 {
     // A worker shard executes only its point window; slots, seeds and shard
     // names stay global, so its bytes equal the same points' of a full run.
-    let per_job = sweep.trials * sweep.heuristics.len() * sweep.arms;
+    let per_trial = sweep.heuristics.len() * sweep.arms;
     let num_points = sweep.points.len();
+    crate::campaign::run_count(num_points, sweep.scenarios, sweep.trials, per_trial)?;
+    let per_job = sweep.trials * per_trial;
     let window = options.part.map_or(0..num_points, |shard| shard.points(num_points));
     let jobs = window.start * sweep.scenarios..window.end * sweep.scenarios;
     let job_slots = |index: usize| index * per_job..(index + 1) * per_job;
@@ -275,11 +279,13 @@ where
         }
         (None, None) => None,
     };
-    let mut stored: Vec<Option<R>> = vec![None; num_points * sweep.scenarios * per_job];
+    // Resumed records by slot: empty unless resuming, so that nothing here
+    // is sized by the sweep.
+    let mut stored: HashMap<usize, R> = HashMap::new();
     if let Some(store) = store.as_ref().filter(|_| options.resume) {
         for (key, record) in store.load_with(&sweep.decode)?.into_iter().flatten() {
             if let Some(slot) = sweep.slot(&key) {
-                stored[slot] = Some(record);
+                stored.insert(slot, record);
             }
         }
     }
@@ -288,7 +294,7 @@ where
     // Resumed slots are reported once, up front: counting them as jobs reach
     // them would interleave with executed counts in thread order.
     let local = jobs.start * per_job..jobs.end * per_job;
-    let resumed = stored[local.clone()].iter().filter(|s| s.is_some()).count();
+    let resumed = stored.keys().filter(|slot| local.contains(slot)).count();
     let stats = Mutex::new(ExecutorStats {
         total_instances: local.len(),
         resumed_instances: resumed,
@@ -303,7 +309,7 @@ where
         let index = jobs.start + offset;
         let (point, scenario_index) = (index / sweep.scenarios, index % sweep.scenarios);
         let params = sweep.points[point];
-        let stored = &stored[job_slots(index)];
+        let stored: Vec<Option<&R>> = job_slots(index).map(|slot| stored.get(&slot)).collect();
         let generated = stored.iter().any(Option::is_none).then(|| {
             let seed = scenario_seed(sweep.base_seed, point, scenario_index);
             let scenario = Scenario::generate_with(params, sweep.model, seed);
@@ -332,7 +338,7 @@ where
     fan_out(jobs.len(), resolve_threads(sweep.threads), worker, |offset, block: Vec<R>| {
         let index = jobs.start + offset;
         let point = index / sweep.scenarios;
-        let fresh = stored[job_slots(index)].iter().filter(|s| s.is_none()).count();
+        let fresh = job_slots(index).filter(|slot| !stored.contains_key(slot)).count();
         let lines = block.iter().enumerate().map(|(i, r)| (sweep.encode)(point, i % sweep.arms, r));
         let keep_going = shards.consume(index, fresh, lines);
         sink(point, block);

@@ -43,6 +43,16 @@ impl EvalScratch {
         view: &SimView<'_>,
         entries: impl IntoIterator<Item = (usize, usize)>,
     ) -> IterationEstimate {
+        self.fill(view, entries);
+        cache.iteration_estimate(&self.members, &self.tasks, &self.comm)
+    }
+
+    /// Load the member, task and communication lists of a candidate.
+    pub(crate) fn fill(
+        &mut self,
+        view: &SimView<'_>,
+        entries: impl IntoIterator<Item = (usize, usize)>,
+    ) {
         self.members.clear();
         self.tasks.clear();
         self.comm.clear();
@@ -51,7 +61,6 @@ impl EvalScratch {
             self.tasks.push(x);
             self.comm.push(view.comm_slots_remaining(q, x));
         }
-        cache.iteration_estimate(&self.members, &self.tasks, &self.comm)
     }
 }
 
@@ -80,6 +89,11 @@ impl SchedulingContext {
     /// The cache handle this context evaluates through.
     pub fn cache(&self) -> &EvalCache {
         &self.cache
+    }
+
+    /// The serial scan's scratch buffers and the cache, borrowed together.
+    pub(crate) fn scratch_and_cache(&mut self) -> (&mut EvalScratch, &EvalCache) {
+        (&mut self.scratch, &self.cache)
     }
 
     /// How [`crate::passive::build_incremental`] enumerates candidate workers

@@ -19,9 +19,10 @@
 //! * Twelve **proactive** heuristics ([`ProactiveScheduler`]), written `C-H`
 //!   with criterion `C ∈ {P, E, Y}` and building block `H ∈ {IP, IE, IY, IAY}`:
 //!   at every slot a candidate configuration equal to the from-scratch build
-//!   of `H` (repaired from the previous one where the platform changed little)
-//!   replaces the current one if it is strictly better according to `C` (the
-//!   current configuration being re-evaluated on its *remaining* work).
+//!   of `H` (whose estimates are taken from the previous build's probe log
+//!   wherever the probe's communication time did not move) replaces the
+//!   current one if it is strictly better according to `C` (the current
+//!   configuration being re-evaluated on its *remaining* work).
 //!
 //! Every heuristic scores its candidates through a [`dg_analysis::EvalCache`]
 //! built for the scenario it schedules. The [`registry`] module enumerates

@@ -8,7 +8,7 @@
 
 use crate::candidate::CandidateConfig;
 use crate::context::{EvalScratch, SchedulingContext};
-use dg_analysis::IterationEstimate;
+use dg_analysis::{EvalCache, IterationEstimate};
 use dg_sim::view::{Decision, Reevaluation, Scheduler, SimView};
 use dg_sim::Assignment;
 use serde::{Deserialize, Serialize};
@@ -96,35 +96,112 @@ pub fn build_incremental(
     }
 }
 
-/// The first strict maximizer of a sequence of `(worker, score)` offers: the
-/// winner of one greedy round.
-#[derive(Debug, Clone, Copy, Default)]
-struct RoundBest {
-    /// The winning offer, `None` when nothing was offered. An offer replaces
-    /// the winner only if it scores strictly higher (`score > best`), so a
-    /// tie keeps the earlier offer, a NaN offered first wins and a NaN
-    /// offered later never does.
-    winner: Option<(usize, f64)>,
-    /// Whether any offer scored NaN.
-    saw_nan: bool,
-}
-
-impl RoundBest {
-    fn offer(&mut self, q: usize, score: f64) {
-        self.saw_nan |= score.is_nan();
-        if self.winner.is_none_or(|(_, best)| score > best) {
-            self.winner = Some((q, score));
-        }
+/// Offer `(q, score)` to a greedy round's running winner, the first strict
+/// maximizer: an offer replaces the winner only if it scores strictly higher
+/// (`score > best`), so a tie keeps the earlier offer, a NaN offered first
+/// wins and a NaN offered later never does.
+fn offer(best: &mut Option<(usize, f64)>, q: usize, score: f64) {
+    if best.is_none_or(|(_, top)| score > top) {
+        *best = Some((q, score));
     }
 }
 
-/// One greedy round: probe every worker of `probe` against the partial
-/// `candidate` and return the winning `(worker, score)` under the serial
-/// first-maximizer rule, or no winner if no probed worker can take another
-/// task.
+/// One probe of a greedy round: the probed worker, the `E_comm` of the
+/// probed candidate (the partial candidate plus one task on that worker) and
+/// the candidate's estimate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Probe {
+    worker: usize,
+    comm_time: f64,
+    estimate: IterationEstimate,
+}
+
+/// Every probe of one greedy build, for the next build to read.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeLog {
+    /// The probes of every round, round after round, each round's in
+    /// ascending worker order.
+    probes: Vec<Probe>,
+    /// Per round that placed a task: the end of its probes in `probes`, and
+    /// its winner. A round that placed none (the build failed) is absent.
+    rounds: Vec<(usize, usize)>,
+}
+
+impl ProbeLog {
+    /// The probes of round `r`, if the build logged that round.
+    fn round(&self, r: usize) -> Option<&[Probe]> {
+        let &(end, _) = self.rounds.get(r)?;
+        let start = r.checked_sub(1).map_or(0, |prev| self.rounds[prev].0);
+        Some(&self.probes[start..end])
+    }
+}
+
+/// What one greedy round may take from the previous build's log.
+#[derive(Debug, Clone, Copy)]
+struct Reuse<'a> {
+    /// The same round's logged probes, in ascending worker order: the
+    /// earlier rounds of both builds placed the same tasks.
+    logged: &'a [Probe],
+    /// Per worker, whether it joined or left `UP` or its holdings moved
+    /// since the log was written.
+    changed: &'a [bool],
+    /// Whether a member of the partial candidate changed.
+    prefix_changed: bool,
+}
+
+impl Reuse<'_> {
+    /// Nothing to reuse: every probe is estimated.
+    const NONE: Reuse<'static> = Reuse { logged: &[], changed: &[], prefix_changed: false };
+
+    /// Worker `q`'s logged probe, if any. A scan asks in ascending worker
+    /// order, so the probes before `q` are dropped as it goes.
+    fn logged(&mut self, q: usize) -> Option<Probe> {
+        while self.logged.first().is_some_and(|p| p.worker < q) {
+            self.logged = &self.logged[1..];
+        }
+        self.logged.first().filter(|p| p.worker == q).copied()
+    }
+}
+
+/// Worker `q`'s probe against the partial `candidate`, where the one reuse
+/// rule lives; the serial and the chunked scan both call it.
 ///
-/// The serial reference walks `probe` in order and keeps the first strict
-/// maximizer (`score > best_score`). The parallel path splits `probe` into
+/// The probe is taken from the log as logged when neither `q` nor any member
+/// of the partial candidate changed, or when one did but `E_comm`, recomputed
+/// now, has the logged bits; otherwise it is estimated. That is exact: the
+/// probed candidate has the logged members and tasks, and an estimate is a
+/// function of those and of the bits of `E_comm`, the only way holdings
+/// enter it ([`dg_analysis::EvalCache::comm_time`]).
+fn probe(
+    scratch: &mut EvalScratch,
+    cache: &EvalCache,
+    view: &SimView<'_>,
+    candidate: &mut CandidateConfig,
+    q: usize,
+    reuse: &mut Reuse<'_>,
+) -> Probe {
+    let logged = reuse.logged(q);
+    if let Some(logged) = logged {
+        if !reuse.prefix_changed && !reuse.changed[q] {
+            return logged;
+        }
+    }
+    candidate.add_task(q);
+    scratch.fill(view, candidate.entries());
+    candidate.remove_task(q);
+    let earlier = logged.map(|p| (p.comm_time, p.estimate));
+    let (estimate, comm_time) =
+        cache.timed_iteration_estimate(&scratch.members, &scratch.tasks, &scratch.comm, earlier);
+    Probe { worker: q, comm_time, estimate }
+}
+
+/// One greedy round: probe every worker of `workers` that can take another
+/// task against the partial `candidate`, appending each probe to `record`
+/// when given, and return the winning `(worker, score)` under the serial
+/// first-maximizer rule, or `None` if no worker can take another task.
+///
+/// The serial reference walks `workers` in order and keeps the first strict
+/// maximizer (`score > best_score`). The parallel path splits `workers` into
 /// contiguous chunks, finds each chunk's first maximizer on its own scoped
 /// thread (with a private [`CandidateConfig`] clone and [`EvalScratch`],
 /// against the shared `Sync` cache), then folds the chunk winners **in
@@ -137,67 +214,65 @@ fn scan_round(
     view: &SimView<'_>,
     kind: PassiveKind,
     candidate: &mut CandidateConfig,
-    probe: &[usize],
-    elapsed: u64,
-) -> RoundBest {
-    let threads = context.cache().decision_threads().min(probe.len());
-    if threads <= 1 || probe.len() < PARALLEL_SCAN_MIN_PROBES {
-        let mut best = RoundBest::default();
-        for &q in probe {
+    workers: &[usize],
+    mut reuse: Reuse<'_>,
+    mut record: Option<&mut Vec<Probe>>,
+) -> Option<(usize, f64)> {
+    let elapsed = view.elapsed_in_iteration();
+    let threads = context.cache().decision_threads().min(workers.len());
+    if threads <= 1 || workers.len() < PARALLEL_SCAN_MIN_PROBES {
+        let (scratch, cache) = context.scratch_and_cache();
+        let mut best = None;
+        for &q in workers {
             if !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
                 continue;
             }
-            candidate.add_task(q);
-            let estimate = context.evaluate(view, candidate.entries());
-            candidate.remove_task(q);
-            best.offer(q, kind.score(&estimate, elapsed));
+            let p = probe(scratch, cache, view, candidate, q, &mut reuse);
+            offer(&mut best, q, kind.score(&p.estimate, elapsed));
+            if let Some(record) = record.as_deref_mut() {
+                record.push(p);
+            }
         }
         return best;
     }
 
     let cache = context.cache();
-    let chunk = probe.len().div_ceil(threads);
-    let chunk_best: Vec<RoundBest> = std::thread::scope(|scope| {
-        let handles: Vec<_> = probe
+    let keep = record.is_some();
+    let chunk = workers.len().div_ceil(threads);
+    let chunks: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
             .chunks(chunk)
             .map(|part| {
-                let mut local = candidate.clone();
+                let (mut local, mut reuse) = (candidate.clone(), reuse);
                 scope.spawn(move || {
                     let mut scratch = EvalScratch::default();
-                    let mut best = RoundBest::default();
+                    let (mut best, mut probes) = (None, Vec::new());
                     for &q in part {
                         if !view.platform.worker(q).can_hold(local.tasks_of(q) + 1) {
                             continue;
                         }
-                        local.add_task(q);
-                        let estimate = scratch.evaluate(cache, view, local.entries());
-                        local.remove_task(q);
-                        best.offer(q, kind.score(&estimate, elapsed));
+                        let p = probe(&mut scratch, cache, view, &mut local, q, &mut reuse);
+                        offer(&mut best, q, kind.score(&p.estimate, elapsed));
+                        if keep {
+                            probes.push(p);
+                        }
                     }
-                    best
+                    (best, probes)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("candidate scan panicked")).collect()
     });
-    let mut best = RoundBest::default();
-    for part in chunk_best {
-        best.saw_nan |= part.saw_nan;
-        if let Some((q, score)) = part.winner {
-            best.offer(q, score);
+    let mut best = None;
+    for (part, probes) in chunks {
+        if let Some((q, score)) = part {
+            offer(&mut best, q, score);
+        }
+        if let Some(record) = record.as_deref_mut() {
+            record.extend(probes);
         }
     }
     best
-}
-
-/// What a greedy build decided, round by round.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GreedyLog {
-    /// Each round's winner and winning score, in round order. Shorter than
-    /// `m` when the build failed at round `won.len()`.
-    pub(crate) won: Vec<(usize, f64)>,
-    /// Whether any probe of the logged rounds scored NaN.
-    pub(crate) saw_nan: bool,
 }
 
 /// The reference scan: every `UP` worker is probed for every task.
@@ -206,33 +281,55 @@ pub fn build_incremental_exhaustive(
     view: &SimView<'_>,
     kind: PassiveKind,
 ) -> Option<Assignment> {
-    let empty = CandidateConfig::new(view.platform.num_workers());
-    resume_exhaustive(context, view, kind, empty, &mut GreedyLog::default())
+    greedy_exhaustive(context, view, kind, None, None)
 }
 
-/// The greedy loop of [`build_incremental_exhaustive`], resumed after the
-/// winners already in `log` (which `candidate` holds): every further round
-/// probes every `UP` worker and appends its winner to `log`, until `m` tasks
-/// are placed or a round finds no worker that can take another task
-/// (`None`, the scheduler then waits for more workers to come back `UP`).
-pub(crate) fn resume_exhaustive(
+/// The greedy loop of [`build_incremental_exhaustive`]: every round probes
+/// every `UP` worker, until `m` tasks are placed or a round finds no worker
+/// that can take another task (`None`, the scheduler then waits for more
+/// workers to come back `UP`).
+///
+/// `previous` is the log of an earlier build and, per worker, whether it
+/// changed since. While every earlier round's winner matches the log, a
+/// round's probes are taken from it where [`probe`]'s rule allows; the rounds
+/// after a changed winner run as a fresh build. Fed bit-identical estimates,
+/// the loop picks the fresh build's winners. `record`, when given, is
+/// cleared and receives every probe of this build.
+pub(crate) fn greedy_exhaustive(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
     kind: PassiveKind,
-    mut candidate: CandidateConfig,
-    log: &mut GreedyLog,
+    mut previous: Option<(&ProbeLog, &[bool])>,
+    mut record: Option<&mut ProbeLog>,
 ) -> Option<Assignment> {
+    if let Some(log) = record.as_deref_mut() {
+        log.probes.clear();
+        log.rounds.clear();
+    }
     let up: Vec<usize> = view.up_workers();
     if up.is_empty() {
         return None;
     }
-    let elapsed = view.elapsed_in_iteration();
-    while log.won.len() < view.application.tasks_per_iteration {
-        let best = scan_round(context, view, kind, &mut candidate, &up, elapsed);
-        log.saw_nan |= best.saw_nan;
-        let (q, score) = best.winner?;
+    let mut candidate = CandidateConfig::new(view.platform.num_workers());
+    let mut prefix_changed = false;
+    for r in 0..view.application.tasks_per_iteration {
+        let reuse = previous
+            .and_then(|(log, changed)| {
+                Some(Reuse { logged: log.round(r)?, changed, prefix_changed })
+            })
+            .unwrap_or(Reuse::NONE);
+        let probes = record.as_deref_mut().map(|log| &mut log.probes);
+        let (q, _) = scan_round(context, view, kind, &mut candidate, &up, reuse, probes)?;
+        if let Some(log) = record.as_deref_mut() {
+            log.rounds.push((log.probes.len(), q));
+        }
+        match previous {
+            Some((log, changed)) if log.rounds.get(r).is_some_and(|&(_, w)| w == q) => {
+                prefix_changed |= changed[q]
+            }
+            _ => previous = None,
+        }
         candidate.add_task(q);
-        log.won.push((q, score));
     }
     Some(candidate.to_assignment())
 }
@@ -257,13 +354,12 @@ pub fn build_incremental_indexed(
     if index.up_workers() == 0 {
         return None;
     }
-    let elapsed = view.elapsed_in_iteration();
     let mut candidate = CandidateConfig::new(view.platform.num_workers());
     let mut probe: Vec<usize> = Vec::new();
 
     for _ in 0..m {
         index.candidates_into(candidate.occupied(), &mut probe);
-        let (q, _) = scan_round(context, view, kind, &mut candidate, &probe, elapsed).winner?;
+        let (q, _) = scan_round(context, view, kind, &mut candidate, &probe, Reuse::NONE, None)?;
         candidate.add_task(q);
     }
     Some(candidate.to_assignment())

@@ -17,19 +17,20 @@
 //! The apparent-yield criterion is excluded, as in the paper, because it leads
 //! to many unnecessary configuration changes.
 //!
-//! The candidate is always equal to the from-scratch build, but it is not
-//! always rebuilt. Outside the IY base, whose scores move with the iteration
-//! clock, the scheduler keeps a round log: the `UP` set and holdings the last
-//! candidate was built on, and each greedy round's winner and winning score.
-//! A later consult re-scores only the workers that changed since then and
-//! redoes the greedy rounds from the first one such a worker wins or had won
-//! (see `ProactiveScheduler::candidate_for`); an unchanged view reuses the
-//! candidate outright.
+//! The candidate is always equal to the from-scratch build, but its
+//! estimates are not always recomputed. From its second consult on, the
+//! scheduler keeps a probe log: the `UP` set and holdings the last candidate
+//! was built on, and every probe of that build's greedy rounds with its
+//! communication time `E_comm` and its estimate. A later consult runs the
+//! greedy loop again, taking a probe's estimate from the log unless a worker
+//! it involves changed and its `E_comm` moved, and recomputes every score at
+//! the current clock, so the IY base reads the log too (see
+//! `ProactiveScheduler::candidate_for`). A clock-free base with an unchanged
+//! view reuses the candidate outright.
 
-use crate::candidate::CandidateConfig;
 use crate::context::SchedulingContext;
 use crate::index::use_indexed_scan;
-use crate::passive::{build_incremental, resume_exhaustive, GreedyLog, PassiveKind};
+use crate::passive::{build_incremental, greedy_exhaustive, PassiveKind, ProbeLog};
 use dg_analysis::IterationEstimate;
 use dg_sim::view::{Decision, Reevaluation, Scheduler, SimView, WorkerView};
 use dg_sim::Assignment;
@@ -47,12 +48,12 @@ fn holdings(w: &WorkerView) -> Holdings {
 
 /// The candidate of the last consult and how it was built.
 #[derive(Debug)]
-struct RoundLog {
+struct BuildLog {
     /// Every worker's [`Holdings`] in the view the candidate was built on.
     snapshot: Vec<Holdings>,
-    /// The greedy rounds of that build, or `None` for the indexed scan,
-    /// whose candidate is rebuilt on any change.
-    rounds: Option<GreedyLog>,
+    /// Every probe of that build, or `None` for the indexed scan, whose
+    /// candidate is rebuilt on any change.
+    probes: Option<ProbeLog>,
     candidate: Option<Assignment>,
 }
 
@@ -114,12 +115,16 @@ pub struct ProactiveScheduler {
     base: PassiveKind,
     context: SchedulingContext,
     name: String,
-    /// The last candidate and its round log. Only kept for bases whose
-    /// scores do not depend on the time already spent in the iteration (IP,
-    /// IE, IAY); IY is always rebuilt.
-    log: Option<RoundLog>,
-    /// Scratch: the workers that changed since the log's snapshot.
-    changed: Vec<usize>,
+    /// Whether `decide` was called before: the first consult builds from
+    /// scratch and writes no log, so a scheduler consulted once never pays
+    /// for one.
+    consulted: bool,
+    /// The last candidate and its probe log, from the second consult on.
+    log: Option<BuildLog>,
+    /// Scratch: per worker, whether it changed since the log's snapshot.
+    changed: Vec<bool>,
+    /// Scratch: the probe log the next build writes.
+    spare: ProbeLog,
 }
 
 impl ProactiveScheduler {
@@ -134,110 +139,68 @@ impl ProactiveScheduler {
         context: SchedulingContext,
     ) -> Self {
         let name = format!("{}-{}", criterion.paper_letter(), base.paper_name());
-        ProactiveScheduler { criterion, base, context, name, log: None, changed: Vec::new() }
+        ProactiveScheduler {
+            criterion,
+            base,
+            context,
+            name,
+            consulted: false,
+            log: None,
+            changed: Vec::new(),
+            spare: ProbeLog::default(),
+        }
     }
 
     /// The candidate configuration for the current view: always equal to
-    /// the passive base's from-scratch build, and repaired from the round
-    /// log where that is cheaper.
+    /// the passive base's from-scratch build, whose estimates are taken from
+    /// the probe log where that is exact.
     ///
-    /// Outside IY, a round's scores depend only on the partial candidate (its
-    /// members and their holdings), on the probed worker's holdings and on
-    /// platform constants, and each round's winner is the first strict
-    /// maximizer in ascending worker order. So against the log's snapshot,
-    /// with *changed* meaning a worker that joined or left `UP` or whose
-    /// holdings moved:
-    ///
-    /// * with nothing changed, the logged candidate stands;
-    /// * the build is redone from the first round a changed worker won, at
-    ///   the latest;
-    /// * before that round every unchanged worker scores as logged, so only
-    ///   the changed `UP` workers are re-scored, round-major, against the
-    ///   logged winner: one that scores higher, or ties it at a lower index,
-    ///   takes the round and the build is redone from there;
-    /// * a logged build that failed (no worker could take another task) is
-    ///   redone from the failing round if a changed worker can take one there.
-    ///
-    /// The redone rounds run the very loop of
-    /// [`crate::passive::build_incremental_exhaustive`], resumed after the
-    /// logged prefix; the first consult repairs an empty log (nothing `UP`,
-    /// nothing built), which redoes every round. Any NaN score breaks the
-    /// first-maximizer argument, so a log that saw one is rebuilt from
-    /// scratch. The indexed scan keeps full rebuilds, reusing its candidate
-    /// only on an unchanged snapshot.
+    /// The first consult is that build and writes no log. Later consults
+    /// diff the view against the log's snapshot, a worker counting as
+    /// *changed* when it joined or left `UP` or its holdings moved. With
+    /// nothing changed, a clock-free base (IP, IE, IAY) returns the logged
+    /// candidate. Otherwise the greedy loop of
+    /// [`crate::passive::build_incremental_exhaustive`] runs, fed the logged
+    /// estimates while every earlier round's winner matches the log (see
+    /// `passive::probe` for the rule), and the scores are computed at the
+    /// current clock; the build's probes become the next log. The indexed
+    /// scan keeps full rebuilds, reusing its candidate only for an unchanged
+    /// snapshot under a clock-free base.
     fn candidate_for(&mut self, view: &SimView<'_>) -> Option<Assignment> {
-        if self.base == PassiveKind::IY {
+        if !std::mem::replace(&mut self.consulted, true) {
             return build_incremental(&mut self.context, view, self.base);
         }
         let p = view.workers.len();
         let log = match &mut self.log {
             Some(log) if log.snapshot.len() == p => log,
-            // No worker UP and nothing built: every UP worker is a change.
-            slot => slot.insert(RoundLog {
+            // The log of a build with nothing UP: every UP worker is a change.
+            slot => slot.insert(BuildLog {
                 snapshot: vec![None; p],
-                rounds: (!use_indexed_scan(self.context.scan_strategy(), p))
-                    .then(GreedyLog::default),
+                probes: (!use_indexed_scan(self.context.scan_strategy(), p))
+                    .then(ProbeLog::default),
                 candidate: None,
             }),
         };
         self.changed.clear();
-        for (q, (then, w)) in log.snapshot.iter_mut().zip(view.workers).enumerate() {
+        let mut any_changed = false;
+        for (then, w) in log.snapshot.iter_mut().zip(view.workers) {
             let now = holdings(w);
-            if *then != now {
-                *then = now;
-                self.changed.push(q);
-            }
+            let changed = *then != now;
+            *then = now;
+            any_changed |= changed;
+            self.changed.push(changed);
         }
-        if self.changed.is_empty() {
+        if !any_changed && self.base != PassiveKind::IY {
             return log.candidate.clone();
         }
-        let Some(rounds) = &mut log.rounds else {
-            // The indexed scan rebuilds on any change.
+        let Some(probes) = &mut log.probes else {
             log.candidate = build_incremental(&mut self.context, view, self.base);
             return log.candidate.clone();
         };
-
-        let changed = &self.changed;
-        let was_changed = |q: &usize| changed.binary_search(q).is_ok();
-        let first_changed_win = rounds.won.iter().position(|(q, _)| was_changed(q));
-        // A NaN score breaks the first-maximizer argument: start over.
-        let mut redo = rounds.saw_nan.then_some(0);
-        let unchanged = match redo {
-            Some(_) => 0,
-            None => first_changed_win.unwrap_or(rounds.won.len()),
-        };
-        let elapsed = view.elapsed_in_iteration();
-        let mut candidate = CandidateConfig::new(view.platform.num_workers());
-        'rounds: for (r, &(winner, best)) in rounds.won[..unchanged].iter().enumerate() {
-            for &q in changed {
-                if !view.is_up(q) || !view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1) {
-                    continue;
-                }
-                candidate.add_task(q);
-                let estimate = self.context.evaluate(view, candidate.entries());
-                candidate.remove_task(q);
-                let score = self.base.score(&estimate, elapsed);
-                if score > best || (score == best && q < winner) || score.is_nan() {
-                    redo = Some(r);
-                    break 'rounds;
-                }
-            }
-            candidate.add_task(winner);
-        }
-        let redo = redo.or(first_changed_win).or_else(|| {
-            let reopened = log.candidate.is_none()
-                && changed.iter().any(|&q| {
-                    view.is_up(q) && view.platform.worker(q).can_hold(candidate.tasks_of(q) + 1)
-                });
-            reopened.then_some(rounds.won.len())
-        });
-        let Some(from) = redo else {
-            return log.candidate.clone();
-        };
-        rounds.won.truncate(from);
-        // The kept prefix saw no NaN: a log that saw one restarts at round 0.
-        rounds.saw_nan = false;
-        log.candidate = resume_exhaustive(&mut self.context, view, self.base, candidate, rounds);
+        let previous = Some((&*probes, &self.changed[..]));
+        log.candidate =
+            greedy_exhaustive(&mut self.context, view, self.base, previous, Some(&mut self.spare));
+        std::mem::swap(probes, &mut self.spare);
         log.candidate.clone()
     }
 
@@ -374,8 +337,16 @@ mod tests {
         }
 
         fn view<'a>(&'a self, current: Option<&'a ActiveConfiguration>) -> SimView<'a> {
+            self.view_at(0, current)
+        }
+
+        fn view_at<'a>(
+            &'a self,
+            time: u64,
+            current: Option<&'a ActiveConfiguration>,
+        ) -> SimView<'a> {
             SimView {
-                time: 0,
+                time,
                 iteration: 0,
                 completed_iterations: 0,
                 iteration_started_at: 0,
@@ -518,24 +489,58 @@ mod tests {
         }
     }
 
-    /// The nine proactive heuristics whose candidate is repaired (IY bases
-    /// always rebuild).
-    fn repaired() -> impl Iterator<Item = (ProactiveCriterion, PassiveKind)> {
-        ProactiveCriterion::ALL.into_iter().flat_map(|c| {
-            [PassiveKind::IP, PassiveKind::IE, PassiveKind::IAY].into_iter().map(move |k| (c, k))
-        })
+    /// All twelve proactive heuristics.
+    fn proactive() -> impl Iterator<Item = (ProactiveCriterion, PassiveKind)> {
+        ProactiveCriterion::ALL
+            .into_iter()
+            .flat_map(|c| PassiveKind::ALL.into_iter().map(move |k| (c, k)))
+    }
+
+    /// A scheduler over `cache`, past its first consult (which writes no
+    /// log) on `view`.
+    fn warmed_up(
+        criterion: ProactiveCriterion,
+        base: PassiveKind,
+        cache: &EvalCache,
+        view: &SimView<'_>,
+    ) -> ProactiveScheduler {
+        let mut sched = ProactiveScheduler::with_context(
+            criterion,
+            base,
+            SchedulingContext::new(cache.clone()),
+        );
+        sched.decide(view);
+        sched
     }
 
     #[test]
-    fn a_leaving_worker_that_won_no_round_costs_no_lookup() {
-        for (criterion, base) in repaired() {
-            let mut f = four_speeds();
+    fn a_first_consult_looks_up_what_a_fresh_build_looks_up() {
+        let f = four_speeds();
+        for (criterion, base) in proactive() {
             let cache = f.cache();
+            let decision = f.scheduler(criterion, base).decide(&f.view(None));
             let mut sched = ProactiveScheduler::with_context(
                 criterion,
                 base,
                 SchedulingContext::new(cache.clone()),
             );
+            assert_eq!(sched.decide(&f.view(None)), decision);
+            let passive_cache = f.cache();
+            let context = SchedulingContext::new(passive_cache.clone());
+            let passive =
+                crate::PassiveScheduler::with_context(base, context).decide(&f.view(None));
+            assert_eq!(decision, passive, "{}", sched.name());
+            assert_eq!(cache.stats(), passive_cache.stats(), "{}", sched.name());
+            assert!(sched.log.is_none(), "{}: a first consult writes no log", sched.name());
+        }
+    }
+
+    #[test]
+    fn a_leaving_worker_that_won_no_round_costs_no_lookup() {
+        for (criterion, base) in proactive() {
+            let mut f = four_speeds();
+            let cache = f.cache();
+            let mut sched = warmed_up(criterion, base, &cache, &f.view(None));
             let first = sched.decide(&f.view(None));
             let Decision::NewConfiguration(candidate) = &first else {
                 panic!("{}: no candidate on an all-UP platform", sched.name());
@@ -553,16 +558,12 @@ mod tests {
 
     #[test]
     fn a_joining_loser_costs_fewer_lookups_than_a_fresh_build() {
-        for (criterion, base) in repaired() {
+        for (criterion, base) in proactive() {
             let mut f = four_speeds();
-            // The slowest worker is away for the first consult.
+            // The slowest worker is away for the first consults.
             f.workers[3].state = ProcState::Reclaimed;
             let cache = f.cache();
-            let mut sched = ProactiveScheduler::with_context(
-                criterion,
-                base,
-                SchedulingContext::new(cache.clone()),
-            );
+            let mut sched = warmed_up(criterion, base, &cache, &f.view(None));
             sched.decide(&f.view(None));
             f.workers[3].state = ProcState::Up;
             let before = cache.stats();
@@ -583,6 +584,52 @@ mod tests {
             assert!(
                 repair_lookups < fresh_cache.stats().lookups(),
                 "{}: the repair looked up {repair_lookups} sets, a fresh build {}",
+                sched.name(),
+                fresh_cache.stats().lookups()
+            );
+        }
+    }
+
+    #[test]
+    fn a_consult_after_a_clock_only_move_costs_no_lookup() {
+        let f = four_speeds();
+        for (criterion, base) in proactive() {
+            let cache = f.cache();
+            let mut sched = warmed_up(criterion, base, &cache, &f.view(None));
+            sched.decide(&f.view_at(3, None));
+            let before = cache.stats();
+            let later = sched.decide(&f.view_at(40, None));
+            assert_eq!(cache.stats().since(&before).lookups(), 0, "{}", sched.name());
+            assert_eq!(later, f.scheduler(criterion, base).decide(&f.view_at(40, None)));
+        }
+    }
+
+    #[test]
+    fn an_enrolled_transfer_slot_costs_fewer_lookups_than_a_fresh_build() {
+        for (criterion, base) in proactive() {
+            let mut f = four_speeds();
+            let cache = f.cache();
+            let mut sched = warmed_up(criterion, base, &cache, &f.view(None));
+            let Decision::NewConfiguration(candidate) = sched.decide(&f.view(None)) else {
+                panic!("{}: no candidate on an all-UP platform", sched.name());
+            };
+            let cfg = ActiveConfiguration::new(candidate.clone(), &f.platform, 0);
+            let enrolled = candidate.members_iter().next().expect("a member");
+            f.workers[enrolled].dynamic.advance_transfer(f.master.t_prog, f.master.t_data);
+            let before = cache.stats();
+            let decision = sched.decide(&f.view_at(1, Some(&cfg)));
+            let lookups = cache.stats().since(&before).lookups();
+
+            let fresh_cache = f.cache();
+            let mut fresh = ProactiveScheduler::with_context(
+                criterion,
+                base,
+                SchedulingContext::new(fresh_cache.clone()),
+            );
+            assert_eq!(decision, fresh.decide(&f.view_at(1, Some(&cfg))), "{}", sched.name());
+            assert!(
+                lookups < fresh_cache.stats().lookups(),
+                "{}: the consult looked up {lookups} sets, a fresh build {}",
                 sched.name(),
                 fresh_cache.stats().lookups()
             );

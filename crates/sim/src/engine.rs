@@ -24,8 +24,8 @@
 //! [`EngineReport`]. Skipping slots pays off on runs that reach the slot cap
 //! and costs time at paper scale, where runs end long before it: on a
 //! 2-CPU host, a `table1` campaign whose RANDOM runs stop at the 200 000-slot
-//! cap took 0.46 s event-driven against 0.51 s slot-stepped, while the paper's
-//! `--wmin 1,2` campaign took 0.26 s against 0.22 s (docs/ARCHITECTURE.md,
+//! cap took 0.44 s event-driven against 0.49 s slot-stepped, while the paper's
+//! `--wmin 1,2` campaign took 0.21 s against 0.19 s (docs/ARCHITECTURE.md,
 //! "Slot-stepped vs event-driven simulation", gives the commands and samples).
 
 use crate::assignment::Assignment;
@@ -367,7 +367,9 @@ impl<A: AvailabilityModel> Simulator<A> {
         // transition" stays correct for the same context until time passes it;
         // `Some(None)` ("never again relevant") stays correct forever. This
         // makes the relevance walk amortized O(1) per executed slot instead of
-        // re-scanning the same irrelevant churn at every step.
+        // re-scanning the same irrelevant churn at every step. A context in
+        // which no transition can wake the scheduler at all
+        // (`Reevaluation::can_wake`) is "never" without a walk.
         let mut relevance_cache: Vec<[CachedTransition; 8]> = vec![[None; 8]; p];
         let mut t: u64 = 0;
         let mut executed: u64 = 0;
@@ -423,6 +425,11 @@ impl<A: AvailabilityModel> Simulator<A> {
                         Some(None) => None,
                         // A future relevant transition stays the next one.
                         Some(Some(when)) if when > t => Some(when),
+                        // No state change can wake the scheduler here.
+                        None if !reeval.can_wake(member, idle, holds_anything) => {
+                            cached[ctx] = Some(None);
+                            None
+                        }
                         _ => {
                             let result =
                                 self.next_relevant_transition(q, t, w.state, |from, to| {
@@ -487,7 +494,9 @@ impl<A: AvailabilityModel> Simulator<A> {
     /// first `DOWN` entry, before they could have been lost. The walk is
     /// bounded: after `MAX_IRRELEVANT_WALK` skipped transitions the next one
     /// is returned as a conservative wake-up — a spurious wake executes one
-    /// extra slot and changes nothing.
+    /// extra slot and changes nothing. The engine walks only contexts in
+    /// which some transition can wake the scheduler, so the cap serves the
+    /// ones that can but rarely do.
     fn next_relevant_transition(
         &mut self,
         q: usize,
@@ -724,6 +733,7 @@ mod tests {
     use crate::fixed::FixedAssignmentScheduler;
     use dg_availability::{MarkovChain3, RealizedAvailability};
     use dg_platform::WorkerSpec;
+    use std::cell::Cell;
 
     fn reliable_platform(p: usize, speed: u64) -> Platform {
         Platform::reliable_homogeneous(p, speed)
@@ -1043,25 +1053,42 @@ mod tests {
         assert_eq!(slot.skipped_slots(), 0);
     }
 
-    /// A scripted realization that counts its `state` queries.
-    struct CountingStates<'a> {
+    /// A scripted realization that counts its queries, per worker.
+    struct Counting<'a> {
         inner: RealizedAvailability,
-        states: &'a std::cell::Cell<u64>,
+        states: &'a [Cell<u64>],
+        transitions: &'a [Cell<u64>],
     }
 
-    impl AvailabilityModel for CountingStates<'_> {
+    impl<'a> Counting<'a> {
+        fn new(codes: &[&str], states: &'a [Cell<u64>], transitions: &'a [Cell<u64>]) -> Self {
+            Counting { inner: RealizedAvailability::from_codes(codes), states, transitions }
+        }
+    }
+
+    impl AvailabilityModel for Counting<'_> {
         fn num_procs(&self) -> usize {
             self.inner.num_procs()
         }
 
         fn state(&mut self, q: usize, t: u64) -> ProcState {
-            self.states.set(self.states.get() + 1);
+            self.states[q].set(self.states[q].get() + 1);
             self.inner.state(q, t)
         }
 
         fn next_transition(&mut self, q: usize, after: u64) -> Option<(u64, ProcState)> {
+            self.transitions[q].set(self.transitions[q].get() + 1);
             self.inner.next_transition(q, after)
         }
+    }
+
+    /// `n` zeroed counters.
+    fn counters(n: usize) -> Vec<Cell<u64>> {
+        (0..n).map(|_| Cell::new(0)).collect()
+    }
+
+    fn total(counters: &[Cell<u64>]) -> u64 {
+        counters.iter().map(Cell::get).sum()
     }
 
     #[test]
@@ -1096,9 +1123,8 @@ mod tests {
             .run_with_report(&mut sched)
         }
         for mode in [SimMode::SlotStepped, SimMode::EventDriven] {
-            let states = std::cell::Cell::new(0);
-            let inner = RealizedAvailability::from_codes(&codes);
-            let counted = run(&platform, mode, CountingStates { inner, states: &states });
+            let (states, transitions) = (counters(codes.len()), counters(codes.len()));
+            let counted = run(&platform, mode, Counting::new(&codes, &states, &transitions));
             let (outcome, _, report) =
                 run(&platform, mode, RealizedAvailability::from_codes(&codes));
             assert_eq!(counted.0, outcome, "{mode}: counting changed the outcome");
@@ -1118,13 +1144,47 @@ mod tests {
                 }
             }
             assert!(
-                states.get() <= p + entered,
+                total(&states) <= p + entered,
                 "{mode}: {} state reads for {p} workers entering {entered} runs",
-                states.get()
+                total(&states)
             );
             // Reading every worker at every executed slot would break the bound.
             assert!(p * report.executed_slots > p + entered, "{mode}: the run is too short");
         }
+    }
+
+    #[test]
+    fn a_bystander_no_transition_can_wake_costs_no_walk_step() {
+        // One long computation on worker 0 under a scheduler that ignores
+        // outside transitions, while worker 1, never UP and holding nothing,
+        // churns between RECLAIMED and DOWN through far more transitions
+        // than one relevance walk may skip.
+        let churn = "RD".repeat(1500);
+        let codes = ["U", churn.as_str()];
+        let platform = Platform::new(
+            vec![WorkerSpec::new(5000), WorkerSpec::new(1)],
+            vec![MarkovChain3::always_up(); 2],
+        );
+        let run = |mode: SimMode, states: &[Cell<u64>], transitions: &[Cell<u64>]| {
+            let mut sched = FixedAssignmentScheduler::new(Assignment::new([(0, 1)]));
+            Simulator::from_parts(
+                platform.clone(),
+                ApplicationSpec::new(1, 1),
+                MasterSpec::from_slots(1, 0, 0),
+                Counting::new(&codes, states, transitions),
+            )
+            .with_mode(mode)
+            .run_with_report(&mut sched)
+        };
+        let (slot, _, _) = run(SimMode::SlotStepped, &counters(2), &counters(2));
+        let (states, transitions) = (counters(2), counters(2));
+        let (event, _, report) = run(SimMode::EventDriven, &states, &transitions);
+        assert_eq!(event, slot, "engine modes disagree");
+        assert_eq!(event.makespan, Some(5000));
+        assert!(report.executed_slots < 10, "{report:?}");
+        // Step 1 asks for the next change once per state read; every
+        // further query would be a walk step.
+        assert_eq!(transitions[1].get(), states[1].get(), "the bystander was walked");
     }
 
     #[test]

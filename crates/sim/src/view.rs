@@ -174,10 +174,12 @@ pub struct Reevaluation {
     pub while_idle: bool,
     /// Consult `decide` every slot while the installed configuration is
     /// downloading (transfers progressing). Transfer progress changes worker
-    /// holdings slot by slot, which proactive schedulers observe through
-    /// their candidate fingerprints; passive-style schedulers keep an
-    /// installed configuration unconditionally and can leave this `false`,
-    /// letting the engine jump between message completions.
+    /// holdings slot by slot, which proactive schedulers read through the
+    /// diff of their holdings snapshot and through their probe log (a moved
+    /// holding re-estimates the probes whose communication time it moves);
+    /// passive-style schedulers keep an installed configuration
+    /// unconditionally and can leave this `false`, letting the engine jump
+    /// between message completions.
     pub during_transfer: bool,
     /// While a configuration is installed, consult `decide` again when a
     /// worker *outside* the configuration crosses the `UP` boundary (enters
@@ -249,6 +251,26 @@ impl Reevaluation {
         } else {
             self.on_outside_transitions && (from.is_up() || to.is_up())
         }
+    }
+
+    /// `true` if any of the six state changes can wake this scheduler for a
+    /// worker in the given context ([`Reevaluation::wakes_on`] over every
+    /// `from → to`). Only one context answers `false`: an empty-handed
+    /// outside worker under an installed configuration, for a scheduler that
+    /// ignores outside transitions. The event engine answers that context
+    /// without walking the worker's transitions.
+    pub fn can_wake(&self, member: bool, idle: bool, holds_anything: bool) -> bool {
+        use ProcState::{Down, Reclaimed, Up};
+        [
+            (Up, Reclaimed),
+            (Up, Down),
+            (Reclaimed, Up),
+            (Reclaimed, Down),
+            (Down, Up),
+            (Down, Reclaimed),
+        ]
+        .into_iter()
+        .any(|(from, to)| self.wakes_on(from, to, member, idle, holds_anything))
     }
 }
 
@@ -404,6 +426,15 @@ mod tests {
         for (from, to) in [(Up, Reclaimed), (Up, Down), (Reclaimed, Up), (Down, Up)] {
             assert!(!passive.wakes_on(from, to, false, false, false));
             assert!(watching.wakes_on(from, to, false, false, false));
+        }
+        // Of the eight contexts, only an empty-handed outsider under an
+        // installed configuration can never wake a passive scheduler.
+        for reeval in [passive, watching] {
+            for ctx in 0..8u8 {
+                let (member, idle, holds) = (ctx & 1 != 0, ctx & 2 != 0, ctx & 4 != 0);
+                let silent = !member && !idle && !holds && reeval == passive;
+                assert_eq!(reeval.can_wake(member, idle, holds), !silent, "{reeval:?} ctx {ctx}");
+            }
         }
     }
 }

@@ -1295,7 +1295,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Proactive candidates repaired from the round log against fresh builds.
+// Proactive candidates built from the probe log against fresh builds.
 // ---------------------------------------------------------------------------
 
 use desktop_grid_scheduling::heuristics::SchedulingContext;
@@ -1305,7 +1305,7 @@ use desktop_grid_scheduling::sim::worker_state::WorkerDynamicState;
 
 /// One change between two consults: `(what, worker, amount)`.
 fn view_change() -> impl Strategy<Value = (usize, usize, u64)> {
-    (0usize..8, 0usize..64, 1u64..4)
+    (0usize..10, 0usize..64, 1u64..4)
 }
 
 proptest! {
@@ -1317,9 +1317,11 @@ proptest! {
     /// proactive heuristics at 1 and 2 decision threads. The views move the
     /// way a run moves them: workers join and leave `UP`, `UP` and non-`UP`
     /// workers' holdings change, configurations are installed and dropped,
-    /// iterations end and the clock runs. Some workers are capacity-limited,
-    /// and the first `twins + 1` workers are interchangeable, so their scores
-    /// tie exactly and the lower index must win.
+    /// iterations end, enrolled workers download and the clock runs alone.
+    /// Sequences run long enough that most consults read a probe log written
+    /// by an earlier one. Some workers are capacity-limited, and the first
+    /// `twins + 1` workers are interchangeable, so their scores tie exactly
+    /// and the lower index must win.
     #[test]
     fn repaired_proactive_candidates_match_fresh_builds(
         seed in 0u64..10_000,
@@ -1329,7 +1331,7 @@ proptest! {
         limited in 0u32..256,
         initially_up in 0u32..4096,
         comm in (1usize..4, 0u64..4, 0u64..3),
-        changes in proptest::collection::vec(view_change(), 1..20),
+        changes in proptest::collection::vec(view_change(), 3..30),
     ) {
         let mut rng = sub_rng(seed, 7);
         // Workers 0 ..= twins are fast and interchangeable, so they often
@@ -1433,6 +1435,28 @@ proptest! {
                     world[q].state =
                         if world[q].state.is_up() { ProcState::Reclaimed } else { ProcState::Up };
                 }
+                // The installed configuration's UP members download, as
+                // in a communication slot served on every channel.
+                7 => {
+                    if let Some(cfg) = &current {
+                        let needy: Vec<usize> = cfg
+                            .assignment
+                            .entries()
+                            .iter()
+                            .filter(|&&(w, x)| {
+                                world[w].state.is_up()
+                                    && world[w].dynamic.comm_slots_remaining(x, t_prog, t_data) > 0
+                            })
+                            .map(|&(w, _)| w)
+                            .take(ncom)
+                            .collect();
+                        for w in needy {
+                            for _ in 0..amount {
+                                world[w].dynamic.advance_transfer(t_prog, t_data);
+                            }
+                        }
+                    }
+                }
                 // Only the clock moves.
                 _ => {}
             }
@@ -1461,7 +1485,7 @@ proptest! {
                 if current.is_none() {
                     // With nothing installed the decision is the candidate
                     // itself, so the passive base's from-scratch build is an
-                    // oracle that shares no code with the round log.
+                    // oracle that shares no code with the probe log.
                     let context = SchedulingContext::new(cache.clone());
                     let passive = PassiveScheduler::with_context(sched.base(), context).decide(&view);
                     prop_assert_eq!(&got, &passive, "{} differs from its passive base", sched.name());
