@@ -4,7 +4,7 @@
 //! IAY, IE, IY, P-IE, Y-IE).
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin figure2 -- [--scenarios N] [--trials N] [--full] \
+//! cargo run --release --bin figure2 -- [--scenarios N] [--trials N] [--full] \
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--out DIR] [--resume]
 //!
 //! `--heuristics` replaces the paper's eight plotted heuristics with an

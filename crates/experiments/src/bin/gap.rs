@@ -7,7 +7,7 @@
 //! the exact oracle every ratio is a true optimality gap (`>= 1.000`).
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin gap -- [--scenarios N] [--trials N] [--full] \
+//! cargo run --release --bin gap -- [--scenarios N] [--trials N] [--full] \
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--threads N] [--out DIR] [--resume]
 //! ```
 

@@ -3,7 +3,7 @@
 //! Figure 2 series.
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin report -- [--scenarios N] [--trials N] [--full] \
+//! cargo run --release --bin report -- [--scenarios N] [--trials N] [--full] \
 //!     [--heuristics NAME[,NAME...]] [--out DIR] [--resume]
 //! ```
 

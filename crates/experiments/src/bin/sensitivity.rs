@@ -3,7 +3,7 @@
 //! semi-Markov (Weibull / log-normal) traces with matched mean sojourns.
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin sensitivity -- [--scenarios N] [--trials N] \
+//! cargo run --release --bin sensitivity -- [--scenarios N] [--trials N] \
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--out DIR] [--resume]
 //! ```
 

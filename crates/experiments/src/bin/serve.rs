@@ -4,9 +4,9 @@
 //!
 //! ```text
 //! echo '{"heuristic":"IE","workers":"UUUUUUUUUUUUUUUUUUUU"}' | \
-//!     cargo run --release -p dg-experiments --bin serve -- --suite paper
+//!     cargo run --release --bin serve -- --suite paper
 //!
-//! cargo run --release -p dg-experiments --bin serve -- --suite paper --listen 127.0.0.1:4800
+//! cargo run --release --bin serve -- --suite paper --listen 127.0.0.1:4800
 //! ```
 //!
 //! The campaign flags (`--suite`, `--workers`, `--ncom`, `--wmin`, `--seed`)

@@ -3,7 +3,7 @@
 //! `m = 5` tasks per iteration).
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin table1 -- [--scenarios N] [--trials N] [--full] \
+//! cargo run --release --bin table1 -- [--scenarios N] [--trials N] [--full] \
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--out DIR] [--resume] \
 //!     [--worker-shard I/N | --spawn-workers N]
 //! ```

@@ -4,7 +4,7 @@
 //! full table for completeness.
 //!
 //! ```text
-//! cargo run --release -p dg-experiments --bin table2 -- [--scenarios N] [--trials N] [--full] \
+//! cargo run --release --bin table2 -- [--scenarios N] [--trials N] [--full] \
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--out DIR] [--resume] \
 //!     [--worker-shard I/N | --spawn-workers N]
 //! ```

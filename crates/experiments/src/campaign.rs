@@ -10,6 +10,7 @@
 //! call sites use.
 
 use crate::executor::{run_campaign_with, ExecutorOptions};
+use crate::suite::MAX_SCENARIOS;
 use dg_heuristics::HeuristicSpec;
 use dg_platform::{ScenarioModel, ScenarioParams};
 use dg_sim::{SimMode, SimOutcome};
@@ -182,15 +183,23 @@ impl CampaignConfig {
 /// The number of runs of a sweep over `points` experiment points with
 /// `scenarios` scenarios per point, `trials` trials per scenario and
 /// `per_trial` runs per trial (heuristics × availability arms), computed
-/// without wrapping. Every campaign binary's count goes through here before
-/// its banner prints; a count past `usize::MAX` is an error that names
-/// `--scenarios`, `--trials` and the product.
+/// without wrapping. Every campaign binary's count, and `serve`'s, goes
+/// through here before its banner prints. A `scenarios` above
+/// [`MAX_SCENARIOS`] is an error that names `--scenarios` and the ceiling,
+/// and a count past `usize::MAX` one that names `--scenarios`, `--trials` and
+/// the product.
 pub fn run_count(
     points: usize,
     scenarios: usize,
     trials: usize,
     per_trial: usize,
 ) -> Result<usize, String> {
+    if scenarios > MAX_SCENARIOS {
+        return Err(format!(
+            "--scenarios {scenarios} is too large: a campaign accepts --scenarios up to \
+             {MAX_SCENARIOS}"
+        ));
+    }
     [scenarios, trials, per_trial].into_iter().try_fold(points, usize::checked_mul).ok_or_else(
         || {
             format!(

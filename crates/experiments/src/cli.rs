@@ -528,24 +528,29 @@ mod tests {
     #[test]
     fn a_run_count_past_usize_is_refused_and_names_both_flags() {
         let huge = usize::MAX.to_string();
-        let opts = CliOptions::parse(["--scenarios", &huge]).unwrap();
-        let err = opts.campaign().unwrap_err();
-        assert_eq!(
-            err,
-            format!(
-                "--scenarios {huge} and --trials 3 ask for too many runs: 60 points × {huge} \
-                 scenarios × 3 trials × 17 runs per trial exceeds {huge}"
-            )
-        );
-        // A count that fits is accepted, however large: nothing is sized by
-        // it. (The paper suite has two m values, so 34 runs per scenario.)
-        let scenarios = usize::MAX / 34;
-        let exact = scenarios.to_string();
+        let ceiling = crate::suite::MAX_SCENARIOS;
+        assert!(CliOptions::parse(["--full"]).unwrap().scenarios <= ceiling);
+        // Past the ceiling, scenario seeds would repeat: refused, by name.
+        for scenarios in [ceiling + 1, usize::MAX] {
+            let opts = CliOptions::parse(["--scenarios", &scenarios.to_string()]).unwrap();
+            assert_eq!(
+                opts.campaign().unwrap_err(),
+                format!(
+                    "--scenarios {scenarios} is too large: a campaign accepts --scenarios up to \
+                     {ceiling}"
+                )
+            );
+        }
+        // The ceiling itself is accepted: nothing is sized by the count.
+        // (The paper suite has two m values, so 34 runs per scenario.)
+        let exact = ceiling.to_string();
         let args = ["--scenarios", &exact, "--trials", "1", "--wmin", "1", "--ncom", "5"];
         let opts = CliOptions::parse(args).unwrap();
         let config = opts.campaign().unwrap();
-        assert_eq!(config.total_runs(), scenarios * 34);
-        assert_eq!(config.with_m(5).total_runs(), scenarios * 17);
+        assert_eq!(config.total_runs(), ceiling * 34);
+        assert_eq!(config.with_m(5).total_runs(), ceiling * 17);
+        // Under the ceilings a count still overflows a 32-bit usize, so it
+        // stays checked.
         assert_eq!(
             crate::campaign::run_count(2, 1, 1, usize::MAX / 2 + 1).unwrap_err(),
             format!(

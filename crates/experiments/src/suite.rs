@@ -60,9 +60,21 @@ pub const MAX_TASKS: usize = 10_000;
 /// availability arm, so a larger count is refused instead of failing an
 /// allocation. At the ceiling, a one-scenario `sensitivity` run of all 17
 /// heuristics over both availability arms (340 000 records in one job) peaked
-/// at 136 MB resident (release build, `--cap 2`). `--scenarios` needs no
-/// ceiling: nothing is sized by it.
+/// at 136 MB resident (release build, `--cap 2`).
 pub const MAX_TRIALS: usize = 10_000;
+
+/// The most scenarios per experiment point (`--scenarios`) a campaign may ask
+/// for, 2²⁰. Nothing is sized by the count, but scenario `s` of point `p` is
+/// generated from the stream `(p << 20) | s`, which the golden corpus pins:
+/// past the ceiling, scenario `2²⁰ + k` of a point would rerun a scenario
+/// already drawn (its own scenario `k`, or the next point's).
+pub const MAX_SCENARIOS: usize = 1 << 20;
+
+/// The most experiment points (`|m| × |ncom| × |wmin|`) a suite may sweep,
+/// 167 times the paper suite's 60. A campaign lists its points up front and
+/// writes one store shard per point, so a larger sweep is refused instead of
+/// failing an allocation.
+pub const MAX_POINTS: usize = 10_000;
 
 /// A named scenario suite: factorial axes plus a generator model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -248,7 +260,8 @@ impl SuiteSpec {
     }
 
     /// Check structural validity (positive axes, sane model parameters, no
-    /// `workers`, `m` or `wmin` above its ceiling).
+    /// `workers`, `m` or `wmin` above its ceiling, at most [`MAX_POINTS`]
+    /// experiment points).
     pub fn validate(&self) -> Result<(), String> {
         if self.name.is_empty() || !self.name.chars().all(|c| c.is_alphanumeric() || c == '-') {
             return Err(format!(
@@ -267,6 +280,14 @@ impl SuiteSpec {
         }
         if self.m_values.is_empty() || self.ncom_values.is_empty() || self.wmin_values.is_empty() {
             return Err("m, ncom and wmin sweeps must be non-empty".to_string());
+        }
+        // The length of the campaign's `points()`, without building them.
+        let (m, ncom, wmin) = (self.m_values.len(), self.ncom_values.len(), self.wmin_values.len());
+        if m.checked_mul(ncom).and_then(|n| n.checked_mul(wmin)).is_none_or(|n| n > MAX_POINTS) {
+            return Err(format!(
+                "{m} m × {ncom} ncom × {wmin} wmin values are too many experiment points: a \
+                 suite accepts up to {MAX_POINTS}"
+            ));
         }
         if self.m_values.contains(&0) || self.ncom_values.contains(&0) {
             return Err("m and ncom values must be positive".to_string());
@@ -726,6 +747,36 @@ mod tests {
         let err = from_file("5,10001").unwrap_err();
         assert!(err.ends_with("m 10001 is too large: a suite accepts m up to 10000"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn points_ceiling_admits_every_preset_and_refuses_one_more_point() {
+        for name in PRESET_NAMES {
+            let suite = SuiteSpec::preset(name).unwrap();
+            let points = suite.campaign(1, 1, 2).points().len();
+            assert!(points <= MAX_POINTS, "{name} sweeps {points} points");
+        }
+        // 1 × 100 × 100 points is the corner; 73 × 137 = 10 001 is one past it.
+        let mut suite = SuiteSpec::paper();
+        suite.m_values = vec![5];
+        suite.ncom_values = (1..=100).collect();
+        suite.wmin_values = (1..=100).collect();
+        suite.validate().expect("the corner is accepted");
+        suite.ncom_values = (1..=73).collect();
+        suite.wmin_values = (1..=137).collect();
+        assert_eq!(
+            suite.validate().unwrap_err(),
+            "1 m × 73 ncom × 137 wmin values are too many experiment points: a suite accepts \
+             up to 10000"
+        );
+        // 2⁴⁸ points are refused without building any.
+        suite.ncom_values = vec![1; 1 << 16];
+        suite.wmin_values = vec![1; 1 << 16];
+        suite.m_values = vec![5; 1 << 16];
+        assert!(suite.validate().unwrap_err().contains("too many experiment points"));
+        let text = format!("suite wide\nncom {}\nwmin 1,2\n", join(&vec![5; 5_001]));
+        let err = SuiteSpec::parse(&text).unwrap_err();
+        assert!(err.starts_with("2 m × 5001 ncom × 2 wmin values are too many"), "{err}");
     }
 
     #[test]

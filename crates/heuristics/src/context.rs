@@ -2,16 +2,16 @@
 //!
 //! The context holds a handle to the evaluation layer of `dg-analysis` — an
 //! [`dg_analysis::EvalCache`], typically shared so that all heuristics and
-//! all trials of a scenario memoize into the same tables — and knows how to
-//! evaluate a candidate configuration (or the *remaining* work of the
-//! currently active configuration) against the Section V estimates, taking
-//! into account what each worker already holds (program, data messages).
+//! all trials of a scenario memoize into the same tables — and the scratch
+//! buffers through which the candidate scan estimates a candidate
+//! configuration against the Section V estimates, taking into account what
+//! each worker already holds (program, data messages). It also evaluates the
+//! *remaining* work of the currently active configuration.
 //!
 //! Evaluation is allocation-free on the hot path: the per-probe member, task
 //! and communication-volume lists live in scratch buffers reused across
-//! [`SchedulingContext::evaluate`] calls, and the member lists handed to the
-//! cache are already sorted, so the cache looks them up without building a
-//! key.
+//! probes, and the member lists handed to the cache are already sorted, so
+//! the cache looks them up without building a key.
 
 use crate::index::ScanStrategy;
 use dg_analysis::{EvalCache, IterationEstimate};
@@ -27,27 +27,17 @@ use dg_sim::view::SimView;
 /// evaluation itself is a pure function of the view and the entries — which
 /// scratch carries it cannot affect the result.
 #[derive(Debug, Default)]
-pub struct EvalScratch {
+pub(crate) struct EvalScratch {
     pub(crate) members: Vec<usize>,
     pub(crate) tasks: Vec<usize>,
     pub(crate) comm: Vec<u64>,
 }
 
 impl EvalScratch {
-    /// Evaluate a candidate configuration described by `(worker, tasks)`
-    /// entries (ascending worker order) through `cache`. See
-    /// [`SchedulingContext::evaluate`] for the semantics.
-    pub fn evaluate(
-        &mut self,
-        cache: &EvalCache,
-        view: &SimView<'_>,
-        entries: impl IntoIterator<Item = (usize, usize)>,
-    ) -> IterationEstimate {
-        self.fill(view, entries);
-        cache.iteration_estimate(&self.members, &self.tasks, &self.comm)
-    }
-
-    /// Load the member, task and communication lists of a candidate.
+    /// Load the member, task and communication lists of a candidate described
+    /// by `(worker, tasks)` entries (ascending worker order, as produced by
+    /// [`crate::CandidateConfig::entries`]): the remaining communication of
+    /// each worker given what it already holds.
     pub(crate) fn fill(
         &mut self,
         view: &SimView<'_>,
@@ -70,8 +60,8 @@ impl EvalScratch {
 pub struct SchedulingContext {
     cache: EvalCache,
     scan: ScanStrategy,
-    // Scratch reused by evaluate/evaluate_remaining so that probing a
-    // candidate allocates nothing.
+    // Scratch reused by the serial scan and evaluate_remaining so that
+    // probing a candidate allocates nothing.
     scratch: EvalScratch,
 }
 
@@ -105,20 +95,6 @@ impl SchedulingContext {
     /// Override the candidate-scan strategy (default: [`ScanStrategy::Auto`]).
     pub fn set_scan_strategy(&mut self, strategy: ScanStrategy) {
         self.scan = strategy;
-    }
-
-    /// Evaluate a candidate configuration described by `(worker, tasks)`
-    /// entries (ascending worker order, as produced by
-    /// [`crate::CandidateConfig::entries`]): expected duration and success
-    /// probability of the whole iteration it would run (remaining
-    /// communication given what workers already hold, followed by the full
-    /// lock-step computation).
-    pub fn evaluate(
-        &mut self,
-        view: &SimView<'_>,
-        entries: impl IntoIterator<Item = (usize, usize)>,
-    ) -> IterationEstimate {
-        self.scratch.evaluate(&self.cache, view, entries)
     }
 
     /// Evaluate the *remaining* work of the currently active configuration:
@@ -167,6 +143,18 @@ mod tests {
         SchedulingContext::new(EvalCache::with_default_epsilon(&f.platform, &f.master))
     }
 
+    /// The estimate of the candidate `entries` through `ctx`'s scratch and
+    /// cache, as the candidate scan probes it.
+    fn estimate(
+        ctx: &mut SchedulingContext,
+        view: &SimView<'_>,
+        entries: impl IntoIterator<Item = (usize, usize)>,
+    ) -> IterationEstimate {
+        let (scratch, cache) = ctx.scratch_and_cache();
+        scratch.fill(view, entries);
+        cache.iteration_estimate(&scratch.members, &scratch.tasks, &scratch.comm)
+    }
+
     fn fixture() -> Fixture {
         let platform = Platform::reliable_homogeneous(3, 2);
         Fixture {
@@ -199,7 +187,7 @@ mod tests {
         let f = fixture();
         let v = view(&f, None);
         let mut ctx = context(&f);
-        let est = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);
+        let est = estimate(&mut ctx, &v, [(0, 1), (1, 1), (2, 1)]);
         // comm: program 2 + data 1 = 3 per worker, parallel -> 3; compute: 2.
         assert!((est.expected_duration - 5.0).abs() < 1e-6);
         assert!((est.success_probability - 1.0).abs() < 1e-9);
@@ -213,8 +201,8 @@ mod tests {
             WorkerDynamicState { has_program: true, data_messages: 1, ..Default::default() };
         let v = view(&f, None);
         let mut ctx = context(&f);
-        let with_data = ctx.evaluate(&v, [(0, 1)]);
-        let fresh = ctx.evaluate(&v, [(1, 1)]);
+        let with_data = estimate(&mut ctx, &v, [(0, 1)]);
+        let fresh = estimate(&mut ctx, &v, [(1, 1)]);
         // Worker 0 needs no more communication, so it is strictly faster.
         assert!(with_data.expected_duration < fresh.expected_duration);
         assert!((with_data.expected_duration - 2.0).abs() < 1e-6);
@@ -247,16 +235,16 @@ mod tests {
         let cache = EvalCache::with_default_epsilon(&f.platform, &f.master);
         let mut a = SchedulingContext::new(cache.clone());
         let mut b = SchedulingContext::new(cache.clone());
-        let ea = a.evaluate(&v, [(0, 1), (1, 1)]);
+        let ea = estimate(&mut a, &v, [(0, 1), (1, 1)]);
         let misses = cache.stats().group_misses;
-        let eb = b.evaluate(&v, [(0, 1), (1, 1)]);
+        let eb = estimate(&mut b, &v, [(0, 1), (1, 1)]);
         assert_eq!(ea, eb);
         // The second context recomputed nothing: every probe was a hit.
         assert_eq!(cache.stats().group_misses, misses);
         assert!(cache.stats().group_hits > 0);
         // And a context over a fresh cache agrees exactly.
         let mut private = context(&f);
-        assert_eq!(private.evaluate(&v, [(0, 1), (1, 1)]), ea);
+        assert_eq!(estimate(&mut private, &v, [(0, 1), (1, 1)]), ea);
     }
 
     #[test]
@@ -264,13 +252,13 @@ mod tests {
         let f = fixture();
         let v = view(&f, None);
         let mut ctx = context(&f);
-        let wide = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);
-        let narrow = ctx.evaluate(&v, [(1, 2)]);
-        let wide_again = ctx.evaluate(&v, [(0, 1), (1, 1), (2, 1)]);
+        let wide = estimate(&mut ctx, &v, [(0, 1), (1, 1), (2, 1)]);
+        let narrow = estimate(&mut ctx, &v, [(1, 2)]);
+        let wide_again = estimate(&mut ctx, &v, [(0, 1), (1, 1), (2, 1)]);
         assert_eq!(wide, wide_again);
         assert_ne!(wide, narrow);
         // An empty probe after a populated one must see empty buffers.
-        let empty = ctx.evaluate(&v, std::iter::empty());
+        let empty = estimate(&mut ctx, &v, std::iter::empty());
         assert_eq!(empty.expected_duration, 0.0);
     }
 }

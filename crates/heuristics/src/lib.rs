@@ -67,7 +67,7 @@ pub mod random;
 pub mod registry;
 
 pub use candidate::CandidateConfig;
-pub use context::{EvalScratch, SchedulingContext};
+pub use context::SchedulingContext;
 pub use index::{ScanStrategy, WorkerIndex, INDEX_THRESHOLD};
 pub use passive::{PassiveKind, PassiveScheduler};
 pub use proactive::{ProactiveCriterion, ProactiveScheduler};

@@ -76,8 +76,9 @@ impl std::str::FromStr for PassiveKind {
 ///
 /// Tasks are placed one at a time on the `UP` worker maximizing
 /// `kind.score(...)`; ties are broken toward the lowest worker index. Returns
-/// `None` when the `UP` workers cannot hold all `m` tasks (the scheduler then
-/// waits for more workers to come back `UP`).
+/// the configuration with its estimate, which the last round's winning probe
+/// computed, or `None` when the `UP` workers cannot hold all `m` tasks (the
+/// scheduler then waits for more workers to come back `UP`).
 ///
 /// Candidate workers are enumerated either by the reference exhaustive scan
 /// or through the bucketed [`crate::index::WorkerIndex`], as selected by the
@@ -88,7 +89,7 @@ pub fn build_incremental(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
     kind: PassiveKind,
-) -> Option<Assignment> {
+) -> Option<(Assignment, IterationEstimate)> {
     if crate::index::use_indexed_scan(context.scan_strategy(), view.platform.num_workers()) {
         build_incremental_indexed(context, view, kind)
     } else {
@@ -96,13 +97,13 @@ pub fn build_incremental(
     }
 }
 
-/// Offer `(q, score)` to a greedy round's running winner, the first strict
-/// maximizer: an offer replaces the winner only if it scores strictly higher
-/// (`score > best`), so a tie keeps the earlier offer, a NaN offered first
-/// wins and a NaN offered later never does.
-fn offer(best: &mut Option<(usize, f64)>, q: usize, score: f64) {
+/// Offer a probe and its score to a greedy round's running winner, the first
+/// strict maximizer: an offer replaces the winner only if it scores strictly
+/// higher (`score > best`), so a tie keeps the earlier offer, a NaN offered
+/// first wins and a NaN offered later never does.
+fn offer(best: &mut Option<(Probe, f64)>, probe: Probe, score: f64) {
     if best.is_none_or(|(_, top)| score > top) {
-        *best = Some((q, score));
+        *best = Some((probe, score));
     }
 }
 
@@ -197,7 +198,7 @@ fn probe(
 
 /// One greedy round: probe every worker of `workers` that can take another
 /// task against the partial `candidate`, appending each probe to `record`
-/// when given, and return the winning `(worker, score)` under the serial
+/// when given, and return the winning probe under the serial
 /// first-maximizer rule, or `None` if no worker can take another task.
 ///
 /// The serial reference walks `workers` in order and keeps the first strict
@@ -217,7 +218,7 @@ fn scan_round(
     workers: &[usize],
     mut reuse: Reuse<'_>,
     mut record: Option<&mut Vec<Probe>>,
-) -> Option<(usize, f64)> {
+) -> Option<Probe> {
     let elapsed = view.elapsed_in_iteration();
     let threads = context.cache().decision_threads().min(workers.len());
     if threads <= 1 || workers.len() < PARALLEL_SCAN_MIN_PROBES {
@@ -228,12 +229,12 @@ fn scan_round(
                 continue;
             }
             let p = probe(scratch, cache, view, candidate, q, &mut reuse);
-            offer(&mut best, q, kind.score(&p.estimate, elapsed));
+            offer(&mut best, p, kind.score(&p.estimate, elapsed));
             if let Some(record) = record.as_deref_mut() {
                 record.push(p);
             }
         }
-        return best;
+        return best.map(|(p, _)| p);
     }
 
     let cache = context.cache();
@@ -252,7 +253,7 @@ fn scan_round(
                             continue;
                         }
                         let p = probe(&mut scratch, cache, view, &mut local, q, &mut reuse);
-                        offer(&mut best, q, kind.score(&p.estimate, elapsed));
+                        offer(&mut best, p, kind.score(&p.estimate, elapsed));
                         if keep {
                             probes.push(p);
                         }
@@ -265,14 +266,14 @@ fn scan_round(
     });
     let mut best = None;
     for (part, probes) in chunks {
-        if let Some((q, score)) = part {
-            offer(&mut best, q, score);
+        if let Some((p, score)) = part {
+            offer(&mut best, p, score);
         }
         if let Some(record) = record.as_deref_mut() {
             record.extend(probes);
         }
     }
-    best
+    best.map(|(p, _)| p)
 }
 
 /// The reference scan: every `UP` worker is probed for every task.
@@ -280,7 +281,7 @@ pub fn build_incremental_exhaustive(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
     kind: PassiveKind,
-) -> Option<Assignment> {
+) -> Option<(Assignment, IterationEstimate)> {
     greedy_exhaustive(context, view, kind, None, None)
 }
 
@@ -294,14 +295,15 @@ pub fn build_incremental_exhaustive(
 /// round's probes are taken from it where [`probe`]'s rule allows; the rounds
 /// after a changed winner run as a fresh build. Fed bit-identical estimates,
 /// the loop picks the fresh build's winners. `record`, when given, is
-/// cleared and receives every probe of this build.
+/// cleared and receives every probe of this build. The candidate comes back
+/// with the last round's winning estimate, which is the candidate's.
 pub(crate) fn greedy_exhaustive(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
     kind: PassiveKind,
     mut previous: Option<(&ProbeLog, &[bool])>,
     mut record: Option<&mut ProbeLog>,
-) -> Option<Assignment> {
+) -> Option<(Assignment, IterationEstimate)> {
     if let Some(log) = record.as_deref_mut() {
         log.probes.clear();
         log.rounds.clear();
@@ -312,6 +314,7 @@ pub(crate) fn greedy_exhaustive(
     }
     let mut candidate = CandidateConfig::new(view.platform.num_workers());
     let mut prefix_changed = false;
+    let mut winner = None;
     for r in 0..view.application.tasks_per_iteration {
         let reuse = previous
             .and_then(|(log, changed)| {
@@ -319,7 +322,8 @@ pub(crate) fn greedy_exhaustive(
             })
             .unwrap_or(Reuse::NONE);
         let probes = record.as_deref_mut().map(|log| &mut log.probes);
-        let (q, _) = scan_round(context, view, kind, &mut candidate, &up, reuse, probes)?;
+        let won = scan_round(context, view, kind, &mut candidate, &up, reuse, probes)?;
+        let q = won.worker;
         if let Some(log) = record.as_deref_mut() {
             log.rounds.push((log.probes.len(), q));
         }
@@ -330,8 +334,9 @@ pub(crate) fn greedy_exhaustive(
             _ => previous = None,
         }
         candidate.add_task(q);
+        winner = Some(won.estimate);
     }
-    Some(candidate.to_assignment())
+    winner.map(|estimate| (candidate.to_assignment(), estimate))
 }
 
 /// The indexed scan: `UP` workers are bucketed into equivalence classes once,
@@ -348,7 +353,7 @@ pub fn build_incremental_indexed(
     context: &mut SchedulingContext,
     view: &SimView<'_>,
     kind: PassiveKind,
-) -> Option<Assignment> {
+) -> Option<(Assignment, IterationEstimate)> {
     let m = view.application.tasks_per_iteration;
     let mut index = crate::index::WorkerIndex::build(view);
     if index.up_workers() == 0 {
@@ -356,13 +361,15 @@ pub fn build_incremental_indexed(
     }
     let mut candidate = CandidateConfig::new(view.platform.num_workers());
     let mut probe: Vec<usize> = Vec::new();
+    let mut winner = None;
 
     for _ in 0..m {
         index.candidates_into(candidate.occupied(), &mut probe);
-        let (q, _) = scan_round(context, view, kind, &mut candidate, &probe, Reuse::NONE, None)?;
-        candidate.add_task(q);
+        let won = scan_round(context, view, kind, &mut candidate, &probe, Reuse::NONE, None)?;
+        candidate.add_task(won.worker);
+        winner = Some(won.estimate);
     }
-    Some(candidate.to_assignment())
+    winner.map(|estimate| (candidate.to_assignment(), estimate))
 }
 
 /// A passive scheduler: selects a configuration with [`build_incremental`]
@@ -400,7 +407,7 @@ impl Scheduler for PassiveScheduler {
             return Decision::KeepCurrent;
         }
         match build_incremental(&mut self.context, view, self.kind) {
-            Some(assignment) => Decision::NewConfiguration(assignment),
+            Some((assignment, _)) => Decision::NewConfiguration(assignment),
             None => Decision::KeepCurrent,
         }
     }
@@ -473,7 +480,7 @@ mod tests {
     fn ie_prefers_fast_workers_on_reliable_platform() {
         let f = heterogeneous_reliable(2);
         let mut ctx = f.context();
-        let a = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
+        let (a, _) = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
         // With no communication cost and 2 tasks, the two fastest workers
         // (speeds 1 and 2) minimize max(x_q w_q): one task each, or both on the
         // speed-1 worker (workload 2 either way); it must not use worker 3 (speed 4).
@@ -487,7 +494,7 @@ mod tests {
         let f = heterogeneous_reliable(5);
         for kind in PassiveKind::ALL {
             let mut ctx = f.context();
-            let a = build_incremental(&mut ctx, &f.view(), kind)
+            let (a, _) = build_incremental(&mut ctx, &f.view(), kind)
                 .unwrap_or_else(|| panic!("{kind:?} failed to build"));
             assert!(a.validate(&f.platform, &f.application).is_ok(), "{kind:?}");
             for &(q, _) in a.entries() {
@@ -517,9 +524,9 @@ mod tests {
             ],
         };
         let mut ctx = f.context();
-        let ip = build_incremental(&mut ctx, &f.view(), PassiveKind::IP).unwrap();
+        let (ip, _) = build_incremental(&mut ctx, &f.view(), PassiveKind::IP).unwrap();
         assert!(ip.contains(1), "IP must pick the reliable worker");
-        let ie = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
+        let (ie, _) = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
         assert!(ie.contains(0), "IE must pick the fast worker");
     }
 
@@ -550,7 +557,7 @@ mod tests {
         f.workers[0].state = ProcState::Reclaimed;
         f.workers[1].state = ProcState::Down;
         let mut ctx = f.context();
-        let a = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
+        let (a, _) = build_incremental(&mut ctx, &f.view(), PassiveKind::IE).unwrap();
         assert!(!a.contains(0));
         assert!(!a.contains(1));
         assert_eq!(a.total_tasks(), 2);

@@ -26,7 +26,9 @@
 //! it involves changed and its `E_comm` moved, and recomputes every score at
 //! the current clock, so the IY base reads the log too (see
 //! `ProactiveScheduler::candidate_for`). A clock-free base with an unchanged
-//! view reuses the candidate outright.
+//! view reuses the candidate outright. Every build hands its candidate back
+//! with the candidate's estimate (its last round's winning probe), which the
+//! comparison reads, so a decision never estimates its candidate again.
 
 use crate::context::SchedulingContext;
 use crate::index::use_indexed_scan;
@@ -54,7 +56,8 @@ struct BuildLog {
     /// Every probe of that build, or `None` for the indexed scan, whose
     /// candidate is rebuilt on any change.
     probes: Option<ProbeLog>,
-    candidate: Option<Assignment>,
+    /// The candidate, with its estimate: the last round's winning probe.
+    candidate: Option<(Assignment, IterationEstimate)>,
 }
 
 /// The reconfiguration criteria retained by the paper for proactive heuristics.
@@ -151,9 +154,9 @@ impl ProactiveScheduler {
         }
     }
 
-    /// The candidate configuration for the current view: always equal to
-    /// the passive base's from-scratch build, whose estimates are taken from
-    /// the probe log where that is exact.
+    /// The candidate configuration for the current view, with its estimate:
+    /// always equal to the passive base's from-scratch build, whose estimates
+    /// are taken from the probe log where that is exact.
     ///
     /// The first consult is that build and writes no log. Later consults
     /// diff the view against the log's snapshot, a worker counting as
@@ -166,7 +169,7 @@ impl ProactiveScheduler {
     /// current clock; the build's probes become the next log. The indexed
     /// scan keeps full rebuilds, reusing its candidate only for an unchanged
     /// snapshot under a clock-free base.
-    fn candidate_for(&mut self, view: &SimView<'_>) -> Option<Assignment> {
+    fn candidate_for(&mut self, view: &SimView<'_>) -> Option<(Assignment, IterationEstimate)> {
         if !std::mem::replace(&mut self.consulted, true) {
             return build_incremental(&mut self.context, view, self.base);
         }
@@ -226,15 +229,14 @@ impl Scheduler for ProactiveScheduler {
             None => {
                 // No configuration active: behave exactly like the passive base.
                 return match candidate {
-                    Some(a) => Decision::NewConfiguration(a),
+                    Some((a, _)) => Decision::NewConfiguration(a),
                     None => Decision::KeepCurrent,
                 };
             }
             Some(c) => c,
         };
-        let candidate = match candidate {
-            Some(a) => a,
-            None => return Decision::KeepCurrent,
+        let Some((candidate, candidate_estimate)) = candidate else {
+            return Decision::KeepCurrent;
         };
         if candidate == current.assignment {
             return Decision::KeepCurrent;
@@ -243,7 +245,6 @@ impl Scheduler for ProactiveScheduler {
         let elapsed = view.elapsed_in_iteration();
         let current_estimate = self.context.evaluate_remaining(view, current);
         let current_score = self.criterion.score(&current_estimate, elapsed);
-        let candidate_estimate = self.context.evaluate(view, candidate.entries().iter().copied());
         let candidate_score = self.criterion.score(&candidate_estimate, elapsed);
 
         if candidate_score > current_score {
@@ -304,6 +305,7 @@ impl Scheduler for ProactiveScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::ScanStrategy;
     use dg_analysis::EvalCache;
     use dg_availability::{MarkovChain3, ProcState};
     use dg_platform::{ApplicationSpec, MasterSpec, Platform, WorkerSpec};
@@ -511,6 +513,42 @@ mod tests {
         );
         sched.decide(view);
         sched
+    }
+
+    /// `sched`'s candidate for `view`, whose handed-back estimate must be
+    /// the candidate's estimate, bit for bit.
+    fn check_estimate(sched: &mut ProactiveScheduler, view: &SimView<'_>, consult: &str) {
+        let name = sched.name().to_string();
+        let (candidate, estimate) =
+            sched.candidate_for(view).unwrap_or_else(|| panic!("{name}: no {consult} candidate"));
+        let mut scratch = crate::context::EvalScratch::default();
+        scratch.fill(view, candidate.entries().iter().copied());
+        let cache = sched.context.cache();
+        let fresh = cache.iteration_estimate(&scratch.members, &scratch.tasks, &scratch.comm);
+        let bits =
+            |e: IterationEstimate| (e.expected_duration.to_bits(), e.success_probability.to_bits());
+        assert_eq!(bits(estimate), bits(fresh), "{name}: {consult} consult");
+    }
+
+    #[test]
+    fn a_build_hands_back_its_candidates_estimate_bit_for_bit() {
+        for (criterion, base) in proactive() {
+            for scan in [ScanStrategy::Auto, ScanStrategy::Indexed] {
+                let mut f = four_speeds();
+                let mut context = SchedulingContext::new(f.cache());
+                context.set_scan_strategy(scan);
+                let mut sched = ProactiveScheduler::with_context(criterion, base, context);
+                check_estimate(&mut sched, &f.view(None), "first");
+                check_estimate(&mut sched, &f.view(None), "log-writing");
+                // Nothing changed: a clock-free base reuses its candidate.
+                check_estimate(&mut sched, &f.view_at(2, None), "unchanged");
+                // A worker leaves and an enrolled one downloads a slot.
+                f.workers[3].state = ProcState::Reclaimed;
+                check_estimate(&mut sched, &f.view_at(3, None), "repaired");
+                f.workers[0].dynamic.advance_transfer(f.master.t_prog, f.master.t_data);
+                check_estimate(&mut sched, &f.view_at(4, None), "transfer");
+            }
+        }
     }
 
     #[test]

@@ -131,9 +131,15 @@ impl EncdInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::{solve_mu1_exact, solve_mu_unbounded_exact};
+    use crate::oracle::{earliest_finish_exact, OracleVariant};
     use dg_availability::rng::rng_from_seed;
     use rand::Rng;
+    use OracleVariant::{Mu1, MuUnbounded};
+
+    /// Whether one iteration of `instance` can run at all under `variant`.
+    fn solvable(instance: &OfflineInstance, variant: OracleVariant) -> bool {
+        earliest_finish_exact(instance, 0, variant).is_some()
+    }
 
     fn graph(rows: &[&str]) -> BipartiteGraph {
         BipartiteGraph::new(rows.iter().map(|r| r.chars().map(|c| c == '1').collect()).collect())
@@ -155,19 +161,19 @@ mod tests {
         // A positive instance.
         let pos = EncdInstance::new(graph(&["1101", "1111", "0111"]), 2, 3);
         assert!(pos.has_biclique());
-        assert!(solve_mu1_exact(&pos.to_offline_mu1()).is_some());
+        assert!(solvable(&pos.to_offline_mu1(), Mu1));
         // A negative instance: no 3x2 biclique.
         let neg = EncdInstance::new(graph(&["1100", "0110", "0011"]), 3, 2);
         assert!(!neg.has_biclique());
-        assert!(solve_mu1_exact(&neg.to_offline_mu1()).is_none());
+        assert!(!solvable(&neg.to_offline_mu1(), Mu1));
     }
 
     #[test]
     fn reduction_mu_unbounded_preserves_answers_on_fixed_instances() {
         let pos = EncdInstance::new(graph(&["1101", "1111", "0111"]), 2, 3);
-        assert!(solve_mu_unbounded_exact(&pos.to_offline_mu_unbounded()).is_some());
+        assert!(solvable(&pos.to_offline_mu_unbounded(), MuUnbounded));
         let neg = EncdInstance::new(graph(&["1100", "0110", "0011"]), 3, 2);
-        assert!(solve_mu_unbounded_exact(&neg.to_offline_mu_unbounded()).is_none());
+        assert!(!solvable(&neg.to_offline_mu_unbounded(), MuUnbounded));
     }
 
     #[test]
@@ -183,9 +189,9 @@ mod tests {
             let b = rng.gen_range(1..=nw);
             let encd = EncdInstance::new(BipartiteGraph::new(adj), a, b);
             let expected = encd.has_biclique();
-            let mu1 = solve_mu1_exact(&encd.to_offline_mu1()).is_some();
+            let mu1 = solvable(&encd.to_offline_mu1(), Mu1);
             assert_eq!(mu1, expected, "µ=1 reduction mismatch on {encd:?}");
-            let mu_inf = solve_mu_unbounded_exact(&encd.to_offline_mu_unbounded()).is_some();
+            let mu_inf = solvable(&encd.to_offline_mu_unbounded(), MuUnbounded);
             assert_eq!(mu_inf, expected, "µ=∞ reduction mismatch on {encd:?}");
         }
     }

@@ -15,18 +15,20 @@
 //!
 //! This crate provides:
 //!
-//! * [`problem`] — the instance representation (an availability matrix);
-//! * [`exact`] — exponential-time exact solvers for both variants (practical
-//!   for the small instances used in tests and examples);
-//! * [`greedy`] — polynomial-time greedy heuristics;
-//! * [`oracle`] — earliest-finish makespan oracles that chain iterations into
-//!   full schedules (exact lower bounds at small `m`, greedy upper bounds
-//!   beyond), consumed by the `gap` experiment binary;
+//! * [`problem`] — the instance representation (an availability matrix) and
+//!   the witness type with its validity check;
+//! * [`oracle`] — the two earliest-finish searches, an exact subset search
+//!   (exponential-time, practical for the small instances used in tests,
+//!   examples and at the paper's `m ≤ 10`) and a polynomial greedy chain.
+//!   From slot 0 they answer the paper's decision question ("can one
+//!   iteration run at all?"); chained over iterations they are the makespan
+//!   oracles (exact lower bounds, greedy upper bounds) consumed by the `gap`
+//!   experiment binary;
 //! * [`encd`] — bipartite graphs, bi-clique checking and the two reductions of
 //!   Theorem 4.1, with machinery to verify them experimentally.
 //!
 //! ```
-//! use dg_offline::{solve_mu1_exact, OfflineInstance};
+//! use dg_offline::{earliest_finish_exact, OfflineInstance, OracleVariant};
 //!
 //! // 3 processors over 4 slots; find m = 2 processors UP during w = 2 slots.
 //! let up = vec![
@@ -35,22 +37,19 @@
 //!     vec![true, false, false, false],
 //! ];
 //! let instance = OfflineInstance::new(up, 2, 2);
-//! let solution = solve_mu1_exact(&instance).expect("processors 0 and 1 share slots 1 and 3");
+//! let solution = earliest_finish_exact(&instance, 0, OracleVariant::Mu1)
+//!     .expect("processors 0 and 1 share slots 1 and 3");
 //! assert_eq!(solution.processors, vec![0, 1]);
-//! assert!(solution.is_valid_mu1(&instance));
+//! assert!(solution.is_valid(&instance, OracleVariant::Mu1));
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod encd;
-pub mod exact;
-pub mod greedy;
 pub mod oracle;
 pub mod problem;
 
 pub use encd::{BipartiteGraph, EncdInstance};
-pub use exact::{solve_mu1_exact, solve_mu_unbounded_exact};
-pub use greedy::{greedy_mu1, greedy_mu_unbounded};
 pub use oracle::{
     earliest_finish_exact, earliest_finish_greedy, schedule_exact, schedule_greedy,
     OfflineSchedule, OracleVariant,

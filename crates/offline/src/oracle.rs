@@ -1,12 +1,15 @@
-//! Makespan oracles: earliest-finish schedules chained over iterations.
+//! Earliest-finish searches, and the makespan oracles that chain them.
 //!
-//! The solvers in [`crate::exact`] and [`crate::greedy`] answer the paper's
-//! *decision* question ("can one iteration run at all?"). The gap experiment
-//! needs the *optimization* form: the earliest time-slot by which `n`
-//! iterations of the application can complete when availability is known in
-//! advance. This module provides both an exact oracle (exponential-time
-//! subset search with earliest-finish pruning, practical at the paper's
-//! `m ≤ 10`) and a polynomial greedy oracle for larger instances.
+//! [`earliest_finish_exact`] (exponential-time subset search with
+//! earliest-finish pruning, practical at the paper's `m ≤ 10`) and
+//! [`earliest_finish_greedy`] (a polynomial greedy chain) find the
+//! earliest-finishing single iteration that starts no earlier than a given
+//! slot. From slot 0 they answer the paper's *decision* question ("can one
+//! iteration run at all?"): the exact search finds a witness whenever one
+//! exists, the greedy chain may miss it. The gap experiment needs the
+//! *optimization* form: the earliest time-slot by which `n` iterations of the
+//! application can complete when availability is known in advance, which
+//! [`schedule_exact`] and [`schedule_greedy`] build from the two searches.
 //!
 //! Iterations of a tightly-coupled application are sequential: iteration
 //! `i + 1` can only use time-slots strictly after the slot in which iteration
@@ -40,19 +43,13 @@ pub enum OracleVariant {
 }
 
 impl OracleVariant {
-    /// Enrollment sizes `k` this variant admits on an instance with `p`
-    /// processors (largest first, matching [`crate::exact`]'s search order).
-    fn sizes(self, instance: &OfflineInstance) -> Vec<usize> {
-        let p = instance.num_procs();
+    /// Whether this variant admits an iteration of `m` tasks on `k`
+    /// processors: exactly `m` of them for `µ = 1`, any `1 ≤ k ≤ m` for
+    /// `µ = ∞`.
+    pub(crate) fn admits(self, k: usize, m: usize) -> bool {
         match self {
-            OracleVariant::Mu1 => {
-                if instance.m <= p {
-                    vec![instance.m]
-                } else {
-                    Vec::new()
-                }
-            }
-            OracleVariant::MuUnbounded => (1..=instance.m.min(p)).rev().collect(),
+            OracleVariant::Mu1 => k == m,
+            OracleVariant::MuUnbounded => (1..=m).contains(&k),
         }
     }
 }
@@ -84,13 +81,9 @@ impl OfflineSchedule {
     pub fn is_valid(&self, instance: &OfflineInstance, variant: OracleVariant) -> bool {
         let mut next_free = 0usize;
         for sol in &self.iterations {
-            let valid = match variant {
-                OracleVariant::Mu1 => sol.is_valid_mu1(instance),
-                OracleVariant::MuUnbounded => sol.is_valid_mu_unbounded(instance),
-            };
             let Some(&first) = sol.slots.first() else { return false };
             let Some(&last) = sol.slots.last() else { return false };
-            if !valid || first < next_free {
+            if !sol.is_valid(instance, variant) || first < next_free {
                 return false;
             }
             next_free = last + 1;
@@ -121,7 +114,8 @@ pub fn earliest_finish_exact(
         earliest_finish_greedy(instance, from, variant)
             .map(|sol| (*sol.slots.last().expect("witnesses are never empty"), sol));
     let all_slots: Vec<usize> = (from..horizon).collect();
-    for k in variant.sizes(instance) {
+    // Every admitted enrollment size, largest first.
+    for k in (1..=instance.num_procs()).rev().filter(|&k| variant.admits(k, instance.m)) {
         let needed = instance.required_slots_for(k) as usize;
         let mut chosen = Vec::with_capacity(k);
         min_finish_fixed_size(instance, 0, &mut chosen, &all_slots, k, needed, &mut best);
@@ -199,7 +193,6 @@ pub fn earliest_finish_greedy(
     let mut chosen: Vec<usize> = Vec::new();
     let mut common: Vec<usize> = (from..horizon).collect();
     let mut best: Option<(usize, OfflineSolution)> = None;
-    let allowed = variant.sizes(instance);
     for _ in 0..p {
         let mut pick: Option<(usize, Vec<usize>)> = None;
         for q in 0..p {
@@ -216,7 +209,7 @@ pub fn earliest_finish_greedy(
         chosen.push(q);
         common = narrowed;
         let k = chosen.len();
-        if !allowed.contains(&k) {
+        if !variant.admits(k, instance.m) {
             continue;
         }
         let needed = instance.required_slots_for(k) as usize;
@@ -336,15 +329,12 @@ mod tests {
                     brute,
                     "case {case} ({variant:?}, from {from}): exact finish != brute force\n{inst:?}"
                 );
-                if let Some(sol) = &exact {
-                    let valid = match variant {
-                        OracleVariant::Mu1 => sol.is_valid_mu1(&inst),
-                        OracleVariant::MuUnbounded => sol.is_valid_mu_unbounded(&inst),
-                    };
-                    assert!(valid, "case {case}: invalid exact witness {sol:?}");
+                let greedy = earliest_finish_greedy(&inst, from, variant);
+                for sol in exact.iter().chain(&greedy) {
+                    assert!(sol.is_valid(&inst, variant), "case {case}: invalid witness {sol:?}");
                     assert!(*sol.slots.first().unwrap() >= from);
                 }
-                if let Some(sol) = earliest_finish_greedy(&inst, from, variant) {
+                if let Some(sol) = greedy {
                     // Greedy is sound and never beats exact.
                     assert!(*sol.slots.last().unwrap() >= brute.unwrap());
                 }
@@ -382,6 +372,39 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn searches_from_slot_zero_answer_the_decision_question() {
+        use OracleVariant::{Mu1, MuUnbounded};
+        let instance = |rows: &[&str], w, m| OfflineInstance::new(matrix(rows), w, m);
+        // Processors 0 and 2 share slots 0, 2 and 3.
+        let inst = instance(&["1011", "0110", "1011"], 3, 2);
+        let sol = earliest_finish_exact(&inst, 0, Mu1).expect("a pair shares 3 slots");
+        assert_eq!(sol.processors, vec![0, 2]);
+        assert!(sol.is_valid(&inst, Mu1));
+        // No pair shares 3 UP slots, but a pair shares one.
+        let staircase = ["1100", "0110", "0011"];
+        assert!(earliest_finish_exact(&instance(&staircase, 3, 2), 0, Mu1).is_none());
+        assert!(earliest_finish_exact(&instance(&staircase, 1, 2), 0, Mu1).is_some());
+        // µ=∞ trades processors for time: processor 0 alone runs m = 3 tasks
+        // of w = 2 in 6 slots, where µ=1 would need 3 processors.
+        let inst = instance(&["111111", "100000", "100000"], 2, 3);
+        assert!(earliest_finish_exact(&inst, 0, Mu1).is_none());
+        let sol = earliest_finish_exact(&inst, 0, MuUnbounded).expect("processor 0 alone");
+        assert!(sol.is_valid(&inst, MuUnbounded));
+        // m = 2, w = 3: one processor would need 6 slots (each has 3), two
+        // would need 3 common slots (they share none).
+        let split = instance(&["111000", "000111"], 3, 2);
+        assert!(earliest_finish_exact(&split, 0, MuUnbounded).is_none());
+        // The greedy chain finds the obvious pair, and a lone strong processor.
+        let inst = instance(&["111100", "111110", "000011"], 4, 2);
+        let sol = earliest_finish_greedy(&inst, 0, Mu1).expect("the obvious pair");
+        assert_eq!(sol.processors, vec![0, 1]);
+        assert!(sol.is_valid(&inst, Mu1));
+        let inst = instance(&["111111", "101000", "010100"], 2, 3);
+        let sol = earliest_finish_greedy(&inst, 0, MuUnbounded).expect("the always-up processor");
+        assert!(sol.is_valid(&inst, MuUnbounded));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Instance and solution representation of OFF-LINE-COUPLED.
 
+use crate::oracle::OracleVariant;
 use serde::{Deserialize, Serialize};
 
 /// An OFF-LINE-COUPLED instance: a boolean availability matrix (`up[q][t]` is
@@ -78,20 +79,12 @@ pub struct OfflineSolution {
 }
 
 impl OfflineSolution {
-    /// Check that this solution is valid for `instance` under the `µ = 1`
-    /// rules: exactly `m` processors, at least `w` common `UP` slots.
-    pub fn is_valid_mu1(&self, instance: &OfflineInstance) -> bool {
-        self.processors.len() == instance.m
-            && self.slots.len() as u64 >= instance.w
-            && self.all_up(instance)
-    }
-
-    /// Check that this solution is valid under the `µ = ∞` rules: `k ≤ m`
-    /// processors and at least `⌈m/k⌉·w` common `UP` slots.
-    pub fn is_valid_mu_unbounded(&self, instance: &OfflineInstance) -> bool {
+    /// Check that this solution is valid for `instance` under `variant`: a
+    /// number `k` of processors the variant admits, simultaneously `UP`
+    /// during at least `⌈m/k⌉·w` distinct slots (`w` when `k = m`).
+    pub fn is_valid(&self, instance: &OfflineInstance, variant: OracleVariant) -> bool {
         let k = self.processors.len();
-        k >= 1
-            && k <= instance.m
+        variant.admits(k, instance.m)
             && self.slots.len() as u64 >= instance.required_slots_for(k)
             && self.all_up(instance)
     }
@@ -172,22 +165,29 @@ mod tests {
 
     #[test]
     fn solution_validation() {
+        use OracleVariant::{Mu1, MuUnbounded};
         let inst = small_instance();
         let good = OfflineSolution { processors: vec![0, 1], slots: vec![0] };
-        assert!(good.is_valid_mu1(&inst));
+        assert!(good.is_valid(&inst, Mu1));
+        assert!(good.is_valid(&inst, MuUnbounded));
         // Wrong processor count for µ=1.
         let wrong_count = OfflineSolution { processors: vec![0], slots: vec![0] };
-        assert!(!wrong_count.is_valid_mu1(&inst));
+        assert!(!wrong_count.is_valid(&inst, Mu1));
         // µ=∞: a single processor needs m·w = 2 slots.
-        assert!(!wrong_count.is_valid_mu_unbounded(&inst));
+        assert!(!wrong_count.is_valid(&inst, MuUnbounded));
         let single_ok = OfflineSolution { processors: vec![0], slots: vec![0, 1] };
-        assert!(single_ok.is_valid_mu_unbounded(&inst));
+        assert!(single_ok.is_valid(&inst, MuUnbounded));
+        // No processor, or more than m, is no witness.
+        let none = OfflineSolution { processors: vec![], slots: vec![0] };
+        assert!(!none.is_valid(&inst, MuUnbounded));
+        let three = OfflineSolution { processors: vec![0, 1, 2], slots: vec![0] };
+        assert!(!three.is_valid(&inst, MuUnbounded));
         // A slot where some processor is not UP is rejected.
         let bad_slot = OfflineSolution { processors: vec![0, 1], slots: vec![1] };
-        assert!(!bad_slot.is_valid_mu1(&inst));
+        assert!(!bad_slot.is_valid(&inst, Mu1));
         // Duplicate slots are rejected.
         let dup = OfflineSolution { processors: vec![0], slots: vec![0, 0] };
-        assert!(!dup.is_valid_mu_unbounded(&inst));
+        assert!(!dup.is_valid(&inst, MuUnbounded));
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The off-line (full-knowledge) problem of Section IV: generate availability
 //! traces, build an OFF-LINE-COUPLED instance from them, and compare the
-//! exact exponential solver against the polynomial greedy heuristic, for both
-//! the µ = 1 and µ = ∞ variants. Also demonstrates the ENCD reduction of
-//! Theorem 4.1 on a small bipartite graph.
+//! exact exponential search against the polynomial greedy chain, for both
+//! the µ = 1 and µ = ∞ variants. Each names the earliest-finishing iteration
+//! it finds from slot 0. Also demonstrates the ENCD reduction of Theorem 4.1
+//! on a small bipartite graph.
 //!
 //! ```text
 //! cargo run --release --example offline_solver
 //! ```
 
-use desktop_grid_scheduling::offline::{
-    greedy_mu1, greedy_mu_unbounded, solve_mu1_exact, solve_mu_unbounded_exact, BipartiteGraph,
-    EncdInstance, OfflineInstance,
-};
+use desktop_grid_scheduling::offline::{BipartiteGraph, OfflineSolution};
 use desktop_grid_scheduling::prelude::*;
+use OracleVariant::{Mu1, MuUnbounded};
 
 fn main() {
     // 1. Build an off-line instance from Markov availability traces.
@@ -35,10 +34,10 @@ fn main() {
     );
 
     // 2. Solve both variants exactly and greedily.
-    report("µ = 1  exact ", solve_mu1_exact(&instance).as_ref());
-    report("µ = 1  greedy", greedy_mu1(&instance).as_ref());
-    report("µ = ∞  exact ", solve_mu_unbounded_exact(&instance).as_ref());
-    report("µ = ∞  greedy", greedy_mu_unbounded(&instance).as_ref());
+    report("µ = 1  exact ", earliest_finish_exact(&instance, 0, Mu1));
+    report("µ = 1  greedy", earliest_finish_greedy(&instance, 0, Mu1));
+    report("µ = ∞  exact ", earliest_finish_exact(&instance, 0, MuUnbounded));
+    report("µ = ∞  greedy", earliest_finish_greedy(&instance, 0, MuUnbounded));
 
     // 3. The NP-hardness reduction (Theorem 4.1): an ENCD instance and its
     //    OFF-LINE-COUPLED images give the same answer.
@@ -50,14 +49,15 @@ fn main() {
     let encd = EncdInstance::new(graph, 2, 2);
     println!("\nENCD instance (|V| = 3, |W| = 4, a = 2, b = 2):");
     println!("  has bi-clique:            {}", encd.has_biclique());
-    println!("  reduction to µ=1 solvable: {}", solve_mu1_exact(&encd.to_offline_mu1()).is_some());
+    let solvable = |instance, variant| earliest_finish_exact(&instance, 0, variant).is_some();
+    println!("  reduction to µ=1 solvable: {}", solvable(encd.to_offline_mu1(), Mu1));
     println!(
         "  reduction to µ=∞ solvable: {}",
-        solve_mu_unbounded_exact(&encd.to_offline_mu_unbounded()).is_some()
+        solvable(encd.to_offline_mu_unbounded(), MuUnbounded)
     );
 }
 
-fn report(label: &str, solution: Option<&desktop_grid_scheduling::offline::OfflineSolution>) {
+fn report(label: &str, solution: Option<OfflineSolution>) {
     match solution {
         Some(sol) => println!(
             "{label}: processors {:?} share {} common UP slots (first slots: {:?})",

@@ -20,7 +20,7 @@
 //! | [`sim`] | the time-slot discrete-event simulator (Section III) |
 //! | [`analysis`] | success-probability / expected-time approximations (Section V) |
 //! | [`heuristics`] | RANDOM, IP, IE, IY, IAY and the 12 proactive C-H heuristics (Section VI) |
-//! | [`offline`] | the NP-hard off-line problem, ENCD reductions, exact/greedy solvers and chained makespan oracles (Section IV) |
+//! | [`offline`] | the NP-hard off-line problem, ENCD reductions, exact and greedy earliest-finish searches and the chained makespan oracles (Section IV) |
 //! | [`experiments`] | campaign harness, %diff/%wins metrics, Table I/II, Figure 2 and the optimality-gap sweep (Section VII) |
 //!
 //! ## Quick start
@@ -59,9 +59,8 @@ pub mod prelude {
         ProactiveCriterion, ProactiveScheduler, RandomScheduler,
     };
     pub use dg_offline::{
-        earliest_finish_exact, earliest_finish_greedy, greedy_mu1, schedule_exact, schedule_greedy,
-        solve_mu1_exact, EncdInstance, OfflineInstance, OfflineSchedule, OfflineSolution,
-        OracleVariant,
+        earliest_finish_exact, earliest_finish_greedy, schedule_exact, schedule_greedy,
+        EncdInstance, OfflineInstance, OfflineSchedule, OfflineSolution, OracleVariant,
     };
     pub use dg_platform::{
         AppShape, ApplicationSpec, AvailabilityRegime, MasterSpec, Platform, Scenario,

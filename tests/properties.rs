@@ -5,9 +5,6 @@ use desktop_grid_scheduling::analysis::GroupComputation;
 use desktop_grid_scheduling::availability::trace::AvailabilityModel;
 use desktop_grid_scheduling::experiments::runner::{run_instance, InstanceSpec};
 use desktop_grid_scheduling::heuristics::HeuristicSpec;
-use desktop_grid_scheduling::offline::{
-    greedy_mu1, greedy_mu_unbounded, solve_mu1_exact, solve_mu_unbounded_exact, OfflineInstance,
-};
 use desktop_grid_scheduling::prelude::*;
 use desktop_grid_scheduling::sim::SimMode;
 use proptest::prelude::*;
@@ -76,27 +73,23 @@ proptest! {
         let m = 1 + (w as usize % p.max(1));
         let instance = OfflineInstance::new(up, w, m);
 
-        let exact1 = solve_mu1_exact(&instance);
-        if let Some(sol) = &exact1 {
-            prop_assert!(sol.is_valid_mu1(&instance));
-        }
-        if let Some(sol) = greedy_mu1(&instance) {
-            prop_assert!(sol.is_valid_mu1(&instance));
-            // greedy success implies exact success
-            prop_assert!(exact1.is_some());
-        }
-
-        let exact_inf = solve_mu_unbounded_exact(&instance);
-        if let Some(sol) = &exact_inf {
-            prop_assert!(sol.is_valid_mu_unbounded(&instance));
-        }
-        if let Some(sol) = greedy_mu_unbounded(&instance) {
-            prop_assert!(sol.is_valid_mu_unbounded(&instance));
-            prop_assert!(exact_inf.is_some());
-        }
-        // µ=∞ is a relaxation of µ=1.
-        if exact1.is_some() {
-            prop_assert!(exact_inf.is_some());
+        for from in 0..horizon {
+            let mut feasible = Vec::new();
+            for variant in [OracleVariant::Mu1, OracleVariant::MuUnbounded] {
+                let exact = earliest_finish_exact(&instance, from, variant);
+                let greedy = earliest_finish_greedy(&instance, from, variant);
+                for sol in exact.iter().chain(&greedy) {
+                    prop_assert!(sol.is_valid(&instance, variant));
+                    // A µ=1 witness is a µ=∞ witness too.
+                    prop_assert!(sol.is_valid(&instance, OracleVariant::MuUnbounded));
+                    prop_assert!(sol.slots[0] >= from);
+                }
+                // greedy success implies exact success
+                prop_assert!(greedy.is_none() || exact.is_some());
+                feasible.push(exact.is_some());
+            }
+            // µ=∞ is a relaxation of µ=1.
+            prop_assert!(!feasible[0] || feasible[1]);
         }
     }
 }
@@ -583,8 +576,8 @@ proptest! {
                 SchedulingContext::new(EvalCache::new(&scenario.platform, &scenario.master, 1e-6))
             };
             let (mut ex_ctx, mut ix_ctx) = (fresh(), fresh());
-            let exhaustive = build_incremental_exhaustive(&mut ex_ctx, &view, kind);
-            let indexed = build_incremental_indexed(&mut ix_ctx, &view, kind);
+            let exhaustive = build_incremental_exhaustive(&mut ex_ctx, &view, kind).map(|(a, _)| a);
+            let indexed = build_incremental_indexed(&mut ix_ctx, &view, kind).map(|(a, _)| a);
             prop_assert_eq!(
                 &exhaustive, &indexed,
                 "{:?} diverged between scans on a single-pool platform (seed {})", kind, seed
@@ -1494,6 +1487,109 @@ proptest! {
                     last_decided = Some(a);
                 }
             }
+        }
+    }
+}
+// ---------------------------------------------------------------------------
+
+use desktop_grid_scheduling::experiments::cli::CliOptions;
+use desktop_grid_scheduling::experiments::suite::SuiteSpec;
+
+/// The suite file's keys; an index past the end stands for an unknown key.
+const SUITE_KEYS: &str = "suite workers iterations m ncom wmin speeds availability trials app";
+
+/// The flags that take a value, then those that take none; an index past the
+/// end stands for a stray value.
+const FLAGS: &str = "--scenarios --trials --cap --suite --workers --ncom --wmin --heuristics \
+    --threads --decision-threads --seed --engine --out --worker-shard --spawn-workers \
+    --resume --full --quiet --help -h --bogus";
+const VALUE_FLAGS: usize = 15;
+
+/// Pieces of suite and flag values: numbers at and past the ceilings and
+/// the 64-bit edge, non-finite and negative numbers, list separators,
+/// balanced and unbalanced generator forms and the registry's names.
+const VALUE_PIECES: &str = "0 1 7 10000 10001 1000000 1048576 1048577 18446744073709551615 \
+    18446744073709551616 NaN inf -1 0.5 1e400 , ( ) # / 2/3 paper uniform(4) uniform(0) \
+    clustered(0.3,8) clustered(NaN,8) powerlaw(1.5,16) powerlaw(inf,16) selfloop(0.6,0.9) \
+    selfloop(0.9,0.6) pooled(16) pooled(16 semi(0.7) semi(-1) markov 5x1 5x volatile massive \
+    IE Y-IE,RANDOM IE,IE slot";
+
+/// The items of a whitespace-separated list.
+fn pieces(list: &'static str) -> Vec<&'static str> {
+    list.split_whitespace().collect()
+}
+
+/// Text spliced from [`VALUE_PIECES`] and arbitrary bytes (an index past the
+/// end), read as UTF-8 with replacement.
+fn pieced(max: usize) -> impl Strategy<Value = String> {
+    let pieces = pieces(VALUE_PIECES);
+    proptest::collection::vec((0..pieces.len() + 1, any::<u8>()), 0..max).prop_map(move |picks| {
+        let bytes: Vec<u8> = picks
+            .into_iter()
+            .flat_map(|(i, b)| pieces.get(i).map_or(vec![b], |p| p.as_bytes().to_vec()))
+            .collect();
+        String::from_utf8_lossy(&bytes).into_owned()
+    })
+}
+
+/// A hostile value: one piece (half the time), a two-piece list, an empty
+/// list or spliced text.
+fn value() -> impl Strategy<Value = String> {
+    let pieces = pieces(VALUE_PIECES);
+    (0..6usize, 0..pieces.len(), 0..pieces.len(), pieced(6)).prop_map(move |(shape, a, b, text)| {
+        match shape {
+            0..=2 => pieces[a].to_string(),
+            3 => format!("{},{}", pieces[a], pieces[b]),
+            4 => String::new(),
+            _ => text,
+        }
+    })
+}
+
+/// A suite file of up to 3 `key value` lines of hostile values, half the
+/// time led by the mandatory `suite NAME` line.
+fn suite_text() -> impl Strategy<Value = String> {
+    let keys = pieces(SUITE_KEYS);
+    let lines = proptest::collection::vec((0..keys.len() + 1, value()), 0..4);
+    (any::<bool>(), lines).prop_map(move |(named, lines)| {
+        let mut text = if named { "suite fuzz\n".to_string() } else { String::new() };
+        for (key, value) in lines {
+            text.push_str(&format!("{} {value}\n", keys.get(key).unwrap_or(&"bogus")));
+        }
+        text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A suite file, hostile or not, parses to an error or to a spec that
+    /// validates and round-trips through `render`; a flag vector parses to
+    /// an error or to options whose accessors return without a panic.
+    #[test]
+    fn suite_and_flag_parsers_return_an_error_or_a_valid_spec(
+        text in suite_text(),
+        noise in pieced(40),
+        flags in proptest::collection::vec((0..pieces(FLAGS).len() + 1, value()), 0..6),
+    ) {
+        for text in [text, noise] {
+            if let Ok(spec) = SuiteSpec::parse(&text) {
+                prop_assert!(spec.validate().is_ok(), "{text:?} parsed to an invalid spec");
+                prop_assert_eq!(&SuiteSpec::parse(&spec.render()).unwrap(), &spec);
+            }
+        }
+        let mut args = Vec::new();
+        for (flag, value) in flags {
+            args.extend(pieces(FLAGS).get(flag).map(|f| f.to_string()));
+            if flag < VALUE_FLAGS || flag >= pieces(FLAGS).len() {
+                args.push(value);
+            }
+        }
+        if let Ok(opts) = CliOptions::parse(&args) {
+            let _ = opts.suite();
+            let _ = opts.campaign();
+            let _ = opts.executor();
+            let _ = opts.worker_args(1, 1);
         }
     }
 }

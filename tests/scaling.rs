@@ -48,7 +48,7 @@ fn decide(scenario: &Scenario, decision_threads: usize) -> (Assignment, Counts) 
     cache.set_decision_threads(decision_threads);
     let mut context = SchedulingContext::new(cache.clone());
     context.set_scan_strategy(ScanStrategy::Indexed);
-    let assignment = build_incremental(&mut context, &view, PassiveKind::IE)
+    let (assignment, _) = build_incremental(&mut context, &view, PassiveKind::IE)
         .expect("an all-UP platform holds the massive workload");
     let stats = cache.stats();
     let counts = Counts {
