@@ -8,71 +8,23 @@
 //!
 //! ```text
 //! cargo run --release --bin gap -- [--scenarios N] [--trials N] [--full] \
-//!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--threads N] [--out DIR] [--resume]
+//!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--threads N] [--out DIR] [--resume] \
+//!     [--worker-shard I/N | --spawn-workers N]
 //! ```
+//!
+//! The binary is a renderer over the shared launch sequence,
+//! [`dg_experiments::cli::launch`], on the whole campaign.
 
-use dg_experiments::cli::{progress_reporter, CliOptions};
-use dg_experiments::distrib::{run_distributed, DistribOutcome};
-use dg_experiments::executor::resolve_threads;
-use dg_experiments::gap::{gap_fingerprint, render_gap_table, run_gap_with, EXACT_M_MAX};
+use dg_experiments::cli::launch;
+use dg_experiments::gap::{render_gap_table, GapOutcome};
 
 fn main() {
-    let opts = match CliOptions::from_env() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
+    let Some((_, config, outcome)) = launch::<GapOutcome>("Gap sweep", |_, config| config) else {
+        return;
     };
-    let config = match opts.campaign() {
-        Ok(config) => config,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    eprintln!(
-        "Gap sweep ({} suite): {} points x {} scenarios x {} trials x {} heuristics = {} comparisons (cap {}, {} engine, {} threads, exact oracle at m <= {})",
-        config.suite,
-        config.points().len(),
-        config.scenarios_per_point,
-        config.trials_per_scenario,
-        config.heuristics.len(),
-        config.total_runs(),
-        config.max_slots,
-        config.engine,
-        resolve_threads(config.threads),
-        EXACT_M_MAX,
+    let title = format!(
+        "OPTIMALITY GAP vs OFFLINE ORACLE ({} suite, online/offline makespan ratios).",
+        config.suite
     );
-    let dispatch =
-        run_distributed(&opts, &gap_fingerprint(&config), config.points().len(), |options| {
-            run_gap_with(&config, options, progress_reporter(opts.quiet))
-        });
-    let outcome = match dispatch {
-        Ok(DistribOutcome::Ran(outcome)) => outcome,
-        Ok(DistribOutcome::WorkerDone { .. }) => return,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(dir) = &opts.out {
-        eprintln!(
-            "  artifacts: {} ({} comparisons resumed, {} executed)",
-            dir.display(),
-            outcome.stats.resumed_instances,
-            outcome.stats.executed_instances,
-        );
-    }
-    eprintln!("  {}", outcome.stats.oracle_summary());
-    println!(
-        "{}",
-        render_gap_table(
-            &format!(
-                "OPTIMALITY GAP vs OFFLINE ORACLE ({} suite, online/offline makespan ratios).",
-                config.suite
-            ),
-            &outcome.aggregates,
-        )
-    );
+    println!("{}", render_gap_table(&title, &outcome.aggregates));
 }

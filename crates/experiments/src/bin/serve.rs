@@ -13,28 +13,19 @@
 //! select the warm scenario exactly like the experiment binaries select their
 //! first job; `--listen ADDR` serves TCP connections (one session each, at
 //! most `MAX_SESSIONS` at once, all sharing the warm cache) instead of stdin.
-//! See `docs/ARCHITECTURE.md` ("Service layer") for the protocol.
+//! See `docs/ARCHITECTURE.md` ("Service layer") for the protocol. An option
+//! error exits 2 with its message, like the sweep binaries
+//! ([`dg_experiments::cli::or_exit`]).
 
+use dg_experiments::cli::or_exit;
 use dg_experiments::service::{serve_listener, ScheduleService, ServeOptions, ServiceCore};
 use std::io::{BufWriter, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
 fn main() {
-    let opts = match ServeOptions::from_env() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let core = match ServiceCore::from_options(&opts.base) {
-        Ok(core) => Arc::new(core),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = or_exit(ServeOptions::from_env());
+    let core = Arc::new(or_exit(ServiceCore::from_options(&opts.base)));
     if !opts.base.quiet {
         eprintln!(
             "serve: warm scenario ready ({} workers, m = {}, ncom = {}, seed {})",
@@ -81,13 +72,8 @@ fn serve_stdio(core: Arc<ServiceCore>, quiet: bool) {
 
 /// Bind `addr` and accept TCP connections forever through [`serve_listener`].
 fn serve_tcp(core: Arc<ServiceCore>, addr: &str, quiet: bool) {
-    let listener = match TcpListener::bind(addr) {
-        Ok(listener) => listener,
-        Err(err) => {
-            eprintln!("serve: cannot listen on {addr}: {err}");
-            std::process::exit(2);
-        }
-    };
+    let bound = TcpListener::bind(addr);
+    let listener = or_exit(bound.map_err(|err| format!("serve: cannot listen on {addr}: {err}")));
     if !quiet {
         let local = listener.local_addr().map(|a| a.to_string()).unwrap_or_else(|_| addr.into());
         eprintln!("serve: listening on {local}");

@@ -7,68 +7,23 @@
 //!     [--suite NAME|FILE] [--heuristics NAME[,NAME...]] [--out DIR] [--resume] \
 //!     [--worker-shard I/N | --spawn-workers N]
 //! ```
+//!
+//! The binary is a shape (the smallest `m`) and a renderer over the shared
+//! launch sequence, [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::{progress_reporter, CliOptions};
-use dg_experiments::distrib::{run_distributed, DistribOutcome};
-use dg_experiments::executor::{config_fingerprint, resolve_threads, run_campaign_with};
+use dg_experiments::cli::launch;
+use dg_experiments::executor::CampaignOutcome;
 use dg_experiments::tables::{render_table, table_comparison};
 
 fn main() {
-    let opts = match CliOptions::from_env() {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(msg) = opts.require_reference("IE") {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    }
-    let config = match opts.campaign() {
-        Ok(config) => config,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let m = *config.m_values.iter().min().expect("suites have at least one m value");
-    let config = config.with_m(m);
-    eprintln!(
-        "Table I campaign ({} suite): {} points x {} scenarios x {} trials x {} heuristics = {} runs (cap {}, {} engine, {} threads)",
-        config.suite,
-        config.points().len(),
-        config.scenarios_per_point,
-        config.trials_per_scenario,
-        config.heuristics.len(),
-        config.total_runs(),
-        config.max_slots,
-        config.engine,
-        resolve_threads(config.threads),
-    );
-    let dispatch =
-        run_distributed(&opts, &config_fingerprint(&config), config.points().len(), |options| {
-            run_campaign_with(&config, options, progress_reporter(opts.quiet))
-        });
-    let outcome = match dispatch {
-        Ok(DistribOutcome::Ran(outcome)) => outcome,
-        Ok(DistribOutcome::WorkerDone { .. }) => return,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Some(dir) = &opts.out {
-        eprintln!(
-            "  artifacts: {} ({} instances resumed, {} executed)",
-            dir.display(),
-            outcome.stats.resumed_instances,
-            outcome.stats.executed_instances,
-        );
-    }
-    eprintln!("  {}", outcome.stats.eval_cache_summary());
+    let launched = launch::<CampaignOutcome>("Table I campaign", |_, config| {
+        let m = *config.m_values.iter().min().expect("suites have at least one m value");
+        config.with_m(m)
+    });
+    let Some((_, config, outcome)) = launched else { return };
     let results = outcome.results;
     let subset: Vec<_> = results.results.iter().collect();
     let comparison = table_comparison(&subset, "IE", &results.heuristic_names());
-    println!("{}", render_table(&format!("TABLE I. RESULTS WITH m = {m} TASKS."), &comparison));
+    let title = format!("TABLE I. RESULTS WITH m = {} TASKS.", config.m_values[0]);
+    println!("{}", render_table(&title, &comparison));
 }

@@ -1,4 +1,11 @@
-//! Minimal command-line parsing shared by the experiment binaries.
+//! Command-line parsing and the launch sequence shared by the experiment
+//! binaries.
+//!
+//! A sweep binary is a shape (which `m`, which heuristics) and a renderer
+//! over [`launch`], which parses the flags, builds and checks the campaign,
+//! prints the banner, runs the sweep through [`run_distributed`] and prints
+//! the store and counter lines; an option error exits 2 with its message
+//! ([`or_exit`]).
 //!
 //! The binaries accept a small set of flags controlling the campaign scale:
 //!
@@ -37,9 +44,14 @@
 //! --quiet          suppress progress output
 //! ```
 
-use crate::campaign::CampaignConfig;
-use crate::distrib::WorkerShard;
-use crate::executor::ExecutorOptions;
+use crate::campaign::{run_count, CampaignConfig};
+use crate::distrib::{run_distributed, DistribOutcome, WorkerShard};
+use crate::executor::{
+    config_fingerprint, resolve_threads, run_campaign_with, CampaignOutcome, ExecutorOptions,
+    ExecutorStats, DEFAULT_REFERENCE,
+};
+use crate::gap::{gap_fingerprint, run_gap_with, GapOutcome};
+use crate::sensitivity::{run_sensitivity_with, sensitivity_fingerprint, SensitivityOutcome};
 use crate::suite::{SuiteSpec, MAX_TRIALS};
 use dg_heuristics::{parse_heuristic_named, HeuristicSpec};
 use dg_sim::SimMode;
@@ -410,9 +422,9 @@ fn help_text() -> String {
         .to_string()
 }
 
-/// Default progress reporter used by the binaries: prints every ~1 % of runs to
-/// stderr unless `quiet` is set.
-pub fn progress_reporter(quiet: bool) -> impl Fn(usize, usize) + Sync {
+/// The sweep binaries' progress reporter: prints every ~1 % of runs to stderr
+/// unless `quiet` is set.
+fn progress_reporter(quiet: bool) -> impl Fn(usize, usize) + Sync {
     move |done, total| {
         if quiet {
             return;
@@ -425,6 +437,145 @@ pub fn progress_reporter(quiet: bool) -> impl Fn(usize, usize) + Sync {
             }
         }
     }
+}
+
+/// A sweep [`launch`] can run over a [`CampaignConfig`]: the campaign
+/// ([`CampaignOutcome`]), the optimality gap ([`GapOutcome`]) or the
+/// sensitivity study ([`SensitivityOutcome`]).
+pub trait SweepOutcome: Sized {
+    /// Availability arms run per `(trial, heuristic)`.
+    const ARMS: usize = 1;
+    /// What the banner counts.
+    const RUNS: &'static str = "runs";
+    /// What the artifacts line counts as resumed and executed.
+    const UNIT: &'static str = "instances";
+    /// Whether `--heuristics` must include the reference heuristic
+    /// ([`CliOptions::require_reference`]).
+    const REFERENCE: bool = true;
+    /// The store fingerprint of the sweep over `config`.
+    fn fingerprint(config: &CampaignConfig) -> String;
+    /// Run the sweep over `config` under `options`, reporting progress on
+    /// stderr unless `quiet`.
+    fn run(config: &CampaignConfig, options: &ExecutorOptions, quiet: bool)
+        -> Result<Self, String>;
+    /// The sweep kernel's counters.
+    fn stats(&self) -> &ExecutorStats;
+    /// The closing counter line.
+    fn summary(&self) -> String {
+        self.stats().eval_cache_summary()
+    }
+}
+
+impl SweepOutcome for CampaignOutcome {
+    fn fingerprint(config: &CampaignConfig) -> String {
+        config_fingerprint(config)
+    }
+    fn run(
+        config: &CampaignConfig,
+        options: &ExecutorOptions,
+        quiet: bool,
+    ) -> Result<Self, String> {
+        run_campaign_with(config, options, progress_reporter(quiet))
+    }
+    fn stats(&self) -> &ExecutorStats {
+        &self.stats
+    }
+}
+
+impl SweepOutcome for GapOutcome {
+    const RUNS: &'static str = "comparisons";
+    const UNIT: &'static str = "comparisons";
+    const REFERENCE: bool = false;
+    fn fingerprint(config: &CampaignConfig) -> String {
+        gap_fingerprint(config)
+    }
+    fn run(
+        config: &CampaignConfig,
+        options: &ExecutorOptions,
+        quiet: bool,
+    ) -> Result<Self, String> {
+        run_gap_with(config, options, progress_reporter(quiet))
+    }
+    fn stats(&self) -> &ExecutorStats {
+        &self.stats
+    }
+    fn summary(&self) -> String {
+        self.oracle_summary()
+    }
+}
+
+impl SweepOutcome for SensitivityOutcome {
+    const ARMS: usize = 2;
+    fn fingerprint(config: &CampaignConfig) -> String {
+        sensitivity_fingerprint(config)
+    }
+    fn run(
+        config: &CampaignConfig,
+        options: &ExecutorOptions,
+        quiet: bool,
+    ) -> Result<Self, String> {
+        run_sensitivity_with(config, options, progress_reporter(quiet))
+    }
+    fn stats(&self) -> &ExecutorStats {
+        &self.stats
+    }
+}
+
+/// The value of `result`, or, on an option error, its message on stderr and
+/// exit status 2.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2)
+    })
+}
+
+/// The launch sequence of a sweep binary: parse the process arguments, check
+/// the reference heuristic, build the campaign and narrow it with `shape`,
+/// check its run count and print the `title` banner, run the sweep through
+/// [`run_distributed`], then print the artifacts line (under `--out`) and
+/// the counter line. Returns the options, the narrowed campaign and the
+/// outcome for the binary to render, or `None` in a worker shard, which has
+/// nothing to render. Every error exits 2 through [`or_exit`].
+pub fn launch<T: SweepOutcome>(
+    title: &str,
+    shape: impl FnOnce(&CliOptions, CampaignConfig) -> CampaignConfig,
+) -> Option<(CliOptions, CampaignConfig, T)> {
+    let opts = or_exit(CliOptions::from_env());
+    if T::REFERENCE {
+        or_exit(opts.require_reference(DEFAULT_REFERENCE));
+    }
+    let config = shape(&opts, or_exit(opts.campaign()));
+    let points = config.points().len();
+    let (scenarios, trials) = (config.scenarios_per_point, config.trials_per_scenario);
+    let heuristics = config.heuristics.len();
+    let runs = or_exit(run_count(points, scenarios, trials, heuristics * T::ARMS));
+    let models = if T::ARMS == 1 { String::new() } else { format!(" x {} models", T::ARMS) };
+    eprintln!(
+        "{title} ({} suite): {points} points x {scenarios} scenarios x {trials} trials x \
+         {heuristics} heuristics{models} = {runs} {} (cap {}, {} engine, {} threads)",
+        config.suite,
+        T::RUNS,
+        config.max_slots,
+        config.engine,
+        resolve_threads(config.threads),
+    );
+    let dispatch = run_distributed(&opts, &T::fingerprint(&config), points, |options| {
+        T::run(&config, options, opts.quiet)
+    });
+    let DistribOutcome::Ran(outcome) = or_exit(dispatch) else { return None };
+    if let Some(dir) = &opts.out {
+        let stats = outcome.stats();
+        eprintln!(
+            "  artifacts: {} ({} {} resumed, {} executed)",
+            dir.display(),
+            stats.resumed_instances,
+            T::UNIT,
+            stats.executed_instances,
+        );
+    }
+    eprintln!("  {}", outcome.summary());
+    Some((opts, config, outcome))
 }
 
 #[cfg(test)]

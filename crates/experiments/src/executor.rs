@@ -386,7 +386,7 @@ mod tests {
                 trial_index: r.trial_index,
                 heuristic: config.heuristics[i % h],
             };
-            let fresh = run_instance(
+            let (fresh, ..) = run_instance(
                 &scenario,
                 &spec,
                 config.base_seed,

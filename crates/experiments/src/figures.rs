@@ -4,6 +4,11 @@ use crate::campaign::CampaignResults;
 use crate::metrics::ReferenceComparison;
 use serde::{Deserialize, Serialize};
 
+/// The eight heuristics plotted in the paper's Figure 2 (those Table II
+/// reports).
+pub const FIGURE2_HEURISTICS: [&str; 8] =
+    ["E-IAY", "E-IP", "E-IY", "IAY", "IE", "IY", "P-IE", "Y-IE"];
+
 /// One heuristic's `%diff` values across the `wmin` sweep.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FigureSeries {

@@ -30,9 +30,9 @@
 //! emits.
 
 use crate::campaign::CampaignConfig;
-use crate::executor::ExecutorOptions;
+use crate::executor::{ExecutorOptions, ExecutorStats};
 use crate::json::{Obj, Opt, Record, Str, Value};
-use crate::runner::{run_instance_logged, InstanceSpec};
+use crate::runner::{run_instance_on, InstanceSpec};
 use crate::sweep::{self, Job, Key, Sweep};
 use dg_availability::AvailabilityModel;
 use dg_offline::{earliest_finish_exact, earliest_finish_greedy, OfflineInstance, OracleVariant};
@@ -212,39 +212,8 @@ pub fn oracle_bounds(instance: &OfflineInstance, iterations: u64, exact: bool) -
     bounds
 }
 
-/// Counters describing what one gap sweep actually did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct GapStats {
-    /// Comparisons the sweep comprises (`config.total_runs()`).
-    pub total_instances: usize,
-    /// Online runs simulated by this sweep.
-    pub executed_instances: usize,
-    /// Comparisons resumed from the store.
-    pub resumed_instances: usize,
-    /// Availability realizations performed (one per trial with missing work).
-    pub trials_realized: usize,
-    /// Trials projected onto an offline instance (trials where at least one
-    /// fresh online run completed an iteration).
-    pub trials_projected: usize,
-    /// Projected trials bounded by the exact oracle (`m <=` [`EXACT_M_MAX`]).
-    pub exact_trials: usize,
-    /// Projected trials bounded by the greedy oracle.
-    pub greedy_trials: usize,
-}
-
-impl GapStats {
-    /// Human-readable oracle counters, in the style of
-    /// [`crate::executor::ExecutorStats::eval_cache_summary`].
-    pub fn oracle_summary(&self) -> String {
-        format!(
-            "offline oracle: {} trials projected ({} exact, {} greedy) across {} realized",
-            self.trials_projected, self.exact_trials, self.greedy_trials, self.trials_realized
-        )
-    }
-}
-
 /// Streaming per-heuristic reduction of the gap records.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GapAggregate {
     /// Heuristic name.
     pub heuristic: String,
@@ -298,16 +267,36 @@ impl GapAggregate {
     }
 }
 
-/// Everything a gap sweep produces.
+/// Everything a gap sweep produces: the records themselves go only to the
+/// store.
 #[derive(Debug, Clone)]
 pub struct GapOutcome {
-    /// All gap records in canonical order (empty unless
-    /// [`crate::executor::ExecutorOptions::retain_raw`] was set).
-    pub records: Vec<GapRecord>,
     /// Per-heuristic reduction, in the configuration's heuristic order.
     pub aggregates: Vec<GapAggregate>,
-    /// Execution counters.
-    pub stats: GapStats,
+    /// Execution counters of the sweep kernel (one "instance" is one
+    /// comparison).
+    pub stats: ExecutorStats,
+    /// Trials projected onto an offline instance (trials where at least one
+    /// fresh online run completed an iteration).
+    pub trials_projected: usize,
+    /// Projected trials bounded by the exact oracle (`m <=` [`EXACT_M_MAX`]).
+    pub exact_trials: usize,
+    /// Projected trials bounded by the greedy oracle.
+    pub greedy_trials: usize,
+}
+
+impl GapOutcome {
+    /// Human-readable oracle counters, in the style of
+    /// [`ExecutorStats::eval_cache_summary`].
+    pub fn oracle_summary(&self) -> String {
+        format!(
+            "offline oracle: {} trials projected ({} exact, {} greedy) across {} realized",
+            self.trials_projected,
+            self.exact_trials,
+            self.greedy_trials,
+            self.stats.trials_realized
+        )
+    }
 }
 
 /// Run an optimality-gap sweep over `config`'s experiment space under
@@ -364,7 +353,7 @@ where
                     let trial = trial.as_ref().expect("trial realized for a missing instance");
                     let scenario_index = job.scenario_index;
                     let spec = InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
-                    let (outcome, log) = run_instance_logged(
+                    let (outcome, log, _) = run_instance_on(
                         job.scenario(),
                         &spec,
                         trial.replay(),
@@ -416,28 +405,18 @@ where
 
     let mut aggregates: Vec<GapAggregate> =
         sweep.heuristics.iter().map(|name| GapAggregate::new(name.clone())).collect();
-    let mut raw: Vec<GapRecord> = Vec::new();
     let stats = sweep::run(&sweep, options, on_progress, job, |_, block| {
         for (offset, record) in block.iter().enumerate() {
             aggregates[offset % config.heuristics.len()].consume(record);
         }
-        if options.retain_raw {
-            raw.extend(block);
-        }
     })?;
+    let (exact_trials, greedy_trials) = (exact_trials.into_inner(), greedy_trials.into_inner());
     Ok(GapOutcome {
-        records: raw,
         aggregates,
-        stats: GapStats {
-            total_instances: stats.total_instances,
-            executed_instances: stats.executed_instances,
-            resumed_instances: stats.resumed_instances,
-            trials_realized: stats.trials_realized,
-            trials_projected: exact_trials.load(Ordering::Relaxed)
-                + greedy_trials.load(Ordering::Relaxed),
-            exact_trials: exact_trials.into_inner(),
-            greedy_trials: greedy_trials.into_inner(),
-        },
+        stats,
+        trials_projected: exact_trials + greedy_trials,
+        exact_trials,
+        greedy_trials,
     })
 }
 
@@ -594,10 +573,22 @@ mod tests {
         assert_eq!(online_slots(&outcome, &[]), None);
     }
 
+    /// Every gap record a store holds, decoded from its shard lines in point
+    /// order.
+    fn stored_records(dir: &std::path::Path, config: &CampaignConfig) -> Vec<GapRecord> {
+        let mut records = Vec::new();
+        for point in 0..config.points().len() {
+            let shard = fs::read_to_string(dir.join(crate::store::shard_name(point))).unwrap();
+            records.extend(shard.lines().map(|line| decode_gap_record(line).unwrap()));
+        }
+        records
+    }
+
     #[test]
     fn gap_sweep_reports_exact_ratios_at_least_one() {
         // Small paper-suite sweep at m = 5 (exact oracle path): every
         // comparable ratio must be >= 1 — the oracle is a true lower bound.
+        let dir = temp_dir("exact");
         let mut config = CampaignConfig::smoke();
         config.heuristics = vec![
             dg_heuristics::HeuristicSpec::parse("IE").unwrap(),
@@ -607,12 +598,13 @@ mod tests {
         config.scenarios_per_point = 2;
         config.trials_per_scenario = 2;
         let outcome =
-            run_gap_with(&config, &ExecutorOptions::new().retain_raw(true), |_, _| {}).unwrap();
-        assert_eq!(outcome.records.len(), config.total_runs());
-        assert!(outcome.stats.trials_projected > 0);
-        assert_eq!(outcome.stats.greedy_trials, 0);
+            run_gap_with(&config, &ExecutorOptions::new().store(&dir, false), |_, _| {}).unwrap();
+        let records = stored_records(&dir, &config);
+        assert_eq!(records.len(), config.total_runs());
+        assert!(outcome.trials_projected > 0);
+        assert_eq!(outcome.greedy_trials, 0);
         let mut comparable = 0;
-        for record in &outcome.records {
+        for record in &records {
             assert_eq!(record.method, "exact");
             assert_eq!(record.suite, "paper");
             if let Some(ratio) = record.ratio() {
@@ -638,6 +630,7 @@ mod tests {
         let table = render_gap_table("GAP", &outcome.aggregates);
         assert!(table.contains("Heuristic"), "{table}");
         assert!(table.contains("#cmp"), "{table}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -645,14 +638,21 @@ mod tests {
         let mut config = CampaignConfig::smoke();
         config.scenarios_per_point = 2;
         config.trials_per_scenario = 2;
-        config.threads = 1;
-        let sequential =
-            run_gap_with(&config, &ExecutorOptions::new().retain_raw(true), |_, _| {}).unwrap();
-        config.threads = 8;
-        let parallel =
-            run_gap_with(&config, &ExecutorOptions::new().retain_raw(true), |_, _| {}).unwrap();
-        assert_eq!(sequential.records, parallel.records);
-        assert_eq!(sequential.stats, parallel.stats);
+        let mut runs = Vec::new();
+        for threads in [1, 8] {
+            config.threads = threads;
+            let dir = temp_dir(&format!("threads-{threads}"));
+            let outcome =
+                run_gap_with(&config, &ExecutorOptions::new().store(&dir, false), |_, _| {})
+                    .unwrap();
+            runs.push((stored_records(&dir, &config), outcome));
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let (sequential, parallel) = (&runs[0], &runs[1]);
+        assert_eq!(sequential.0, parallel.0);
+        assert_eq!(sequential.1.aggregates, parallel.1.aggregates);
+        assert_eq!(sequential.1.stats, parallel.1.stats);
+        assert_eq!(sequential.1.oracle_summary(), parallel.1.oracle_summary());
     }
 
     #[test]
@@ -662,8 +662,9 @@ mod tests {
         let mut config = CampaignConfig::smoke();
         config.scenarios_per_point = 2;
         config.trials_per_scenario = 2;
-        let options = ExecutorOptions::new().retain_raw(true).store(&dir, false);
+        let options = ExecutorOptions::new().store(&dir, false);
         let uninterrupted = run_gap_with(&config, &options, |_, _| {}).unwrap();
+        let records = stored_records(&dir, &config);
         let manifest_before = fs::read(dir.join(MANIFEST_NAME)).unwrap();
         let shard_before = fs::read(dir.join(shard_name(0))).unwrap();
 
@@ -684,9 +685,10 @@ mod tests {
         )
         .unwrap();
 
-        let resume_options = ExecutorOptions::new().retain_raw(true).store(&dir, true);
+        let resume_options = ExecutorOptions::new().store(&dir, true);
         let resumed = run_gap_with(&config, &resume_options, |_, _| {}).unwrap();
-        assert_eq!(resumed.records, uninterrupted.records);
+        assert_eq!(stored_records(&dir, &config), records);
+        assert_eq!(resumed.aggregates, uninterrupted.aggregates);
         assert_eq!(resumed.stats.resumed_instances, 5);
         assert_eq!(
             resumed.stats.executed_instances,

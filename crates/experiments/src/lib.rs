@@ -20,7 +20,9 @@
 //! * [`stream`] — streaming reduction of results into table/figure summaries
 //!   in O(points × heuristics) memory;
 //! * [`runner`] — runs a single `(scenario, trial, heuristic)` instance through
-//!   the `dg-sim` engine;
+//!   the `dg-sim` engine, the one instance runner of every sweep;
+//! * [`cli`] — the flags every binary shares and the launch sequence of the
+//!   six sweep binaries ([`cli::launch`]);
 //! * [`metrics`] — computes the paper's comparison metrics against the
 //!   reference heuristic IE: `%diff`, `%wins`, `%wins30`, `stdv` and `#fails`;
 //! * [`tables`] — renders Table I (m = 5) and Table II (m = 10);
@@ -85,14 +87,9 @@ pub use distrib::{
 pub use executor::{
     resolve_threads, run_campaign_with, CampaignOutcome, ExecutorOptions, ExecutorStats,
 };
-pub use gap::{
-    render_gap_table, run_gap_with, GapAggregate, GapOutcome, GapRecord, GapStats, EXACT_M_MAX,
-};
+pub use gap::{render_gap_table, run_gap_with, GapAggregate, GapOutcome, GapRecord, EXACT_M_MAX};
 pub use metrics::{HeuristicSummary, ReferenceComparison};
-pub use runner::{
-    run_instance, run_instance_logged, run_instance_on, run_instance_with_report, scheduler_seed,
-    InstanceSpec,
-};
+pub use runner::{run_instance, run_instance_on, scheduler_seed, InstanceSpec};
 pub use service::{
     DecideReply, DecideRequest, Request, ScheduleService, ServeOptions, ServeSummary, ServiceCore,
 };

@@ -28,8 +28,8 @@ pub fn trial_seed(base_seed: u64, scenario_seed: u64, trial_index: usize) -> u64
 
 /// Derive the scheduler seed of a trial's instances: the trial seed on its
 /// own stream, so the RANDOM heuristic's draws are not correlated with the
-/// availability realization. This is the exact derivation every
-/// `run_instance*` entry point performs; the scheduling service
+/// availability realization. This is the exact derivation
+/// [`run_instance_on`] performs; the scheduling service
 /// ([`crate::service`]) shares it so a served decision is seeded identically
 /// to the simulation it stands in for.
 pub fn scheduler_seed(base_seed: u64, scenario_seed: u64, trial_index: usize) -> u64 {
@@ -38,8 +38,8 @@ pub fn scheduler_seed(base_seed: u64, scenario_seed: u64, trial_index: usize) ->
 
 /// Run one instance: realize the scenario's availability for the trial
 /// (according to the scenario's [`dg_platform::TrialModel`], with the slot
-/// cap as the trace horizon), build the heuristic, and simulate until
-/// completion or the slot cap under the requested engine `mode`.
+/// cap as the trace horizon), build the heuristic over a fresh evaluation
+/// cache of precision `epsilon`, and simulate under [`run_instance_on`].
 ///
 /// # Panics
 /// Panics if `max_slots` is zero (see [`SimulationLimits::with_max_slots`]);
@@ -51,24 +51,7 @@ pub fn run_instance(
     max_slots: u64,
     epsilon: f64,
     mode: SimMode,
-) -> SimOutcome {
-    run_instance_with_report(scenario, spec, base_seed, max_slots, epsilon, mode).0
-}
-
-/// Like [`run_instance`], but additionally return the [`EngineReport`] saying
-/// how many slots the engine actually executed — the quantity the `--engine`
-/// comparison is about.
-///
-/// # Panics
-/// Panics if `max_slots` is zero (see [`SimulationLimits::with_max_slots`]).
-pub fn run_instance_with_report(
-    scenario: &Scenario,
-    spec: &InstanceSpec,
-    base_seed: u64,
-    max_slots: u64,
-    epsilon: f64,
-    mode: SimMode,
-) -> (SimOutcome, EngineReport) {
+) -> (SimOutcome, EventLog, EngineReport) {
     let seed = trial_seed(base_seed, scenario.seed, spec.trial_index);
     let availability = scenario.realize_trial(seed, max_slots);
     let cache = EvalCache::new(&scenario.platform, &scenario.master, epsilon);
@@ -76,17 +59,21 @@ pub fn run_instance_with_report(
 }
 
 /// Run one instance on a **pre-realized** availability model and a
-/// **caller-supplied** evaluation cache, instead of realizing the trial from
-/// its seed and building a fresh cache. This is the entry point the
-/// campaign executor uses to share, per scenario job, one
+/// **caller-supplied** evaluation cache until completion or the slot cap
+/// under the engine `mode`: the one runner of the campaign, gap and
+/// sensitivity sweeps. A sweep job shares one
 /// [`dg_availability::RealizedTrial`] across the heuristics of a trial
 /// (handing each a replay) *and* one [`EvalCache`] across the whole
 /// heuristic × trial fan-out, so each Section V group set is computed once
-/// per scenario. The scheduler seed is derived exactly as in
-/// [`run_instance`], and every cached quantity is a pure function of the
-/// scenario, so for an availability model equivalent to the trial's
-/// canonical realization the outcome is identical no matter how the cache is
-/// shared. The series precision is the one `cache` was built with.
+/// per scenario. The scheduler seed is [`scheduler_seed`], and every cached
+/// quantity is a pure function of the scenario, so for an availability model
+/// equivalent to the trial's canonical realization the outcome is identical
+/// no matter how the cache is shared. The series precision is the one
+/// `cache` was built with.
+///
+/// Returns the outcome, the run's [`EventLog`] (its iteration completions,
+/// which bound a capped run in the optimality gap) and the [`EngineReport`]
+/// of how many slots the engine executed.
 ///
 /// # Panics
 /// Panics if `max_slots` is zero (see [`SimulationLimits::with_max_slots`]).
@@ -98,41 +85,12 @@ pub fn run_instance_on<A: AvailabilityModel>(
     base_seed: u64,
     max_slots: u64,
     mode: SimMode,
-) -> (SimOutcome, EngineReport) {
+) -> (SimOutcome, EventLog, EngineReport) {
     let seed = scheduler_seed(base_seed, scenario.seed, spec.trial_index);
     let mut scheduler = spec.heuristic.build_with_cache(seed, cache);
     let limits = SimulationLimits::with_max_slots(max_slots).expect("slot cap must be positive");
     let simulator = Simulator::new(scenario, availability).with_limits(limits).with_mode(mode);
-    let (outcome, _, report) = simulator.run_with_report(scheduler.as_mut());
-    (outcome, report)
-}
-
-/// Like [`run_instance_on`], but with a completions-only event log so the
-/// caller can read the slot at which each iteration finished — the per-run
-/// signal the optimality-gap bridge needs to bound partially-completed runs.
-/// The simulated outcome is identical to [`run_instance_on`]'s (logging never
-/// influences the engine); only the returned [`EventLog`] differs.
-///
-/// # Panics
-/// Panics if `max_slots` is zero (see [`SimulationLimits::with_max_slots`]).
-pub fn run_instance_logged<A: AvailabilityModel>(
-    scenario: &Scenario,
-    spec: &InstanceSpec,
-    availability: A,
-    cache: &EvalCache,
-    base_seed: u64,
-    max_slots: u64,
-    mode: SimMode,
-) -> (SimOutcome, EventLog) {
-    let seed = scheduler_seed(base_seed, scenario.seed, spec.trial_index);
-    let mut scheduler = spec.heuristic.build_with_cache(seed, cache);
-    let limits = SimulationLimits::with_max_slots(max_slots).expect("slot cap must be positive");
-    let simulator = Simulator::new(scenario, availability)
-        .with_limits(limits)
-        .with_completion_log(true)
-        .with_mode(mode);
-    let (outcome, log) = simulator.run(scheduler.as_mut());
-    (outcome, log)
+    simulator.run_with_report(scheduler.as_mut())
 }
 
 #[cfg(test)]
@@ -148,8 +106,8 @@ mod tests {
             trial_index: 0,
             heuristic: HeuristicSpec::parse("IE").unwrap(),
         };
-        let a = run_instance(&scenario, &spec, 42, 50_000, 1e-7, SimMode::EventDriven);
-        let b = run_instance(&scenario, &spec, 42, 50_000, 1e-7, SimMode::EventDriven);
+        let a = run_instance(&scenario, &spec, 42, 50_000, 1e-7, SimMode::EventDriven).0;
+        let b = run_instance(&scenario, &spec, 42, 50_000, 1e-7, SimMode::EventDriven).0;
         assert_eq!(a, b);
     }
 
@@ -161,8 +119,8 @@ mod tests {
             trial_index: trial,
             heuristic: HeuristicSpec::parse("IE").unwrap(),
         };
-        let a = run_instance(&scenario, &mk(0), 42, 50_000, 1e-7, SimMode::EventDriven);
-        let b = run_instance(&scenario, &mk(1), 42, 50_000, 1e-7, SimMode::EventDriven);
+        let a = run_instance(&scenario, &mk(0), 42, 50_000, 1e-7, SimMode::EventDriven).0;
+        let b = run_instance(&scenario, &mk(1), 42, 50_000, 1e-7, SimMode::EventDriven).0;
         // Different availability realizations essentially never give the same
         // makespan and statistics.
         assert_ne!(a, b);
@@ -176,7 +134,7 @@ mod tests {
             trial_index: 0,
             heuristic: HeuristicSpec::parse("IE").unwrap(),
         };
-        let outcome = run_instance(&scenario, &spec, 1, 200_000, 1e-7, SimMode::EventDriven);
+        let (outcome, ..) = run_instance(&scenario, &spec, 1, 200_000, 1e-7, SimMode::EventDriven);
         assert!(outcome.success(), "IE failed an easy wmin=1 scenario: {outcome:?}");
         assert_eq!(outcome.completed_iterations, 10);
     }
@@ -199,10 +157,10 @@ mod tests {
         );
         for heuristic in HeuristicSpec::all() {
             let spec = InstanceSpec { scenario_index: 0, trial_index: 0, heuristic };
-            let (slot, slot_report) =
-                run_instance_with_report(&scenario, &spec, 5, 30_000, 1e-6, SimMode::SlotStepped);
-            let (event, event_report) =
-                run_instance_with_report(&scenario, &spec, 5, 30_000, 1e-6, SimMode::EventDriven);
+            let (slot, _, slot_report) =
+                run_instance(&scenario, &spec, 5, 30_000, 1e-6, SimMode::SlotStepped);
+            let (event, _, event_report) =
+                run_instance(&scenario, &spec, 5, 30_000, 1e-6, SimMode::EventDriven);
             assert_eq!(slot, event, "{} disagrees between engine modes", heuristic.name());
             assert_eq!(slot_report.executed_slots, slot_report.simulated_slots);
             assert!(
@@ -232,8 +190,8 @@ mod tests {
                 trial_index: 0,
                 heuristic: HeuristicSpec::parse(name).unwrap(),
             };
-            let fresh = run_instance(&scenario, &spec, 42, 30_000, 1e-7, SimMode::EventDriven);
-            let (shared, _) = run_instance_on(
+            let fresh = run_instance(&scenario, &spec, 42, 30_000, 1e-7, SimMode::EventDriven).0;
+            let (shared, ..) = run_instance_on(
                 &scenario,
                 &spec,
                 trial.replay(),
@@ -262,8 +220,8 @@ mod tests {
                 let seed = trial_seed(42, scenario.seed, trial_index);
                 for heuristic in HeuristicSpec::all() {
                     let spec = InstanceSpec { scenario_index: 0, trial_index, heuristic };
-                    let fresh = run_instance(&scenario, &spec, 42, 30_000, 1e-6, mode);
-                    let (shared, _) = run_instance_on(
+                    let fresh = run_instance(&scenario, &spec, 42, 30_000, 1e-6, mode).0;
+                    let (shared, ..) = run_instance_on(
                         &scenario,
                         &spec,
                         scenario.realize_trial(seed, 30_000),

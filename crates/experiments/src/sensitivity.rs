@@ -7,18 +7,21 @@
 //! **semi-Markov** availability traces whose mean sojourn times match the
 //! Markov chains the heuristics believe in, and reports how the ranking
 //! degrades — quantifying the robustness question raised in Section VII-B.
+//!
+//! The study is a [`CampaignConfig`] sweep with two availability arms per
+//! `(trial, heuristic)`: the scenario's Markov chains, then matched
+//! semi-Markov traces whose Weibull shape is [`weibull_shape`]. The
+//! `sensitivity` binary narrows the campaign to [`sensitivity_slice`] first.
 
-use crate::campaign::{run_count, InstanceResult};
-use crate::executor::ExecutorOptions;
+use crate::campaign::{CampaignConfig, InstanceResult};
+use crate::executor::{ExecutorOptions, ExecutorStats};
 use crate::json::{List, Obj, Str};
 use crate::metrics::ReferenceComparison;
 use crate::store::encode_instance;
 use crate::suite::fingerprint_suffix;
 use crate::sweep::{self, Job, Sweep};
 use dg_availability::RealizedAvailability;
-use dg_heuristics::HeuristicSpec;
-use dg_platform::{ScenarioModel, ScenarioParams};
-use dg_sim::SimMode;
+use dg_platform::TrialModel;
 use serde::{Deserialize, Serialize};
 
 /// Build, for every worker of a scenario, a semi-Markov model whose mean `UP`
@@ -28,76 +31,23 @@ use serde::{Deserialize, Serialize};
 /// trials too.)
 pub use dg_platform::generator::matched_semi_markov_models;
 
-/// Configuration of the sensitivity experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SensitivityConfig {
-    /// Experiment points to evaluate.
-    pub points: Vec<ScenarioParams>,
-    /// Scenarios per point.
-    pub scenarios_per_point: usize,
-    /// Trials per scenario.
-    pub trials_per_scenario: usize,
-    /// Slot cap per run.
-    pub max_slots: u64,
-    /// Heuristics to compare.
-    pub heuristics: Vec<HeuristicSpec>,
-    /// Master seed.
-    pub base_seed: u64,
-    /// Precision of the Section V estimates.
-    pub epsilon: f64,
-    /// Weibull shape parameter of the `UP` sojourns (`< 1` = heavy tail).
-    pub weibull_shape: f64,
-    /// Simulation engine mode every run executes under.
-    pub engine: SimMode,
-    /// Worker threads (`0` = auto-detect available parallelism).
-    pub threads: usize,
-    /// Name of the scenario suite the scenarios are drawn from (`"paper"`
-    /// by default; non-paper suites tag the artifact store).
-    pub suite: String,
-    /// Generator model the scenarios are sampled under. Only the platform
-    /// axes matter here — the trial arms are fixed by the experiment itself
-    /// (Markov vs matched semi-Markov), so `model.trials` is ignored.
-    pub model: ScenarioModel,
+/// The study's slice of a campaign: one point per `wmin` at the suite's
+/// first `m` and middle `ncom` (the paper suite gives the historical
+/// `m = 5`, `ncom = 10` slice).
+pub fn sensitivity_slice(mut config: CampaignConfig) -> CampaignConfig {
+    config.m_values.truncate(1);
+    config.ncom_values = vec![config.ncom_values[config.ncom_values.len() / 2]];
+    config
 }
 
-impl SensitivityConfig {
-    /// A small default configuration usable on a single core.
-    pub fn small() -> Self {
-        SensitivityConfig {
-            points: vec![ScenarioParams::paper(5, 10, 2)],
-            scenarios_per_point: 3,
-            trials_per_scenario: 2,
-            max_slots: 100_000,
-            heuristics: ["IE", "IAY", "Y-IE", "P-IE", "E-IAY", "RANDOM"]
-                .iter()
-                .map(|n| HeuristicSpec::parse(n).unwrap())
-                .collect(),
-            base_seed: 1807,
-            epsilon: dg_analysis::DEFAULT_EPSILON,
-            weibull_shape: 0.7,
-            engine: SimMode::default(),
-            threads: 1,
-            suite: "paper".to_string(),
-            model: ScenarioModel::paper(),
-        }
-    }
-}
-
-impl SensitivityConfig {
-    /// The artifact-store suite tag: `None` for the untagged `paper` suite.
-    pub fn suite_tag(&self) -> Option<&str> {
-        crate::suite::store_tag(&self.suite)
-    }
-
-    /// The number of runs of the experiment, both availability models
-    /// included, or the [`run_count`] error when it does not fit in `usize`.
-    pub fn checked_total_runs(&self) -> Result<usize, String> {
-        run_count(
-            self.points.len(),
-            self.scenarios_per_point,
-            self.trials_per_scenario,
-            self.heuristics.len() * MODELS.len(),
-        )
+/// The Weibull shape of the semi-Markov arm's `UP` sojourns (`< 1` = heavy
+/// tail): the one a suite's `trials semi(SHAPE)` declares, otherwise the
+/// historical 0.7. The arms themselves are fixed by the study, so this is
+/// all the campaign's trial model decides.
+pub fn weibull_shape(config: &CampaignConfig) -> f64 {
+    match config.model.trials {
+        TrialModel::SemiMarkov { shape } => shape,
+        TrialModel::Markov => 0.7,
     }
 }
 
@@ -111,15 +61,26 @@ pub struct SensitivityResults {
     pub semi_markov: Vec<InstanceResult>,
 }
 
+/// Everything a sensitivity run produces.
+#[derive(Debug, Clone)]
+pub struct SensitivityOutcome {
+    /// Both arms' results, in canonical order.
+    pub results: SensitivityResults,
+    /// Execution counters of the sweep kernel (both arms counted).
+    pub stats: ExecutorStats,
+}
+
 /// Store tags of the two availability arms, in slot order: each
 /// `(trial, heuristic)` runs under the Markov model, then the semi-Markov one.
 const MODELS: [&str; 2] = ["markov", "semi"];
 
-/// The canonical JSON fingerprint of everything in a [`SensitivityConfig`]
-/// that determines results (`threads` and `engine` excluded — see
-/// [`crate::executor::config_fingerprint`] for the rationale).
-pub fn sensitivity_fingerprint(config: &SensitivityConfig) -> String {
-    let points = config.points.iter().map(|p| {
+/// The canonical JSON fingerprint of a sensitivity sweep over `config`
+/// (`threads` and `engine` excluded — see
+/// [`crate::executor::config_fingerprint`] for the rationale): its points,
+/// scale, heuristics, seed, `ε` and [`weibull_shape`].
+pub fn sensitivity_fingerprint(config: &CampaignConfig) -> String {
+    let points = config.points();
+    let points = points.iter().map(|p| {
         List([
             p.num_workers as u64,
             p.tasks_per_iteration as u64,
@@ -138,69 +99,54 @@ pub fn sensitivity_fingerprint(config: &SensitivityConfig) -> String {
         .field("heuristics", List(names.iter().map(|name| Str(name))))
         .field("seed", config.base_seed)
         .field("epsilon", format_args!("{:?}", config.epsilon))
-        .field("weibull_shape", format_args!("{:?}", config.weibull_shape));
+        .field("weibull_shape", format_args!("{:?}", weibull_shape(config)));
     fingerprint_suffix(fields, &config.suite, &config.model).end()
 }
 
 /// The sensitivity sweep: two arms per `(trial, heuristic)`, stored as
 /// model-tagged campaign records.
-fn sweep_of(config: &SensitivityConfig) -> Sweep<'_, InstanceResult> {
+fn sweep_of(config: &CampaignConfig) -> Sweep<'_, InstanceResult> {
     let tag = config.suite_tag();
     Sweep {
-        points: config.points.clone(),
-        scenarios: config.scenarios_per_point,
-        trials: config.trials_per_scenario,
-        heuristics: config.heuristics.iter().map(|h| h.name()).collect(),
         arms: MODELS.len(),
-        model: &config.model,
-        base_seed: config.base_seed,
-        epsilon: config.epsilon,
-        threads: config.threads,
-        fingerprint: sensitivity_fingerprint(config),
-        decode: sweep::instance_decoder(tag, |model| MODELS.iter().position(|m| model == Some(*m))),
-        encode: Box::new(move |point: usize, arm: usize, r: &InstanceResult| {
-            encode_instance(point, tag, Some(MODELS[arm]), r)
-        }),
+        ..Sweep::over(
+            config,
+            sensitivity_fingerprint(config),
+            sweep::instance_decoder(tag, |model| MODELS.iter().position(|m| model == Some(*m))),
+            Box::new(move |point: usize, arm: usize, r: &InstanceResult| {
+                encode_instance(point, tag, Some(MODELS[arm]), r)
+            }),
+        )
     }
 }
 
-/// Run the sensitivity experiment.
-///
-/// Equivalent to [`run_sensitivity_with`] without an artifact store, which
-/// fails only on a run count past `usize::MAX`
-/// ([`SensitivityConfig::checked_total_runs`]).
-pub fn run_sensitivity(config: &SensitivityConfig) -> SensitivityResults {
-    run_sensitivity_with(config, &ExecutorOptions::new()).expect(
-        "a sensitivity run without an artifact store fails only on a run count past usize::MAX",
-    )
-}
-
-/// Run the sensitivity experiment, fanning `(point, scenario)` jobs out over
-/// `config.threads` worker threads (`0` = auto-detect) with deterministic,
-/// thread-count-independent result ordering. Each trial realizes its Markov
-/// and its semi-Markov availability **once**, shared by every
-/// heuristic of the trial through
-/// [`RealizedTrial`](dg_availability::RealizedTrial) replays.
-///
-/// With [`ExecutorOptions::out`] set, results are checkpointed to
-/// model-tagged JSONL shards (one per experiment point, written as the point
-/// completes) next to a manifest; [`ExecutorOptions::resume`] skips instances
-/// already present in the store, and [`ExecutorOptions::part`] restricts
-/// execution to one worker shard's point range (see [`crate::distrib`]).
-pub fn run_sensitivity_with(
-    config: &SensitivityConfig,
+/// Run the sensitivity experiment over `config`'s points under `options`
+/// (same contract as [`crate::executor::run_campaign_with`]: jobs fan out
+/// over `config.threads` workers with thread-count-independent results, a
+/// store makes the run resumable, [`ExecutorOptions::part`] restricts it to
+/// one worker shard's point range, and `on_progress` reports resumed runs
+/// once, then every executed one). Each trial realizes its Markov and its
+/// semi-Markov availability **once**, shared by every heuristic of the trial
+/// through [`RealizedTrial`](dg_availability::RealizedTrial) replays.
+pub fn run_sensitivity_with<F>(
+    config: &CampaignConfig,
     options: &ExecutorOptions,
-) -> Result<SensitivityResults, String> {
+    on_progress: F,
+) -> Result<SensitivityOutcome, String>
+where
+    F: Fn(usize, usize) + Sync,
+{
     // Both arms share the job's evaluation cache: the Section V estimates
     // depend only on the platform, never on the realized availability. The
     // suite's platform axes apply, but the arms themselves are fixed by the
     // experiment: the scenario's Markov chains vs matched semi-Markov traces.
+    let shape = weibull_shape(config);
     let job = |job: &Job<'_, InstanceResult>| {
         job.instances(&config.heuristics, config.max_slots, config.engine, |s, arm, seed| {
             if arm == 0 {
                 return s.availability_for_trial(seed, false);
             }
-            let models = matched_semi_markov_models(s, config.weibull_shape);
+            let models = matched_semi_markov_models(s, shape);
             RealizedAvailability::semi_markov(&models, seed, config.max_slots)
         })
     };
@@ -212,8 +158,8 @@ pub fn run_sensitivity_with(
             results.semi_markov.push(semi);
         }
     };
-    sweep::run(&sweep_of(config), options, |_, _| {}, job, pair_up)?;
-    Ok(results)
+    let stats = sweep::run(&sweep_of(config), options, on_progress, job, pair_up)?;
+    Ok(SensitivityOutcome { results, stats })
 }
 
 /// Render the sensitivity comparison: `%diff` vs the reference under both
@@ -254,33 +200,29 @@ pub fn render_sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dg_heuristics::HeuristicSpec;
+
+    fn run(config: &CampaignConfig) -> SensitivityResults {
+        run_sensitivity_with(config, &ExecutorOptions::new(), |_, _| {}).unwrap().results
+    }
 
     #[test]
     fn tiny_sensitivity_run_produces_paired_results() {
-        let config = SensitivityConfig {
-            points: vec![ScenarioParams {
-                num_workers: 8,
-                tasks_per_iteration: 3,
-                ncom: 5,
-                wmin: 1,
-                iterations: 2,
-            }],
-            scenarios_per_point: 1,
-            trials_per_scenario: 1,
-            max_slots: 20_000,
+        let mut config = CampaignConfig {
+            m_values: vec![3],
+            ncom_values: vec![5],
+            wmin_values: vec![1],
+            num_workers: 8,
             heuristics: vec![
                 HeuristicSpec::parse("IE").unwrap(),
                 HeuristicSpec::parse("IAY").unwrap(),
             ],
             base_seed: 3,
             epsilon: 1e-6,
-            weibull_shape: 0.8,
-            engine: SimMode::default(),
-            threads: 1,
-            suite: "paper".to_string(),
-            model: ScenarioModel::paper(),
+            ..CampaignConfig::smoke()
         };
-        let results = run_sensitivity(&config);
+        config.model.trials = TrialModel::SemiMarkov { shape: 0.8 };
+        let results = run(&config);
         assert_eq!(results.markov.len(), 2);
         assert_eq!(results.semi_markov.len(), 2);
         let names = vec!["IE".to_string(), "IAY".to_string()];
@@ -289,24 +231,31 @@ mod tests {
         assert!(text.contains("%diff Markov"));
     }
 
-    fn multi_point_config() -> SensitivityConfig {
-        SensitivityConfig {
-            points: vec![ScenarioParams::paper(5, 10, 1), ScenarioParams::paper(5, 10, 2)],
+    fn multi_point_config() -> CampaignConfig {
+        CampaignConfig {
+            m_values: vec![5],
+            ncom_values: vec![10],
+            wmin_values: vec![1, 2],
+            num_workers: 20,
+            iterations: 10,
             scenarios_per_point: 2,
             trials_per_scenario: 2,
             max_slots: 30_000,
-            heuristics: vec![
-                HeuristicSpec::parse("IE").unwrap(),
-                HeuristicSpec::parse("RANDOM").unwrap(),
-            ],
             base_seed: 11,
             epsilon: 1e-6,
-            weibull_shape: 0.7,
-            engine: SimMode::default(),
-            threads: 1,
-            suite: "paper".to_string(),
-            model: ScenarioModel::paper(),
+            ..CampaignConfig::smoke()
         }
+    }
+
+    #[test]
+    fn the_slice_is_the_first_m_and_middle_ncom_at_every_wmin() {
+        let sliced = sensitivity_slice(CampaignConfig::paper_full());
+        assert_eq!((sliced.m_values, sliced.ncom_values), (vec![5], vec![10]));
+        assert_eq!(sliced.wmin_values, (1..=10).collect::<Vec<u64>>());
+        let mut config = CampaignConfig::smoke();
+        assert_eq!(weibull_shape(&config), 0.7);
+        config.model.trials = TrialModel::SemiMarkov { shape: 0.4 };
+        assert_eq!(weibull_shape(&config), 0.4);
     }
 
     #[test]
@@ -315,12 +264,12 @@ mod tests {
         // (markov, semi) pair layout, so store-format and slot-math drift
         // cannot silently drop resumed records.
         let config = multi_point_config();
-        let slot = |config: &SensitivityConfig, line: &str| {
+        let slot = |config: &CampaignConfig, line: &str| {
             let sweep = sweep_of(config);
             (sweep.decode)(line).unwrap().and_then(|(key, _)| sweep.slot(&key))
         };
         let result = InstanceResult {
-            params: config.points[1],
+            params: config.points()[1],
             scenario_index: 1,
             trial_index: 1,
             heuristic: "RANDOM".to_string(),
@@ -355,9 +304,9 @@ mod tests {
     #[test]
     fn parallel_sensitivity_matches_sequential() {
         let mut config = multi_point_config();
-        let sequential = run_sensitivity(&config);
+        let sequential = run(&config);
         config.threads = 4;
-        let parallel = run_sensitivity(&config);
+        let parallel = run(&config);
         // Deterministic slot ordering: identical vectors, not just multisets.
         assert_eq!(sequential, parallel);
     }
@@ -369,22 +318,23 @@ mod tests {
             std::env::temp_dir().join(format!("dg-sensitivity-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = multi_point_config();
-        let uninterrupted =
-            run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, false)).unwrap();
+        let run_on = |config: &CampaignConfig, resume: bool| {
+            run_sensitivity_with(config, &ExecutorOptions::new().store(&dir, resume), |_, _| {})
+        };
+        let uninterrupted = run_on(&config, false).unwrap().results;
         let shard0 = std::fs::read(dir.join(shard_name(0))).unwrap();
 
         // Lose the second point's shard entirely, then resume.
         std::fs::remove_file(dir.join(shard_name(1))).unwrap();
-        let resumed =
-            run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, true)).unwrap();
+        let resumed = run_on(&config, true).unwrap().results;
         assert_eq!(resumed, uninterrupted);
         assert_eq!(std::fs::read(dir.join(shard_name(0))).unwrap(), shard0);
         assert!(dir.join(shard_name(1)).is_file());
 
         // A different configuration cannot resume the store.
         let mut other = config.clone();
-        other.weibull_shape = 0.9;
-        assert!(run_sensitivity_with(&other, &ExecutorOptions::new().store(&dir, true)).is_err());
+        other.model.trials = TrialModel::SemiMarkov { shape: 0.9 };
+        assert!(run_on(&other, true).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -38,8 +38,10 @@
 //! ## Online mode
 //!
 //! `{"op":"session",...}` instantiates one registry-built scheduler for the
-//! connection and keeps each worker's current state and the slot of its last
-//! change — no history, since a decision only reads the present, so a
+//! connection, starting from the world state its request describes (exactly
+//! the state a decide request would be answered at), and keeps each worker's
+//! current state and the slot of its last change (initially the request's
+//! `time`) — no history, since a decision only reads the present, so a
 //! session's memory does not depend on the event times. Subsequent
 //! `{"op":"event",...}` lines report availability transitions (reporting the
 //! current state again is not a transition; a change at or before the
@@ -340,13 +342,7 @@ impl ServiceCore {
     /// decision is returned with the request's decision latency and the
     /// cache hit/miss delta it incurred.
     pub fn decide(&self, req: &DecideRequest) -> Result<DecideReply, String> {
-        let spec = parse_heuristic_named(&req.heuristic)?;
-        let seed = req
-            .seed
-            .unwrap_or_else(|| scheduler_seed(self.base_seed, self.scenario.seed, req.trial));
-        let mut scheduler = spec.build_with_cache(seed, &self.cache);
-        let mut ctx = self.context_of(req)?;
-        ctx.normalize();
+        let (heuristic, mut scheduler, ctx) = self.prepare(req)?;
         let before = self.cache.stats();
         let start = Instant::now();
         let decision = scheduler.decide(&ctx.view(
@@ -358,7 +354,7 @@ impl ServiceCore {
         let delta = self.cache.stats().since(&before);
         Ok(DecideReply {
             id: req.id,
-            heuristic: spec.name(),
+            heuristic,
             assignment: match decision {
                 Decision::KeepCurrent => None,
                 Decision::NewConfiguration(a) => Some(a),
@@ -367,6 +363,24 @@ impl ServiceCore {
             cache: delta,
             decision_threads: self.cache.decision_threads(),
         })
+    }
+
+    /// What a decide request and a session start share: the heuristic's
+    /// canonical name, its scheduler (built from the registry with the
+    /// request's derived or forced seed over the shared cache) and the
+    /// request's world state, normalized like the engine's pre-decision step.
+    fn prepare(
+        &self,
+        req: &DecideRequest,
+    ) -> Result<(String, Box<dyn Scheduler>, DecisionContext), String> {
+        let spec = parse_heuristic_named(&req.heuristic)?;
+        let seed = req
+            .seed
+            .unwrap_or_else(|| scheduler_seed(self.base_seed, self.scenario.seed, req.trial));
+        let scheduler = spec.build_with_cache(seed, &self.cache);
+        let mut ctx = self.context_of(req)?;
+        ctx.normalize();
+        Ok((spec.name(), scheduler, ctx))
     }
 
     /// Materialize a request's world state into an owned decision context.
@@ -587,42 +601,28 @@ impl ScheduleService {
             .end()
     }
 
-    /// Start (or replace) this connection's online session and make the
-    /// initial scheduling decision.
+    /// Start (or replace) this connection's online session from the world
+    /// state the request describes, and make the initial scheduling
+    /// decision. Every worker's last change is at the request's `time`.
     fn start_session(&mut self, req: &DecideRequest) -> Vec<String> {
         self.summary.requests += 1;
-        let spec = match parse_heuristic_named(&req.heuristic) {
-            Ok(spec) => spec,
+        let (heuristic, scheduler, ctx) = match self.core.prepare(req) {
+            Ok(prepared) => prepared,
             Err(err) => {
                 self.summary.errors += 1;
                 return vec![error_line(req.id, &err)];
             }
         };
-        let states = match parse_states(&req.workers, self.core.scenario.platform.num_workers()) {
-            Ok(states) => states,
-            Err(err) => {
-                self.summary.errors += 1;
-                return vec![error_line(req.id, &err)];
-            }
-        };
-        let seed = req.seed.unwrap_or_else(|| {
-            scheduler_seed(self.core.base_seed, self.core.scenario.seed, req.trial)
-        });
-        let scheduler = spec.build_with_cache(seed, &self.core.cache);
+        let workers = ctx.workers.len();
         let reevaluation = scheduler.reevaluation();
-        let mut session = OnlineSession {
-            heuristic: spec.name(),
-            scheduler,
-            reevaluation,
-            last_change: vec![0; states.len()],
-            ctx: DecisionContext::fresh(&states),
-        };
+        let last_change = vec![req.time; workers];
+        let mut session = OnlineSession { heuristic, scheduler, reevaluation, last_change, ctx };
         let mut lines = vec![Obj::new()
             .field("id", Opt(req.id))
             .field("ok", true)
             .field("op", Str("session"))
             .field("heuristic", Str(&session.heuristic))
-            .field("workers", states.len())
+            .field("workers", workers)
             .end()];
         if let Some(record) = self.consult(&mut session) {
             self.summary.reschedules += 1;
@@ -1189,6 +1189,37 @@ mod tests {
         assert!(event(2, 'U', u64::MAX).contains("\"changed\":true"));
         let err = event(2, 'D', u64::MAX);
         assert!(err.contains("predates the recorded horizon 18446744073709551616"), "{err}");
+    }
+
+    #[test]
+    fn a_session_starts_from_the_world_state_its_request_describes() {
+        let mut service = ScheduleService::new(core());
+        let lines = service
+            .handle_line(r#"{"op":"session","heuristic":"IE","workers":"UUUUUUUU","time":50}"#);
+        assert!(lines[1].contains("\"op\":\"reschedule\",\"time\":50,"), "{lines:?}");
+        // The session's clock is the request's: an earlier slot is refused.
+        let err = service.handle_line(r#"{"op":"event","worker":3,"state":"D","time":10}"#);
+        assert!(err[0].contains("event at slot 10 predates the session clock 50"), "{}", err[0]);
+        // So is a change at the start slot itself, every worker's last change.
+        let err = service.handle_line(r#"{"op":"event","worker":3,"state":"D","time":50}"#);
+        assert!(err[0].contains("predates the recorded horizon 51"), "{}", err[0]);
+
+        // Holdings and an installed configuration with a DOWN member: the
+        // first consult decides what a decide request decides.
+        let mut req = DecideRequest::new("IE", "DUUUUUUU");
+        (req.time, req.iteration, req.completed, req.started_at) = (50, 2, 2, 40);
+        req.current = Some(CurrentConfig { entries: vec![(0, 5)], selected_at: 45, done: 0 });
+        let holds = (true, 2, 0, false);
+        let fresh = (false, 0, 0, false);
+        req.holdings = Some(vec![holds, fresh, fresh, fresh, fresh, holds, holds, fresh]);
+        let decided = service.core().decide(&req).unwrap().assignment.expect("a new configuration");
+        let session = req.render().replacen("\"op\":\"decide\"", "\"op\":\"session\"", 1);
+        let lines = service.handle_line(&session);
+        let expected = format!(
+            "{{\"op\":\"reschedule\",\"time\":50,\"heuristic\":\"IE\",\"assignment\":{},",
+            entries(decided.entries())
+        );
+        assert!(lines[1].starts_with(&expected), "{lines:?} vs {expected}");
     }
 
     #[test]

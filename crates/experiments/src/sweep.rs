@@ -210,7 +210,7 @@ impl Job<'_, InstanceResult> {
                     let trial = trial.as_ref().expect("arm realized for a missing instance");
                     let scenario_index = self.scenario_index;
                     let spec = InstanceSpec { scenario_index, trial_index, heuristic: *heuristic };
-                    let (outcome, _) = run_instance_on(
+                    let (outcome, ..) = run_instance_on(
                         self.scenario(),
                         &spec,
                         trial.replay(),

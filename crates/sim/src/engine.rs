@@ -212,7 +212,6 @@ pub struct Simulator<A: AvailabilityModel> {
     availability: A,
     limits: SimulationLimits,
     log_events: bool,
-    completion_log: bool,
     mode: SimMode,
 }
 
@@ -256,7 +255,6 @@ impl<A: AvailabilityModel> Simulator<A> {
             availability,
             limits: SimulationLimits::default(),
             log_events: false,
-            completion_log: false,
             mode: SimMode::default(),
         }
     }
@@ -267,21 +265,14 @@ impl<A: AvailabilityModel> Simulator<A> {
         self
     }
 
-    /// Enable or disable detailed event logging.
+    /// Enable or disable detailed event logging (the iteration completions
+    /// are logged either way).
     ///
     /// Note that the event-driven engine executes (and therefore logs) only
     /// the slots at which something can change; for a complete slot-by-slot
     /// log combine this with [`SimMode::SlotStepped`].
     pub fn with_event_log(mut self, enabled: bool) -> Self {
         self.log_events = enabled;
-        self
-    }
-
-    /// Record only iteration-completion events, keeping memory flat on long
-    /// runs. A full event log ([`Simulator::with_event_log`]) takes
-    /// precedence when both are requested.
-    pub fn with_completion_log(mut self, enabled: bool) -> Self {
-        self.completion_log = enabled;
         self
     }
 
@@ -309,13 +300,7 @@ impl<A: AvailabilityModel> Simulator<A> {
             next_change: vec![0; p],
             stats: SimStats::default(),
             makespan: None,
-            log: if self.log_events {
-                EventLog::enabled()
-            } else if self.completion_log {
-                EventLog::completions_only()
-            } else {
-                EventLog::disabled()
-            },
+            log: if self.log_events { EventLog::enabled() } else { EventLog::disabled() },
             served: Vec::new(),
         };
         st.log.push(0, EventKind::IterationStarted { iteration: 0 });
@@ -773,7 +758,7 @@ mod tests {
     }
 
     #[test]
-    fn completion_log_matches_full_log_completions() {
+    fn default_log_keeps_exactly_the_completions_of_the_full_log() {
         for mode in [SimMode::SlotStepped, SimMode::EventDriven] {
             let assignment = Assignment::new([(0, 1), (1, 1), (2, 1)]);
             let full = Simulator::from_parts(
@@ -792,7 +777,6 @@ mod tests {
                 MasterSpec::from_slots(3, 2, 1),
                 always_up(3),
             )
-            .with_completion_log(true)
             .with_mode(mode);
             let (lean_outcome, lean_log) = lean.run(&mut FixedAssignmentScheduler::new(assignment));
             assert_eq!(full_outcome, lean_outcome);

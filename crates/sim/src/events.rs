@@ -1,8 +1,11 @@
-//! Optional event log for detailed execution traces.
+//! The event log of a run.
 //!
-//! Event logging is disabled by default (experiment campaigns run millions of
-//! slots); it is enabled for examples and tests that need to inspect an
-//! execution slot by slot, such as the reproduction of the paper's Figure 1.
+//! Every run keeps its iteration-completion events (at most one per
+//! iteration: the optimality-gap experiment bounds a capped run by its last
+//! one). Detailed logging of every event is disabled by default (experiment
+//! campaigns run millions of slots); it is enabled for examples and tests
+//! that need to inspect an execution slot by slot, such as the reproduction
+//! of the paper's Figure 1.
 
 use crate::assignment::Assignment;
 use serde::{Deserialize, Serialize};
@@ -77,46 +80,34 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// An append-only event log that can be disabled at construction time.
+/// An append-only event log whose detailed logging can be disabled at
+/// construction time. Iteration completions are recorded either way, so a
+/// log's memory grows with every simulated slot only when it is enabled.
 #[derive(Debug, Clone, Default)]
 pub struct EventLog {
     enabled: bool,
-    completions_only: bool,
     events: Vec<Event>,
 }
 
 impl EventLog {
-    /// An enabled (recording) log.
+    /// An enabled log: records every event.
     pub fn enabled() -> Self {
-        EventLog { enabled: true, completions_only: false, events: Vec::new() }
+        EventLog { enabled: true, events: Vec::new() }
     }
 
-    /// A disabled log: `push` is a no-op.
+    /// A disabled log: records only [`EventKind::IterationCompleted`] events.
     pub fn disabled() -> Self {
-        EventLog { enabled: false, completions_only: false, events: Vec::new() }
+        EventLog { enabled: false, events: Vec::new() }
     }
 
-    /// A log that records only [`EventKind::IterationCompleted`] events.
-    ///
-    /// The gap experiment needs per-iteration completion slots from runs
-    /// spanning up to the full slot cap; keeping only the (at most
-    /// `iterations`-many) completion events keeps memory flat where a full
-    /// log would grow with every simulated slot.
-    pub fn completions_only() -> Self {
-        EventLog { enabled: true, completions_only: true, events: Vec::new() }
-    }
-
-    /// `true` if the log records events.
+    /// `true` if the log records every event.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Record an event (no-op when disabled; non-completion events are
-    /// dropped by a [`EventLog::completions_only`] log).
+    /// Record an event (only an iteration completion when disabled).
     pub fn push(&mut self, time: u64, kind: EventKind) {
-        if self.enabled
-            && (!self.completions_only || matches!(kind, EventKind::IterationCompleted { .. }))
-        {
+        if self.enabled || matches!(kind, EventKind::IterationCompleted { .. }) {
             self.events.push(Event { time, kind });
         }
     }
@@ -144,21 +135,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_log_records_nothing() {
+    fn disabled_log_records_only_completions() {
         let mut log = EventLog::disabled();
-        log.push(3, EventKind::ComputationSuspended);
-        assert!(log.events().is_empty());
-        assert!(!log.is_enabled());
-    }
-
-    #[test]
-    fn completions_only_log_filters_other_kinds() {
-        let mut log = EventLog::completions_only();
         log.push(0, EventKind::IterationStarted { iteration: 0 });
         log.push(2, EventKind::ComputationSuspended);
         log.push(4, EventKind::IterationCompleted { iteration: 0 });
         log.push(5, EventKind::RunFinished { success: true });
-        assert!(log.is_enabled());
+        assert!(!log.is_enabled());
         assert_eq!(log.events().len(), 1);
         assert_eq!(log.iteration_completions(), vec![4]);
     }

@@ -9,12 +9,10 @@ use desktop_grid_scheduling::experiments::distrib::{merge_parts, WorkerShard};
 use desktop_grid_scheduling::experiments::executor::{config_fingerprint, run_campaign_with};
 use desktop_grid_scheduling::experiments::gap::{gap_fingerprint, run_gap_with};
 use desktop_grid_scheduling::experiments::sensitivity::{
-    run_sensitivity_with, sensitivity_fingerprint, SensitivityConfig,
+    run_sensitivity_with, sensitivity_fingerprint, sensitivity_slice,
 };
 use desktop_grid_scheduling::experiments::store::{shard_name, CampaignStore, MANIFEST_NAME};
 use desktop_grid_scheduling::experiments::{CampaignConfig, ExecutorOptions};
-use desktop_grid_scheduling::heuristics::HeuristicSpec;
-use desktop_grid_scheduling::platform::ScenarioParams;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -84,18 +82,14 @@ fn gap_worker_split_merges_to_single_process_bytes() {
 
 #[test]
 fn sensitivity_worker_split_merges_to_single_process_bytes() {
-    let mut config = SensitivityConfig::small();
-    config.points = vec![ScenarioParams::paper(5, 10, 1), ScenarioParams::paper(5, 10, 2)];
-    config.scenarios_per_point = 1;
-    config.trials_per_scenario = 1;
+    let mut config = sensitivity_slice(small_campaign());
     config.max_slots = 30_000;
-    config.heuristics =
-        vec![HeuristicSpec::parse("IE").unwrap(), HeuristicSpec::parse("RANDOM").unwrap()];
-    let num_points = config.points.len();
+    config.base_seed = 1807;
+    let num_points = config.points().len();
 
     let single = temp_dir("sens-single");
-    let baseline =
-        run_sensitivity_with(&config, &ExecutorOptions::new().store(&single, false)).unwrap();
+    let options = ExecutorOptions::new().store(&single, false);
+    let baseline = run_sensitivity_with(&config, &options, |_, _| {}).unwrap().results;
 
     let split = temp_dir("sens-split");
     let store = CampaignStore::open(&split, sensitivity_fingerprint(&config), false).unwrap();
@@ -103,14 +97,14 @@ fn sensitivity_worker_split_merges_to_single_process_bytes() {
         let options = ExecutorOptions::new()
             .store(&split, false)
             .worker_shard(WorkerShard::new(index, 2).unwrap());
-        run_sensitivity_with(&config, &options).unwrap();
+        run_sensitivity_with(&config, &options, |_, _| {}).unwrap();
     }
     merge_parts(&store, 2, num_points).unwrap();
     assert_stores_identical(&single, &split, num_points);
 
     // The merged store resumes to the exact single-process results.
-    let resumed =
-        run_sensitivity_with(&config, &ExecutorOptions::new().store(&split, true)).unwrap();
+    let options = ExecutorOptions::new().store(&split, true);
+    let resumed = run_sensitivity_with(&config, &options, |_, _| {}).unwrap().results;
     assert_eq!(resumed, baseline);
     let _ = fs::remove_dir_all(&single);
     let _ = fs::remove_dir_all(&split);

@@ -18,7 +18,7 @@ fn easy_scenario(seed: u64) -> Scenario {
 fn every_heuristic_completes_an_easy_scenario() {
     let scenario = easy_scenario(101);
     for spec in HeuristicSpec::all() {
-        let outcome = run_instance(
+        let (outcome, ..) = run_instance(
             &scenario,
             &InstanceSpec { scenario_index: 0, trial_index: 0, heuristic: spec },
             9,
@@ -91,8 +91,8 @@ fn simulation_is_deterministic_across_crate_boundaries() {
         trial_index: 3,
         heuristic: HeuristicSpec::parse("E-IAY").unwrap(),
     };
-    let a = run_instance(&scenario, &spec, 2024, 100_000, 1e-7, SimMode::EventDriven);
-    let b = run_instance(&scenario, &spec, 2024, 100_000, 1e-7, SimMode::EventDriven);
+    let a = run_instance(&scenario, &spec, 2024, 100_000, 1e-7, SimMode::EventDriven).0;
+    let b = run_instance(&scenario, &spec, 2024, 100_000, 1e-7, SimMode::EventDriven).0;
     assert_eq!(a, b);
 }
 
@@ -102,7 +102,7 @@ fn harder_instances_never_panic_and_respect_the_cap() {
     // may fail, but must terminate exactly at the cap and never panic.
     let scenario = Scenario::generate(ScenarioParams::paper(10, 5, 8), 13);
     for name in ["IE", "Y-IE", "RANDOM"] {
-        let outcome = run_instance(
+        let (outcome, ..) = run_instance(
             &scenario,
             &InstanceSpec {
                 scenario_index: 0,

@@ -16,10 +16,10 @@
 
 use desktop_grid_scheduling::experiments::cli::CliOptions;
 use desktop_grid_scheduling::experiments::executor::{run_campaign_with, ExecutorOptions};
-use desktop_grid_scheduling::experiments::figures::Figure;
+use desktop_grid_scheduling::experiments::figures::{Figure, FIGURE2_HEURISTICS};
 use desktop_grid_scheduling::experiments::gap::{render_gap_table, run_gap_with};
 use desktop_grid_scheduling::experiments::sensitivity::{
-    render_sensitivity, run_sensitivity_with, SensitivityConfig,
+    render_sensitivity, run_sensitivity_with, sensitivity_slice,
 };
 use desktop_grid_scheduling::experiments::store::{shard_name, MANIFEST_NAME};
 use desktop_grid_scheduling::experiments::tables::{render_table, table_comparison};
@@ -135,8 +135,6 @@ fn three_worker_split_merges_byte_identical_to_single_process_fixtures() {
 /// rendered figure plus its CSV series.
 #[test]
 fn figure2_rendering_matches_golden_corpus() {
-    const FIGURE2_HEURISTICS: [&str; 8] =
-        ["E-IAY", "E-IP", "E-IY", "IAY", "IE", "IY", "P-IE", "Y-IE"];
     let opts = CliOptions::parse(["--scenarios", "1", "--trials", "1", "--wmin", "1,2"]).unwrap();
     let heuristics: Vec<HeuristicSpec> =
         FIGURE2_HEURISTICS.iter().map(|n| HeuristicSpec::parse(n).unwrap()).collect();
@@ -187,24 +185,40 @@ fn gap_rendering_and_shards_match_golden_corpus() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// The model-mismatch sensitivity golden sweep: the `small()` preset cut to
-/// 1 scenario × 1 trial, run on 4 threads with a store attached, pinning the
-/// rendered side-by-side table and the model-tagged shard bytes.
+/// The model-mismatch sensitivity golden sweep: the paper suite's
+/// `m = 5`, `ncom = 10`, `wmin = 2` slice over six heuristics at seed 1807
+/// and a 100 000-slot cap, 1 scenario × 1 trial, run on 4 threads with a
+/// store attached, pinning the rendered side-by-side table and the
+/// model-tagged shard bytes.
 #[test]
 fn sensitivity_rendering_and_shards_match_golden_corpus() {
-    let mut config = SensitivityConfig::small();
-    config.scenarios_per_point = 1;
-    config.trials_per_scenario = 1;
-    config.threads = 4;
+    let opts = CliOptions::parse([
+        "--scenarios",
+        "1",
+        "--trials",
+        "1",
+        "--wmin",
+        "2",
+        "--cap",
+        "100000",
+        "--seed",
+        "1807",
+        "--heuristics",
+        "IE,IAY,Y-IE,P-IE,E-IAY,RANDOM",
+        "--threads",
+        "4",
+    ])
+    .unwrap();
+    let config = sensitivity_slice(opts.campaign().unwrap());
     let dir = temp_store("sensitivity");
-    let results =
-        run_sensitivity_with(&config, &ExecutorOptions::new().store(&dir, false)).unwrap();
+    let options = ExecutorOptions::new().store(&dir, false);
+    let results = run_sensitivity_with(&config, &options, |_, _| {}).unwrap().results;
 
     let names: Vec<String> = config.heuristics.iter().map(HeuristicSpec::name).collect();
     check_golden("sensitivity_m5.txt", &render_sensitivity(&results, "IE", &names));
 
     let mut shards = String::new();
-    for point in 0..config.points.len() {
+    for point in 0..config.points().len() {
         shards.push_str(&fs::read_to_string(dir.join(shard_name(point))).unwrap());
     }
     check_golden("sensitivity_shards.jsonl", &shards);

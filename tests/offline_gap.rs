@@ -14,7 +14,7 @@
 use desktop_grid_scheduling::analysis::EvalCache;
 use desktop_grid_scheduling::availability::RealizedTrial;
 use desktop_grid_scheduling::experiments::gap::{online_slots, oracle_bounds, project_trial};
-use desktop_grid_scheduling::experiments::runner::{run_instance_logged, trial_seed, InstanceSpec};
+use desktop_grid_scheduling::experiments::runner::{run_instance_on, trial_seed, InstanceSpec};
 use desktop_grid_scheduling::heuristics::HeuristicSpec;
 use desktop_grid_scheduling::offline::{schedule_exact, OracleVariant};
 use desktop_grid_scheduling::platform::{Scenario, ScenarioParams};
@@ -52,7 +52,7 @@ proptest! {
             let mut runs = Vec::new();
             for heuristic in HeuristicSpec::all() {
                 let spec = InstanceSpec { scenario_index: 0, trial_index: 0, heuristic };
-                let (outcome, log) = run_instance_logged(
+                let (outcome, log, _) = run_instance_on(
                     &scenario, &spec, trial.replay(), &cache, seed, max_slots, mode,
                 );
                 let online = online_slots(&outcome, &log.iteration_completions());

@@ -110,7 +110,7 @@ proptest! {
         );
         let heuristic = HeuristicSpec::all()[heuristic_idx];
         let cap = 30_000;
-        let outcome = run_instance(
+        let (outcome, ..) = run_instance(
             &scenario,
             &InstanceSpec { scenario_index: 0, trial_index: 0, heuristic },
             seed,
@@ -282,7 +282,7 @@ proptest! {
         );
         let heuristic = HeuristicSpec::all()[heuristic_idx];
         let spec = InstanceSpec { scenario_index: 0, trial_index: 1, heuristic };
-        let fresh = run_instance(&scenario, &spec, seed, cap, 1e-6, mode);
+        let (fresh, ..) = run_instance(&scenario, &spec, seed, cap, 1e-6, mode);
 
         // Pre-warm the shared cache with two other heuristics on another
         // trial, then run the instance under test through it.
@@ -305,7 +305,7 @@ proptest! {
             );
         }
         let ts = trial_seed(seed, scenario.seed, 1);
-        let (shared, _) = run_instance_on(
+        let (shared, ..) = run_instance_on(
             &scenario,
             &spec,
             scenario.realize_trial(ts, cap),
@@ -710,8 +710,9 @@ proptest! {
                 trial_index: 0,
                 heuristic: HeuristicSpec::parse(name).unwrap(),
             };
-            let slot = run_instance(&scenario, &spec, seed, 10_000, 1e-6, SimMode::SlotStepped);
-            let event = run_instance(&scenario, &spec, seed, 10_000, 1e-6, SimMode::EventDriven);
+            let (slot, ..) = run_instance(&scenario, &spec, seed, 10_000, 1e-6, SimMode::SlotStepped);
+            let (event, ..) =
+                run_instance(&scenario, &spec, seed, 10_000, 1e-6, SimMode::EventDriven);
             prop_assert_eq!(
                 &slot, &event,
                 "{} diverged between engines on model {:?} (seed {})", name, model, seed
