@@ -11,17 +11,20 @@
 //!   the series-truncation precision `ε`), built once per scenario;
 //! * it tabulates each worker's series `P^(q)_{u →t→ u}` once, the first time
 //!   a miss needs that worker, up to the longest truncation any set
-//!   containing the worker needs ([`WorkerSeries::tabulate`]). A miss reads
-//!   its terms from these tables and never evaluates the closed form again,
-//!   and workers no decision touches are never tabulated;
-//! * it memoizes `group` quantities per member set and `P_ND` per
-//!   `(worker, horizon)` behind one `RwLock`. The handle is `Arc`-clonable:
-//!   one cache can serve all 17 heuristics and all trials of a scenario
-//!   concurrently, so each group set is computed once per *scenario* instead
-//!   of once per `(heuristic, trial)` ([`EvalCache::stats`] counts the reuse);
+//!   containing the worker needs ([`WorkerSeries::tabulate`], one
+//!   multiplication per power). A miss reads its terms from these tables and
+//!   never evaluates the closed form again, and workers no decision touches
+//!   are never tabulated;
+//! * it keeps each worker's own `group` quantities in a slot beside its
+//!   table, read without hashing or locking, and memoizes the `group`
+//!   quantities of every other member set and `P_ND` per `(worker, horizon)`
+//!   behind one `RwLock`. The handle is `Arc`-clonable: one cache can serve
+//!   all 17 heuristics and all trials of a scenario concurrently, so each
+//!   group set is computed once per *scenario* instead of once per
+//!   `(heuristic, trial)` ([`EvalCache::stats`] counts the reuse);
 //! * it scores candidates: [`EvalCache::comm_estimate`] (Section V-B) and
-//!   [`EvalCache::estimate`], which takes the memo read lock once and looks
-//!   its member set up once.
+//!   [`EvalCache::estimate`], which takes the memo read lock at most once and
+//!   looks its member set up once.
 //!
 //! Every cached quantity is a pure function of `(platform, master, ε)`, so
 //! sharing a cache across heuristics, trials or threads cannot change any
@@ -43,21 +46,32 @@ use std::sync::{Arc, OnceLock, RwLock, RwLockReadGuard};
 /// much work the next cache miss does.
 const ACCUMULATOR_TERM_BUDGET: u64 = 4_000_000;
 
-/// Immutable, scenario-scoped inputs of the Section V estimates: worker
-/// availability series and their tabulated values, speeds, the master's
-/// `ncom` bound and the series-truncation precision. Everything an
-/// [`EvalCache`] memoizes is a pure function of these tables.
+/// Scenario-scoped inputs of the Section V estimates: worker availability
+/// series, speeds, the master's `ncom` bound and the series-truncation
+/// precision, plus each worker's lazily filled slots. Everything an
+/// [`EvalCache`] memoizes is a pure function of these inputs.
 #[derive(Debug)]
 struct PlatformTables {
     series: Vec<WorkerSeries>,
     /// The largest `λ₁` among the workers that can fail (0 when none can).
     fail_lambda: f64,
-    /// `up_up[q]` is worker `q`'s [`WorkerSeries::tabulate`] at this `ε`
-    /// and `fail_lambda`, built the first time a miss needs it.
-    up_up: Vec<OnceLock<Box<[f64]>>>,
+    /// `workers[q]` holds worker `q`'s slots; both share one `Vec`, so a new
+    /// cache allocates once for them.
+    workers: Vec<WorkerSlots>,
     speeds: Vec<u64>,
     ncom: usize,
     computation: GroupComputation,
+}
+
+/// One worker's lazily filled slots.
+#[derive(Debug, Default)]
+struct WorkerSlots {
+    /// The worker's [`WorkerSeries::tabulate`] at the cache's `ε` and
+    /// `fail_lambda`, built the first time a miss needs it.
+    table: OnceLock<Box<[f64]>>,
+    /// The group quantities of the one-member set `{q}`, filled by its first
+    /// lookup: a filled slot is a group hit, a fill a group miss.
+    single: OnceLock<GroupQuantities>,
 }
 
 impl PlatformTables {
@@ -70,7 +84,7 @@ impl PlatformTables {
         PlatformTables {
             series,
             fail_lambda,
-            up_up: (0..platform.num_workers()).map(|_| OnceLock::new()).collect(),
+            workers: (0..platform.num_workers()).map(|_| WorkerSlots::default()).collect(),
             speeds: platform.workers().iter().map(|w| w.speed).collect(),
             ncom: master.ncom,
             computation: GroupComputation::new(epsilon),
@@ -80,7 +94,7 @@ impl PlatformTables {
     /// `base` extended by worker `q`, whose terms come from `q`'s table
     /// (tabulated here on first use); `None` if the extended set cannot fail.
     fn extend(&self, base: &GroupAccumulator, q: usize) -> Option<GroupAccumulator> {
-        let table = self.up_up[q].get_or_init(|| {
+        let table = self.workers[q].table.get_or_init(|| {
             self.series[q].tabulate(self.computation.epsilon(), self.fail_lambda).into()
         });
         base.extend(&self.series[q], table)
@@ -110,7 +124,8 @@ impl PlatformTables {
 /// Hit/miss counters of one [`EvalCache`] (group-quantity lookups).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// Group lookups served from the memo table.
+    /// Group lookups served from the memo table or a worker's singleton
+    /// slot.
     pub group_hits: u64,
     /// Group lookups that computed the truncated series (one per distinct
     /// member set under single-threaded use).
@@ -203,8 +218,10 @@ impl Hasher for FxHasher {
 type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// The memoized Section V quantities: group quantities per sorted member set
-/// and `P_ND` per `(worker, horizon)`. Both tables sit behind the one
-/// [`CacheState::memo`] lock, so one read guard serves a whole estimate.
+/// of any size but one (a one-member set's sit in its worker's
+/// [`WorkerSlots::single`]) and `P_ND` per `(worker, horizon)`. Both tables
+/// sit behind the one [`CacheState::memo`] lock, so one read guard serves a
+/// whole estimate.
 #[derive(Debug, Default)]
 struct Memo {
     group: FxHashMap<Vec<usize>, GroupQuantities>,
@@ -248,13 +265,14 @@ struct Accumulators {
 /// only way to score a candidate against the Section V estimates.
 ///
 /// Cloning is cheap (two `Arc` bumps) and every clone reads and writes the
-/// *same* memo tables, so one cache created next to a scenario serves every
-/// heuristic and every trial evaluated on that scenario. All methods take
-/// `&self`; concurrent lookups are safe: the group and `P_ND` tables share
-/// one `RwLock`, an estimate holds one read guard across all its lookups,
-/// and a miss releases it, computes outside every memo lock and inserts.
-/// Racing misses of the same set insert identical values, so results never
-/// depend on sharing or timing.
+/// *same* memo tables and slots, so one cache created next to a scenario
+/// serves every heuristic and every trial evaluated on that scenario. All
+/// methods take `&self`; concurrent lookups are safe: a one-member set is
+/// read from its worker's slot without a lock, the other group and the
+/// `P_ND` tables share one `RwLock`, an estimate holds one read guard across
+/// all its lookups, and a miss releases it, computes outside every memo lock
+/// and inserts. Racing misses of the same set compute identical values (a
+/// slot keeps the first), so results never depend on sharing or timing.
 ///
 /// `decision_threads` lives on the **handle**, not the shared state: it is
 /// how many scoped threads the chunked candidate scan of a decision driven
@@ -440,8 +458,8 @@ impl EvalCache {
     /// computation) for the enrolled workers `members`, where
     /// `comm_slots[i]` is the communication `members[i]` still needs.
     ///
-    /// Takes the memo read lock once and looks the member set up once: both
-    /// `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
+    /// Takes the memo read lock at most once and looks the member set up
+    /// once: both `E^(S)(w)` and `(P₊)^(w−1)` derive from that one lookup.
     pub fn estimate(&self, members: &[usize], comm_slots: &[u64], w: u64) -> IterationEstimate {
         let mut reader = self.reader();
         let comm_time = self.comm_time_with(&mut reader, members, comm_slots);
@@ -515,9 +533,11 @@ impl EvalCache {
         self.reader().no_down_within(q, t)
     }
 
-    /// Number of distinct worker sets currently memoized.
+    /// Number of distinct worker sets currently memoized, one-member sets
+    /// (the filled slots) included.
     pub fn cached_sets(&self) -> usize {
-        self.state.memo.read().expect("eval cache poisoned").group.len()
+        let singles = self.tables.workers.iter().filter(|w| w.single.get().is_some()).count();
+        singles + self.state.memo.read().expect("eval cache poisoned").group.len()
     }
 
     /// Number of prefix accumulators currently retained (exposed for tests;
@@ -526,8 +546,7 @@ impl EvalCache {
         self.state.accums.read().expect("eval cache poisoned").by_set.len()
     }
 
-    /// Group-lookup hit/miss counters since creation (or the last
-    /// [`EvalCache::clear`]).
+    /// Group-lookup hit/miss counters since creation.
     pub fn stats(&self) -> EvalCacheStats {
         EvalCacheStats {
             group_hits: self.state.group_hits.load(Ordering::Relaxed),
@@ -535,43 +554,35 @@ impl EvalCache {
         }
     }
 
-    /// Total series terms folded by group misses since creation (or the last
-    /// [`EvalCache::clear`]) — the series workload behind the misses, used by
-    /// the benchmark to attribute decision cost. It does not count the
-    /// evaluations that fill the per-worker series tables.
+    /// Total series terms folded by group misses since creation — the
+    /// series workload behind the misses, used by the benchmark to attribute
+    /// decision cost. It does not count the entries that fill the per-worker
+    /// series tables.
     pub fn series_terms(&self) -> u64 {
         self.state.series_terms.load(Ordering::Relaxed)
     }
 
-    /// Total prefix-accumulator extensions performed since creation (or the
-    /// last [`EvalCache::clear`]), counting evicted and racing duplicate
-    /// builds — see [`EvalCache::cached_accumulators`] for the retained
+    /// Total prefix-accumulator extensions performed since creation,
+    /// counting evicted and racing duplicate builds — see
+    /// [`EvalCache::cached_accumulators`] for the retained
     /// count. The gap between `accumulators_built` and the group-miss count
     /// measures how poorly the probe sequence shared accumulator chains.
     pub fn accumulators_built(&self) -> u64 {
         self.state.accum_built.load(Ordering::Relaxed)
     }
-
-    /// Drop all memoized quantities and reset the counters.
-    pub fn clear(&self) {
-        *self.state.memo.write().expect("eval cache poisoned") = Memo::default();
-        *self.state.accums.write().expect("eval cache poisoned") = Accumulators::default();
-        self.state.accum_built.store(0, Ordering::Relaxed);
-        self.state.series_terms.store(0, Ordering::Relaxed);
-        self.state.group_hits.store(0, Ordering::Relaxed);
-        self.state.group_misses.store(0, Ordering::Relaxed);
-    }
 }
 
 /// The lookups of one estimate against an [`EvalCache`]'s memo tables.
 ///
-/// It takes the memo read guard at its first lookup and keeps it for the
-/// rest of the estimate. A miss drops the guard before it computes and
-/// writes; the next lookup takes it again. While the guard is held the
-/// reader only probes the two maps and never calls anything that locks, so
-/// it can neither invert a lock order nor re-enter the read lock behind a
-/// waiting writer: no deadlock is possible. Group hits are tallied locally
-/// and added to the shared counter once, when the reader drops.
+/// A one-member set is read from its worker's slot and takes no guard. Any
+/// other lookup takes the memo read guard, at the first such lookup, and
+/// keeps it for the rest of the estimate. A miss drops the guard before it
+/// computes and writes; the next lookup takes it again. While the guard is
+/// held the reader only probes the two maps and the slots and never calls
+/// anything that locks, so it can neither invert a lock order nor re-enter
+/// the read lock behind a waiting writer: no deadlock is possible. Group hits
+/// are tallied locally and added to the shared counter once, when the reader
+/// drops.
 struct MemoReader<'a> {
     cache: &'a EvalCache,
     guard: Option<RwLockReadGuard<'a, Memo>>,
@@ -596,6 +607,9 @@ impl MemoReader<'_> {
             normalized.dedup();
             &normalized
         };
+        if let [q] = *key {
+            return self.single(q);
+        }
         if let Some(&g) = self.memo().group.get(key) {
             self.hits += 1;
             return g;
@@ -604,24 +618,41 @@ impl MemoReader<'_> {
         let (tables, state) = (&self.cache.tables, &self.cache.state);
         state.group_misses.fetch_add(1, Ordering::Relaxed);
         // A set whose smallest member can fail (hence every sorted prefix can
-        // fail) is folded from the members' tables, bit-identical to the
-        // batch series: a singleton folds its own table, a larger set extends
-        // the memoized accumulator of its longest proper prefix, at O(terms)
-        // multiplications per probe. The empty set and a set whose smallest
-        // member cannot fail (no generated regime has such a worker) take the
-        // batch path: the series evaluated term by term, or the recurrence if
-        // no member fails.
+        // fail) extends the memoized accumulator of its longest proper
+        // prefix, at O(terms) multiplications per probe, bit-identical to the
+        // batch series. The empty set and a set whose smallest member cannot
+        // fail (no generated regime has such a worker) take the batch path:
+        // the series evaluated term by term, or the recurrence if no member
+        // fails.
         let g = match key {
-            [q] if tables.series[*q].can_fail() => {
-                let empty = GroupAccumulator::empty(tables.computation.epsilon());
-                tables.extend(&empty, *q).expect("the worker can fail").quantities()
-            }
             [q, ..] if tables.series[*q].can_fail() => self.cache.accumulator_for(key).quantities(),
             _ => tables.compute_group(key),
         };
         state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
         state.memo.write().expect("eval cache poisoned").group.insert(key.to_vec(), g);
         g
+    }
+
+    /// Group quantities of the one-member set `{q}`, from `q`'s slot. A miss
+    /// folds `q`'s own table (the batch path if `q` cannot fail); racing
+    /// misses each count and the slot keeps the first value.
+    fn single(&mut self, q: usize) -> GroupQuantities {
+        let (tables, state) = (&self.cache.tables, &self.cache.state);
+        let slot = &tables.workers[q].single;
+        if let Some(&g) = slot.get() {
+            self.hits += 1;
+            return g;
+        }
+        self.guard = None;
+        state.group_misses.fetch_add(1, Ordering::Relaxed);
+        let g = if tables.series[q].can_fail() {
+            let empty = GroupAccumulator::empty(tables.computation.epsilon());
+            tables.extend(&empty, q).expect("the worker can fail").quantities()
+        } else {
+            tables.compute_group(&[q])
+        };
+        state.series_terms.fetch_add(g.terms_evaluated, Ordering::Relaxed);
+        *slot.get_or_init(|| g)
     }
 
     /// Memoized `P^(q)_{ND}(t)`.
@@ -666,8 +697,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_eq!(cache.cached_sets(), 1);
-        cache.clear();
-        assert_eq!(cache.cached_sets(), 0);
+        assert_eq!(EvalCache::with_default_epsilon(&s.platform, &s.master).cached_sets(), 0);
     }
 
     #[test]
@@ -685,9 +715,9 @@ mod tests {
         assert_eq!(stats.group_hits, 2);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(cache.cached_sets(), 2);
-        cache.clear();
-        assert_eq!(cache.stats(), EvalCacheStats::default());
-        assert_eq!(cache.cached_sets(), 0);
+        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.stats(), EvalCacheStats::default());
+        assert_eq!(fresh.cached_sets(), 0);
     }
 
     #[test]
@@ -833,6 +863,26 @@ mod tests {
     }
 
     #[test]
+    fn warm_singleton_lookups_take_no_memo_lock() {
+        // E_comm looks up only one-member sets, so on a warm cache it answers
+        // while another thread holds the memo's write lock.
+        let s = paper_scenario();
+        let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        let (members, comm) = ([1usize, 4, 6], [3u64, 0, 2]);
+        let e_comm = cache.comm_time(&members, &comm);
+        let before = cache.stats();
+        let (sender, receiver) = std::sync::mpsc::channel();
+        let held = cache.state.memo.write().expect("eval cache poisoned");
+        std::thread::scope(|scope| {
+            scope.spawn(|| sender.send(cache.comm_time(&members, &comm)).unwrap());
+            let answer = receiver.recv_timeout(std::time::Duration::from_secs(10));
+            drop(held);
+            assert_eq!(answer.map(f64::to_bits), Ok(e_comm.to_bits()));
+        });
+        assert_eq!(cache.stats().since(&before), EvalCacheStats { group_hits: 2, group_misses: 0 });
+    }
+
+    #[test]
     fn comm_time_is_the_comm_estimates_duration_bit_for_bit() {
         // E_comm on its own, in the comm estimate and handed back by a full
         // estimate, bit for bit.
@@ -913,8 +963,8 @@ mod tests {
         assert_eq!(cache.stats().group_misses as usize, sets.len());
         assert_eq!(cache.cached_sets(), sets.len());
         assert!(cache.cached_accumulators() > 0);
-        cache.clear();
-        assert_eq!(cache.cached_accumulators(), 0);
+        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
+        assert_eq!(fresh.cached_accumulators(), 0);
     }
 
     #[test]
@@ -923,7 +973,7 @@ mod tests {
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let built = || -> Vec<usize> {
             (0..s.platform.num_workers())
-                .filter(|&q| cache.tables.up_up[q].get().is_some())
+                .filter(|&q| cache.tables.workers[q].table.get().is_some())
                 .collect()
         };
         assert!(built().is_empty(), "no table is built eagerly");
@@ -934,7 +984,7 @@ mod tests {
         assert_eq!(built(), [2, 5, 7]);
         for q in built() {
             let series = &cache.tables.series[q];
-            let table = cache.tables.up_up[q].get().expect("built");
+            let table = cache.tables.workers[q].table.get().expect("built");
             assert_eq!(table.len() as u64, series_len(crate::DEFAULT_EPSILON, series.lambda1()));
         }
     }
@@ -961,7 +1011,7 @@ mod tests {
             cache.tables.compute_group(&[0, 1]),
             "the pair's group is the batch series"
         );
-        let len = |q: usize| cache.tables.up_up[q].get().expect("built").len();
+        let len = |q: usize| cache.tables.workers[q].table.get().expect("built").len();
         assert_eq!(
             len(0) as u64,
             series_len(crate::DEFAULT_EPSILON, cache.tables.series[0].lambda1())
@@ -1039,8 +1089,7 @@ mod tests {
         assert!(stats.group_misses >= sets.len() as u64);
         assert_eq!(cache.cached_sets(), sets.len());
         assert!(cache.series_terms() > 0);
-        cache.clear();
-        assert_eq!(cache.series_terms(), 0);
+        assert_eq!(EvalCache::with_default_epsilon(&s.platform, &s.master).series_terms(), 0);
 
         // Whole estimates on one cold cache, each thread starting at another
         // rotation of the probe list: misses drop the read guard and write

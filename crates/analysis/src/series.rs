@@ -69,9 +69,16 @@ impl WorkerSeries {
     /// every term such a series evaluates. The bound only binds for a worker
     /// that cannot fail (`λ₁ = 1`), which would otherwise tabulate the whole
     /// [`crate::group::MAX_SERIES_TERMS`] cap.
+    ///
+    /// The closed form is tabulated from power tables ([`UpUpSeries::table`]),
+    /// one multiplication per power; a degenerate chain is evaluated term by
+    /// term.
     pub fn tabulate(&self, epsilon: f64, fail_lambda: f64) -> Vec<f64> {
         let len = series_len(epsilon, self.lambda1.min(fail_lambda));
-        (1..=len).map(|t| self.up_to_up(t)).collect()
+        match &self.closed_form {
+            Some(s) => s.table(len as usize),
+            None => (1..=len).map(|t| self.chain.up_to_up_avoiding_down(t)).collect(),
+        }
     }
 
     /// `P^(q)_{ND}(t)`: probability of not going `DOWN` within `t` slots,
@@ -100,14 +107,41 @@ mod tests {
 
     #[test]
     fn table_holds_the_series_values_up_to_the_workers_own_truncation() {
-        let s = WorkerSeries::new(&MarkovChain3::from_self_loop_probs(0.97, 0.95, 0.96).unwrap());
-        for epsilon in [1e-3, 1e-7, 1e-12] {
-            let table = s.tabulate(epsilon, 1.0);
-            assert_eq!(table.len() as u64, series_len(epsilon, s.lambda1()));
-            for (i, &v) in table.iter().enumerate() {
-                assert_eq!(v.to_bits(), s.up_to_up(i as u64 + 1).to_bits(), "t = {}", i + 1);
+        let mut rng = dg_availability::rng::rng_from_seed(26);
+        let mut chains = vec![
+            MarkovChain3::from_self_loop_probs(0.97, 0.95, 0.96).unwrap(),
+            // λ₂ < 0: the sub-dominant powers alternate in sign.
+            MarkovChain3::from_self_loop_probs(0.3, 0.2, 0.5).unwrap(),
+            // M_q = [[0.75, 0], [0.125, 0.75]] has the double eigenvalue 0.75,
+            // so no closed form: the table is evaluated term by term.
+            MarkovChain3::new(dg_availability::Matrix3::new([
+                [0.75, 0.0, 0.25],
+                [0.125, 0.75, 0.125],
+                [0.1, 0.1, 0.8],
+            ]))
+            .unwrap(),
+        ];
+        for _ in 0..2 {
+            chains.push(MarkovChain3::sample_volatile(&mut rng));
+            chains.push(MarkovChain3::sample_paper_model(&mut rng));
+            chains.push(MarkovChain3::sample_stable(&mut rng));
+        }
+        assert!(chains[1].up_up_series().unwrap().lambda2 < 0.0);
+        assert!(chains[2].up_up_series().is_none());
+        let mut longest = 0;
+        for chain in &chains {
+            let s = WorkerSeries::new(chain);
+            for epsilon in [1e-3, 1e-7, 1e-12] {
+                let table = s.tabulate(epsilon, 1.0);
+                assert_eq!(table.len() as u64, series_len(epsilon, s.lambda1()));
+                longest = longest.max(table.len());
+                for (i, &v) in table.iter().enumerate() {
+                    assert_eq!(v.to_bits(), s.up_to_up(i as u64 + 1).to_bits(), "t = {}", i + 1);
+                }
             }
         }
+        // A stable chain's table crosses many powers of two.
+        assert!(longest > 1 << 13, "longest table {longest}");
     }
 
     #[test]

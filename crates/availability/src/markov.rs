@@ -89,9 +89,55 @@ impl UpUpSeries {
     #[inline]
     pub fn eval(&self, t: u64) -> f64 {
         let t = t.min(i32::MAX as u64) as i32;
-        let v = self.mu * self.lambda1.powi(t) + self.nu * self.lambda2.powi(t);
-        v.clamp(0.0, 1.0)
+        self.combine(self.lambda1.powi(t), self.lambda2.powi(t))
     }
+
+    /// [`UpUpSeries::eval`] at `t = 1 ..= len`: entry `t − 1` has the bits
+    /// `eval(t)` returns.
+    ///
+    /// The powers `λ₁ᵗ` and `λ₂ᵗ` come from two power tables made by
+    /// doubling, one multiplication each instead of a `powi` call, in
+    /// `powi`'s own multiplication order, so every entry keeps its bits.
+    ///
+    /// # Panics
+    /// Panics if `len` exceeds `i32::MAX`, past which `eval` saturates its
+    /// exponent.
+    pub fn table(&self, len: usize) -> Vec<f64> {
+        assert!(len <= i32::MAX as usize, "a series table holds at most 2³¹ − 1 terms");
+        let (p1, p2) = (powers(self.lambda1, len), powers(self.lambda2, len));
+        p1[1..].iter().zip(&p2[1..]).map(|(&a, &b)| self.combine(a, b)).collect()
+    }
+
+    /// `µ·λ₁ᵗ + ν·λ₂ᵗ` from the two powers, clamped to a probability.
+    #[inline]
+    fn combine(&self, lambda1_pow: f64, lambda2_pow: f64) -> f64 {
+        (self.mu * lambda1_pow + self.nu * lambda2_pow).clamp(0.0, 1.0)
+    }
+}
+
+/// `baseᵗ` for `t = 0 ..= len`, each with the bits of `base.powi(t)`.
+///
+/// `powi` (`__powidf2`, in both compiler-builtins and libgcc) multiplies the
+/// repeated squarings `base^(2ᵏ)` of `t`'s set bits in ascending order of
+/// `k`. So `base^(2ʰ)` is the square of `base^(2ʰ⁻¹)`, and every other `t`
+/// is `base^(t − 2ʰ) · base^(2ʰ)` for its top bit `2ʰ`: the same products
+/// in the same order, one multiplication per entry.
+fn powers(base: f64, len: usize) -> Vec<f64> {
+    let mut p = Vec::with_capacity(len + 1);
+    p.push(1.0);
+    let mut top = 1; // the largest power of two at most `t`
+    for t in 1..=len {
+        let v = if t == 1 {
+            base
+        } else if t == 2 * top {
+            top = t;
+            p[t / 2] * p[t / 2]
+        } else {
+            p[t - top] * p[top]
+        };
+        p.push(v);
+    }
+    p
 }
 
 impl MarkovChain3 {
@@ -355,6 +401,38 @@ mod tests {
         assert_eq!(s.eval(last), 0.0);
         for t in [1u64 << 31, (1 << 31) + 1, 1 << 32, u64::MAX] {
             assert_eq!(s.eval(t), s.eval(last), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn power_tables_have_the_bits_of_powi() {
+        // Lengths end on, just past and between several powers of two.
+        let bases = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            -0.37,
+            0.999_999_999_999,
+            1.0 - 1e-12,
+            0.9573,
+            1.000_001,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 3.0,
+            f64::from_bits(1),
+        ];
+        for base in bases {
+            for len in [0, 1, 2, 3, 7, 8, 9, 255, 256, 257, 1023, 4097, 70_000] {
+                let p = powers(base, len);
+                assert_eq!(p.len(), len + 1);
+                for (t, v) in p.iter().enumerate() {
+                    let expected = base.powi(t as i32);
+                    assert_eq!(v.to_bits(), expected.to_bits(), "{base:e}^{t}");
+                }
+            }
         }
     }
 

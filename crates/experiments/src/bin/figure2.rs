@@ -14,7 +14,7 @@
 //! heuristics) and a renderer over the shared launch sequence,
 //! [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::executor::CampaignOutcome;
 use dg_experiments::figures::{Figure, FIGURE2_HEURISTICS};
 
@@ -26,6 +26,6 @@ fn main() {
     let Some((_, config, outcome)) = launched else { return };
     let names = outcome.results.heuristic_names();
     let figure = Figure::compute(&outcome.results, config.m_values[0], "IE", &names);
-    println!("{}", figure.render());
-    println!("CSV:\n{}", figure.to_csv());
+    print(&figure.render());
+    print(&format!("CSV:\n{}", figure.to_csv()));
 }

@@ -15,7 +15,7 @@
 //! The binary is a renderer over the shared launch sequence,
 //! [`dg_experiments::cli::launch`], on the whole campaign.
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::gap::{render_gap_table, GapOutcome};
 
 fn main() {
@@ -26,5 +26,5 @@ fn main() {
         "OPTIMALITY GAP vs OFFLINE ORACLE ({} suite, online/offline makespan ratios).",
         config.suite
     );
-    println!("{}", render_gap_table(&title, &outcome.aggregates));
+    print(&render_gap_table(&title, &outcome.aggregates));
 }

@@ -14,7 +14,7 @@
 //! after the smallest `m`'s here. The binary is a shape (both `m`) and a
 //! renderer over the shared launch sequence, [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::executor::CampaignOutcome;
 use dg_experiments::figures::{Figure, FIGURE2_HEURISTICS};
 use dg_experiments::tables::{filter_by_diff, render_table, table_comparison};
@@ -34,18 +34,18 @@ fn main() {
     let names = results.heuristic_names();
 
     let table1 = table_comparison(&results.for_m(m_small), "IE", &names);
-    println!("{}", render_table(&format!("TABLE I. RESULTS WITH m = {m_small} TASKS."), &table1));
+    print(&render_table(&format!("TABLE I. RESULTS WITH m = {m_small} TASKS."), &table1));
 
     let table2 = table_comparison(&results.for_m(m_large), "IE", &names);
     let title =
         format!("TABLE II. RESULTS WITH m = {m_large} TASKS (heuristics with %diff <= 50%).");
-    println!("{}", render_table(&title, &filter_by_diff(&table2, 50.0)));
-    println!("{}", render_table(&format!("All heuristics, m = {m_large}:"), &table2));
+    print(&render_table(&title, &filter_by_diff(&table2, 50.0)));
+    print(&render_table(&format!("All heuristics, m = {m_large}:"), &table2));
 
     // The figure plots the paper's eight series; under --heuristics it plots
     // the requested list instead (absent heuristics would render no series).
     let figure_names: Vec<String> =
         opts.heuristics_or(&FIGURE2_HEURISTICS).iter().map(|h| h.name()).collect();
     let figure = Figure::compute(&results, m_large, "IE", &figure_names);
-    println!("{}", figure.render());
+    print(&figure.render());
 }

@@ -14,7 +14,7 @@
 //! The binary is a shape (the slice and its default eight heuristics) and a
 //! renderer over the shared launch sequence, [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::sensitivity::{render_sensitivity, sensitivity_slice, SensitivityOutcome};
 
 /// The heuristics the study compares unless `--heuristics` replaces them.
@@ -27,5 +27,5 @@ fn main() {
     });
     let Some((_, config, outcome)) = launched else { return };
     let names: Vec<String> = config.heuristics.iter().map(|h| h.name()).collect();
-    println!("{}", render_sensitivity(&outcome.results, "IE", &names));
+    print(&render_sensitivity(&outcome.results, "IE", &names));
 }

@@ -11,7 +11,7 @@
 //! The binary is a shape (the smallest `m`) and a renderer over the shared
 //! launch sequence, [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::executor::CampaignOutcome;
 use dg_experiments::tables::{render_table, table_comparison};
 
@@ -25,5 +25,5 @@ fn main() {
     let subset: Vec<_> = results.results.iter().collect();
     let comparison = table_comparison(&subset, "IE", &results.heuristic_names());
     let title = format!("TABLE I. RESULTS WITH m = {} TASKS.", config.m_values[0]);
-    println!("{}", render_table(&title, &comparison));
+    print(&render_table(&title, &comparison));
 }

@@ -12,7 +12,7 @@
 //! The binary is a shape (the largest `m`) and a renderer over the shared
 //! launch sequence, [`dg_experiments::cli::launch`].
 
-use dg_experiments::cli::launch;
+use dg_experiments::cli::{launch, print};
 use dg_experiments::executor::CampaignOutcome;
 use dg_experiments::tables::{filter_by_diff, render_table, table_comparison};
 
@@ -27,6 +27,6 @@ fn main() {
     let subset: Vec<_> = results.results.iter().collect();
     let comparison = table_comparison(&subset, "IE", &results.heuristic_names());
     let title = format!("TABLE II. RESULTS WITH m = {m} TASKS (heuristics with %diff <= 50%).");
-    println!("{}", render_table(&title, &filter_by_diff(&comparison, 50.0)));
-    println!("{}", render_table(&format!("All heuristics, m = {m}:"), &comparison));
+    print(&render_table(&title, &filter_by_diff(&comparison, 50.0)));
+    print(&render_table(&format!("All heuristics, m = {m}:"), &comparison));
 }

@@ -5,7 +5,8 @@
 //! over [`launch`], which parses the flags, builds and checks the campaign,
 //! prints the banner, runs the sweep through [`run_distributed`] and prints
 //! the store and counter lines; an option error exits 2 with its message
-//! ([`or_exit`]).
+//! ([`or_exit`]). The binaries print their output through [`print()`], which
+//! ends the process quietly when the reader closes stdout.
 //!
 //! The binaries accept a small set of flags controlling the campaign scale:
 //!
@@ -55,6 +56,7 @@ use crate::sensitivity::{run_sensitivity_with, sensitivity_fingerprint, Sensitiv
 use crate::suite::{SuiteSpec, MAX_TRIALS};
 use dg_heuristics::{parse_heuristic_named, HeuristicSpec};
 use dg_sim::SimMode;
+use std::io::Write;
 use std::path::PathBuf;
 
 /// Parsed command-line options.
@@ -528,6 +530,24 @@ pub fn or_exit<T>(result: Result<T, String>) -> T {
         eprintln!("{msg}");
         std::process::exit(2)
     })
+}
+
+/// Print `text` and a newline on stdout, as `println!` does, without its
+/// panic: a reader that has closed stdout (a `BrokenPipe`) ends the process
+/// quietly with status 0, and any other write error ends it with its
+/// message on stderr and status 1.
+pub fn print(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    let written = writeln!(stdout, "{text}").and_then(|()| stdout.flush());
+    drop(stdout);
+    match written {
+        Ok(()) => {}
+        Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(err) => {
+            eprintln!("cannot write to stdout: {err}");
+            std::process::exit(1)
+        }
+    }
 }
 
 /// The launch sequence of a sweep binary: parse the process arguments, check

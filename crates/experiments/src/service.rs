@@ -773,15 +773,16 @@ impl ScheduleService {
                     vec![error_line(None, &err)]
                 }
             };
-            for reply in replies {
-                if let Err(err) = writeln!(writer, "{reply}") {
-                    if err.kind() == std::io::ErrorKind::BrokenPipe {
-                        return Ok(self.summary);
-                    }
-                    return Err(err);
-                }
+            // A buffered writer reports a closed peer at the flush as often
+            // as at the write: either way it ends the loop cleanly.
+            let written = replies
+                .iter()
+                .try_for_each(|reply| writeln!(writer, "{reply}"))
+                .and_then(|()| writer.flush());
+            match written {
+                Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => break,
+                written => written?,
             }
-            writer.flush()?;
         }
         Ok(self.summary)
     }
@@ -1242,6 +1243,27 @@ mod tests {
         assert!(lines[1].contains("\"ok\":false"), "{text}");
         assert_eq!(summary.requests, 1);
         assert_eq!(summary.errors, 1);
+    }
+
+    #[test]
+    fn a_peer_closed_at_the_flush_ends_the_loop_with_its_summary() {
+        // The reply fits the writer's buffer, so the closed peer surfaces
+        // only when it is flushed.
+        struct ClosedAtFlush(Vec<u8>);
+        impl Write for ClosedAtFlush {
+            fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+                self.0.write(bytes)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        let mut service = ScheduleService::new(core());
+        let input = "{\"op\":\"stats\"}\n{\"op\":\"stats\"}\n";
+        let mut writer = ClosedAtFlush(Vec::new());
+        let summary = service.serve(std::io::Cursor::new(input), &mut writer).unwrap();
+        assert_eq!(summary, ServeSummary { requests: 1, errors: 0, reschedules: 0 });
+        assert_eq!(String::from_utf8(writer.0).unwrap().lines().count(), 1);
     }
 
     #[test]

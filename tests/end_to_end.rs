@@ -132,3 +132,22 @@ fn prelude_workflow_from_crate_docs_compiles_and_runs() {
         .run(scheduler.as_mut());
     assert!(outcome.completed_iterations <= 10);
 }
+
+#[test]
+fn a_binary_whose_reader_closes_stdout_exits_quietly() {
+    use std::process::{Command, Stdio};
+    let args = ["--scenarios", "1", "--trials", "1", "--wmin", "1", "--ncom", "5"];
+    let mut child = Command::new(env!("CARGO_BIN_EXE_table1"))
+        .args(args)
+        .args(["--heuristics", "IE", "--quiet"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("table1 starts");
+    // The only reader of its stdout goes away before the table is printed.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("table1 ends");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(output.status.success(), "{}: {stderr}", output.status);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

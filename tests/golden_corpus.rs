@@ -70,6 +70,10 @@ fn table1_rendering_and_shards_match_golden_corpus() {
     let dir = temp_store("table1");
     let options = ExecutorOptions::new().retain_raw(true).store(&dir, false);
     let outcome = run_campaign_with(&config, &options, |_, _| {}).unwrap();
+    // The evaluation cache's counters, which `table1` prints at any
+    // `--threads`: a change that moves one updates this pin on purpose.
+    assert_eq!(outcome.stats.group_sets_computed, 3_283);
+    assert_eq!(outcome.stats.group_cache_hits, 1_037_863);
 
     let results = outcome.results;
     let subset: Vec<_> = results.results.iter().collect();
