@@ -310,11 +310,6 @@ impl EvalCache {
         self.decision_threads
     }
 
-    /// `true` if `self` and `other` are handles to the same memo tables.
-    pub fn shares_state_with(&self, other: &EvalCache) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
-    }
-
     /// Group quantities (`Eu`, `A`, `P₊`, `E_c`) for the set of workers
     /// `members`, memoized on the (sorted, deduplicated) member list.
     ///
@@ -527,23 +522,11 @@ impl EvalCache {
         (self.estimate_with(&mut reader, members, comm_time, w), comm_time)
     }
 
-    /// Memoized `P^(q)_{ND}(t)`: probability that worker `q` does not go
-    /// `DOWN` within `t` slots, starting `UP`.
-    pub fn no_down_within(&self, q: usize, t: u64) -> f64 {
-        self.reader().no_down_within(q, t)
-    }
-
     /// Number of distinct worker sets currently memoized, one-member sets
     /// (the filled slots) included.
     pub fn cached_sets(&self) -> usize {
         let singles = self.tables.workers.iter().filter(|w| w.single.get().is_some()).count();
         singles + self.state.memo.read().expect("eval cache poisoned").group.len()
-    }
-
-    /// Number of prefix accumulators currently retained (exposed for tests;
-    /// see [`GroupAccumulator`]).
-    pub fn cached_accumulators(&self) -> usize {
-        self.state.accums.read().expect("eval cache poisoned").by_set.len()
     }
 
     /// Group-lookup hit/miss counters since creation.
@@ -563,9 +546,8 @@ impl EvalCache {
     }
 
     /// Total prefix-accumulator extensions performed since creation,
-    /// counting evicted and racing duplicate builds — see
-    /// [`EvalCache::cached_accumulators`] for the retained
-    /// count. The gap between `accumulators_built` and the group-miss count
+    /// counting evicted and racing duplicate builds. The gap between
+    /// `accumulators_built` and the group-miss count
     /// measures how poorly the probe sequence shared accumulator chains.
     pub fn accumulators_built(&self) -> u64 {
         self.state.accum_built.load(Ordering::Relaxed)
@@ -748,10 +730,7 @@ mod tests {
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         let first = cache.clone();
         let second = cache.clone();
-        assert!(first.shares_state_with(&second));
-
         let private = EvalCache::with_default_epsilon(&s.platform, &s.master);
-        assert!(!first.shares_state_with(&private));
 
         let members = [0usize, 2, 4];
         let a = first.iteration_estimate(&members, &[1, 1, 1], &[2, 2, 2]);
@@ -764,6 +743,11 @@ mod tests {
 
         let c = private.iteration_estimate(&members, &[1, 1, 1], &[2, 2, 2]);
         assert_eq!(a, c, "shared and private caches must agree exactly");
+        // The private cache missed on every set the first pass did, and the
+        // shared tables saw none of its lookups.
+        assert_eq!(private.stats().group_misses, misses_after_first);
+        assert_eq!(cache.stats().group_misses, misses_after_first);
+        assert_eq!(first.stats(), second.stats());
     }
 
     #[test]
@@ -962,9 +946,11 @@ mod tests {
         }
         assert_eq!(cache.stats().group_misses as usize, sets.len());
         assert_eq!(cache.cached_sets(), sets.len());
-        assert!(cache.cached_accumulators() > 0);
-        let fresh = EvalCache::with_default_epsilon(&s.platform, &s.master);
-        assert_eq!(fresh.cached_accumulators(), 0);
+        // The chain's accumulators are retained: a set one member past a
+        // probed one extends that prefix once.
+        let built = cache.accumulators_built();
+        let _ = cache.group(&[0, 1, 2, 3, 4]);
+        assert_eq!(cache.accumulators_built(), built + 1);
     }
 
     #[test]
@@ -1135,7 +1121,7 @@ mod tests {
         let cache = EvalCache::with_default_epsilon(&s.platform, &s.master);
         for (q, t) in [(0, 1), (3, 17), (3, 17), (7, 0)] {
             let direct = WorkerSeries::new(s.platform.chain(q)).no_down_within(t);
-            assert_eq!(cache.no_down_within(q, t), direct, "worker {q}, horizon {t}");
+            assert_eq!(cache.reader().no_down_within(q, t), direct, "worker {q}, horizon {t}");
         }
     }
 

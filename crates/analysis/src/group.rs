@@ -336,11 +336,6 @@ impl GroupAccumulator {
         self.quantities
     }
 
-    /// Number of workers folded into this accumulator.
-    pub fn num_members(&self) -> usize {
-        self.members
-    }
-
     /// `true` if no worker has been folded in yet.
     pub fn is_empty(&self) -> bool {
         self.members == 0
@@ -350,11 +345,6 @@ impl GroupAccumulator {
     /// keeping this accumulator around).
     pub fn stored_terms(&self) -> usize {
         self.joint.len()
-    }
-
-    /// The series-truncation precision `ε` this accumulator was built with.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
     }
 
     /// Extend the accumulated set by one worker in O(stored terms), or `None`
@@ -578,7 +568,6 @@ mod tests {
             // Same fold order, same truncation loop: exact equality, not just
             // closeness. The EvalCache's prefix chains rely on this.
             assert_eq!(acc.quantities(), batch);
-            assert_eq!(acc.num_members(), k);
             assert_eq!(acc.stored_terms() as u64, batch.terms_evaluated);
         }
     }

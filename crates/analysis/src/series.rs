@@ -32,11 +32,6 @@ impl WorkerSeries {
         }
     }
 
-    /// The underlying chain.
-    pub fn chain(&self) -> &MarkovChain3 {
-        &self.chain
-    }
-
     /// Dominant eigenvalue `λ₁` of the `{UP, RECLAIMED}` sub-matrix.
     pub fn lambda1(&self) -> f64 {
         self.lambda1
@@ -122,9 +117,9 @@ mod tests {
             .unwrap(),
         ];
         for _ in 0..2 {
-            chains.push(MarkovChain3::sample_volatile(&mut rng));
+            chains.push(MarkovChain3::sample_self_loops_in(0.60, 0.85, &mut rng));
             chains.push(MarkovChain3::sample_paper_model(&mut rng));
-            chains.push(MarkovChain3::sample_stable(&mut rng));
+            chains.push(MarkovChain3::sample_self_loops_in(0.995, 0.999, &mut rng));
         }
         assert!(chains[1].up_up_series().unwrap().lambda2 < 0.0);
         assert!(chains[2].up_up_series().is_none());

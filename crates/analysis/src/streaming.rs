@@ -35,11 +35,6 @@ pub struct OnlineStats {
 }
 
 impl OnlineStats {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats::default()
-    }
-
     /// Add one sample.
     pub fn push(&mut self, x: f64) {
         self.count += 1;
@@ -109,11 +104,6 @@ pub struct TrialTally {
 }
 
 impl TrialTally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        TrialTally::default()
-    }
-
     /// Record one trial: the heuristic's makespan (`None` = failed run) and
     /// the reference's makespan on the same trial (`None` = the reference
     /// failed or did not run).
@@ -185,11 +175,6 @@ impl ScenarioAccumulator {
         }
     }
 
-    /// Number of jointly successful trials recorded.
-    pub fn joint_trials(&self) -> u64 {
-        self.joint
-    }
-
     /// The paper's per-scenario relative difference
     /// `(avg_H − avg_R) / min(avg_H, avg_R)`, or `None` when no trial had
     /// both runs succeed.
@@ -253,7 +238,7 @@ mod tests {
     #[test]
     fn online_stats_match_naive_two_pass() {
         let xs: Vec<f64> = (0..257).map(|i| ((i * 37 % 101) as f64 - 50.0) / 7.0).collect();
-        let mut s = OnlineStats::new();
+        let mut s = OnlineStats::default();
         for &x in &xs {
             s.push(x);
         }
@@ -266,14 +251,14 @@ mod tests {
     #[test]
     fn online_stats_merge_equals_sequential() {
         let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
+        let mut whole = OnlineStats::default();
         for &x in &xs {
             whole.push(x);
         }
         for split in [0, 1, 37, 99, 100] {
             let (a, b) = xs.split_at(split);
-            let mut left = OnlineStats::new();
-            let mut right = OnlineStats::new();
+            let mut left = OnlineStats::default();
+            let mut right = OnlineStats::default();
             a.iter().for_each(|&x| left.push(x));
             b.iter().for_each(|&x| right.push(x));
             left.merge(&right);
@@ -285,10 +270,10 @@ mod tests {
 
     #[test]
     fn empty_and_single_sample_edges() {
-        let s = OnlineStats::new();
+        let s = OnlineStats::default();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.sample_stdev(), 0.0);
-        let mut one = OnlineStats::new();
+        let mut one = OnlineStats::default();
         one.push(4.2);
         assert!((one.mean() - 4.2).abs() < 1e-15);
         assert_eq!(one.sample_stdev(), 0.0);
@@ -296,7 +281,7 @@ mod tests {
 
     #[test]
     fn tally_mirrors_batch_semantics() {
-        let mut t = TrialTally::new();
+        let mut t = TrialTally::default();
         // Win, 30%-window win, loss outside the window.
         t.record(Some(90), Some(100));
         t.record(Some(120), Some(100));
@@ -317,7 +302,7 @@ mod tests {
 
     #[test]
     fn tally_boundaries_are_inclusive() {
-        let mut t = TrialTally::new();
+        let mut t = TrialTally::default();
         t.record(Some(100), Some(100)); // tie is a win
         t.record(Some(130), Some(100)); // exactly +30% is a wins30
         assert_eq!(t.wins, 1);
@@ -332,7 +317,7 @@ mod tests {
         s.record(Some(80), Some(100));
         s.record(None, Some(100)); // not joint: ignored by the averages
         s.record(Some(9), None);
-        assert_eq!(s.joint_trials(), 2);
+        assert_eq!(s.joint, 2);
         // (80 - 100) / min(80, 100) = -0.25
         assert!((s.relative_difference().unwrap() + 0.25).abs() < 1e-12);
     }

@@ -17,8 +17,7 @@
 //! * a semi-Markov extension with Weibull / log-normal holding times
 //!   ([`semi_markov`]), used for the "model mismatch" sensitivity study the
 //!   paper lists as future work,
-//! * empirical statistics over traces ([`stats`]) and deterministic seeding
-//!   helpers ([`rng`]),
+//! * deterministic seeding helpers ([`rng`]),
 //! * shared per-trial realizations ([`shared`]): realize a trial once and
 //!   replay it for every heuristic of the trial via cheap [`TrialReplay`]
 //!   handles instead of re-sampling the realization per heuristic.
@@ -36,9 +35,9 @@
 //! // One processor whose self-loop probabilities follow the paper's rule:
 //! // P(x -> x) given, remaining mass split evenly between the other states.
 //! let chain = MarkovChain3::from_self_loop_probs(0.95, 0.90, 0.90).unwrap();
-//! let mut model = RealizedAvailability::markov(vec![chain], 42, false);
+//! let mut model = RealizedAvailability::markov(vec![chain], 42);
 //!
-//! // Realizations start UP by default and are deterministic in the seed.
+//! // Realizations start UP and are deterministic in the seed.
 //! assert_eq!(model.state(0, 0), ProcState::Up);
 //!
 //! // next_transition jumps straight to the next state change and is always
@@ -60,7 +59,6 @@ pub mod rng;
 pub mod semi_markov;
 pub mod shared;
 pub mod state;
-pub mod stats;
 pub mod trace;
 
 pub use markov::MarkovChain3;
@@ -68,5 +66,4 @@ pub use matrix::{Matrix2, Matrix3};
 pub use semi_markov::{HoldingTime, SemiMarkovModel};
 pub use shared::{RealizedTrial, TrialReplay};
 pub use state::{ProcState, StateTrace};
-pub use stats::TraceStats;
 pub use trace::{AvailabilityModel, RealizedAvailability};

@@ -203,34 +203,10 @@ impl MarkovChain3 {
             .expect("self-loop parameters in [0, 1) are always valid")
     }
 
-    /// Sample a *volatile* chain: self-loops uniform in `[0.60, 0.85]`, so
-    /// state sojourns are several times shorter than under the paper's
-    /// `[0.90, 0.99]` regime and interruptions dominate the schedule.
-    pub fn sample_volatile<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        MarkovChain3::sample_self_loops_in(0.60, 0.85, rng)
-    }
-
-    /// Sample a *stable* chain: self-loops uniform in `[0.995, 0.999]` —
-    /// near-dedicated machines whose mean sojourns span hundreds of slots.
-    pub fn sample_stable<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        MarkovChain3::sample_self_loops_in(0.995, 0.999, rng)
-    }
-
     /// A chain for a processor that is always `UP` (never reclaimed, never down).
     pub fn always_up() -> Self {
         MarkovChain3::new(Matrix3::new([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
             .expect("always-up matrix is stochastic")
-    }
-
-    /// A two-state chain (`UP`/`DOWN` only) embedded in the 3-state model:
-    /// the processor is never reclaimed. `p_ud` is the per-slot failure
-    /// probability and `p_du` the per-slot recovery probability.
-    pub fn two_state(p_ud: f64, p_du: f64) -> Result<Self, MarkovError> {
-        MarkovChain3::new(Matrix3::new([
-            [1.0 - p_ud, 0.0, p_ud],
-            [0.0, 0.0, 1.0],
-            [p_du, 0.0, 1.0 - p_du],
-        ]))
     }
 
     /// Transition probability `P(from → to)`.
@@ -301,28 +277,6 @@ impl MarkovChain3 {
     pub fn can_fail(&self) -> bool {
         self.prob(ProcState::Up, ProcState::Down) > 0.0
             || self.prob(ProcState::Reclaimed, ProcState::Down) > 0.0
-    }
-
-    /// Stationary distribution `(π_UP, π_RECLAIMED, π_DOWN)` computed by power
-    /// iteration (the paper's chains are recurrent and aperiodic).
-    pub fn stationary_distribution(&self) -> [f64; 3] {
-        let mut v = [1.0 / 3.0; 3];
-        for _ in 0..10_000 {
-            let next = self.transition.vec_mul(v);
-            let diff: f64 = v.iter().zip(next.iter()).map(|(a, b)| (a - b).abs()).sum();
-            v = next;
-            if diff < 1e-14 {
-                break;
-            }
-        }
-        // Normalize against accumulated rounding error.
-        let s: f64 = v.iter().sum();
-        [v[0] / s, v[1] / s, v[2] / s]
-    }
-
-    /// Long-run fraction of time the processor is `UP`.
-    pub fn availability(&self) -> f64 {
-        self.stationary_distribution()[0]
     }
 
     /// Sample how long the chain stays in `current` and which state it jumps
@@ -466,7 +420,6 @@ mod tests {
             assert_eq!(s, ProcState::Up);
         }
         assert!(!c.can_fail());
-        assert!(approx(c.availability(), 1.0, 1e-9));
         assert!(approx(c.up_to_up_avoiding_down(50), 1.0, 1e-12));
         assert!(approx(c.prob_no_down_within(50), 1.0, 1e-12));
     }
@@ -503,17 +456,6 @@ mod tests {
             assert!(p <= prev + 1e-12);
             prev = p;
         }
-    }
-
-    #[test]
-    fn stationary_distribution_is_fixed_point() {
-        let c = MarkovChain3::from_self_loop_probs(0.97, 0.91, 0.93).unwrap();
-        let pi = c.stationary_distribution();
-        let next = c.transition_matrix().vec_mul(pi);
-        for i in 0..3 {
-            assert!(approx(pi[i], next[i], 1e-8));
-        }
-        assert!(approx(pi.iter().sum::<f64>(), 1.0, 1e-9));
     }
 
     #[test]
@@ -582,18 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn two_state_chain_has_no_reclaimed() {
-        let c = MarkovChain3::two_state(0.05, 0.2).unwrap();
-        let mut rng = rng_from_seed(3);
-        let mut s = ProcState::Up;
-        for _ in 0..10_000 {
-            s = c.next_state(s, &mut rng);
-            assert_ne!(s, ProcState::Reclaimed);
-        }
-        assert!(c.can_fail());
-    }
-
-    #[test]
     fn sample_self_loops_in_respects_the_range() {
         let mut rng = rng_from_seed(8);
         for (lo, hi) in [(0.60, 0.85), (0.995, 0.999), (0.90, 0.99), (0.5, 0.5)] {
@@ -613,19 +543,6 @@ mod tests {
     fn sample_self_loops_in_rejects_inverted_range() {
         let mut rng = rng_from_seed(8);
         let _ = MarkovChain3::sample_self_loops_in(0.9, 0.8, &mut rng);
-    }
-
-    #[test]
-    fn volatile_and_stable_regimes_order_mean_sojourns() {
-        // Mean UP sojourn is 1/(1 - p_uu): volatile < paper < stable.
-        let mut rng = rng_from_seed(9);
-        let volatile = MarkovChain3::sample_volatile(&mut rng);
-        let paper = MarkovChain3::sample_paper_model(&mut rng);
-        let stable = MarkovChain3::sample_stable(&mut rng);
-        let mean_up = |c: &MarkovChain3| 1.0 / (1.0 - c.prob(ProcState::Up, ProcState::Up));
-        assert!(mean_up(&volatile) < mean_up(&paper));
-        assert!(mean_up(&paper) < mean_up(&stable));
-        assert!(mean_up(&stable) >= 200.0);
     }
 
     #[test]

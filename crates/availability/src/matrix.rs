@@ -27,11 +27,6 @@ impl Matrix2 {
         Matrix2::new([[1.0, 0.0], [0.0, 1.0]])
     }
 
-    /// The 2×2 zero matrix.
-    pub fn zero() -> Self {
-        Matrix2::new([[0.0; 2]; 2])
-    }
-
     /// Matrix product `self * rhs`.
     pub fn mul(&self, rhs: &Matrix2) -> Matrix2 {
         let mut out = [[0.0; 2]; 2];
@@ -94,11 +89,6 @@ impl Matrix2 {
         let l2 = 0.5 * (tr - sq);
         Some((l1, l2))
     }
-
-    /// Spectral radius (largest eigenvalue magnitude), if eigenvalues are real.
-    pub fn spectral_radius(&self) -> Option<f64> {
-        self.eigenvalues().map(|(l1, l2)| l1.abs().max(l2.abs()))
-    }
 }
 
 /// A dense 3×3 matrix of `f64`, stored row-major.
@@ -112,56 +102,6 @@ impl Matrix3 {
     /// Construct a matrix from row-major entries.
     pub fn new(m: [[f64; 3]; 3]) -> Self {
         Matrix3 { m }
-    }
-
-    /// The 3×3 identity matrix.
-    pub fn identity() -> Self {
-        Matrix3::new([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    }
-
-    /// The 3×3 zero matrix.
-    pub fn zero() -> Self {
-        Matrix3::new([[0.0; 3]; 3])
-    }
-
-    /// Matrix product `self * rhs`.
-    pub fn mul(&self, rhs: &Matrix3) -> Matrix3 {
-        let mut out = [[0.0; 3]; 3];
-        for (i, row) in out.iter_mut().enumerate() {
-            for (j, cell) in row.iter_mut().enumerate() {
-                let mut acc = 0.0;
-                for k in 0..3 {
-                    acc += self.m[i][k] * rhs.m[k][j];
-                }
-                *cell = acc;
-            }
-        }
-        Matrix3::new(out)
-    }
-
-    /// Matrix power `self^t` by repeated squaring (`self^0` is the identity).
-    pub fn pow(&self, mut t: u64) -> Matrix3 {
-        let mut base = *self;
-        let mut acc = Matrix3::identity();
-        while t > 0 {
-            if t & 1 == 1 {
-                acc = acc.mul(&base);
-            }
-            base = base.mul(&base);
-            t >>= 1;
-        }
-        acc
-    }
-
-    /// Left-multiply a row vector: `v * self`.
-    pub fn vec_mul(&self, v: [f64; 3]) -> [f64; 3] {
-        let mut out = [0.0; 3];
-        for (j, cell) in out.iter_mut().enumerate() {
-            for (i, &vi) in v.iter().enumerate() {
-                *cell += vi * self.m[i][j];
-            }
-        }
-        out
     }
 
     /// `true` if every row sums to 1 (within [`STOCHASTIC_TOL`]) and every
@@ -244,29 +184,6 @@ mod tests {
     }
 
     #[test]
-    fn matrix2_spectral_radius() {
-        let m = Matrix2::new([[0.95, 0.02], [0.04, 0.93]]);
-        let rho = m.spectral_radius().unwrap();
-        assert!(rho < 1.0 && rho > 0.9);
-    }
-
-    #[test]
-    fn matrix3_mul_pow_and_vec() {
-        let a = Matrix3::new([[0.9, 0.05, 0.05], [0.5, 0.4, 0.1], [0.3, 0.3, 0.4]]);
-        assert!(a.is_row_stochastic());
-        let i = Matrix3::identity();
-        assert_eq!(a.mul(&i), a);
-        assert_eq!(a.pow(1), a);
-        assert_eq!(a.pow(0), Matrix3::identity());
-        // stochasticity preserved under powers
-        assert!(a.pow(17).is_row_stochastic());
-        // distribution propagation keeps total mass 1
-        let v = a.vec_mul([1.0, 0.0, 0.0]);
-        assert!(approx(v.iter().sum::<f64>(), 1.0));
-        assert!(approx(v[0], 0.9));
-    }
-
-    #[test]
     fn matrix3_minor() {
         let a = Matrix3::new([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]);
         // Delete the Down row/column (index 2): the UP/RECLAIMED sub-matrix.
@@ -278,6 +195,8 @@ mod tests {
 
     #[test]
     fn non_stochastic_detected() {
+        let stochastic = Matrix3::new([[0.9, 0.05, 0.05], [0.5, 0.4, 0.1], [0.3, 0.3, 0.4]]);
+        assert!(stochastic.is_row_stochastic());
         let a = Matrix3::new([[0.9, 0.05, 0.01], [0.5, 0.4, 0.1], [0.3, 0.3, 0.4]]);
         assert!(!a.is_row_stochastic());
         let b = Matrix3::new([[1.1, -0.1, 0.0], [0.5, 0.4, 0.1], [0.3, 0.3, 0.4]]);

@@ -24,7 +24,7 @@
 //! use dg_availability::{AvailabilityModel, MarkovChain3, RealizedAvailability, RealizedTrial};
 //!
 //! let chain = MarkovChain3::from_self_loop_probs(0.95, 0.9, 0.9).unwrap();
-//! let trial = RealizedTrial::new(RealizedAvailability::markov(vec![chain], 7, false));
+//! let trial = RealizedTrial::new(RealizedAvailability::markov(vec![chain], 7));
 //!
 //! // Two replays (e.g. two heuristics) observe the same realization.
 //! let mut a = trial.replay();
@@ -57,11 +57,6 @@ impl<M: AvailabilityModel> RealizedTrial<M> {
         RealizedTrial { inner: Rc::new(RefCell::new(model)), replays: Cell::new(0) }
     }
 
-    /// Number of processors the shared realization describes.
-    pub fn num_procs(&self) -> usize {
-        self.inner.borrow().num_procs()
-    }
-
     /// Hand out a replay handle onto the shared realization.
     pub fn replay(&self) -> TrialReplay<M> {
         self.replays.set(self.replays.get() + 1);
@@ -73,11 +68,6 @@ impl<M: AvailabilityModel> RealizedTrial<M> {
     /// realized again.
     pub fn replay_count(&self) -> usize {
         self.replays.get()
-    }
-
-    /// Unwrap the shared model. Returns `None` while replay handles are alive.
-    pub fn into_inner(self) -> Option<M> {
-        Rc::try_unwrap(self.inner).ok().map(RefCell::into_inner)
     }
 }
 
@@ -112,7 +102,7 @@ mod tests {
     fn paper_model(procs: usize, chain_seed: u64, trial_seed: u64) -> RealizedAvailability {
         let mut rng = sub_rng(chain_seed, 9);
         let chains = (0..procs).map(|_| MarkovChain3::sample_paper_model(&mut rng)).collect();
-        RealizedAvailability::markov(chains, trial_seed, false)
+        RealizedAvailability::markov(chains, trial_seed)
     }
 
     #[test]
@@ -163,18 +153,9 @@ mod tests {
     fn works_for_any_availability_backend() {
         // The handle is generic: scripted traces share the same way.
         let shared = RealizedTrial::new(RealizedAvailability::from_codes(&["UURD", "RRUU"]));
-        assert_eq!(shared.num_procs(), 2);
         let mut r = shared.replay();
         assert_eq!(r.num_procs(), 2);
         assert_eq!(r.state(0, 2), ProcState::Reclaimed);
         assert_eq!(r.next_transition(1, 0), Some((2, ProcState::Up)));
-    }
-
-    #[test]
-    fn into_inner_requires_all_replays_dropped() {
-        let shared = RealizedTrial::new(RealizedAvailability::from_codes(&["U"]));
-        let replay = shared.replay();
-        drop(replay);
-        assert!(shared.into_inner().is_some());
     }
 }

@@ -64,12 +64,6 @@ impl ProcState {
         matches!(self, ProcState::Down)
     }
 
-    /// `true` if the processor is temporarily reclaimed.
-    #[inline]
-    pub fn is_reclaimed(self) -> bool {
-        matches!(self, ProcState::Reclaimed)
-    }
-
     /// One-letter code used in textual traces: `U`, `R` or `D`.
     pub fn code(self) -> char {
         match self {
@@ -216,7 +210,6 @@ mod tests {
         assert!(ProcState::Up.is_up());
         assert!(!ProcState::Up.is_down());
         assert!(ProcState::Down.is_down());
-        assert!(ProcState::Reclaimed.is_reclaimed());
         assert!(!ProcState::Reclaimed.is_up());
     }
 

@@ -21,7 +21,6 @@ use crate::rng::sub_rng;
 use crate::semi_markov::SemiMarkovModel;
 use crate::state::{ProcState, StateTrace};
 use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Source of processor availability information for the simulator.
 ///
@@ -118,35 +117,16 @@ impl Sojourns {
 }
 
 impl RealizedAvailability {
-    /// Realize per-processor Markov chains, processor `q` from the stream
+    /// Realize per-processor Markov chains, every processor starting `UP` at
+    /// time-slot 0 and processor `q` drawing from the stream
     /// `sub_rng(seed, q)`.
-    ///
-    /// Each processor starts in the `UP` state at time-slot 0 unless
-    /// `random_start` is set, in which case the initial state is drawn from the
-    /// chain's stationary distribution.
-    pub fn markov(chains: Vec<MarkovChain3>, seed: u64, random_start: bool) -> Self {
+    pub fn markov(chains: Vec<MarkovChain3>, seed: u64) -> Self {
         let lanes = chains
             .into_iter()
             .enumerate()
-            .map(|(q, chain)| {
-                let mut rng = sub_rng(seed, q as u64);
-                let initial = if random_start {
-                    let pi = chain.stationary_distribution();
-                    let x: f64 = rng.gen();
-                    if x < pi[0] {
-                        ProcState::Up
-                    } else if x < pi[0] + pi[1] {
-                        ProcState::Reclaimed
-                    } else {
-                        ProcState::Down
-                    }
-                } else {
-                    ProcState::Up
-                };
-                Lane {
-                    trace: StateTrace::constant(initial, 1),
-                    source: Some((Sojourns::Markov(chain), rng)),
-                }
+            .map(|(q, chain)| Lane {
+                trace: StateTrace::constant(ProcState::Up, 1),
+                source: Some((Sojourns::Markov(chain), sub_rng(seed, q as u64))),
             })
             .collect();
         RealizedAvailability { lanes, horizon: u64::MAX }
@@ -243,7 +223,7 @@ mod tests {
     }
 
     fn markov(n: usize, chain_seed: u64, seed: u64) -> RealizedAvailability {
-        RealizedAvailability::markov(paper_chains(n, chain_seed), seed, false)
+        RealizedAvailability::markov(paper_chains(n, chain_seed), seed)
     }
 
     #[test]
@@ -267,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn markov_availability_starts_up_by_default() {
+    fn markov_availability_starts_up() {
         let mut a = markov(8, 3, 7);
         for q in 0..8 {
             assert_eq!(a.state(q, 0), ProcState::Up);
@@ -356,7 +336,7 @@ mod tests {
 
     #[test]
     fn next_transition_on_absorbing_chain_is_none() {
-        let mut a = RealizedAvailability::markov(vec![MarkovChain3::always_up()], 5, false);
+        let mut a = RealizedAvailability::markov(vec![MarkovChain3::always_up()], 5);
         assert_eq!(a.state(0, 1_000_000), ProcState::Up);
         assert_eq!(a.next_transition(0, 0), None);
         assert_eq!(a.next_transition(0, 99), None);
@@ -399,7 +379,7 @@ mod tests {
 
     #[test]
     fn materialize_matches_lazy_queries() {
-        let mut a = RealizedAvailability::markov(paper_chains(4, 23), 99, true);
+        let mut a = RealizedAvailability::markov(paper_chains(4, 23), 99);
         let expected: Vec<Vec<ProcState>> =
             (0..4).map(|q| (0..100).map(|t| a.state(q, t)).collect()).collect();
         let mut set = a.materialize(100);
@@ -413,12 +393,36 @@ mod tests {
     }
 
     #[test]
+    fn empirical_matrix_recovers_generating_chain() {
+        // A run of length `len` holds `len - 1` self-loops, and each run
+        // boundary is one transition between two different states.
+        let chain = MarkovChain3::from_self_loop_probs(0.93, 0.9, 0.95).unwrap();
+        let traces = RealizedAvailability::markov(vec![chain], 11).materialize(300_000);
+        let runs: Vec<(ProcState, u64)> = traces.trace(0).runs().collect();
+        let mut counts = [[0u64; 3]; 3];
+        for &(state, len) in &runs {
+            counts[state.index()][state.index()] += len - 1;
+        }
+        for pair in runs.windows(2) {
+            counts[pair[0].0.index()][pair[1].0.index()] += 1;
+        }
+        for (i, row) in counts.iter().enumerate() {
+            let total: u64 = row.iter().sum();
+            for (j, &count) in row.iter().enumerate() {
+                let emp = count as f64 / total as f64;
+                let theo = chain.transition_matrix().m[i][j];
+                assert!((emp - theo).abs() < 0.02, "entry ({i},{j}): empirical {emp} vs {theo}");
+            }
+        }
+    }
+
+    #[test]
     fn sojourns_reaching_u64_max_close_the_trace_instead_of_wrapping() {
         // Mean sojourns of ~3·10^15 slots: the run starts pass u64::MAX after
         // some 6,000 sojourns, where a wrapping start would break the order.
         let p = 1.0 - 3e-16;
         let chain = MarkovChain3::from_self_loop_probs(p, p, p).unwrap();
-        let mut a = RealizedAvailability::markov(vec![chain], 1, false);
+        let mut a = RealizedAvailability::markov(vec![chain], 1);
         let last = a.state(0, u64::MAX);
         let mut after = 0;
         for _ in 0..10_000 {

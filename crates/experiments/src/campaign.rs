@@ -18,10 +18,10 @@ use serde::{Deserialize, Serialize};
 
 /// Configuration of an experiment campaign.
 ///
-/// The paper's full campaign uses `m ∈ {5, 10}`, `ncom ∈ {5, 10, 20}`,
-/// `wmin ∈ {1..10}`, 10 scenarios per point, 10 trials per scenario and a
-/// 10⁶-slot cap — 6,000 instances per heuristic. [`CampaignConfig::paper_full`]
-/// builds that configuration; [`CampaignConfig::reduced`] scales it down for
+/// [`SuiteSpec::campaign`](crate::suite::SuiteSpec::campaign) builds one
+/// over a suite's axes. The paper's full campaign runs the `paper` suite
+/// with 10 scenarios per point, 10 trials per scenario and a 10⁶-slot cap —
+/// 6,000 instances per heuristic; the binaries scale it down for
 /// laptop-class runs while keeping the factorial structure.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignConfig {
@@ -64,38 +64,6 @@ pub struct CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// The paper's full-scale campaign (6,000 instances per heuristic).
-    pub fn paper_full() -> Self {
-        CampaignConfig {
-            m_values: vec![5, 10],
-            ncom_values: vec![5, 10, 20],
-            wmin_values: (1..=10).collect(),
-            num_workers: 20,
-            iterations: 10,
-            scenarios_per_point: 10,
-            trials_per_scenario: 10,
-            max_slots: 1_000_000,
-            heuristics: HeuristicSpec::all(),
-            base_seed: 20130520, // HCW 2013 workshop date
-            epsilon: dg_analysis::DEFAULT_EPSILON,
-            threads: 1,
-            engine: SimMode::default(),
-            suite: "paper".to_string(),
-            model: ScenarioModel::paper(),
-        }
-    }
-
-    /// A scaled-down campaign preserving the factorial structure: fewer
-    /// scenarios/trials per point and a smaller slot cap.
-    pub fn reduced(scenarios_per_point: usize, trials_per_scenario: usize, max_slots: u64) -> Self {
-        CampaignConfig {
-            scenarios_per_point,
-            trials_per_scenario,
-            max_slots,
-            ..CampaignConfig::paper_full()
-        }
-    }
-
     /// A minimal smoke-test campaign used by tests.
     pub fn smoke() -> Self {
         CampaignConfig {
@@ -270,11 +238,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::SuiteSpec;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn paper_full_config_matches_paper_scale() {
-        let c = CampaignConfig::paper_full();
+        let c = SuiteSpec::paper().campaign(10, 10, 1_000_000);
         assert_eq!(c.points().len(), 60);
         // 6,000 instances per heuristic × 17 heuristics.
         assert_eq!(c.total_runs(), 6_000 * 17);
@@ -284,7 +253,7 @@ mod tests {
 
     #[test]
     fn reduced_config_keeps_structure() {
-        let c = CampaignConfig::reduced(2, 3, 50_000);
+        let c = SuiteSpec::paper().campaign(2, 3, 50_000);
         assert_eq!(c.points().len(), 60);
         assert_eq!(c.total_runs(), 60 * 2 * 3 * 17);
         assert_eq!(c.with_m(5).points().len(), 30);

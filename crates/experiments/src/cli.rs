@@ -357,10 +357,10 @@ impl CliOptions {
             args.extend(["--workers".to_string(), workers.to_string()]);
         }
         if let Some(ncom) = &self.ncom_values {
-            args.extend(["--ncom".to_string(), crate::executor::join(ncom)]);
+            args.extend(["--ncom".to_string(), crate::suite::join(ncom)]);
         }
         if let Some(wmin) = &self.wmin_values {
-            args.extend(["--wmin".to_string(), crate::executor::join(wmin)]);
+            args.extend(["--wmin".to_string(), crate::suite::join(wmin)]);
         }
         if let Some(heuristics) = &self.heuristics {
             let names: Vec<String> = heuristics.iter().map(|h| h.name()).collect();
@@ -793,7 +793,7 @@ mod tests {
         // Without --suite the campaign equals the historical default — the
         // byte-compat anchor for the pre-suite binaries.
         let config = CliOptions::parse(Vec::<&str>::new()).unwrap().campaign().unwrap();
-        let mut legacy = CampaignConfig::reduced(3, 3, 200_000);
+        let mut legacy = SuiteSpec::paper().campaign(3, 3, 200_000);
         legacy.base_seed = 20130520;
         assert_eq!(config, legacy);
         assert_eq!(config.suite_tag(), None);

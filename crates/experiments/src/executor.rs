@@ -213,10 +213,6 @@ pub(crate) fn fingerprint(kind: &str, config: &CampaignConfig) -> String {
     fingerprint_suffix(fields, &config.suite, &config.model).end()
 }
 
-pub(crate) fn join<T: std::fmt::Display>(xs: &[T]) -> String {
-    xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
-}
-
 /// Run a campaign under `options`.
 ///
 /// Jobs (one per `(point, scenario)` pair) are distributed over

@@ -6,8 +6,9 @@
 //! the paper's offline assumptions — availability known in advance,
 //! communication free (`Tprog = Tdata = 0`), homogeneous speeds (`w = min_q
 //! w_q`) — and handed to the `dg-offline` makespan oracles
-//! ([`dg_offline::schedule_exact`] up to [`EXACT_M_MAX`] tasks,
-//! [`dg_offline::schedule_greedy`] beyond). Every relaxation in the
+//! ([`dg_offline::chain_iterations`] of [`dg_offline::earliest_finish_exact`]
+//! up to [`EXACT_M_MAX`] tasks, of [`dg_offline::earliest_finish_greedy`]
+//! beyond). Every relaxation in the
 //! projection only helps the offline schedule, and the `µ = ∞` oracle admits
 //! any enrollment size `k ≤ m`, so the **exact** oracle is a provable lower
 //! bound on what any online heuristic can achieve on that very availability
@@ -35,7 +36,10 @@ use crate::json::{Obj, Opt, Record, Str, Value};
 use crate::runner::{run_instance_on, InstanceSpec};
 use crate::sweep::{self, Job, Key, Sweep};
 use dg_availability::AvailabilityModel;
-use dg_offline::{earliest_finish_exact, earliest_finish_greedy, OfflineInstance, OracleVariant};
+use dg_offline::{
+    chain_iterations, earliest_finish_exact, earliest_finish_greedy, OfflineInstance,
+    OfflineSolution, OracleVariant,
+};
 use dg_platform::{Scenario, ScenarioParams};
 use dg_sim::SimOutcome;
 use std::fmt::Write as _;
@@ -185,31 +189,6 @@ pub fn online_slots(outcome: &SimOutcome, completions: &[u64]) -> Option<u64> {
         return None;
     }
     outcome.makespan.or_else(|| completions.last().map(|&t| t + 1))
-}
-
-/// Chained oracle makespans on `instance`: entry `i` is the oracle's
-/// makespan for completing `i + 1` iterations. Stops early (returning a
-/// shorter vector) once no further iteration fits in the horizon — with the
-/// exact oracle that only happens when no online run reached that count
-/// either.
-pub fn oracle_bounds(instance: &OfflineInstance, iterations: u64, exact: bool) -> Vec<u64> {
-    let mut bounds = Vec::with_capacity(iterations as usize);
-    let mut from = 0usize;
-    for _ in 0..iterations {
-        let sol = if exact {
-            earliest_finish_exact(instance, from, OracleVariant::MuUnbounded)
-        } else {
-            earliest_finish_greedy(instance, from, OracleVariant::MuUnbounded)
-        };
-        match sol {
-            Some(sol) => {
-                from = sol.finish_time() as usize;
-                bounds.push(sol.finish_time());
-            }
-            None => break,
-        }
-    }
-    bounds
 }
 
 /// Streaming per-heuristic reduction of the gap records.
@@ -376,7 +355,13 @@ where
                 let trial = trial.as_ref().expect("trial realized for fresh runs");
                 if exact { &exact_trials } else { &greedy_trials }.fetch_add(1, Ordering::Relaxed);
                 let instance = project_trial(job.scenario(), &mut trial.replay(), horizon);
-                oracle_bounds(&instance, max_count, exact)
+                // Entry `i` bounds `i + 1` iterations; with the exact search
+                // the chain runs dry only past every online run's count.
+                let search = if exact { earliest_finish_exact } else { earliest_finish_greedy };
+                chain_iterations(&instance, max_count, OracleVariant::MuUnbounded, search)
+                    .iter()
+                    .map(OfflineSolution::finish_time)
+                    .collect()
             } else {
                 Vec::new()
             };
@@ -543,17 +528,6 @@ mod tests {
         assert_eq!(instance.m, 2);
         let min_speed = scenario.platform.workers().iter().map(|w| w.speed).min().unwrap();
         assert_eq!(instance.w, min_speed);
-    }
-
-    #[test]
-    fn oracle_bounds_are_monotone_and_stop_when_dry() {
-        // One processor, 6 UP slots, w = 2, m = 1: iterations finish at 2, 4, 6.
-        let instance = OfflineInstance::new(vec![vec![true; 6]], 2, 1);
-        for exact in [true, false] {
-            assert_eq!(oracle_bounds(&instance, 3, exact), vec![2, 4, 6]);
-            // Asking for more than fits returns the feasible prefix.
-            assert_eq!(oracle_bounds(&instance, 5, exact), vec![2, 4, 6]);
-        }
     }
 
     #[test]

@@ -182,7 +182,7 @@ mod tests {
         use dg_availability::RealizedTrial;
         let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 2), 9);
         let seed = trial_seed(42, scenario.seed, 0);
-        let trial = RealizedTrial::new(scenario.availability_for_trial(seed, false));
+        let trial = RealizedTrial::new(scenario.availability_for_trial(seed));
         let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
         for name in ["IE", "Y-IE", "E-IAY", "RANDOM"] {
             let spec = InstanceSpec {

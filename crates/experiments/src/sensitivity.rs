@@ -144,7 +144,7 @@ where
     let job = |job: &Job<'_, InstanceResult>| {
         job.instances(&config.heuristics, config.max_slots, config.engine, |s, arm, seed| {
             if arm == 0 {
-                return s.availability_for_trial(seed, false);
+                return s.availability_for_trial(seed);
             }
             let models = matched_semi_markov_models(s, shape);
             RealizedAvailability::semi_markov(&models, seed, config.max_slots)
@@ -200,6 +200,7 @@ pub fn render_sensitivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::suite::SuiteSpec;
     use dg_heuristics::HeuristicSpec;
 
     fn run(config: &CampaignConfig) -> SensitivityResults {
@@ -249,7 +250,7 @@ mod tests {
 
     #[test]
     fn the_slice_is_the_first_m_and_middle_ncom_at_every_wmin() {
-        let sliced = sensitivity_slice(CampaignConfig::paper_full());
+        let sliced = sensitivity_slice(SuiteSpec::paper().campaign(10, 10, 1_000_000));
         assert_eq!((sliced.m_values, sliced.ncom_values), (vec![5], vec![10]));
         assert_eq!(sliced.wmin_values, (1..=10).collect::<Vec<u64>>());
         let mut config = CampaignConfig::smoke();

@@ -533,11 +533,6 @@ impl ScheduleService {
         ScheduleService { core, session: None, summary: ServeSummary::default() }
     }
 
-    /// The shared core.
-    pub fn core(&self) -> &ServiceCore {
-        &self.core
-    }
-
     /// Handle one request line; returns the reply lines to write, in order.
     /// Malformed input yields an error line, never a panic or an exit.
     pub fn handle_line(&mut self, line: &str) -> Vec<String> {
@@ -742,11 +737,12 @@ impl ScheduleService {
     }
 
     /// Serve JSONL requests from `reader`, writing replies to `writer`, until
-    /// EOF or a closed peer. Never exits on malformed input — a line that is
-    /// not UTF-8 is answered with an error line like any other — and flushes
-    /// after every request so pipes and sockets see replies promptly. A line
-    /// may hold 128 bytes per served worker (at least 256 KiB) before its
-    /// newline; a longer one is skipped unbuffered and answered with an error.
+    /// EOF or a peer that closed or reset the connection. Never exits on
+    /// malformed input — a line that is not UTF-8 is answered with an error
+    /// line like any other — and flushes after every request so pipes and
+    /// sockets see replies promptly. A line may hold 128 bytes per served
+    /// worker (at least 256 KiB) before its newline; a longer one is skipped
+    /// unbuffered and answered with an error.
     pub fn serve<R: BufRead, W: Write>(
         &mut self,
         mut reader: R,
@@ -756,11 +752,14 @@ impl ScheduleService {
         let mut bytes = Vec::new();
         loop {
             bytes.clear();
-            if reader.by_ref().take(limit as u64 + 1).read_until(b'\n', &mut bytes)? == 0 {
+            let read = reader.by_ref().take(limit as u64 + 1).read_until(b'\n', &mut bytes);
+            if unless_gone(read)?.is_none_or(|n| n == 0) {
                 break;
             }
             let line = if bytes.len() > limit && bytes.last() != Some(&b'\n') {
-                reader.skip_until(b'\n')?;
+                if unless_gone(reader.skip_until(b'\n'))?.is_none() {
+                    break;
+                }
                 Err(format!("request line longer than {limit} bytes"))
             } else {
                 std::str::from_utf8(&bytes).map_err(|e| format!("request is not valid UTF-8: {e}"))
@@ -779,12 +778,22 @@ impl ScheduleService {
                 .iter()
                 .try_for_each(|reply| writeln!(writer, "{reply}"))
                 .and_then(|()| writer.flush());
-            match written {
-                Err(err) if err.kind() == std::io::ErrorKind::BrokenPipe => break,
-                written => written?,
+            if unless_gone(written)?.is_none() {
+                break;
             }
         }
         Ok(self.summary)
+    }
+}
+
+/// `Ok(None)` when `result` failed because the peer closed the connection
+/// (`BrokenPipe`) or reset it (`ConnectionReset`, as a TCP peer does that
+/// closes with replies still unread): either ends a session like EOF does.
+fn unless_gone<T>(result: std::io::Result<T>) -> std::io::Result<Option<T>> {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionReset};
+    match result {
+        Err(err) if matches!(err.kind(), BrokenPipe | ConnectionReset) => Ok(None),
+        result => result.map(Some),
     }
 }
 
@@ -1109,8 +1118,8 @@ mod tests {
         assert!(lines[0].contains("\"op\":\"session\""), "{}", lines[0]);
         assert_eq!(lines.len(), 2, "session start must install an initial configuration");
         assert!(lines[1].contains("\"op\":\"reschedule\""), "{}", lines[1]);
-        let members: Vec<usize> =
-            service.session.as_ref().unwrap().ctx.current.as_ref().unwrap().assignment.members();
+        let current = service.session.as_ref().unwrap().ctx.current.as_ref().unwrap();
+        let members: Vec<usize> = current.assignment.members_iter().collect();
 
         // An outsider crossing the UP boundary: passive schedulers sleep.
         let outsider = (0..8).find(|q| !members.contains(q)).expect("m=5 leaves outsiders");
@@ -1213,7 +1222,7 @@ mod tests {
         let holds = (true, 2, 0, false);
         let fresh = (false, 0, 0, false);
         req.holdings = Some(vec![holds, fresh, fresh, fresh, fresh, holds, holds, fresh]);
-        let decided = service.core().decide(&req).unwrap().assignment.expect("a new configuration");
+        let decided = service.core.decide(&req).unwrap().assignment.expect("a new configuration");
         let session = req.render().replacen("\"op\":\"decide\"", "\"op\":\"session\"", 1);
         let lines = service.handle_line(&session);
         let expected = format!(
@@ -1264,6 +1273,39 @@ mod tests {
         let summary = service.serve(std::io::Cursor::new(input), &mut writer).unwrap();
         assert_eq!(summary, ServeSummary { requests: 1, errors: 0, reschedules: 0 });
         assert_eq!(String::from_utf8(writer.0).unwrap().lines().count(), 1);
+    }
+
+    #[test]
+    fn a_peer_that_resets_at_the_read_ends_the_loop_with_its_summary() {
+        struct Reset;
+        impl std::io::Read for Reset {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::ConnectionReset.into())
+            }
+        }
+        let mut service = ScheduleService::new(core());
+        let input = Read::chain(&b"{\"op\":\"stats\"}\n"[..], Reset);
+        let mut out = Vec::new();
+        let summary = service.serve(BufReader::new(input), &mut out).unwrap();
+        assert_eq!(summary, ServeSummary { requests: 1, errors: 0, reschedules: 0 });
+        assert_eq!(String::from_utf8(out).unwrap().lines().count(), 1);
+    }
+
+    #[test]
+    fn a_peer_that_resets_at_the_write_ends_the_loop_with_its_summary() {
+        struct ResetAtWrite;
+        impl Write for ResetAtWrite {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::ConnectionReset.into())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut service = ScheduleService::new(core());
+        let input = "{\"op\":\"stats\"}\n{\"op\":\"stats\"}\n";
+        let summary = service.serve(std::io::Cursor::new(input), &mut ResetAtWrite).unwrap();
+        assert_eq!(summary, ServeSummary { requests: 1, errors: 0, reschedules: 0 });
     }
 
     #[test]

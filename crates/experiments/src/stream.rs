@@ -58,11 +58,6 @@ impl CampaignAccumulator {
         }
     }
 
-    /// Name of the reference heuristic.
-    pub fn reference(&self) -> &str {
-        &self.reference
-    }
-
     /// Number of scenarios consumed so far.
     pub fn scenarios_consumed(&self) -> usize {
         self.scenarios_consumed

@@ -32,9 +32,11 @@
 
 use crate::campaign::CampaignConfig;
 use crate::json::{Obj, Str};
+use dg_heuristics::HeuristicSpec;
 use dg_platform::generator::{
     AppShape, AvailabilityRegime, ScenarioModel, SpeedProfile, TrialModel,
 };
+use dg_sim::SimMode;
 use serde::{Deserialize, Serialize};
 
 /// Names of the shipped suite presets, in registry order.
@@ -232,13 +234,6 @@ impl SuiteSpec {
         SuiteSpec::parse(&text).map_err(|e| format!("--suite: {arg}: {e}"))
     }
 
-    /// The suite tag stored in manifests and shard records: `None` for the
-    /// untagged `paper` suite (whose artifacts stay byte-identical to the
-    /// pre-suite store format), `Some(name)` otherwise.
-    pub fn tag(&self) -> Option<&str> {
-        store_tag(&self.name)
-    }
-
     /// Build a campaign configuration over this suite's axes at the given
     /// scale, with all 17 heuristics and the default seed/engine.
     pub fn campaign(
@@ -247,16 +242,23 @@ impl SuiteSpec {
         trials_per_scenario: usize,
         max_slots: u64,
     ) -> CampaignConfig {
-        let mut config =
-            CampaignConfig::reduced(scenarios_per_point, trials_per_scenario, max_slots);
-        config.m_values = self.m_values.clone();
-        config.ncom_values = self.ncom_values.clone();
-        config.wmin_values = self.wmin_values.clone();
-        config.num_workers = self.workers;
-        config.iterations = self.iterations;
-        config.suite = self.name.clone();
-        config.model = self.model;
-        config
+        CampaignConfig {
+            m_values: self.m_values.clone(),
+            ncom_values: self.ncom_values.clone(),
+            wmin_values: self.wmin_values.clone(),
+            num_workers: self.workers,
+            iterations: self.iterations,
+            scenarios_per_point,
+            trials_per_scenario,
+            max_slots,
+            heuristics: HeuristicSpec::all(),
+            base_seed: 20130520, // HCW 2013 workshop date
+            epsilon: dg_analysis::DEFAULT_EPSILON,
+            threads: 1,
+            engine: SimMode::default(),
+            suite: self.name.clone(),
+            model: self.model,
+        }
     }
 
     /// Check structural validity (positive axes, sane model parameters, no
@@ -415,7 +417,9 @@ impl Default for SuiteSpec {
     }
 }
 
-fn join<T: std::fmt::Display>(xs: &[T]) -> String {
+/// `xs` as a comma-separated list, the form of a suite file's sweep values
+/// and of the `--ncom` and `--wmin` flags.
+pub(crate) fn join<T: std::fmt::Display>(xs: &[T]) -> String {
     xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(",")
 }
 
@@ -643,9 +647,9 @@ mod tests {
     #[test]
     fn paper_preset_is_untagged_and_paper_model() {
         let paper = SuiteSpec::paper();
-        assert_eq!(paper.tag(), None);
+        assert_eq!(store_tag(&paper.name), None);
         assert!(paper.model.is_paper());
-        assert_eq!(SuiteSpec::volatile().tag(), Some("volatile"));
+        assert_eq!(store_tag(&SuiteSpec::volatile().name), Some("volatile"));
     }
 
     #[test]
@@ -819,10 +823,6 @@ mod tests {
         let paper = SuiteSpec::paper().campaign(3, 3, 200_000);
         assert_eq!(paper.suite, "paper");
         assert!(paper.model.is_paper());
-        // The paper suite's campaign equals the historical default config.
-        let mut legacy = CampaignConfig::reduced(3, 3, 200_000);
-        legacy.suite = "paper".to_string();
-        assert_eq!(paper, legacy);
     }
 
     #[test]

@@ -15,23 +15,17 @@ pub struct CandidateConfig {
     /// massive platform sizes the greedy inner loop probes thousands of
     /// near-empty candidates per decision.
     occupied: Vec<usize>,
-    total: usize,
 }
 
 impl CandidateConfig {
     /// An empty candidate over a platform of `num_workers` workers.
     pub fn new(num_workers: usize) -> Self {
-        CandidateConfig { counts: vec![0; num_workers], occupied: Vec::new(), total: 0 }
+        CandidateConfig { counts: vec![0; num_workers], occupied: Vec::new() }
     }
 
     /// Number of tasks currently assigned to worker `q`.
     pub fn tasks_of(&self, q: usize) -> usize {
         self.counts[q]
-    }
-
-    /// Total number of tasks assigned so far.
-    pub fn total_tasks(&self) -> usize {
-        self.total
     }
 
     /// Assign one more task to worker `q`.
@@ -41,7 +35,6 @@ impl CandidateConfig {
             self.occupied.insert(pos, q);
         }
         self.counts[q] += 1;
-        self.total += 1;
     }
 
     /// Remove one task from worker `q` (used to undo a tentative assignment).
@@ -51,7 +44,6 @@ impl CandidateConfig {
     pub fn remove_task(&mut self, q: usize) {
         assert!(self.counts[q] > 0, "worker {q} has no task to remove");
         self.counts[q] -= 1;
-        self.total -= 1;
         if self.counts[q] == 0 {
             let pos = self.occupied.binary_search(&q).expect("occupied tracks positive counts");
             self.occupied.remove(pos);
@@ -85,11 +77,9 @@ mod tests {
     #[test]
     fn add_remove_and_convert() {
         let mut c = CandidateConfig::new(4);
-        assert_eq!(c.total_tasks(), 0);
         c.add_task(2);
         c.add_task(2);
         c.add_task(0);
-        assert_eq!(c.total_tasks(), 3);
         assert_eq!(c.tasks_of(2), 2);
         assert_eq!(c.occupied(), &[0, 2]);
         assert_eq!(c.entries().collect::<Vec<_>>(), vec![(0, 1), (2, 2)]);
@@ -97,7 +87,7 @@ mod tests {
         assert_eq!(c.entries().collect::<Vec<_>>(), vec![(0, 1), (2, 1)]);
         let a = c.to_assignment();
         assert_eq!(a.total_tasks(), 2);
-        assert_eq!(a.members(), vec![0, 2]);
+        assert_eq!(a.members_iter().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //! let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 1), 42);
 //! let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
 //! let mut scheduler = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();
-//! let (outcome, _log) = Simulator::new(&scenario, scenario.availability_for_trial(7, false))
+//! let (outcome, _log) = Simulator::new(&scenario, scenario.availability_for_trial(7))
 //!     .with_limits(SimulationLimits::with_max_slots(200_000).unwrap())
 //!     .run(scheduler.as_mut());
 //! assert_eq!(scheduler.name(), "Y-IE");

@@ -390,11 +390,6 @@ impl PassiveScheduler {
     pub fn with_context(kind: PassiveKind, context: SchedulingContext) -> Self {
         PassiveScheduler { kind, context, name: kind.paper_name().to_string() }
     }
-
-    /// The incremental criterion used by this scheduler.
-    pub fn kind(&self) -> PassiveKind {
-        self.kind
-    }
 }
 
 impl Scheduler for PassiveScheduler {
@@ -572,7 +567,6 @@ mod tests {
         let mut sched = PassiveScheduler::with_context(PassiveKind::IE, f.context());
         assert_eq!(sched.decide(&f.view()), Decision::KeepCurrent);
         assert_eq!(sched.name(), "IE");
-        assert_eq!(sched.kind(), PassiveKind::IE);
     }
 
     #[test]

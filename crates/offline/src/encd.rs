@@ -46,11 +46,6 @@ impl BipartiteGraph {
     pub fn num_w(&self) -> usize {
         self.adj[0].len()
     }
-
-    /// `true` iff the node sets `vs ⊆ V`, `ws ⊆ W` form a bi-clique.
-    pub fn is_biclique(&self, vs: &[usize], ws: &[usize]) -> bool {
-        vs.iter().all(|&i| ws.iter().all(|&j| self.adj[i][j]))
-    }
 }
 
 /// An ENCD instance: a bipartite graph and the exact cardinalities `a`, `b`.
@@ -148,8 +143,6 @@ mod tests {
     #[test]
     fn biclique_detection() {
         let g = graph(&["110", "111", "011"]);
-        assert!(g.is_biclique(&[0, 1], &[0, 1]));
-        assert!(!g.is_biclique(&[0, 2], &[0]));
         let yes = EncdInstance::new(g.clone(), 2, 2);
         assert!(yes.has_biclique());
         let no = EncdInstance::new(g, 3, 2);

@@ -51,7 +51,7 @@ pub mod problem;
 
 pub use encd::{BipartiteGraph, EncdInstance};
 pub use oracle::{
-    earliest_finish_exact, earliest_finish_greedy, schedule_exact, schedule_greedy,
-    OfflineSchedule, OracleVariant,
+    chain_iterations, earliest_finish_exact, earliest_finish_greedy, schedule_exact,
+    schedule_greedy, OfflineSchedule, OracleVariant,
 };
 pub use problem::{OfflineInstance, OfflineSolution};

@@ -8,8 +8,10 @@
 //! iteration run at all?"): the exact search finds a witness whenever one
 //! exists, the greedy chain may miss it. The gap experiment needs the
 //! *optimization* form: the earliest time-slot by which `n` iterations of the
-//! application can complete when availability is known in advance, which
-//! [`schedule_exact`] and [`schedule_greedy`] build from the two searches.
+//! application can complete when availability is known in advance.
+//! [`chain_iterations`] chains either search over the iterations and keeps
+//! as many as fit; [`schedule_exact`] and [`schedule_greedy`] are its
+//! schedules of all `n`.
 //!
 //! Iterations of a tightly-coupled application are sequential: iteration
 //! `i + 1` can only use time-slots strictly after the slot in which iteration
@@ -66,16 +68,6 @@ pub struct OfflineSchedule {
 }
 
 impl OfflineSchedule {
-    /// Makespan after the first `count` iterations (1-based; `count` must not
-    /// exceed the number of scheduled iterations).
-    ///
-    /// # Panics
-    /// Panics if `count` is zero or larger than the schedule.
-    pub fn makespan_after(&self, count: u64) -> u64 {
-        assert!(count >= 1, "makespan_after needs at least one iteration");
-        self.iterations[count as usize - 1].finish_time()
-    }
-
     /// Check the whole schedule against `instance`: every witness valid under
     /// `variant`, and iterations strictly ordered in time.
     pub fn is_valid(&self, instance: &OfflineInstance, variant: OracleVariant) -> bool {
@@ -235,7 +227,7 @@ pub fn schedule_exact(
     iterations: u64,
     variant: OracleVariant,
 ) -> Option<OfflineSchedule> {
-    chain(instance, iterations, |inst, from| earliest_finish_exact(inst, from, variant))
+    schedule(instance, iterations, variant, earliest_finish_exact)
 }
 
 /// Greedy chained oracle: a feasible (witnessed) schedule of `iterations`
@@ -246,23 +238,46 @@ pub fn schedule_greedy(
     iterations: u64,
     variant: OracleVariant,
 ) -> Option<OfflineSchedule> {
-    chain(instance, iterations, |inst, from| earliest_finish_greedy(inst, from, variant))
+    schedule(instance, iterations, variant, earliest_finish_greedy)
 }
 
-fn chain(
+/// The chain of `search` ([`earliest_finish_exact`] or
+/// [`earliest_finish_greedy`]) over up to `iterations` sequential
+/// iterations: each witness starts after the slot in which the previous one
+/// finished. The chain stops at the first iteration that no longer fits in
+/// the horizon, so its first `k` witnesses are the oracle's schedule of `k`
+/// iterations for every `k` up to its length.
+pub fn chain_iterations(
     instance: &OfflineInstance,
     iterations: u64,
-    step: impl Fn(&OfflineInstance, usize) -> Option<OfflineSolution>,
+    variant: OracleVariant,
+    search: fn(&OfflineInstance, usize, OracleVariant) -> Option<OfflineSolution>,
+) -> Vec<OfflineSolution> {
+    // Every iteration uses at least one slot, so no more than the horizon fit.
+    let mut witnesses = Vec::with_capacity(iterations.min(instance.horizon() as u64) as usize);
+    let mut from = 0usize;
+    while (witnesses.len() as u64) < iterations {
+        let Some(sol) = search(instance, from, variant) else { break };
+        from = sol.finish_time() as usize;
+        witnesses.push(sol);
+    }
+    witnesses
+}
+
+/// The chain of `search` as a schedule, when all `iterations` fit.
+fn schedule(
+    instance: &OfflineInstance,
+    iterations: u64,
+    variant: OracleVariant,
+    search: fn(&OfflineInstance, usize, OracleVariant) -> Option<OfflineSolution>,
 ) -> Option<OfflineSchedule> {
     assert!(iterations > 0, "a schedule needs at least one iteration");
-    let mut from = 0usize;
-    let mut sols = Vec::with_capacity(iterations as usize);
-    for _ in 0..iterations {
-        let sol = step(instance, from)?;
-        from = sol.finish_time() as usize;
-        sols.push(sol);
+    let witnesses = chain_iterations(instance, iterations, variant, search);
+    if (witnesses.len() as u64) < iterations {
+        return None;
     }
-    Some(OfflineSchedule { iterations: sols, makespan: from as u64 })
+    let makespan = witnesses.last().expect("at least one iteration").finish_time();
+    Some(OfflineSchedule { iterations: witnesses, makespan })
 }
 
 #[cfg(test)]
@@ -416,8 +431,7 @@ mod tests {
         for pair in sched.iterations.windows(2) {
             assert!(pair[1].slots.first().unwrap() > pair[0].slots.last().unwrap());
         }
-        assert_eq!(sched.makespan, sched.makespan_after(3));
-        assert!(sched.makespan_after(1) < sched.makespan_after(2));
+        assert_eq!(sched.makespan, sched.iterations[2].finish_time());
     }
 
     #[test]
@@ -434,6 +448,22 @@ mod tests {
         let inst = OfflineInstance::new(matrix(&["1111"]), 1, 2);
         assert!(earliest_finish_exact(&inst, 0, OracleVariant::Mu1).is_none());
         assert!(earliest_finish_greedy(&inst, 0, OracleVariant::Mu1).is_none());
+    }
+
+    #[test]
+    fn chains_keep_the_iterations_that_fit() {
+        // One processor, 6 UP slots, w = 2, m = 1: iterations finish at 2, 4, 6.
+        let inst = OfflineInstance::new(vec![vec![true; 6]], 2, 1);
+        let finishes = |iterations, search| -> Vec<u64> {
+            let chain = chain_iterations(&inst, iterations, OracleVariant::MuUnbounded, search);
+            chain.iter().map(OfflineSolution::finish_time).collect()
+        };
+        for search in [earliest_finish_exact, earliest_finish_greedy] {
+            assert_eq!(finishes(3, search), vec![2, 4, 6]);
+            // Asking for more than fits returns the feasible prefix.
+            assert_eq!(finishes(5, search), vec![2, 4, 6]);
+            assert_eq!(finishes(0, search), Vec::<u64>::new());
+        }
     }
 
     #[test]

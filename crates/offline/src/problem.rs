@@ -49,17 +49,6 @@ impl OfflineInstance {
         self.up[q][t]
     }
 
-    /// Time-slots during which *all* processors of `procs` are simultaneously
-    /// `UP`.
-    pub fn common_up_slots(&self, procs: &[usize]) -> Vec<usize> {
-        (0..self.horizon()).filter(|&t| procs.iter().all(|&q| self.up[q][t])).collect()
-    }
-
-    /// Number of time-slots during which all processors of `procs` are `UP`.
-    pub fn common_up_count(&self, procs: &[usize]) -> usize {
-        (0..self.horizon()).filter(|&t| procs.iter().all(|&q| self.up[q][t])).count()
-    }
-
     /// Slots of simultaneous `UP` time needed by `k` processors to run the
     /// iteration when each can hold any number of tasks: `⌈m/k⌉·w`.
     pub fn required_slots_for(&self, k: usize) -> u64 {
@@ -135,15 +124,12 @@ mod tests {
     }
 
     #[test]
-    fn accessors_and_common_slots() {
+    fn accessors() {
         let inst = small_instance();
         assert_eq!(inst.num_procs(), 3);
         assert_eq!(inst.horizon(), 4);
         assert!(inst.is_up(0, 0));
         assert!(!inst.is_up(0, 2));
-        assert_eq!(inst.common_up_slots(&[0, 1]), vec![0, 3]);
-        assert_eq!(inst.common_up_count(&[0, 1, 2]), 1);
-        assert_eq!(inst.common_up_slots(&[]), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -25,11 +25,6 @@ impl ApplicationSpec {
         assert!(iterations > 0, "the application must run at least one iteration");
         ApplicationSpec { tasks_per_iteration, iterations }
     }
-
-    /// The paper's evaluation setting: `m` tasks per iteration, 10 iterations.
-    pub fn paper(m: usize) -> Self {
-        ApplicationSpec::new(m, 10)
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +36,6 @@ mod tests {
         let a = ApplicationSpec::new(5, 10);
         assert_eq!(a.tasks_per_iteration, 5);
         assert_eq!(a.iterations, 10);
-        assert_eq!(ApplicationSpec::paper(10), ApplicationSpec::new(10, 10));
     }
 
     #[test]

@@ -114,11 +114,12 @@ impl SpeedProfile {
 pub enum AvailabilityRegime {
     /// The paper's `U[0.90, 0.99]` self-loops.
     Paper,
-    /// Volatile machines: self-loops `U[0.60, 0.85]`
-    /// ([`MarkovChain3::sample_volatile`]).
+    /// Volatile machines: self-loops `U[0.60, 0.85]`, so state sojourns
+    /// are several times shorter than under the paper's range and
+    /// interruptions dominate the schedule.
     Volatile,
-    /// Near-dedicated machines: self-loops `U[0.995, 0.999]`
-    /// ([`MarkovChain3::sample_stable`]).
+    /// Near-dedicated machines: self-loops `U[0.995, 0.999]`, whose mean
+    /// sojourns span hundreds of slots.
     Stable,
     /// An explicit self-loop range `U[lo, hi]`.
     SelfLoops {

@@ -27,47 +27,6 @@ impl MasterSpec {
         assert!(ncom > 0, "the master must support at least one concurrent transfer");
         MasterSpec { ncom, t_prog, t_data }
     }
-
-    /// Build a master description from physical quantities: the master's total
-    /// bandwidth `bw_master`, the per-worker link bandwidth `bw_worker` (both
-    /// in bytes per time-slot), the program size `v_prog` and the per-task
-    /// data size `v_data` (bytes). Transfer times are rounded up to whole
-    /// time-slots, as the paper assumes they are integral.
-    pub fn from_bandwidth(bw_master: f64, bw_worker: f64, v_prog: f64, v_data: f64) -> Self {
-        assert!(bw_master > 0.0 && bw_worker > 0.0, "bandwidths must be positive");
-        assert!(v_prog >= 0.0 && v_data >= 0.0, "message sizes must be non-negative");
-        let ncom = (bw_master / bw_worker).floor() as usize;
-        assert!(ncom >= 1, "master bandwidth must accommodate at least one worker link");
-        MasterSpec {
-            ncom,
-            t_prog: (v_prog / bw_worker).ceil() as u64,
-            t_data: (v_data / bw_worker).ceil() as u64,
-        }
-    }
-
-    /// Number of communication slots a newly enrolled worker needs before it
-    /// can compute: the program (unless `has_program`) plus one data message
-    /// per assigned task beyond the `received_data` messages it already holds.
-    pub fn comm_slots_needed(
-        &self,
-        has_program: bool,
-        assigned_tasks: usize,
-        received_data: usize,
-    ) -> u64 {
-        let prog = if has_program { 0 } else { self.t_prog };
-        let missing = assigned_tasks.saturating_sub(received_data) as u64;
-        prog + missing * self.t_data
-    }
-
-    /// Lower bound on the communication-phase length for a set of per-worker
-    /// communication volumes, accounting for the `ncom` constraint:
-    /// `max(max_q n_q, ⌈Σ_q n_q / ncom⌉)`.
-    pub fn comm_phase_lower_bound(&self, per_worker_slots: &[u64]) -> u64 {
-        let max = per_worker_slots.iter().copied().max().unwrap_or(0);
-        let total: u64 = per_worker_slots.iter().sum();
-        let aggregated = total.div_ceil(self.ncom as u64);
-        max.max(aggregated)
-    }
 }
 
 #[cfg(test)]
@@ -86,47 +45,5 @@ mod tests {
     #[should_panic]
     fn zero_ncom_rejected() {
         let _ = MasterSpec::from_slots(0, 1, 1);
-    }
-
-    #[test]
-    fn from_bandwidth_matches_paper_formulas() {
-        // BW = 100 MB/slot, bw = 10 MB/slot -> ncom = 10.
-        // Vprog = 50 MB -> Tprog = 5 slots; Vdata = 12 MB -> Tdata = ceil(1.2) = 2.
-        let m = MasterSpec::from_bandwidth(100.0, 10.0, 50.0, 12.0);
-        assert_eq!(m.ncom, 10);
-        assert_eq!(m.t_prog, 5);
-        assert_eq!(m.t_data, 2);
-    }
-
-    #[test]
-    fn from_bandwidth_floor_on_ncom() {
-        let m = MasterSpec::from_bandwidth(25.0, 10.0, 0.0, 0.0);
-        assert_eq!(m.ncom, 2);
-        assert_eq!(m.t_prog, 0);
-        assert_eq!(m.t_data, 0);
-    }
-
-    #[test]
-    fn comm_slots_needed_cases() {
-        let m = MasterSpec::from_slots(2, 5, 1);
-        // new worker, 3 tasks: program + 3 data messages
-        assert_eq!(m.comm_slots_needed(false, 3, 0), 8);
-        // has the program, received one of three data messages
-        assert_eq!(m.comm_slots_needed(true, 3, 1), 2);
-        // already has everything
-        assert_eq!(m.comm_slots_needed(true, 2, 2), 0);
-        // received more than assigned (tasks were taken away): nothing to send
-        assert_eq!(m.comm_slots_needed(true, 1, 4), 0);
-    }
-
-    #[test]
-    fn comm_phase_lower_bound_respects_both_terms() {
-        let m = MasterSpec::from_slots(2, 5, 1);
-        // Dominated by the largest single worker volume.
-        assert_eq!(m.comm_phase_lower_bound(&[10, 1, 1]), 10);
-        // Dominated by the aggregate volume / ncom.
-        assert_eq!(m.comm_phase_lower_bound(&[4, 4, 4, 4]), 8);
-        // Empty configuration needs no communication.
-        assert_eq!(m.comm_phase_lower_bound(&[]), 0);
     }
 }

@@ -95,16 +95,6 @@ impl Platform {
     pub fn total_capacity(&self, m: usize) -> usize {
         self.workers.iter().map(|w| w.capacity_for(m)).sum()
     }
-
-    /// Index of the fastest worker (smallest `w_q`); ties broken by index.
-    pub fn fastest_worker(&self) -> usize {
-        self.workers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, w)| w.speed)
-            .map(|(q, _)| q)
-            .expect("platform is non-empty")
-    }
 }
 
 #[cfg(test)]
@@ -120,7 +110,6 @@ mod tests {
         assert_eq!(p.worker(0).speed, 3);
         assert!(!p.chain(0).can_fail());
         assert_eq!(p.total_capacity(7), 28);
-        assert_eq!(p.fastest_worker(), 0);
     }
 
     #[test]
@@ -171,14 +160,6 @@ mod tests {
                 assert!((0.60..=0.85).contains(&p.chain(q).prob(s, s)));
             }
         }
-    }
-
-    #[test]
-    fn fastest_worker_found() {
-        let workers = vec![WorkerSpec::new(5), WorkerSpec::new(2), WorkerSpec::new(9)];
-        let chains = vec![MarkovChain3::always_up(); 3];
-        let p = Platform::new(workers, chains);
-        assert_eq!(p.fastest_worker(), 1);
     }
 
     #[test]

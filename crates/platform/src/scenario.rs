@@ -38,20 +38,6 @@ impl ScenarioParams {
     pub fn paper(m: usize, ncom: usize, wmin: u64) -> Self {
         ScenarioParams { num_workers: 20, tasks_per_iteration: m, ncom, wmin, iterations: 10 }
     }
-
-    /// The full experiment space of the paper:
-    /// `m ∈ {5, 10} × ncom ∈ {5, 10, 20} × wmin ∈ {1..10}`.
-    pub fn paper_experiment_space() -> Vec<ScenarioParams> {
-        let mut space = Vec::new();
-        for &m in &[5usize, 10] {
-            for &ncom in &[5usize, 10, 20] {
-                for wmin in 1..=10u64 {
-                    space.push(ScenarioParams::paper(m, ncom, wmin));
-                }
-            }
-        }
-        space
-    }
 }
 
 /// A fully instantiated experimental scenario.
@@ -107,51 +93,10 @@ impl Scenario {
         Scenario { params, platform, application, master, seed, trial_model: model.trials }
     }
 
-    /// Build a scenario from explicit components (used by tests and examples
-    /// that need full control, e.g. the Figure 1 worked example).
-    ///
-    /// The provenance `params` are carried explicitly — they used to be
-    /// inferred from the components, which silently mis-reported `wmin` as
-    /// `Tdata` for any non-paper master shape. The derivable fields must
-    /// still agree with the components.
-    ///
-    /// # Panics
-    /// Panics if `params` disagrees with the components on the worker count,
-    /// tasks per iteration, iteration count or `ncom`.
-    pub fn from_parts(
-        params: ScenarioParams,
-        platform: Platform,
-        application: ApplicationSpec,
-        master: MasterSpec,
-    ) -> Self {
-        assert_eq!(params.num_workers, platform.num_workers(), "params/platform worker mismatch");
-        assert_eq!(
-            params.tasks_per_iteration, application.tasks_per_iteration,
-            "params/application task-count mismatch"
-        );
-        assert_eq!(params.iterations, application.iterations, "params/application iterations");
-        assert_eq!(params.ncom, master.ncom, "params/master ncom mismatch");
-        Scenario { params, platform, application, master, seed: 0, trial_model: TrialModel::Markov }
-    }
-
-    /// `true` if the platform can hold the application at all
-    /// (`Σ_q µ_q ≥ m`, Section III-C).
-    pub fn is_feasible(&self) -> bool {
-        self.platform.total_capacity(self.application.tasks_per_iteration)
-            >= self.application.tasks_per_iteration
-    }
-
-    /// Create the availability realization for one simulation trial.
-    ///
-    /// Every worker starts `UP` at time 0 (as in the paper's example) unless
-    /// `random_start` is set, in which case initial states are drawn from each
-    /// chain's stationary distribution.
-    pub fn availability_for_trial(
-        &self,
-        trial_seed: u64,
-        random_start: bool,
-    ) -> RealizedAvailability {
-        RealizedAvailability::markov(self.platform.chains().to_vec(), trial_seed, random_start)
+    /// Create the availability realization for one simulation trial, every
+    /// worker starting `UP` at time 0 (as in the paper's example).
+    pub fn availability_for_trial(&self, trial_seed: u64) -> RealizedAvailability {
+        RealizedAvailability::markov(self.platform.chains().to_vec(), trial_seed)
     }
 
     /// Create the availability realization for one simulation trial according
@@ -165,7 +110,7 @@ impl Scenario {
     ///   the run); past it the last state persists.
     pub fn realize_trial(&self, trial_seed: u64, horizon: u64) -> RealizedAvailability {
         match self.trial_model {
-            TrialModel::Markov => self.availability_for_trial(trial_seed, false),
+            TrialModel::Markov => self.availability_for_trial(trial_seed),
             TrialModel::SemiMarkov { shape } => RealizedAvailability::semi_markov(
                 &matched_semi_markov_models(self, shape),
                 trial_seed,
@@ -180,13 +125,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_experiment_space_size() {
-        let space = ScenarioParams::paper_experiment_space();
-        assert_eq!(space.len(), 2 * 3 * 10);
-        assert!(space.iter().all(|p| p.num_workers == 20 && p.iterations == 10));
-    }
-
-    #[test]
     fn generate_follows_paper_rules() {
         let params = ScenarioParams::paper(5, 10, 3);
         let s = Scenario::generate(params, 42);
@@ -196,7 +134,6 @@ mod tests {
         assert_eq!(s.master.t_prog, 15);
         assert_eq!(s.application.tasks_per_iteration, 5);
         assert_eq!(s.application.iterations, 10);
-        assert!(s.is_feasible());
         for q in 0..20 {
             assert!((3..=30).contains(&s.platform.worker(q).speed));
         }
@@ -216,64 +153,13 @@ mod tests {
     fn trial_availability_reproducible() {
         use dg_availability::trace::AvailabilityModel;
         let s = Scenario::generate(ScenarioParams::paper(5, 5, 1), 3);
-        let mut a = s.availability_for_trial(11, false);
-        let mut b = s.availability_for_trial(11, false);
+        let mut a = s.availability_for_trial(11);
+        let mut b = s.availability_for_trial(11);
         for t in 0..200 {
             for q in 0..s.platform.num_workers() {
                 assert_eq!(a.state(q, t), b.state(q, t));
             }
         }
-    }
-
-    fn parts_params(wmin: u64) -> ScenarioParams {
-        ScenarioParams { num_workers: 2, tasks_per_iteration: 5, ncom: 2, wmin, iterations: 1 }
-    }
-
-    #[test]
-    fn from_parts_feasibility() {
-        let platform = Platform::reliable_homogeneous(2, 1);
-        let app = ApplicationSpec::new(5, 1);
-        let master = MasterSpec::from_slots(2, 1, 1);
-        let s = Scenario::from_parts(parts_params(1), platform, app, master);
-        assert!(s.is_feasible());
-        assert_eq!(s.trial_model, TrialModel::Markov);
-
-        let workers = vec![crate::worker::WorkerSpec::with_capacity(1, 1); 2];
-        let chains = vec![dg_availability::MarkovChain3::always_up(); 2];
-        let tight = Scenario::from_parts(
-            parts_params(1),
-            Platform::new(workers, chains),
-            ApplicationSpec::new(5, 1),
-            MasterSpec::from_slots(2, 1, 1),
-        );
-        assert!(!tight.is_feasible());
-    }
-
-    #[test]
-    fn from_parts_carries_explicit_params() {
-        // The old code inferred wmin = Tdata.max(1); with an explicit-params
-        // API, provenance no longer depends on the master's transfer costs.
-        let s = Scenario::from_parts(
-            parts_params(7),
-            Platform::reliable_homogeneous(2, 7),
-            ApplicationSpec::new(5, 1),
-            MasterSpec::from_slots(2, 7, 0), // Tdata = 0: compute-heavy shape
-        );
-        assert_eq!(s.params.wmin, 7);
-        assert_eq!(s.master.t_data, 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn from_parts_rejects_inconsistent_params() {
-        let mut params = parts_params(1);
-        params.num_workers = 3; // platform has 2 workers
-        let _ = Scenario::from_parts(
-            params,
-            Platform::reliable_homogeneous(2, 1),
-            ApplicationSpec::new(5, 1),
-            MasterSpec::from_slots(2, 1, 1),
-        );
     }
 
     #[test]
@@ -314,7 +200,7 @@ mod tests {
         let params = ScenarioParams::paper(5, 10, 1);
         let markov = Scenario::generate(params, 3);
         let mut m = markov.realize_trial(11, 500);
-        let mut direct = markov.availability_for_trial(11, false);
+        let mut direct = markov.availability_for_trial(11);
         for t in 0..1_000 {
             assert_eq!(m.state(0, t), direct.state(0, t));
         }

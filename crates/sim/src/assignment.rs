@@ -32,40 +32,14 @@ impl Assignment {
         Assignment { entries: merged }
     }
 
-    /// The empty assignment (no enrolled worker).
-    pub fn empty() -> Self {
-        Assignment { entries: Vec::new() }
-    }
-
     /// `(worker, task count)` pairs, sorted by worker index.
     pub fn entries(&self) -> &[(usize, usize)] {
         &self.entries
     }
 
-    /// Enrolled worker indices, sorted.
-    pub fn members(&self) -> Vec<usize> {
-        self.members_iter().collect()
-    }
-
     /// Enrolled worker indices, sorted, without allocating.
     pub fn members_iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.entries.iter().map(|&(q, _)| q)
-    }
-
-    /// Task counts in the same order as [`Assignment::members`].
-    pub fn task_counts(&self) -> Vec<usize> {
-        self.task_counts_iter().collect()
-    }
-
-    /// Task counts in the same order as [`Assignment::members_iter`], without
-    /// allocating.
-    pub fn task_counts_iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entries.iter().map(|&(_, x)| x)
-    }
-
-    /// Number of enrolled workers `k`.
-    pub fn num_workers(&self) -> usize {
-        self.entries.len()
     }
 
     /// Total number of assigned tasks.
@@ -150,10 +124,7 @@ mod tests {
     fn construction_merges_and_sorts() {
         let a = Assignment::new([(3, 1), (1, 2), (3, 1), (0, 0)]);
         assert_eq!(a.entries(), &[(1, 2), (3, 2)]);
-        assert_eq!(a.members(), vec![1, 3]);
-        assert_eq!(a.task_counts(), vec![2, 2]);
-        assert_eq!(a.members_iter().collect::<Vec<_>>(), a.members());
-        assert_eq!(a.task_counts_iter().collect::<Vec<_>>(), a.task_counts());
+        assert_eq!(a.members_iter().collect::<Vec<_>>(), vec![1, 3]);
         assert_eq!(a.total_tasks(), 4);
         assert_eq!(a.tasks_of(1), 2);
         assert_eq!(a.tasks_of(0), 0);
@@ -175,7 +146,7 @@ mod tests {
 
     #[test]
     fn empty_assignment() {
-        let a = Assignment::empty();
+        let a = Assignment::default();
         assert!(a.is_empty());
         assert_eq!(a.workload(&platform()), 0);
         assert_eq!(a.total_tasks(), 0);

@@ -52,12 +52,6 @@ impl ActiveConfiguration {
         debug_assert!(self.computation_done + slots < self.workload);
         self.computation_done += slots;
     }
-
-    /// Abort all computation progress (the configuration changed or a worker
-    /// failed): due to the tight coupling, partially completed work is lost.
-    pub fn reset_computation(&mut self) {
-        self.computation_done = 0;
-    }
 }
 
 #[cfg(test)]
@@ -87,17 +81,5 @@ mod tests {
         }
         assert!(c.computation_complete());
         assert_eq!(c.remaining_computation(), 0);
-    }
-
-    #[test]
-    fn reset_loses_progress() {
-        let a = Assignment::new([(0, 3)]);
-        let mut c = ActiveConfiguration::new(a, &platform(), 0);
-        c.advance_computation();
-        c.advance_computation();
-        assert_eq!(c.computation_done, 2);
-        c.reset_computation();
-        assert_eq!(c.computation_done, 0);
-        assert_eq!(c.remaining_computation(), 3);
     }
 }

@@ -140,13 +140,6 @@ pub struct EngineReport {
     pub simulated_slots: u64,
 }
 
-impl EngineReport {
-    /// Slots the engine skipped over (zero in slot-stepped mode).
-    pub fn skipped_slots(&self) -> u64 {
-        self.simulated_slots - self.executed_slots
-    }
-}
-
 /// What an executed slot did — and therefore what kind of span follows it
 /// until the next event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1033,8 +1026,8 @@ mod tests {
             event.executed_slots,
             slot.executed_slots
         );
-        assert!(event.skipped_slots() > 0);
-        assert_eq!(slot.skipped_slots(), 0);
+        assert!(event.executed_slots < event.simulated_slots);
+        assert_eq!(slot.executed_slots, slot.simulated_slots);
     }
 
     /// A scripted realization that counts its queries, per worker.
@@ -1190,7 +1183,7 @@ mod tests {
                 chains.clone(),
             );
             let run = |mode: SimMode| {
-                let availability = RealizedAvailability::markov(chains.clone(), seed, false);
+                let availability = RealizedAvailability::markov(chains.clone(), seed);
                 let mut sched =
                     FixedAssignmentScheduler::new(Assignment::new([(0, 1), (1, 1), (2, 1)]));
                 Simulator::from_parts(

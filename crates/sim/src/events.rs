@@ -100,11 +100,6 @@ impl EventLog {
         EventLog { enabled: false, events: Vec::new() }
     }
 
-    /// `true` if the log records every event.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record an event (only an iteration completion when disabled).
     pub fn push(&mut self, time: u64, kind: EventKind) {
         if self.enabled || matches!(kind, EventKind::IterationCompleted { .. }) {
@@ -141,7 +136,6 @@ mod tests {
         log.push(2, EventKind::ComputationSuspended);
         log.push(4, EventKind::IterationCompleted { iteration: 0 });
         log.push(5, EventKind::RunFinished { success: true });
-        assert!(!log.is_enabled());
         assert_eq!(log.events().len(), 1);
         assert_eq!(log.iteration_completions(), vec![4]);
     }
@@ -154,6 +148,5 @@ mod tests {
         log.push(9, EventKind::IterationCompleted { iteration: 1 });
         assert_eq!(log.events().len(), 3);
         assert_eq!(log.iteration_completions(), vec![4, 9]);
-        assert!(log.is_enabled());
     }
 }

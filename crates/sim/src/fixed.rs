@@ -20,11 +20,6 @@ impl FixedAssignmentScheduler {
     pub fn new(assignment: Assignment) -> Self {
         FixedAssignmentScheduler { assignment, name: "FIXED".to_string() }
     }
-
-    /// The assignment this scheduler installs.
-    pub fn assignment(&self) -> &Assignment {
-        &self.assignment
-    }
 }
 
 impl Scheduler for FixedAssignmentScheduler {
@@ -67,7 +62,6 @@ mod tests {
         let assignment = Assignment::new([(0, 1), (1, 1)]);
         let mut sched = FixedAssignmentScheduler::new(assignment.clone());
         assert_eq!(sched.name(), "FIXED");
-        assert_eq!(sched.assignment(), &assignment);
 
         let make_view = |states: [ProcState; 2]| -> Vec<WorkerView> {
             states

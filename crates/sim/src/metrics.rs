@@ -52,15 +52,6 @@ impl SimOutcome {
     pub fn makespan_or_panic(&self) -> u64 {
         self.makespan.expect("simulation run did not complete all iterations")
     }
-
-    /// Average number of slots per completed iteration, if any completed.
-    pub fn slots_per_iteration(&self) -> Option<f64> {
-        if self.completed_iterations == 0 {
-            None
-        } else {
-            Some(self.simulated_slots as f64 / self.completed_iterations as f64)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -78,7 +69,6 @@ mod tests {
         };
         assert!(ok.success());
         assert_eq!(ok.makespan_or_panic(), 431);
-        assert_eq!(ok.slots_per_iteration(), Some(43.1));
 
         let failed = SimOutcome {
             completed_iterations: 3,
@@ -88,7 +78,6 @@ mod tests {
             stats: SimStats::default(),
         };
         assert!(!failed.success());
-        assert!(failed.slots_per_iteration().unwrap() > 300.0);
     }
 
     #[test]

@@ -90,24 +90,6 @@ impl<'a> SimView<'a> {
     pub fn comm_slots_remaining(&self, q: usize, tasks: usize) -> u64 {
         self.workers[q].dynamic.comm_slots_remaining(tasks, self.master.t_prog, self.master.t_data)
     }
-
-    /// Per-member communication slots still needed for a candidate assignment.
-    pub fn comm_slots_for_assignment(&self, assignment: &Assignment) -> Vec<u64> {
-        assignment.entries().iter().map(|&(q, x)| self.comm_slots_remaining(q, x)).collect()
-    }
-
-    /// `true` if every member of the current configuration is `UP` and ready
-    /// (has the program and all its task data).
-    pub fn current_ready_to_compute(&self) -> bool {
-        match self.current {
-            None => false,
-            Some(c) => c
-                .assignment
-                .entries()
-                .iter()
-                .all(|&(q, x)| self.is_up(q) && self.comm_slots_remaining(q, x) == 0),
-        }
-    }
 }
 
 /// Scheduler decision for the current slot.
@@ -360,44 +342,6 @@ mod tests {
         assert_eq!(view.comm_slots_remaining(0, 2), 4);
         // worker 2 has program and one data message: 2 tasks -> 1 more message
         assert_eq!(view.comm_slots_remaining(2, 2), 1);
-        let a = Assignment::new([(0, 1), (2, 2)]);
-        assert_eq!(view.comm_slots_for_assignment(&a), vec![3, 1]);
-        assert!(!view.current_ready_to_compute());
-    }
-
-    #[test]
-    fn ready_to_compute_requires_all_members_up_and_fed() {
-        let (platform, application, master) = fixture();
-        let ready =
-            WorkerDynamicState { has_program: true, data_messages: 1, ..Default::default() };
-        let workers = vec![
-            WorkerView { state: ProcState::Up, dynamic: ready },
-            WorkerView { state: ProcState::Up, dynamic: ready },
-            WorkerView { state: ProcState::Reclaimed, dynamic: ready },
-        ];
-        let assignment = Assignment::new([(0, 1), (1, 1), (2, 1)]);
-        let config = ActiveConfiguration::new(assignment, &platform, 0);
-        let view = SimView {
-            time: 5,
-            iteration: 0,
-            completed_iterations: 0,
-            iteration_started_at: 0,
-            workers: &workers,
-            platform: &platform,
-            application: &application,
-            master: &master,
-            current: Some(&config),
-        };
-        // worker 2 is reclaimed -> not ready.
-        assert!(!view.current_ready_to_compute());
-
-        let workers_up = vec![
-            WorkerView { state: ProcState::Up, dynamic: ready },
-            WorkerView { state: ProcState::Up, dynamic: ready },
-            WorkerView { state: ProcState::Up, dynamic: ready },
-        ];
-        let view_up = SimView { workers: &workers_up, ..view };
-        assert!(view_up.current_ready_to_compute());
     }
 
     #[test]

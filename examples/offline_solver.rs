@@ -18,7 +18,7 @@ fn main() {
     let chains: Vec<MarkovChain3> = (0..8)
         .map(|q| MarkovChain3::from_self_loop_probs(0.93 + 0.005 * q as f64, 0.9, 0.92).unwrap())
         .collect();
-    let mut availability = RealizedAvailability::markov(chains, 4242, false);
+    let mut availability = RealizedAvailability::markov(chains, 4242);
     let horizon = 60;
     let mut traces = availability.materialize(horizon);
     for q in 0..traces.num_procs() {

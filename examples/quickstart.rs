@@ -32,7 +32,7 @@ fn main() {
     // exactly how the paper compares them, scoring through one scenario cache.
     let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
     for name in ["RANDOM", "IE", "IAY", "Y-IE", "P-IE"] {
-        let availability = scenario.availability_for_trial(7, false);
+        let availability = scenario.availability_for_trial(7);
         let mut scheduler = build_heuristic_with_cache(name, 123, &cache).expect("known heuristic");
         let (outcome, _) = Simulator::new(&scenario, availability)
             .with_limits(SimulationLimits::with_max_slots(200_000).unwrap())

@@ -31,7 +31,7 @@
 //! // A paper-style scenario: 20 workers, m = 5 tasks, ncom = 10, wmin = 1.
 //! let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 1), 42);
 //! // One availability realization (trial).
-//! let availability = scenario.availability_for_trial(7, false);
+//! let availability = scenario.availability_for_trial(7);
 //! // The paper's best heuristic, Y-IE, scoring through the scenario's cache.
 //! let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
 //! let mut scheduler = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();

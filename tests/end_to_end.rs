@@ -124,7 +124,7 @@ fn harder_instances_never_panic_and_respect_the_cap() {
 #[test]
 fn prelude_workflow_from_crate_docs_compiles_and_runs() {
     let scenario = Scenario::generate(ScenarioParams::paper(5, 10, 1), 42);
-    let availability = scenario.availability_for_trial(7, false);
+    let availability = scenario.availability_for_trial(7);
     let cache = EvalCache::new(&scenario.platform, &scenario.master, 1e-7);
     let mut scheduler = build_heuristic_with_cache("Y-IE", 0, &cache).unwrap();
     let (outcome, _log) = Simulator::new(&scenario, availability)

@@ -13,10 +13,12 @@
 
 use desktop_grid_scheduling::analysis::EvalCache;
 use desktop_grid_scheduling::availability::RealizedTrial;
-use desktop_grid_scheduling::experiments::gap::{online_slots, oracle_bounds, project_trial};
+use desktop_grid_scheduling::experiments::gap::{online_slots, project_trial};
 use desktop_grid_scheduling::experiments::runner::{run_instance_on, trial_seed, InstanceSpec};
 use desktop_grid_scheduling::heuristics::HeuristicSpec;
-use desktop_grid_scheduling::offline::{schedule_exact, OracleVariant};
+use desktop_grid_scheduling::offline::{
+    chain_iterations, earliest_finish_exact, schedule_exact, OracleVariant,
+};
 use desktop_grid_scheduling::platform::{Scenario, ScenarioParams};
 use desktop_grid_scheduling::sim::SimMode;
 use proptest::prelude::*;
@@ -69,7 +71,12 @@ proptest! {
                 continue; // nothing completed on this realization
             }
             let instance = project_trial(&scenario, &mut trial.replay(), horizon);
-            let bounds = oracle_bounds(&instance, max_count, true);
+            let bounds: Vec<u64> = chain_iterations(
+                &instance, max_count, OracleVariant::MuUnbounded, earliest_finish_exact,
+            )
+            .iter()
+            .map(|sol| sol.finish_time())
+            .collect();
             // The exact oracle must cover every count some online run reached
             // within the same horizon.
             prop_assert_eq!(bounds.len() as u64, max_count);

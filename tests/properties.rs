@@ -20,7 +20,7 @@ proptest! {
 
     #[test]
     fn markov_chain_samples_only_valid_states(chain in markov_chain(), seed in 0u64..1000) {
-        let mut model = RealizedAvailability::markov(vec![chain], seed, false);
+        let mut model = RealizedAvailability::markov(vec![chain], seed);
         for t in 0..200u64 {
             let s = model.state(0, t);
             prop_assert!(matches!(s, ProcState::Up | ProcState::Reclaimed | ProcState::Down));
@@ -162,7 +162,7 @@ proptest! {
             let sim = match backend {
                 // Lazily realized Markov chains (the paper's model).
                 0 => {
-                    let availability = scenario.availability_for_trial(seed, false);
+                    let availability = scenario.availability_for_trial(seed);
                     Simulator::new(&scenario, availability)
                         .with_limits(SimulationLimits::with_max_slots(cap).unwrap())
                         .with_mode(mode)
@@ -170,7 +170,7 @@ proptest! {
                 }
                 // The same realization replayed from materialized traces.
                 1 => {
-                    let traces = scenario.availability_for_trial(seed, false).materialize(cap);
+                    let traces = scenario.availability_for_trial(seed).materialize(cap);
                     Simulator::new(&scenario, traces)
                         .with_limits(SimulationLimits::with_max_slots(cap).unwrap())
                         .with_mode(mode)
@@ -245,7 +245,7 @@ proptest! {
                     Box::new(ProactiveScheduler::with_context(c, k, ctx))
                 }
             };
-            let availability = scenario.availability_for_trial(seed ^ 0xF00D, false);
+            let availability = scenario.availability_for_trial(seed ^ 0xF00D);
             Simulator::new(&scenario, availability)
                 .with_limits(SimulationLimits::with_max_slots(20_000).unwrap())
                 .run(scheduler.as_mut())
@@ -814,7 +814,7 @@ proptest! {
         // Project a realization from each availability regime and check
         // makespan dominance of the chained oracles on it.
         let p = chains.len();
-        let mut model = RealizedAvailability::markov(chains, seed, false);
+        let mut model = RealizedAvailability::markov(chains, seed);
         let inst = OfflineInstance::new(model.up_matrix(48), w, 1 + p / 2);
         let exact = schedule_exact(&inst, iterations, OracleVariant::MuUnbounded);
         let greedy = schedule_greedy(&inst, iterations, OracleVariant::MuUnbounded);
